@@ -24,11 +24,8 @@ from .gdc import (
 from .nulldist import (
     NullSpectrum,
     NumericsError,
-    PValueBracket,
-    appell_f1,
     asymptotic_pvalue,
     exact_pvalue,
-    evaluate_pvalue,
     genF_cdf,
     genF_sf,
     pvalue_bounds,

@@ -4,12 +4,11 @@ These mirror the compiled extension's API exactly and are selected at
 import when the extension is unavailable (or when forced via
 ``GDCSCAN_BACKEND=python``).  Every statistic is reduced row by row, never
 by a block-shaped matrix product, so a SNP's statistics do not depend on
-how many SNPs share its block.  The hard-call sums are weighted
-``np.bincount`` passes over row*4 + code, taken over cache-sized row
-chunks, that add each row's responses in sample order: the order of the
-compiled loop, so both backends give the same bits.  The dosage sums are
-NumPy's per-row (pairwise) sums, which agree with the compiled loop's
-sequential sums only to round-off.
+how many SNPs share its block.  Every sum adds each row's terms in sample
+order, the order of the compiled loop, so both backends give the same
+bits: the hard-call sums are weighted ``np.bincount`` passes over
+row*4 + code, taken over cache-sized row chunks, and the dosage sums are
+the last column of a per-row ``np.cumsum``.
 """
 
 from __future__ import annotations
@@ -126,7 +125,7 @@ def dosage_stats(x: np.ndarray, y: np.ndarray):
     """Per-SNP sufficient statistics for a dosage block.
 
     Features are f1 = x and f2 = |x - 1|; sums run over non-missing
-    (non-NaN) entries.
+    (non-NaN) entries, added in sample order (missing entries add zero).
 
     Returns a (n_snps, 9) float64 array with columns
     [nmiss, s1, s2, s11, s22, s12, s1y, s2y, ymiss].
@@ -139,12 +138,17 @@ def dosage_stats(x: np.ndarray, y: np.ndarray):
     f2[miss] = 0.0
     out = np.empty((x.shape[0], 9), dtype=np.float64)
     out[:, 0] = miss.sum(axis=1)
-    out[:, 1] = f1.sum(axis=1)
-    out[:, 2] = f2.sum(axis=1)
-    out[:, 3] = (f1 * f1).sum(axis=1)
-    out[:, 4] = (f2 * f2).sum(axis=1)
-    out[:, 5] = (f1 * f2).sum(axis=1)
-    out[:, 6] = (f1 * y).sum(axis=1)
-    out[:, 7] = (f2 * y).sum(axis=1)
-    out[:, 8] = np.where(miss, y, 0.0).sum(axis=1)
+    out[:, 1] = _row_sums(f1)
+    out[:, 2] = _row_sums(f2)
+    out[:, 3] = _row_sums(f1 * f1)
+    out[:, 4] = _row_sums(f2 * f2)
+    out[:, 5] = _row_sums(f1 * f2)
+    out[:, 6] = _row_sums(f1 * y)
+    out[:, 7] = _row_sums(f2 * y)
+    out[:, 8] = _row_sums(np.where(miss, y, 0.0))
     return out
+
+
+def _row_sums(t: np.ndarray) -> np.ndarray:
+    """Sequential row sums (NumPy's ``sum`` is pairwise)."""
+    return np.cumsum(t, axis=1)[:, -1]

@@ -247,20 +247,39 @@ class DosageSource:
             start += count
 
 
+def _check_hard_calls(values: np.ndarray, snp_ids) -> None:
+    """Raise unless every call is -1 (missing), 0, 1 or 2: the kernels
+    index their class counts by the call, unchecked."""
+    if (
+        np.issubdtype(values.dtype, np.integer)
+        and values.size
+        and values.min() >= -1
+        and values.max() <= 2
+    ):
+        return
+    bad = ~np.isin(values, (-1, 0, 1, 2))
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise ValueError(
+            f"{snp_ids[row]}: hard calls must be 0/1/2 or -1, got {values[row, col]!r}"
+        )
+
+
 class ArraySource:
     """In-memory genotype source (simulation and benchmark panels)."""
 
     def __init__(self, values: np.ndarray, kind: str = "hard", snp_ids=None,
                  sample_ids=None):
         values = np.asarray(values)
+        self.n_snps, self.n_samples = values.shape
+        self.snp_ids = snp_ids or [f"snp{i}" for i in range(self.n_snps)]
         if kind == "hard":
+            _check_hard_calls(values, self.snp_ids)
             values = values.astype(np.int8, copy=False)
         else:
             values = values.astype(np.float64, copy=False)
         self.kind = kind
         self._matrix = values
-        self.n_snps, self.n_samples = values.shape
-        self.snp_ids = snp_ids or [f"snp{i}" for i in range(self.n_snps)]
         self.sample_ids = sample_ids or [f"s{i}" for i in range(self.n_samples)]
         self.variants = [VariantInfo(s, ".", i) for i, s in enumerate(self.snp_ids)]
 

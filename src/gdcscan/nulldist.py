@@ -4,15 +4,22 @@ Under the null, the standardized statistic k = n * dcov / sigma2_hat has a
 conditional (given the genotypes) law determined by at most two eigenvalues
 of a small Gram matrix.  The exact tail is the survival function of a
 generalized F-distribution whose CDF has a closed form in terms of the
-Appell F1 hypergeometric series; this module evaluates that closed form
-through a numerically stable one-dimensional Euler-type integral carried in
-log space, so that tails far below double-precision underflow of the raw
-prefactor remain accurate.
+Appell F1 hypergeometric series.  One function, :func:`angular_tail`,
+evaluates every two-weight tail the module needs through the Euler-type
+integral of that closed form over the angle of (Q1, Q2), carried in log
+space so that tails far below double-precision underflow of the raw
+prefactor remain accurate: the generalized F law, its chi-square limit
+(the screening bound and the asymptotic tail) and the holdout law whose
+second weight is negative.
 
-Also provided: cheap lower/upper p-value bounds used for two-stage
-screening, a characteristic-function inversion for weighted sums of
-chi-square variables (general fallback and the multiallelic path), and the
-asymptotic two-eigenvalue tail.
+One batched router, behind :func:`exact_pvalues_batch` and
+:func:`exact_pvalue_with_method`, picks the evaluation route of a
+two-eigenvalue spectrum (degenerate, classical F, generalized F, holdout,
+underflow); the scalar entry points are one-entry calls of the batch ones,
+so both give the same bits.  Also provided: cheap lower/upper p-value
+bounds used for two-stage screening and a characteristic-function
+inversion for weighted sums of chi-square variables (the fallback, and the
+multiallelic path with more than two eigenvalues).
 """
 
 from __future__ import annotations
@@ -31,7 +38,6 @@ METHOD_EXACT = "exact_appell"
 METHOD_INVERSION = "weighted_chisq_inversion"
 METHOD_ASYMPTOTIC = "asymptotic"
 METHOD_CLASSICAL_F = "classical_F"
-METHOD_BRACKET = "bracket_only"
 METHOD_DEGENERATE = "degenerate spectrum"
 METHOD_UNDERFLOW = "underflow"
 
@@ -91,20 +97,6 @@ class NullSpectrum:
         return self.n - self.df_sub - n_slots
 
 
-@dataclass
-class PValueBracket:
-    """Screening bounds plus the exact value when evaluated.
-
-    ``p_upper`` is stored unclamped (the upper bound may exceed 1); it is
-    clamped only at reporting time.
-    """
-
-    p_lower: float
-    p_upper: float
-    p_exact: float | None = None
-    method: str = METHOD_BRACKET
-
-
 def snap_eigenvalues(values) -> tuple:
     """Sort descending, clamp round-off negatives, and snap entries below
     1e-12 of the leading eigenvalue to exactly zero."""
@@ -116,20 +108,26 @@ def snap_eigenvalues(values) -> tuple:
 
 
 def spectrum_matrix(b: float, freqs) -> np.ndarray:
-    """Closed-form 2x2 spectral matrix from genotype class frequencies."""
-    p0, p1, p2 = (float(v) for v in freqs)
+    """Closed-form 2x2 spectral matrix from genotype class frequencies;
+    ``freqs`` shaped (..., 3) gives matrices shaped (..., 2, 2)."""
+    p = np.asarray(freqs, dtype=np.float64)
+    p0, p1, p2 = p[..., 0], p[..., 1], p[..., 2]
     k00 = (b / 2.0) * (p0 + p2 - (p0 - p2) ** 2)
     k11 = ((4.0 - b) / 2.0) * (p1 - p1 * p1)
     k01 = math.sqrt(b * (4.0 - b)) / 2.0 * p1 * (p0 - p2)
-    return np.array([[k00, k01], [k01, k11]])
+    return np.stack([np.stack([k00, k01], -1), np.stack([k01, k11], -1)], -2)
 
 
-def eig2x2(k: np.ndarray) -> tuple:
-    """Closed-form eigenvalues of a symmetric 2x2 matrix, descending."""
-    tr = k[0, 0] + k[1, 1]
-    gap = k[0, 0] - k[1, 1]
-    disc = math.sqrt(max(gap * gap + 4.0 * k[0, 1] * k[0, 1], 0.0))
-    return ((tr + disc) / 2.0, (tr - disc) / 2.0)
+def eig2x2(k00, k11, k01) -> tuple:
+    """Closed-form eigenvalues (lam1, lam2) of the symmetric 2x2 matrices
+    [[k00, k01], [k01, k11]], elementwise, snapped like
+    :func:`snap_eigenvalues`: lam1 >= lam2 >= 0, with a lam2 below
+    ``EIGEN_SNAP_REL * lam1`` set to zero."""
+    tr = k00 + k11
+    disc = np.sqrt(np.maximum((k00 - k11) ** 2 + 4.0 * k01 * k01, 0.0))
+    lam1 = np.maximum((tr + disc) / 2.0, 0.0)
+    lam2 = np.clip((tr - disc) / 2.0, 0.0, lam1)
+    return lam1, np.where(lam2 < EIGEN_SNAP_REL * lam1, 0.0, lam2)
 
 
 def spectrum_unadjusted(b: float, freqs, n: int, sigma2_hat=None) -> NullSpectrum:
@@ -138,7 +136,8 @@ def spectrum_unadjusted(b: float, freqs, n: int, sigma2_hat=None) -> NullSpectru
     p = np.asarray(freqs, dtype=np.float64)
     if p.shape != (3,) or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
         raise ValueError("frequencies must be 3 nonnegative values summing to 1")
-    lam = snap_eigenvalues(eig2x2(spectrum_matrix(b, p)))
+    k = spectrum_matrix(b, p)
+    lam = tuple(float(v) for v in eig2x2(k[0, 0], k[1, 1], k[0, 1]))
     return NullSpectrum(lambdas=lam, n=int(n), df_sub=1, sigma2_hat=sigma2_hat)
 
 
@@ -184,89 +183,18 @@ def spectrum_from_features(
 
 
 # ---------------------------------------------------------------------------
-# Appell F1 and the generalized F CDF
+# the angular tail integral and the generalized F law
 # ---------------------------------------------------------------------------
-
-
-def _appell_series(a, b1, b2, c, x, y, rtol=1e-14, max_rows=600):
-    """Row-collapsed double series: sum over m of the x-row, each row being
-    a Gauss 2F1 in y.  Good when |x| is not too close to 1."""
-    total = 0.0
-    coef = 1.0  # (b1)_m x^m / m!
-    ratio = 1.0  # (a)_m / (c)_m
-    small_streak = 0
-    for m in range(max_rows):
-        inner = special.hyp2f1(a + m, b2, c + m, y)
-        term = coef * ratio * inner
-        total += term
-        if abs(term) <= rtol * max(abs(total), 1e-300):
-            small_streak += 1
-            if small_streak >= 3:
-                return total
-        else:
-            small_streak = 0
-        coef *= (b1 + m) * x / (m + 1.0)
-        ratio *= (a + m) / (c + m)
-    raise NumericsError(
-        "Appell F1 series did not converge", partial=total, error_bound=abs(term)
-    )
-
-
-def _appell_euler_second(a, b1, b2, c, x, y):
-    """Euler-type single integral over the second argument's parameter slot
-    (requires c > b2 > 0) with a Gauss 2F1 inner evaluation."""
-    if not (c > b2 > 0.0):
-        raise NumericsError("Euler path needs c > b2 > 0")
-
-    def f(t):
-        base = t ** (b2 - 1.0) if b2 != 1.0 else 1.0
-        if c - b2 != 1.0:
-            base *= (1.0 - t) ** (c - b2 - 1.0)
-        w = 1.0 - t * y
-        z = (1.0 - t) * x / w
-        return base * w ** (-a) * special.hyp2f1(a, b1, c - b2, z)
-
-    val, err = integrate.quad(f, 0.0, 1.0, epsabs=1e-300, epsrel=1e-13, limit=400)
-    if abs(val) > 0 and err / abs(val) > 1e-9:
-        raise NumericsError("Euler integral inaccurate", partial=val, error_bound=err)
-    return val / special.beta(b2, c - b2)
-
-
-def appell_f1(a: float, b1: float, b2: float, c: float, x: float, y: float) -> float:
-    """Appell F1 two-variable hypergeometric function.
-
-    Series domain |x| < 1, |y| < 1.  Uses the double series (collapsed to
-    rows of Gauss 2F1) for moderate arguments and an Euler-type single
-    integral otherwise.  Relative accuracy target 1e-12.
-    """
-    if c <= 0.0 and float(c).is_integer():
-        raise ValueError("c must not be a nonpositive integer")
-    if abs(x) >= 1.0 or abs(y) >= 1.0:
-        raise ValueError("arguments must satisfy |x| < 1 and |y| < 1")
-    if x == 0.0 and y == 0.0:
-        return 1.0
-    if x == 0.0:
-        return float(special.hyp2f1(a, b2, c, y))
-    if y == 0.0:
-        return float(special.hyp2f1(a, b1, c, x))
-    if max(abs(x), abs(y)) <= 0.65:
-        return float(_appell_series(a, b1, b2, c, x, y))
-    # prefer integrating over the slot whose argument is larger
-    if abs(y) >= abs(x) and c > b2 > 0.0:
-        return float(_appell_euler_second(a, b1, b2, c, x, y))
-    if c > b1 > 0.0:
-        return float(_appell_euler_second(a, b2, b1, c, y, x))
-    if c > b2 > 0.0:
-        return float(_appell_euler_second(a, b1, b2, c, x, y))
-    return float(_appell_series(a, b1, b2, c, x, y, max_rows=4000))
 
 
 @lru_cache(maxsize=32)
 def _gl_nodes(order: int):
-    """Gauss-Legendre nodes/weights mapped to [0, pi/2]."""
+    """Gauss-Legendre nodes and weights mapped to [0, pi/2], with the
+    squared cosines and sines of the nodes."""
     x, w = np.polynomial.legendre.leggauss(order)
     half = np.pi / 4.0
-    return (half * (x + 1.0), half * w)
+    theta = half * (x + 1.0)
+    return theta, half * w, np.cos(theta) ** 2, np.sin(theta) ** 2
 
 
 def _gl_order_doubling(estimate, size: int) -> tuple:
@@ -293,9 +221,84 @@ def _gl_order_doubling(estimate, size: int) -> tuple:
     return sums, sel
 
 
-def _genf_log_integrand(theta, alpha1, alpha2, nu, x):
-    c = alpha1 * np.cos(theta) ** 2 + alpha2 * np.sin(theta) ** 2
-    return -(nu / 2.0) * np.log1p(2.0 * x / (nu * c))
+def _log_kernel(c, s, nu):
+    """log (1 + s / (nu c))^(-nu/2), and its nu = inf limit -s / (2c)."""
+    chi = np.isinf(nu)
+    if not chi.any():
+        return -(nu / 2.0) * np.log1p(s / (nu * c))
+    if chi.all():
+        return -s / (2.0 * c)
+    fin = np.where(chi, 1.0, nu)
+    return np.where(chi, -s / (2.0 * c), -(fin / 2.0) * np.log1p(s / (fin * c)))
+
+
+def angular_tail(w1, w2, s, nu):
+    """P(w1 Q1^2 + w2 Q2^2 >= s chi2_nu / nu), elementwise, for independent
+    standard normals Q1, Q2, weights w1 >= w2 (w2 of either sign), s >= 0
+    and nu >= 1; nu = inf drops the chi-square denominator.
+
+    Conditioning on the angle of (Q1, Q2) gives the Euler-type integral of
+    the Appell-F1 closed form,
+
+        (2/pi) int_0^theta* (1 + s / (nu c(theta)))^(-nu/2) dtheta,
+        c(theta) = w1 cos^2 theta + w2 sin^2 theta,
+
+    with theta* = pi/2 when w2 >= 0 and theta* = atan(sqrt(w1 / -w2)), where
+    c changes sign, when w2 < 0.  The integrand peaks at theta = 0 and is
+    carried in log space relative to that peak.  Entries are integrated by
+    per-entry Gauss-Legendre order doubling on one shared node grid (nodes
+    scaled per entry only where theta* < pi/2); an entry that does not
+    converge goes to adaptive quadrature and is NaN if that misses its
+    accuracy target too.  Values below 1e-300 are returned as 0.
+    """
+    w1, w2, s, nu = np.broadcast_arrays(
+        *(np.asarray(v, dtype=np.float64) for v in (w1, w2, s, nu))
+    )
+    shape = w1.shape
+    w1, w2, s, nu = (v.ravel() for v in (w1, w2, s, nu))
+    cut = (w2 < 0.0) & (w1 > 0.0)
+    theta_star = np.full(w1.shape, np.pi / 2.0)
+    theta_star[cut] = np.arctan(np.sqrt(w1[cut] / -w2[cut]))
+    scale = theta_star / (np.pi / 2.0)
+    # s = 0: the chance that the angular combination is nonnegative
+    out = np.where(w2 >= 0.0, 1.0, scale * cut)
+    out[s > 0.0] = 0.0
+    live = np.nonzero((s > 0.0) & (w1 > 0.0))[0]
+    if not live.size:
+        return out.reshape(shape)[()]
+    a, b, ss, vv, top, scale = (v[live] for v in (w1, w2, s, nu, theta_star, scale))
+    part = scale < 1.0
+    lmax = _log_kernel(a, ss, vv)
+
+    def node_sums(i, cos2, sin2, wts):
+        c = a[i, None] * cos2 + b[i, None] * sin2
+        f = np.exp(_log_kernel(c, ss[i, None], vv[i, None]) - lmax[i, None])
+        return (f * wts).sum(axis=1)
+
+    def estimate(order, sel):
+        theta, wts, cos2, sin2 = _gl_nodes(order)
+        sums = np.empty(sel.size)
+        full = ~part[sel]
+        if full.any():
+            sums[full] = node_sums(sel[full], cos2, sin2, wts)
+        if not full.all():
+            i = sel[~full]
+            t = scale[i, None] * theta  # the nodes mapped to [0, theta*]
+            sums[~full] = scale[i] * node_sums(i, np.cos(t) ** 2, np.sin(t) ** 2, wts)
+        return sums
+
+    sums, pending = _gl_order_doubling(estimate, a.size)
+    for i in pending:
+        def f(theta, i=i):
+            c = a[i] * math.cos(theta) ** 2 + b[i] * math.sin(theta) ** 2
+            return math.exp(_log_kernel(c, ss[i], vv[i]) - lmax[i]) if c > 0.0 else 0.0
+
+        val, err = integrate.quad(f, 0.0, top[i], epsabs=1e-300, epsrel=1e-13, limit=300)
+        sums[i] = val if val > 0.0 and err <= 1e-9 * val else np.nan
+    log_p = np.log(2.0 / np.pi) + lmax + np.log(np.maximum(sums, 1e-320))
+    vals = np.where(log_p < np.log(PVALUE_FLOOR), 0.0, np.exp(np.maximum(log_p, -745.0)))
+    out[live] = np.minimum(vals, 1.0)
+    return out.reshape(shape)[()]
 
 
 def genF_sf(alpha1: float, alpha2: float, nu: float, x: float) -> float:
@@ -303,108 +306,19 @@ def genF_sf(alpha1: float, alpha2: float, nu: float, x: float) -> float:
     ((alpha1/2) Q1^2 + (alpha2/2) Q2^2) / ((1/nu) chi2_nu).
 
     Evaluates the Appell-F1 closed form of the CDF through its Euler
-    integral, carried in log space so extreme tails stay accurate.
+    integral (:func:`angular_tail`), so extreme tails stay accurate.
     """
     if not (alpha1 >= alpha2 > 0.0) or nu < 1 or x < 0.0:
         raise ValueError("need alpha1 >= alpha2 > 0, nu >= 1, x >= 0")
-    if x == 0.0:
-        return 1.0
-    lmax = _genf_log_integrand(0.0, alpha1, alpha2, nu, x)
-
-    def f(theta):
-        return math.exp(_genf_log_integrand(theta, alpha1, alpha2, nu, x) - lmax)
-
-    val, err = integrate.quad(f, 0.0, np.pi / 2.0, epsabs=1e-300, epsrel=1e-13, limit=300)
-    if val <= 0.0 or err / val > 1e-9:
-        raise NumericsError("generalized F quadrature failed", partial=val, error_bound=err)
-    log_sf = math.log(2.0 / np.pi) + lmax + math.log(val)
-    if log_sf < math.log(PVALUE_FLOOR):
-        return 0.0
-    return min(math.exp(log_sf), 1.0)
+    p = float(angular_tail(alpha1 / 2.0, alpha2 / 2.0, x, nu))
+    if math.isnan(p):
+        raise NumericsError("generalized F quadrature failed")
+    return p
 
 
 def genF_cdf(alpha1: float, alpha2: float, nu: float, x: float) -> float:
     """CDF companion of :func:`genF_sf`; monotone in x with limits 0, 1."""
     return 1.0 - genF_sf(alpha1, alpha2, nu, x)
-
-
-def genF_sf_batch(alpha1, alpha2, nu, x) -> np.ndarray:
-    """Vectorized generalized-F survival via Gauss-Legendre order doubling,
-    with a scalar adaptive fallback for rows that do not converge."""
-    alpha1, alpha2, nu, x = np.broadcast_arrays(
-        *(np.asarray(v, dtype=np.float64) for v in (alpha1, alpha2, nu, x))
-    )
-    out = np.ones(alpha1.shape, dtype=np.float64)
-    live = x > 0.0
-    if not live.any():
-        return out
-    a1, a2, nn, xx = (v[live] for v in (alpha1, alpha2, nu, x))
-    lmax = -(nn / 2.0) * np.log1p(2.0 * xx / (nn * a1))
-
-    def estimate(order, sel):
-        theta, w = _gl_nodes(order)
-        c = np.outer(a1[sel], np.cos(theta) ** 2) + np.outer(a2[sel], np.sin(theta) ** 2)
-        nu_ = nn[sel][:, None]
-        logf = -(nu_ / 2.0) * np.log1p(2.0 * xx[sel][:, None] / (nu_ * c))
-        return (np.exp(logf - lmax[sel][:, None]) * w).sum(axis=1)
-
-    sums, pending = _gl_order_doubling(estimate, a1.size)
-    log_sf = np.log(2.0 / np.pi) + lmax + np.log(np.maximum(sums, 1e-320))
-    vals = np.where(log_sf < np.log(PVALUE_FLOOR), 0.0, np.exp(np.maximum(log_sf, -745.0)))
-    for i in pending:
-        vals[i] = genF_sf(float(a1[i]), float(a2[i]), float(nn[i]), float(xx[i]))
-    out[live] = np.minimum(vals, 1.0)
-    return out
-
-
-def chisq2_sf(w1: float, w2: float, t: float) -> float:
-    """P(w1 Q1^2 + w2 Q2^2 >= t) for positive weights w1 >= w2."""
-    if not (w1 >= w2 > 0.0):
-        raise ValueError("need w1 >= w2 > 0")
-    if t <= 0.0:
-        return 1.0
-    if w1 == w2:
-        return math.exp(-t / (2.0 * w1))
-    lmax = -t / (2.0 * w1)
-
-    def f(theta):
-        c = w1 * math.cos(theta) ** 2 + w2 * math.sin(theta) ** 2
-        return math.exp(-t / (2.0 * c) - lmax)
-
-    val, err = integrate.quad(f, 0.0, np.pi / 2.0, epsabs=1e-300, epsrel=1e-13, limit=300)
-    if val <= 0.0 or err / val > 1e-9:
-        raise NumericsError("two-weight chi-square quadrature failed", partial=val)
-    log_sf = math.log(2.0 / np.pi) + lmax + math.log(val)
-    if log_sf < math.log(PVALUE_FLOOR):
-        return 0.0
-    return min(math.exp(log_sf), 1.0)
-
-
-def chisq2_sf_batch(w1, w2, t) -> np.ndarray:
-    """Vectorized two-weight chi-square survival (same scheme as
-    :func:`genF_sf_batch`)."""
-    w1, w2, t = np.broadcast_arrays(
-        *(np.asarray(v, dtype=np.float64) for v in (w1, w2, t))
-    )
-    out = np.ones(w1.shape, dtype=np.float64)
-    live = t > 0.0
-    if not live.any():
-        return out
-    a, b, tt = (v[live] for v in (w1, w2, t))
-    lmax = -tt / (2.0 * a)
-
-    def estimate(order, sel):
-        theta, w = _gl_nodes(order)
-        c = np.outer(a[sel], np.cos(theta) ** 2) + np.outer(b[sel], np.sin(theta) ** 2)
-        return (np.exp(-tt[sel][:, None] / (2.0 * c) - lmax[sel][:, None]) * w).sum(axis=1)
-
-    sums, pending = _gl_order_doubling(estimate, a.size)
-    log_sf = np.log(2.0 / np.pi) + lmax + np.log(np.maximum(sums, 1e-320))
-    vals = np.where(log_sf < np.log(PVALUE_FLOOR), 0.0, np.exp(np.maximum(log_sf, -745.0)))
-    for i in pending:
-        vals[i] = chisq2_sf(float(a[i]), float(b[i]), float(tt[i]))
-    out[live] = np.minimum(vals, 1.0)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -545,44 +459,62 @@ def _tail_tn_inversion(nonzero, k, n, noise_df):
     return weighted_chisq_tail(np.array(weights), 0.0, dfs=np.array(dfs))
 
 
-def holdout_tail_two(w1: float, w2: float, kn: float, nu: float) -> float:
-    """P(w1 Q1^2 + w2 Q2^2 - kn chi2_nu >= 0) for w1 > 0 and w2 of either
-    sign, to relative accuracy.
+# evaluation routes of a spectrum with at most two nonzero eigenvalues, by
+# the method code :func:`_route_two` returns
+_ROUTES = (
+    METHOD_DEGENERATE, METHOD_CLASSICAL_F, METHOD_EXACT, METHOD_INVERSION, METHOD_UNDERFLOW,
+)
+_DEGENERATE, _CLASSICAL_F, _EXACT, _INVERSION, _UNDERFLOW = range(len(_ROUTES))
 
-    Conditioning on the angle of (Q1, Q2) gives a positive log-stable
-    integrand; with w2 < 0 the integration range simply stops where the
-    angular combination changes sign.  With w2 > 0 this is the generalized
-    F survival function again.
+
+def _route_two(lam1, lam2, k, n, df_sub) -> tuple:
+    """Exact p-values and method codes (indices into ``_ROUTES``) over
+    arrays of spectra lam1 >= lam2 >= 0, shaped like their broadcast.
+
+    Routes: a zero spectrum is degenerate; a single nonzero eigenvalue
+    gives the classical F reduction; with two, the holdout weights
+    w_i = lam_i - k/n give the generalized F law when w2 > 0 and the
+    holdout law otherwise, both by :func:`angular_tail`, and an entry whose
+    angular integral fails goes to characteristic-function inversion.
+    Outside the degenerate route, p-values below 1e-300 are reported as 0
+    with the underflow route.
     """
-    if kn < 0.0 or nu < 1:
-        raise ValueError("need kn >= 0 and nu >= 1")
-    if w1 <= 0.0:
-        return 1.0 if kn == 0.0 and w2 >= 0.0 else 0.0
-    theta_star = np.pi / 2.0 if w2 >= 0.0 else math.atan(math.sqrt(w1 / (-w2)))
-    if kn == 0.0:
-        return 1.0 if w2 >= 0.0 else (2.0 / np.pi) * theta_star
-
-    def log_f(theta):
-        c = w1 * math.cos(theta) ** 2 + w2 * math.sin(theta) ** 2
-        if c <= 0.0:
-            return -math.inf
-        return -(nu / 2.0) * math.log1p(kn / c)
-
-    lmax = log_f(0.0)
-
-    def f(theta):
-        lf = log_f(theta)
-        return 0.0 if lf == -math.inf else math.exp(lf - lmax)
-
-    val, err = integrate.quad(
-        f, 0.0, theta_star, epsabs=1e-300, epsrel=1e-13, limit=300
+    args = np.broadcast_arrays(
+        *(np.asarray(v, dtype=np.float64) for v in (lam1, lam2, k, n, df_sub))
     )
-    if val <= 0.0 or err / val > 1e-9:
-        raise NumericsError("holdout tail quadrature failed", partial=val, error_bound=err)
-    log_p = math.log(2.0 / np.pi) + lmax + math.log(val)
-    if log_p < math.log(PVALUE_FLOOR):
-        return 0.0
-    return min(math.exp(log_p), 1.0)
+    shape = args[0].shape
+    lam1, lam2, k, n, df_sub = (v.ravel() for v in args)
+    p = np.zeros(lam1.shape)
+    code = np.full(lam1.shape, _DEGENERATE, dtype=np.int8)
+    degenerate = lam1 <= 0.0
+    p[degenerate & (k <= 0.0)] = 1.0
+
+    single = np.nonzero(~degenerate & (lam2 <= 0.0))[0]
+    if single.size:
+        nu1 = n[single] - df_sub[single] - 1.0
+        denom = lam1[single] * n[single] - k[single]
+        ok = denom > 0.0
+        ps = np.zeros(single.size)
+        ps[ok] = special.fdtrc(1.0, nu1[ok], k[single][ok] * nu1[ok] / denom[ok])
+        p[single] = ps
+        code[single] = _CLASSICAL_F
+
+    two = np.nonzero(~degenerate & (lam2 > 0.0))[0]
+    if two.size:
+        l1, l2, kk, nn = (v[two] for v in (lam1, lam2, k, n))
+        nu = nn - df_sub[two] - 2.0
+        w2 = l2 - kk / nn
+        pt = angular_tail(l1 - kk / nn, w2, kk * nu / nn, nu)
+        code[two] = np.where(w2 > 0.0, _EXACT, _INVERSION)
+        for i in np.nonzero(np.isnan(pt))[0]:
+            pt[i] = _tail_tn_inversion([l1[i], l2[i]], kk[i], nn[i], nu[i])
+            code[two[i]] = _INVERSION
+        p[two] = pt
+
+    under = ~degenerate & (p < PVALUE_FLOOR)
+    p[under] = 0.0
+    code[under] = _UNDERFLOW
+    return p.reshape(shape), code.reshape(shape)
 
 
 def exact_pvalue(spec: NullSpectrum, k: float) -> float:
@@ -593,107 +525,52 @@ def exact_pvalue(spec: NullSpectrum, k: float) -> float:
 def exact_pvalue_with_method(spec: NullSpectrum, k: float) -> tuple:
     """Exact p-value plus the evaluation route that produced it.
 
-    Routes: generalized-F closed form when both retained eigenvalues clear
-    k/n; direct inversion of the holdout law when the second eigenvalue is
-    positive but does not; the classical F reduction when only one
-    eigenvalue is nonzero; inversion for more than two.
+    Spectra with at most two nonzero eigenvalues take the routes of
+    :func:`_route_two` as a one-entry batch, so the value equals
+    :func:`exact_pvalues_batch`'s bit for bit; more eigenvalues go to
+    inversion of the holdout law.
     """
     if k < 0.0:
         raise ValueError("the standardized statistic is nonnegative")
-    n = spec.n
     nonzero = spec.nonzero
-    if len(nonzero) == 0:
-        p = 1.0 if k <= 0.0 else 0.0
-        return p, METHOD_DEGENERATE
-
     if len(nonzero) > 2:
-        p = _tail_tn_inversion(nonzero, k, n, spec.noise_df())
-        return _floor(p, METHOD_INVERSION)
-
-    if len(nonzero) == 1:
-        l1 = nonzero[0]
-        nu1 = spec.noise_df(1)
-        denom = l1 * n - k
-        p = 0.0 if denom <= 0.0 else float(stats.f.sf(k * nu1 / denom, 1, nu1))
-        return _floor(p, METHOD_CLASSICAL_F)
-
-    l1, l2 = nonzero
-    nu = spec.noise_df(2)
-    w1, w2 = l1 - k / n, l2 - k / n
-    if w2 > 0.0:
-        try:
-            p = genF_sf(2.0 * w1, 2.0 * w2, nu, k * nu / n)
-            return _floor(p, METHOD_EXACT)
-        except NumericsError:
-            pass
-    try:
-        p = holdout_tail_two(w1, w2, k / n, nu)
-    except NumericsError:
-        p = _tail_tn_inversion([l1, l2], k, n, nu)
-    return _floor(p, METHOD_INVERSION)
+        p = _tail_tn_inversion(nonzero, k, spec.n, spec.noise_df())
+        return (p, METHOD_INVERSION) if p >= PVALUE_FLOOR else (0.0, METHOD_UNDERFLOW)
+    lam = nonzero + (0.0, 0.0)
+    p, code = _route_two(lam[0], lam[1], k, spec.n, spec.df_sub)
+    return float(p), _ROUTES[code]
 
 
-def evaluate_pvalue(spec: NullSpectrum, k: float) -> PValueBracket:
-    """Exact p-value bundled with the screening bounds."""
-    p, method = exact_pvalue_with_method(spec, k)
-    if len(spec.nonzero) > 2 or method == METHOD_DEGENERATE:
-        return PValueBracket(p_lower=p, p_upper=p, p_exact=p, method=method)
-    p_lo, p_hi = pvalue_bounds(spec, k)
-    return PValueBracket(p_lower=p_lo, p_upper=p_hi, p_exact=p, method=method)
-
-
-def _floor(p: float, method: str) -> tuple:
-    if 0.0 < p < PVALUE_FLOOR:
-        return 0.0, METHOD_UNDERFLOW
-    if p == 0.0:
-        return 0.0, METHOD_UNDERFLOW
-    return p, method
+def exact_pvalues_batch(lam1, lam2, k, n, df_sub=1) -> np.ndarray:
+    """Vectorized exact p-values over arrays of two-eigenvalue spectra
+    (the routes of :func:`exact_pvalue_with_method`)."""
+    return _route_two(lam1, lam2, k, n, df_sub)[0]
 
 
 def _floor_prob(x):
     """Uniform reporting floor: probabilities below 1e-300 become 0."""
-    if isinstance(x, np.ndarray):
-        return np.where(x < PVALUE_FLOOR, 0.0, x)
-    return 0.0 if x < PVALUE_FLOOR else x
+    return np.where(x < PVALUE_FLOOR, 0.0, x)
 
 
 def pvalue_bounds(spec: NullSpectrum, k: float) -> tuple:
-    """Computable lower/upper bounds (p*, p**) on the exact p-value.
+    """Computable lower/upper bounds (p*, p**) on the exact p-value: a
+    one-entry :func:`pvalue_bounds_batch`.
 
     The upper bound may exceed 1 and is returned unclamped.
     """
     if k < 0.0:
         raise ValueError("the standardized statistic is nonnegative")
-    n = spec.n
-    lam = spec.lambdas
-    l1 = lam[0]
-    l2 = lam[1] if len(lam) > 1 else 0.0
-    if l1 <= 0.0:
-        p = 1.0 if k <= 0.0 else 0.0
-        return (p, p)
-    nu = spec.noise_df(2)
-    if l2 - k / n > 0.0:
-        t = k * nu / n
-        t1 = chisq2_sf(l1 - k / n, l2 - k / n, t)
-        t2 = float(stats.f.sf(k * nu / (l1 * n - k), 1, nu))
-        t3 = float(
-            stats.f.sf(k * nu / math.sqrt((l1 * n - k) * (l2 * n - k)), 2, nu)
-        )
-        p_star = max(t1, t2, t3)
-        p_star2 = 5.0 * float(
-            stats.f.sf(k * (nu + 1) / ((l1 + l2) * n - 2.0 * k), 1, nu + 1)
-        )
-        return (_floor_prob(p_star), _floor_prob(p_star2))
-    denom = l1 * n - k
-    if denom <= 0.0:
-        return (0.0, 0.0)
-    p_star = float(stats.f.sf(k * (nu + 1) / denom, 1, nu + 1))
-    p_star2 = float(stats.f.sf(k * nu / denom, 1, nu))
-    return (_floor_prob(p_star), _floor_prob(p_star2))
+    lam = spec.lambdas + (0.0,)
+    p_star, p_star2 = pvalue_bounds_batch(lam[0], lam[1], k, spec.n, spec.df_sub)
+    return float(p_star), float(p_star2)
 
 
 def pvalue_bounds_batch(lam1, lam2, k, n, df_sub=1) -> tuple:
-    """Vectorized (p*, p**) over arrays of spectra and statistics."""
+    """Vectorized (p*, p**) over arrays of spectra and statistics.
+
+    p* is the largest of three lower bounds; one whose quadrature fails
+    is left out.
+    """
     lam1, lam2, k = np.broadcast_arrays(
         *(np.asarray(v, dtype=np.float64) for v in (lam1, lam2, k))
     )
@@ -712,12 +589,12 @@ def pvalue_bounds_batch(lam1, lam2, k, n, df_sub=1) -> tuple:
     if upper.any():
         l1, l2, kk, nn, vv = (v[upper] for v in (lam1, lam2, k, n, nu))
         t = kk * vv / nn
-        t1 = chisq2_sf_batch(l1 - kk / nn, l2 - kk / nn, t)
-        t2 = stats.f.sf(kk * vv / (l1 * nn - kk), 1, vv)
-        t3 = stats.f.sf(kk * vv / np.sqrt((l1 * nn - kk) * (l2 * nn - kk)), 2, vv)
-        p_star[upper] = np.maximum(np.maximum(t1, t2), t3)
-        p_star2[upper] = 5.0 * stats.f.sf(
-            kk * (vv + 1) / ((l1 + l2) * nn - 2.0 * kk), 1, vv + 1
+        t1 = angular_tail(l1 - kk / nn, l2 - kk / nn, t, np.inf)
+        t2 = special.fdtrc(1.0, vv, kk * vv / (l1 * nn - kk))
+        t3 = special.fdtrc(2.0, vv, kk * vv / np.sqrt((l1 * nn - kk) * (l2 * nn - kk)))
+        p_star[upper] = np.fmax(np.fmax(t1, t2), t3)
+        p_star2[upper] = 5.0 * special.fdtrc(
+            1.0, vv + 1, kk * (vv + 1) / ((l1 + l2) * nn - 2.0 * kk)
         )
 
     lower = (~degenerate) & ~upper
@@ -727,63 +604,26 @@ def pvalue_bounds_batch(lam1, lam2, k, n, df_sub=1) -> tuple:
         safe = denom > 0.0
         ps = np.zeros(denom.shape)
         ps2 = np.zeros(denom.shape)
-        ps[safe] = stats.f.sf(kk[safe] * (vv[safe] + 1) / denom[safe], 1, vv[safe] + 1)
-        ps2[safe] = stats.f.sf(kk[safe] * vv[safe] / denom[safe], 1, vv[safe])
+        ps[safe] = special.fdtrc(1.0, vv[safe] + 1, kk[safe] * (vv[safe] + 1) / denom[safe])
+        ps2[safe] = special.fdtrc(1.0, vv[safe], kk[safe] * vv[safe] / denom[safe])
         p_star[lower] = ps
         p_star2[lower] = ps2
     return _floor_prob(p_star), _floor_prob(p_star2)
 
 
-def exact_pvalues_batch(lam1, lam2, k, n, df_sub=1) -> np.ndarray:
-    """Vectorized exact p-values over arrays of two-eigenvalue spectra.
-
-    Routes each entry like :func:`exact_pvalue_with_method`: generalized-F
-    batch evaluation where both holdout weights are positive, the classical
-    F reduction where the second eigenvalue is zero, and scalar inversion
-    in the thin remaining regime.
-    """
-    lam1, lam2, k = np.broadcast_arrays(
-        *(np.asarray(v, dtype=np.float64) for v in (lam1, lam2, k))
-    )
-    n = np.broadcast_to(np.asarray(n, dtype=np.float64), lam1.shape)
-    df_sub_arr = np.broadcast_to(np.asarray(df_sub, dtype=np.float64), lam1.shape)
-    out = np.ones(lam1.shape, dtype=np.float64)
-
-    degenerate = lam1 <= 0.0
-    out[degenerate] = np.where(k[degenerate] <= 0.0, 1.0, 0.0)
-
-    single = (~degenerate) & (lam2 <= 0.0)
-    if single.any():
-        nu1 = n[single] - df_sub_arr[single] - 1.0
-        denom = lam1[single] * n[single] - k[single]
-        p = np.zeros(denom.shape)
-        ok = denom > 0.0
-        p[ok] = stats.f.sf(k[single][ok] * nu1[ok] / denom[ok], 1, nu1[ok])
-        out[single] = p
-
-    both = (~degenerate) & (lam2 > 0.0)
-    w2 = lam2 - k / n
-    genf = both & (w2 > 0.0)
-    if genf.any():
-        nu = n[genf] - df_sub_arr[genf] - 2.0
-        out[genf] = genF_sf_batch(
-            2.0 * (lam1[genf] - k[genf] / n[genf]),
-            2.0 * w2[genf],
-            nu,
-            k[genf] * nu / n[genf],
-        )
-    hard = both & (w2 <= 0.0)
-    if hard.any():
-        for i in np.nonzero(hard.ravel())[0]:
-            idx = np.unravel_index(i, lam1.shape)
-            nu = n[idx] - df_sub_arr[idx] - 2.0
-            out[idx] = holdout_tail_two(
-                float(lam1[idx] - k[idx] / n[idx]),
-                float(lam2[idx] - k[idx] / n[idx]),
-                float(k[idx] / n[idx]),
-                nu,
-            )
-    return out
+def asymptotic_tail(lam1: float, lam2: float, t: float) -> float:
+    """P(lam1 Q1^2 + lam2 Q2^2 >= t): the large-sample law of the
+    standardized statistic for population eigenvalues lam1 >= lam2 >= 0."""
+    if t <= 0.0:
+        return 1.0
+    if lam1 <= 0.0:
+        return 0.0
+    if lam2 <= 0.0:
+        return float(stats.chi2.sf(t / lam1, 1))
+    p = float(angular_tail(lam1, lam2, t, np.inf))
+    if math.isnan(p):
+        raise NumericsError("two-weight chi-square quadrature failed")
+    return p
 
 
 def asymptotic_pvalue(b: float, freqs, sigma2: float, n: int, stat: float) -> float:
@@ -798,10 +638,6 @@ def asymptotic_pvalue(b: float, freqs, sigma2: float, n: int, stat: float) -> fl
         raise ValueError("sigma2 must be positive")
     if stat <= 0.0:
         return 1.0
-    l1, l2 = snap_eigenvalues(eig2x2(spectrum_matrix(b, freqs)))[:2]
-    t = stat / sigma2
-    if l1 <= 0.0:
-        return 1.0 if t <= 0.0 else 0.0
-    if l2 <= 0.0:
-        return float(stats.chi2.sf(t / l1, 1))
-    return chisq2_sf(l1, l2, t)
+    k = spectrum_matrix(b, freqs)
+    l1, l2 = eig2x2(k[0, 0], k[1, 1], k[0, 1])
+    return asymptotic_tail(float(l1), float(l2), stat / sigma2)

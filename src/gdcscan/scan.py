@@ -36,7 +36,8 @@ from .nulldist import (
     METHOD_DEGENERATE,
     NullSpectrum,
     NumericsError,
-    chisq2_sf,
+    asymptotic_tail,
+    eig2x2,
     exact_pvalue_with_method,
     pvalue_bounds,
     pvalue_bounds_batch,
@@ -47,8 +48,6 @@ from .premetric import GenotypeColumn
 
 METHOD_SCREEN_HIGH = "screened_out_high"
 METHOD_SCREEN_LOW = "screened_out_low"
-
-EIGEN_SNAP_REL = 1e-12
 
 OUTPUT_COLUMNS = (
     "snp_id",
@@ -166,19 +165,6 @@ def prepare_context(phenotype, covariates: CovariateMatrix | None = None) -> Sca
 # ---------------------------------------------------------------------------
 
 
-def _snap_pair(lam1, lam2):
-    lam1 = np.maximum(lam1, 0.0)
-    lam2 = np.clip(lam2, 0.0, lam1)
-    lam2 = np.where(lam2 < EIGEN_SNAP_REL * lam1, 0.0, lam2)
-    return lam1, lam2
-
-
-def _eig_pair_batch(k00, k11, k01):
-    tr = k00 + k11
-    disc = np.sqrt(np.maximum((k00 - k11) ** 2 + 4.0 * k01 * k01, 0.0))
-    return _snap_pair((tr + disc) / 2.0, (tr - disc) / 2.0)
-
-
 def _finish_record(cfg: ScanConfig, ctx: ScanContext, variant: VariantInfo,
                    maf: float, n_used: int, df_sub: int, stat: float,
                    lam1: float, lam2: float, p_lo: float, p_hi: float) -> ScanRecord:
@@ -199,38 +185,28 @@ def _finish_record(cfg: ScanConfig, ctx: ScanContext, variant: VariantInfo,
         method = METHOD_SCREEN_LOW
         p_value = p_hi
     else:
-        spec = NullSpectrum(
-            lambdas=(lam1, lam2), n=n_used, df_sub=df_sub,
-            sigma2_hat=ctx.sigma2,
-        )
-        if n_used > cfg.asymptotic_switch:
-            p_value = _asymptotic_tail(lam1, lam2, stat)
-            method = METHOD_ASYMPTOTIC
-        else:
-            try:
-                p_value, method = exact_pvalue_with_method(spec, stat)
-            except NumericsError as exc:
-                return ScanRecord(
-                    snp_id=variant.snp_id, chrom=variant.chrom, pos=variant.pos,
-                    maf=maf, n_used=n_used, b=cfg.b, stat=stat,
-                    lambda1=lam1, lambda2=lam2, p_lower=p_lo, p_upper=p_hi,
-                    p_value=None, method=f"error:numerics:{exc}",
+        try:
+            if n_used > cfg.asymptotic_switch:
+                p_value = asymptotic_tail(lam1, lam2, stat)
+                method = METHOD_ASYMPTOTIC
+            else:
+                spec = NullSpectrum(
+                    lambdas=(lam1, lam2), n=n_used, df_sub=df_sub,
+                    sigma2_hat=ctx.sigma2,
                 )
+                p_value, method = exact_pvalue_with_method(spec, stat)
+        except NumericsError as exc:
+            return ScanRecord(
+                snp_id=variant.snp_id, chrom=variant.chrom, pos=variant.pos,
+                maf=maf, n_used=n_used, b=cfg.b, stat=stat,
+                lambda1=lam1, lambda2=lam2, p_lower=p_lo, p_upper=p_hi,
+                p_value=None, method=f"error:numerics:{exc}",
+            )
     return ScanRecord(
         snp_id=variant.snp_id, chrom=variant.chrom, pos=variant.pos,
         maf=maf, n_used=n_used, b=cfg.b, stat=stat, lambda1=lam1, lambda2=lam2,
         p_lower=p_lo, p_upper=p_hi, p_value=p_value, method=method,
     )
-
-
-def _asymptotic_tail(lam1: float, lam2: float, k: float) -> float:
-    from scipy import stats as _st
-
-    if k <= 0.0:
-        return 1.0
-    if lam2 <= 0.0:
-        return float(_st.chi2.sf(k / lam1, 1))
-    return chisq2_sf(lam1, lam2, k)
 
 
 def _error_record(cfg, variant, n_used, reason) -> ScanRecord:
@@ -253,12 +229,8 @@ def _process_hard_rows(cfg: ScanConfig, ctx: ScanContext, variants,
     v1 = sqb * (ysums[:, 2] - ysums[:, 0])
     v2 = sqh * ysums[:, 1]
     stat = (v1 * v1 + v2 * v2) / ctx.rss
-    freqs = counts / float(n)
-    p0, p1, p2 = freqs[:, 0], freqs[:, 1], freqs[:, 2]
-    k00 = (b / 2.0) * (p0 + p2 - (p0 - p2) ** 2)
-    k11 = ((4.0 - b) / 2.0) * (p1 - p1 * p1)
-    k01 = math.sqrt(b * (4.0 - b)) / 2.0 * p1 * (p0 - p2)
-    lam1, lam2 = _eig_pair_batch(k00, k11, k01)
+    k = spectrum_matrix(b, counts / float(n))
+    lam1, lam2 = eig2x2(k[:, 0, 0], k[:, 1, 1], k[:, 0, 1])
     return _assemble(cfg, ctx, variants, counts, stat, lam1, lam2, n)
 
 
@@ -293,7 +265,7 @@ def _process_hard_rows_cov(cfg: ScanConfig, ctx: ScanContext, variants,
     k00 = (utu00 - (a0 * a0).sum(axis=1)) / n
     k11 = (utu11 - (a1 * a1).sum(axis=1)) / n
     k01 = (-(a0 * a1).sum(axis=1)) / n
-    lam1, lam2 = _eig_pair_batch(k00, k11, k01)
+    lam1, lam2 = eig2x2(k00, k11, k01)
     return _assemble(cfg, ctx, variants, counts, stat, lam1, lam2, n)
 
 
@@ -339,7 +311,7 @@ def _process_dosage_rows(cfg: ScanConfig, ctx: ScanContext, variants,
     k00 = (b / 2.0) * g11 / n
     k11 = ((4.0 - b) / 2.0) * g22 / n
     k01 = sqb * sqh * g12 / n
-    lam1, lam2 = _eig_pair_batch(k00, k11, k01)
+    lam1, lam2 = eig2x2(k00, k11, k01)
     q = s1 / (2.0 * n)
     maf = np.minimum(q, 1.0 - q)
     p_lo, p_hi = pvalue_bounds_batch(lam1, lam2, stat, n, ctx.df_sub)

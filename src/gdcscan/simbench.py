@@ -22,7 +22,7 @@ from scipy import stats
 from . import backend
 from .gdc import Sample
 from .io import ArraySource
-from .nulldist import exact_pvalues_batch
+from .nulldist import eig2x2, exact_pvalues_batch, spectrum_matrix
 from .scan import ScanConfig, run_scan
 
 DEFAULT_H_GRID = tuple(np.round(np.arange(0.0, 1.01, 0.1), 10))
@@ -134,15 +134,8 @@ def _replication_stats(g: np.ndarray, y: np.ndarray, b: float):
     v1 = sqb * (s2 - s0)
     v2 = sqh * s1
     k = (v1 * v1 + v2 * v2) / rss
-    p0, p1, p2 = n0 / n, n1 / n, n2 / n
-    k00 = (b / 2.0) * (p0 + p2 - (p0 - p2) ** 2)
-    k11 = ((4.0 - b) / 2.0) * (p1 - p1 * p1)
-    k01 = np.sqrt(b * (4.0 - b)) / 2.0 * p1 * (p0 - p2)
-    tr = k00 + k11
-    disc = np.sqrt(np.maximum((k00 - k11) ** 2 + 4.0 * k01 * k01, 0.0))
-    lam1 = np.maximum((tr + disc) / 2.0, 0.0)
-    lam2 = np.clip((tr - disc) / 2.0, 0.0, lam1)
-    lam2 = np.where(lam2 < 1e-12 * lam1, 0.0, lam2)
+    km = spectrum_matrix(b, np.stack([n0 / n, n1 / n, n2 / n], axis=-1))
+    lam1, lam2 = eig2x2(km[:, 0, 0], km[:, 1, 1], km[:, 0, 1])
     return k, lam1, lam2, (n0.astype(np.int64), n1.astype(np.int64), n2.astype(np.int64))
 
 

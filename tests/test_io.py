@@ -165,3 +165,17 @@ def test_subset_source():
     got = np.vstack([b.values for b in sub.iter_blocks()])
     np.testing.assert_array_equal(got, calls[:, [2, 0]])
     assert sub.sample_ids == ["s2", "s0"]
+
+
+@pytest.mark.parametrize("bad", [3, 258, 1.5])
+def test_array_source_rejects_bad_hard_calls(bad):
+    """A call outside -1/0/1/2 would index past the kernels' class counts
+    (3), or wrap (258) or truncate (1.5) in the int8 cast."""
+    calls = np.zeros((3, 5))
+    calls[1, 4] = bad
+    if bad != 1.5:
+        calls = calls.astype(np.int64)
+    with pytest.raises(ValueError, match=r"snp1: hard calls must be 0/1/2 or -1"):
+        ArraySource(calls, kind="hard")
+    calls[1, 4] = -1
+    ArraySource(calls, kind="hard")

@@ -9,18 +9,14 @@ from scipy import integrate, special, stats
 from gdcscan.gdc import Sample
 from gdcscan.nulldist import (
     NullSpectrum,
-    appell_f1,
+    angular_tail,
     asymptotic_pvalue,
-    chisq2_sf,
-    chisq2_sf_batch,
     eig2x2,
     exact_pvalue,
     exact_pvalue_with_method,
     exact_pvalues_batch,
     genF_cdf,
     genF_sf,
-    genF_sf_batch,
-    holdout_tail_two,
     pvalue_bounds,
     pvalue_bounds_batch,
     snap_eigenvalues,
@@ -30,6 +26,8 @@ from gdcscan.nulldist import (
     weighted_chisq_tail,
 )
 from gdcscan.premetric import Premetric
+
+from appell_oracle import appell_f1
 
 
 def _features(b, x):
@@ -265,13 +263,31 @@ def test_genf_matches_inversion():
         assert direct == pytest.approx(inv, abs=1e-9)
 
 
+def test_genf_matches_appell_closed_form():
+    """The angular integral equals the Appell F1 closed form of the
+    survival function, r^(nu/2) (1-z)^(-1/2)
+    F1(1/2; 1, nu/2; 1; z/(z-1), -z(1-r)/(1-z)) with z = 1 - alpha2/alpha1
+    and r = nu alpha1 / (nu alpha1 + 2x), evaluated by the series oracle."""
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        a1 = rng.uniform(0.1, 2.0)
+        a2 = a1 * rng.uniform(0.55, 1.0)
+        nu = float(rng.integers(3, 400))
+        x = rng.uniform(0.01, 30.0)
+        z = 1.0 - a2 / a1
+        r = nu * a1 / (nu * a1 + 2.0 * x)
+        f1 = appell_f1(0.5, 1.0, nu / 2.0, 1.0, z / (z - 1.0), -z * (1.0 - r) / (1.0 - z))
+        closed = r ** (nu / 2.0) * (1.0 - z) ** -0.5 * f1
+        assert genF_sf(a1, a2, nu, x) == pytest.approx(closed, rel=1e-10)
+
+
 def test_genf_batch_matches_scalar():
     rng = np.random.default_rng(23)
     a2 = rng.uniform(0.05, 1.0, size=50)
     a1 = a2 + rng.uniform(0.0, 1.5, size=50)
     nu = rng.integers(5, 2000, size=50).astype(float)
     x = rng.uniform(0.0, 30.0, size=50)
-    batch = genF_sf_batch(a1, a2, nu, x)
+    batch = angular_tail(a1 / 2.0, a2 / 2.0, x, nu)
     for i in range(50):
         assert batch[i] == pytest.approx(
             genF_sf(a1[i], a2[i], nu[i], x[i]), rel=1e-10, abs=1e-300
@@ -283,10 +299,10 @@ def test_chisq2_batch_matches_scalar():
     w2 = rng.uniform(0.05, 1.0, size=40)
     w1 = w2 + rng.uniform(0.0, 2.0, size=40)
     t = rng.uniform(0.0, 60.0, size=40)
-    batch = chisq2_sf_batch(w1, w2, t)
+    batch = angular_tail(w1, w2, t, math.inf)
     for i in range(40):
         assert batch[i] == pytest.approx(
-            chisq2_sf(w1[i], w2[i], t[i]), rel=1e-10, abs=1e-300
+            angular_tail(w1[i], w2[i], t[i], math.inf), rel=1e-10, abs=1e-300
         )
 
 
@@ -299,12 +315,23 @@ def test_tail_batches_independent_of_batch_members():
     w2 = w1 * 10.0 ** rng.uniform(-2.0, 0.0, m)
     t = 10.0 ** rng.uniform(-3.0, 2.0, m)
     nu = rng.uniform(3.0, 3000.0, m)
-    chisq = chisq2_sf_batch(w1, w2, t)
-    genf = genF_sf_batch(w1, w2, nu, t)
+    # holdout entries: a negative second weight cuts the angular range
+    w2_neg = -w1 * 10.0 ** rng.uniform(-2.0, 0.5, m)
+    # both signs of the second weight, finite and infinite nu, in one batch
+    w2_mixed = np.where(rng.random(m) < 0.5, w2, w2_neg)
+    nu_mixed = np.where(rng.random(m) < 0.5, math.inf, nu)
+    chisq = angular_tail(w1, w2, t, math.inf)
+    genf = angular_tail(w1 / 2.0, w2 / 2.0, t, nu)
+    hold = angular_tail(w1, w2_neg, t, nu)
+    hold_chisq = angular_tail(w1, w2_neg, t, math.inf)
+    mixed = angular_tail(w1, w2_mixed, t, nu_mixed)
     for i in range(m):
         one = slice(i, i + 1)
-        assert chisq2_sf_batch(w1[one], w2[one], t[one])[0] == chisq[i]
-        assert genF_sf_batch(w1[one], w2[one], nu[one], t[one])[0] == genf[i]
+        assert angular_tail(w1[one], w2[one], t[one], math.inf)[0] == chisq[i]
+        assert angular_tail(w1[one] / 2.0, w2[one] / 2.0, t[one], nu[one])[0] == genf[i]
+        assert angular_tail(w1[one], w2_neg[one], t[one], nu[one])[0] == hold[i]
+        assert angular_tail(w1[one], w2_neg[one], t[one], math.inf)[0] == hold_chisq[i]
+        assert angular_tail(w1[one], w2_mixed[one], t[one], nu_mixed[one])[0] == mixed[i]
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +385,7 @@ def test_holdout_tail_two_matches_inversion():
         w2 = rng.uniform(-0.3, 0.3)
         kn = rng.uniform(0.001, 0.2)
         nu = int(rng.integers(10, 500))
-        a = holdout_tail_two(w1, w2, kn, nu)
+        a = angular_tail(w1, w2, kn * nu, nu)
         i = weighted_chisq_tail(
             np.array([w1, w2, -kn]), 0.0, dfs=np.array([1.0, 1.0, float(nu)])
         )
@@ -369,7 +396,7 @@ def test_holdout_tail_two_no_noise_term():
     # kn = 0 with a negative second weight: closed angular fraction
     w1, w2 = 0.7, -0.2
     expected = (2.0 / math.pi) * math.atan(math.sqrt(w1 / -w2))
-    assert holdout_tail_two(w1, w2, 0.0, 50) == pytest.approx(expected, rel=1e-12)
+    assert angular_tail(w1, w2, 0.0, 50) == pytest.approx(expected, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +598,37 @@ def test_exact_batch_matches_scalar():
         )
 
 
+def test_scalar_and_batch_routes_agree_bitwise():
+    """The scalar p-value and bounds are one-entry calls of the batch
+    router: the same bits on every route (generalized F, holdout,
+    classical F, degenerate, underflow), whatever the batch holds."""
+    rng = np.random.default_rng(71)
+    m = 240
+    n = rng.integers(20, 3000, m)
+    df_sub = rng.integers(1, 4, m)
+    lam1 = rng.uniform(0.05, 1.0, m)
+    lam2 = lam1 * rng.uniform(0.0, 1.0, m)
+    kind = rng.integers(0, 4, m)
+    lam2[kind == 1] = 0.0
+    lam1[kind == 2] = 0.0
+    lam2[kind == 2] = 0.0
+    k = np.maximum(lam1, 0.01) * n * rng.uniform(0.0, 1.0, m)
+    k[::17] = 0.0
+    batch = exact_pvalues_batch(lam1, lam2, k, n, df_sub)
+    lo_b, hi_b = pvalue_bounds_batch(lam1, lam2, k, n, df_sub)
+    methods = set()
+    for i in range(m):
+        spec = NullSpectrum(lambdas=(lam1[i], lam2[i]), n=int(n[i]), df_sub=int(df_sub[i]))
+        p, method = exact_pvalue_with_method(spec, float(k[i]))
+        methods.add(method)
+        assert p == batch[i]
+        assert pvalue_bounds(spec, float(k[i])) == (lo_b[i], hi_b[i])
+    assert methods == {
+        "exact_appell", "weighted_chisq_inversion", "classical_F",
+        "degenerate spectrum", "underflow",
+    }
+
+
 # ---------------------------------------------------------------------------
 # asymptotics
 # ---------------------------------------------------------------------------
@@ -583,7 +641,7 @@ def test_asymptotic_zero_statistic():
 def test_asymptotic_b4_matches_chi2_slope_test():
     freqs = _hwe(0.25)
     k = spectrum_matrix(4.0, freqs)
-    lam = eig2x2(k)
+    lam = eig2x2(k[0, 0], k[1, 1], k[0, 1])
     assert lam[1] == pytest.approx(0.0, abs=1e-15)
     stat = 3.7
     expected = float(stats.chi2.sf(stat / lam[0], 1))

@@ -254,11 +254,11 @@ def test_asymptotic_switch_routes_large_samples(small_panel):
     cfg = ScanConfig(b=2.0, no_screen=True, asymptotic_switch=100)  # n=400 > 100
     recs = list(run_scan(cfg, src, y))
     assert all(r.method == "asymptotic" for r in recs)
-    from gdcscan.nulldist import chisq2_sf
+    from gdcscan.nulldist import angular_tail
 
     r = recs[0]
     assert r.p_value == pytest.approx(
-        chisq2_sf(r.lambda1, r.lambda2, r.stat), rel=1e-10
+        angular_tail(r.lambda1, r.lambda2, r.stat, math.inf), rel=1e-10
     )
 
 
