@@ -20,6 +20,12 @@ so both give the same bits.  Also provided: cheap lower/upper p-value
 bounds used for two-stage screening and a characteristic-function
 inversion for weighted sums of chi-square variables (the fallback, and the
 multiallelic path with more than two eigenvalues).
+
+The only SciPy module imported with this one is ``scipy.special`` (the F
+and chi-square tails).  ``scipy.integrate``, which brings
+``scipy.optimize``, ``scipy.linalg`` and ``scipy.sparse`` along, is
+imported on first use by :func:`_quad`: only when an angular integral
+misses its Gauss-Legendre target or the inversion runs.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, special, stats
+from scipy import special
 
 EIGEN_SNAP_REL = 1e-12
 PVALUE_FLOOR = 1e-300
@@ -53,6 +59,14 @@ class NumericsError(RuntimeError):
         super().__init__(message)
         self.partial = partial
         self.error_bound = error_bound
+
+
+def _quad(f, a, b, **kwargs):
+    """``scipy.integrate.quad``, imported on first use (see the module
+    docstring)."""
+    from scipy import integrate
+
+    return integrate.quad(f, a, b, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +307,7 @@ def angular_tail(w1, w2, s, nu):
             c = a[i] * math.cos(theta) ** 2 + b[i] * math.sin(theta) ** 2
             return math.exp(_log_kernel(c, ss[i], vv[i]) - lmax[i]) if c > 0.0 else 0.0
 
-        val, err = integrate.quad(f, 0.0, top[i], epsabs=1e-300, epsrel=1e-13, limit=300)
+        val, err = _quad(f, 0.0, top[i], epsabs=1e-300, epsrel=1e-13, limit=300)
         sums[i] = val if val > 0.0 and err <= 1e-9 * val else np.nan
     log_p = np.log(2.0 / np.pi) + lmax + np.log(np.maximum(sums, 1e-320))
     vals = np.where(log_p < np.log(PVALUE_FLOOR), 0.0, np.exp(np.maximum(log_p, -745.0)))
@@ -334,7 +348,7 @@ def _oscillatory_tail(f, start: float, half_period: float, eps: float,
     u = start
     prev_est = None
     for _ in range(max_terms):
-        val, _ = integrate.quad(f, u, u + half_period, epsabs=eps / 100.0, limit=200)
+        val, _ = _quad(f, u, u + half_period, epsabs=eps / 100.0, limit=200)
         terms.append(val)
         u += half_period
         if len(terms) >= 8:
@@ -369,9 +383,9 @@ def weighted_chisq_tail(weights, threshold: float, dfs=None, eps: float = 1e-10,
         ww = float(w[0])
         hh = float(h.sum())
         if ww > 0.0:
-            p = 1.0 if t <= 0.0 else float(stats.chi2.sf(t / ww, hh))
+            p = 1.0 if t <= 0.0 else float(special.chdtrc(hh, t / ww))
         else:
-            p = 0.0 if t >= 0.0 else float(stats.chi2.cdf(t / ww, hh))
+            p = 0.0 if t >= 0.0 else float(special.chdtr(hh, t / ww))
         return (p, 0.0) if return_error else p
 
     def theta(u):
@@ -410,7 +424,7 @@ def weighted_chisq_tail(weights, threshold: float, dfs=None, eps: float = 1e-10,
         rate = 0.5 * sum_hw / (1.0 + (min_w * lo) ** 2) + 0.5 * abs(t)
         width = min(3.0 * max(lo, scale), 60.0 * math.pi / max(rate, 1e-12))
         hi = lo + max(width, scale * 1e-3)
-        val, seg_err = integrate.quad(
+        val, seg_err = _quad(
             integrand, lo, hi, epsabs=eps / 50.0, epsrel=1e-12, limit=500
         )
         total += val
@@ -619,7 +633,7 @@ def asymptotic_tail(lam1: float, lam2: float, t: float) -> float:
     if lam1 <= 0.0:
         return 0.0
     if lam2 <= 0.0:
-        return float(stats.chi2.sf(t / lam1, 1))
+        return float(special.chdtrc(1.0, t / lam1))
     p = float(angular_tail(lam1, lam2, t, np.inf))
     if math.isnan(p):
         raise NumericsError("two-weight chi-square quadrature failed")

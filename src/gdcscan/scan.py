@@ -18,6 +18,7 @@ depend on the worker count or the block size.
 
 from __future__ import annotations
 
+import logging
 import math
 import os
 from collections import deque
@@ -45,6 +46,8 @@ from .nulldist import (
     spectrum_matrix,
 )
 from .premetric import GenotypeColumn
+
+log = logging.getLogger("gdcscan")
 
 METHOD_SCREEN_HIGH = "screened_out_high"
 METHOD_SCREEN_LOW = "screened_out_low"
@@ -196,11 +199,12 @@ def _finish_record(cfg: ScanConfig, ctx: ScanContext, variant: VariantInfo,
                 )
                 p_value, method = exact_pvalue_with_method(spec, stat)
         except NumericsError as exc:
+            log.warning("%s: error:numerics: %s", variant.snp_id, exc)
             return ScanRecord(
                 snp_id=variant.snp_id, chrom=variant.chrom, pos=variant.pos,
                 maf=maf, n_used=n_used, b=cfg.b, stat=stat,
                 lambda1=lam1, lambda2=lam2, p_lower=p_lo, p_upper=p_hi,
-                p_value=None, method=f"error:numerics:{exc}",
+                p_value=None, method="error:numerics",
             )
     return ScanRecord(
         snp_id=variant.snp_id, chrom=variant.chrom, pos=variant.pos,
@@ -209,12 +213,16 @@ def _finish_record(cfg: ScanConfig, ctx: ScanContext, variant: VariantInfo,
     )
 
 
-def _error_record(cfg, variant, n_used, reason) -> ScanRecord:
+def _error_record(cfg, variant, n_used, code, exc=None) -> ScanRecord:
+    """A record with the fixed error code ``error:{code}``; the message of
+    ``exc``, when given, goes to the ``gdcscan`` log."""
+    if exc is not None:
+        log.warning("%s: error:%s: %s", variant.snp_id, code, exc)
     return ScanRecord(
         snp_id=variant.snp_id, chrom=variant.chrom, pos=variant.pos,
         maf=math.nan, n_used=n_used, b=cfg.b, stat=math.nan,
         lambda1=math.nan, lambda2=math.nan, p_lower=math.nan, p_upper=math.nan,
-        p_value=None, method=f"error:{reason}",
+        p_value=None, method=f"error:{code}",
     )
 
 
@@ -347,9 +355,13 @@ def _test_single_column(cfg: ScanConfig, ctx: ScanContext,
             zmat = None
             df_sub = 1
         else:
-            zsub = CovariateMatrix(
-                matrix=ctx.covariates.matrix[mask], names=ctx.covariates.names
-            )
+            try:
+                # the constructor's only check a row subset can fail is rank
+                zsub = CovariateMatrix(
+                    matrix=ctx.covariates.matrix[mask], names=ctx.covariates.names
+                )
+            except ValueError as exc:
+                return _error_record(cfg, variant, n_used, "collinear_covariates", exc)
             rp = residualize(ctx.y[mask], zsub)
             resid = rp.residuals
             zmat = zsub.matrix
@@ -362,7 +374,7 @@ def _test_single_column(cfg: ScanConfig, ctx: ScanContext,
         v = u.T @ resid
         stat = float(v @ v) / rss
     except ValueError as exc:
-        return _error_record(cfg, variant, n_used, str(exc))
+        return _error_record(cfg, variant, n_used, "invalid_column", exc)
     lam = spec.lambdas
     lam1 = lam[0] if lam else 0.0
     lam2 = lam[1] if len(lam) > 1 else 0.0
@@ -384,7 +396,7 @@ def _multi_eigen_record(cfg, ctx, variant, sub, spec, stat, n_used) -> ScanRecor
     try:
         p, method = exact_pvalue_with_method(spec, stat)
     except NumericsError as exc:
-        return _error_record(cfg, variant, n_used, f"numerics:{exc}")
+        return _error_record(cfg, variant, n_used, "numerics", exc)
     lam = spec.lambdas
     return ScanRecord(
         snp_id=variant.snp_id, chrom=variant.chrom, pos=variant.pos,

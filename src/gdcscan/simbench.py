@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from . import backend
 from .gdc import Sample
@@ -154,7 +154,7 @@ def _additive_pvalues(g: np.ndarray, y: np.ndarray) -> np.ndarray:
     r2[ok] = sxy[ok] ** 2 / (sxx[ok] * syy[ok])
     r2 = np.clip(r2, 0.0, 1.0)
     f = (n - 2) * r2 / np.maximum(1.0 - r2, 1e-300)
-    out[ok] = stats.f.sf(f[ok], 1, n - 2)
+    out[ok] = special.fdtrc(1, n - 2, f[ok])
     return out
 
 
@@ -185,7 +185,7 @@ def _anova_pvalues(g: np.ndarray, y: np.ndarray) -> np.ndarray:
     ok = (df1 > 0) & (df2 > 0) & (ssw > 0)
     f = np.zeros(reps)
     f[ok] = (ssb[ok] / df1[ok]) / (ssw[ok] / df2[ok])
-    out[ok] = stats.f.sf(f[ok], df1[ok], df2[ok])
+    out[ok] = special.fdtrc(df1[ok], df2[ok], f[ok])
     return out
 
 

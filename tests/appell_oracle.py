@@ -11,10 +11,19 @@ from scipy import integrate, special
 from gdcscan.nulldist import NumericsError
 
 
+CANCELLATION_LIMIT = 1e3
+
+
 def _appell_series(a, b1, b2, c, x, y, rtol=1e-14, max_rows=600):
     """Row-collapsed double series: sum over m of the x-row, each row being
-    a Gauss 2F1 in y.  Good when |x| is not too close to 1."""
+    a Gauss 2F1 in y.  Good when |x| is not too close to 1.
+
+    Raises :class:`NumericsError` when the largest row exceeds
+    ``CANCELLATION_LIMIT`` times the sum: the rows then cancel, and the
+    rounding of the large rows swamps the result.
+    """
     total = 0.0
+    peak = 0.0
     coef = 1.0  # (b1)_m x^m / m!
     ratio = 1.0  # (a)_m / (c)_m
     small_streak = 0
@@ -22,9 +31,12 @@ def _appell_series(a, b1, b2, c, x, y, rtol=1e-14, max_rows=600):
         inner = special.hyp2f1(a + m, b2, c + m, y)
         term = coef * ratio * inner
         total += term
+        peak = max(peak, abs(term))
         if abs(term) <= rtol * max(abs(total), 1e-300):
             small_streak += 1
             if small_streak >= 3:
+                if peak > CANCELLATION_LIMIT * abs(total):
+                    raise NumericsError("Appell F1 series cancels", partial=total)
                 return total
         else:
             small_streak = 0
@@ -61,6 +73,13 @@ def appell_f1(a: float, b1: float, b2: float, c: float, x: float, y: float) -> f
     Series domain |x| < 1, |y| < 1.  Uses the double series (collapsed to
     rows of Gauss 2F1) for moderate arguments and an Euler-type single
     integral otherwise.  Relative accuracy target 1e-12.
+
+    Verified domain in the generalized F survival form
+    F1(1/2; 1, nu/2; 1; z/(z-1), -z(1-r)/(1-z)): nu < 400, where the tests
+    match it against the package's angular integral.  Where its rows cancel
+    the series raises :class:`NumericsError` rather than return a value
+    lost to rounding, as for F1(1/2; -nu/2, nu/2; 1; z, zr) with nu of a
+    few dozen and z near 0.7.
     """
     if c <= 0.0 and float(c).is_integer():
         raise ValueError("c must not be a nonpositive integer")

@@ -9,6 +9,7 @@ from scipy import integrate, special, stats
 from gdcscan.gdc import Sample
 from gdcscan.nulldist import (
     NullSpectrum,
+    NumericsError,
     angular_tail,
     asymptotic_pvalue,
     eig2x2,
@@ -206,6 +207,15 @@ def test_appell_domain_errors():
         appell_f1(2.0, 0.5, 1.0, -1.0, 0.1, 0.1)
     with pytest.raises(ValueError):
         appell_f1(2.0, 0.5, 1.0, 2.0, 1.1, 0.1)
+
+
+@pytest.mark.parametrize("r", [0.3, 0.6, 0.9])
+def test_appell_series_refuses_cancellation(r):
+    """F1(1/2; -nu/2, nu/2; 1; z, zr) at nu = 47, z = 0.714: the series
+    rows peak at 1e7 to 1e14 times the sum, and the value they give is off
+    mpmath's by 9e-9, 3e-5 and 1.4e-2 relative at these r."""
+    with pytest.raises(NumericsError, match="cancels"):
+        appell_f1(0.5, -23.5, 23.5, 1.0, 0.714, 0.714 * r)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Scan pipeline: screening, determinism, degenerate cases, persistence."""
 
+import logging
 import math
 import os
 
@@ -11,7 +12,8 @@ import pytest
 from gdcscan.adjust import CovariateMatrix, column_features, residualize
 from gdcscan.gdc import Sample, standardized_statistic
 from gdcscan.io import ArraySource
-from gdcscan.nulldist import exact_pvalue, spectrum_from_features
+from gdcscan import scan as scan_module
+from gdcscan.nulldist import NumericsError, exact_pvalue, spectrum_from_features
 from gdcscan.premetric import GenotypeColumn
 from gdcscan.scan import (
     ScanConfig,
@@ -390,3 +392,77 @@ def test_source_sample_mismatch(small_panel):
     g, y = small_panel
     with pytest.raises(ValueError, match="samples"):
         list(run_scan(ScanConfig(), ArraySource(g, kind="hard"), y[:-5]))
+
+
+def test_collinear_complete_case_design_error_code(caplog):
+    rng = np.random.default_rng(11)
+    n = 120
+    g = draw_genotypes(rng, n, 0.3, 3)
+    sex = (np.arange(n) % 2).astype(float)
+    z = CovariateMatrix(matrix=np.column_stack([np.ones(n), sex]), names=("intercept", "sex"))
+    g[1, sex == 1] = -1  # the complete cases all have sex 0
+    y = rng.standard_normal(n)
+    with caplog.at_level(logging.WARNING, logger="gdcscan"):
+        recs = list(run_scan(ScanConfig(), ArraySource(g, kind="hard"), y, z))
+    assert recs[1].method == "error:collinear_covariates"
+    assert recs[1].p_value is None
+    assert not recs[0].method.startswith("error:")
+    assert not recs[2].method.startswith("error:")
+    assert "snp1" in caplog.text and "rank deficient" in caplog.text
+
+
+def test_numerics_error_code(small_panel, monkeypatch, caplog):
+    g, y = small_panel
+
+    def failing(spec, k):
+        raise NumericsError("quadrature failed on purpose")
+
+    monkeypatch.setattr(scan_module, "exact_pvalue_with_method", failing)
+    with caplog.at_level(logging.WARNING, logger="gdcscan"):
+        recs = list(run_scan(ScanConfig(no_screen=True), ArraySource(g[:3], kind="hard"), y))
+        alleles = np.random.default_rng(3).choice(3, size=(y.size, 2), p=[0.5, 0.3, 0.2])
+        counts = np.stack([(alleles == j).sum(axis=1) for j in range(3)], axis=1)
+        multi = run_multiallelic(
+            ScanConfig(), GenotypeColumn("rs3", "1", 1, counts, m=3, kind="allele_counts"), y,
+        )
+    assert [r.method for r in recs] == ["error:numerics"] * 3
+    assert multi.method == "error:numerics"
+    assert "snp0" in caplog.text and "rs3" in caplog.text
+    assert "quadrature failed on purpose" in caplog.text
+
+
+def test_bound_sandwich_on_adjusted_spectra():
+    """p_lower <= p_value <= min(p_upper, 1) on every exactly evaluated
+    row of covariate-adjusted hard-call and dosage scans, complete columns
+    and per-SNP fallback columns alike."""
+    rng = np.random.default_rng(404)
+    n, m = 400, 300
+    age = rng.uniform(20.0, 70.0, n)
+    sex = rng.integers(0, 2, n).astype(float)
+    z = CovariateMatrix(
+        matrix=np.column_stack([np.ones(n), age, sex]), names=("intercept", "age", "sex")
+    )
+    maf = rng.uniform(0.03, 0.5, m)
+    g = np.stack([draw_genotypes(rng, n, q, 1)[0] for q in maf])
+    y = 0.02 * age + 0.5 * sex + rng.standard_normal(n)
+    for c in range(0, m, 60):
+        # a causal SNP and 40 copies with 2-90% of calls redrawn, so the
+        # associations run from none to far below the screening window
+        y = y + 2.0 * (g[c] == 1) + 1.0 * (g[c] == 2)
+        for j, frac in zip(range(c + 1, c + 41), np.linspace(0.02, 0.9, 40)):
+            g[j] = np.where(rng.random(n) < frac, g[j], g[c])
+    x = np.clip(g + rng.normal(0.0, 0.15, g.shape), 0.0, 2.0)
+    x[::3] = g[::3]  # integer dosage rows take the hard-call path
+    for i in range(0, m, 4):  # missing calls send a quarter of the SNPs per-SNP
+        drop = rng.random(n) < 0.03
+        g[i, drop] = -1
+        x[i, drop] = np.nan
+    exact = ("exact_appell", "weighted_chisq_inversion", "classical_F")
+    cfg = ScanConfig(b=2.5, no_screen=True)
+    rows = 0
+    for src in (ArraySource(g, kind="hard"), ArraySource(x, kind="dosage")):
+        for rec in run_scan(cfg, src, y, z):
+            assert rec.method in exact
+            assert rec.p_lower <= rec.p_value <= min(rec.p_upper, 1.0), rec
+            rows += 1
+    assert rows == 2 * m
