@@ -154,11 +154,11 @@ def column_features(b: float, geno: GenotypeColumn) -> np.ndarray:
     return pm.multiallelic_features(geno.values)
 
 
-def adjusted_spectrum(b: float, geno: GenotypeColumn, z: CovariateMatrix,
-                      sigma2_hat=None) -> NullSpectrum:
+def adjusted_spectrum(b: float, geno: GenotypeColumn,
+                      z: CovariateMatrix) -> NullSpectrum:
     """Null spectrum of the adjusted statistic for a fixed design."""
     u = column_features(b, geno)
-    return spectrum_from_features(u, projector_basis=z.matrix, sigma2_hat=sigma2_hat)
+    return spectrum_from_features(u, projector_basis=z.matrix)
 
 
 @dataclass(frozen=True)

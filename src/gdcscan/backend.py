@@ -1,10 +1,13 @@
 """Kernel backend selection.
 
 The scan's inner loops live in a small compiled extension with a
-pure-NumPy twin.  The compiled module is preferred when importable; the
-``GDCSCAN_BACKEND`` environment variable (``auto`` / ``compiled`` /
-``python``) overrides the choice at import time, and :func:`get_backend`
-selects explicitly (used by the benchmark to compare both).
+pure-NumPy twin.  ``kernels`` is the default module, chosen once at import:
+the compiled one when importable, unless the ``GDCSCAN_BACKEND``
+environment variable (``auto`` / ``compiled`` / ``python``) says
+otherwise.  A scan takes its kernel module as an argument instead
+(``run_scan(..., kernels=get_backend("python"))``); when none is given it
+reads ``kernels`` as the scan starts.  Nothing swaps ``kernels`` at run
+time, so scans with different modules can run side by side.
 """
 
 from __future__ import annotations
@@ -43,15 +46,3 @@ if _requested not in ("auto", "compiled", "python"):
 kernels = get_backend(_requested)
 
 BACKEND_NAME = "compiled" if kernels.IS_COMPILED else "python"
-
-
-def set_backend(name: str):
-    """Swap the active kernel module; returns the previous one.
-
-    Benchmark plumbing; not meant to be called while a scan is running.
-    """
-    global kernels, BACKEND_NAME
-    previous = kernels
-    kernels = get_backend(name)
-    BACKEND_NAME = "compiled" if kernels.IS_COMPILED else "python"
-    return previous

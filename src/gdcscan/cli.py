@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 import numpy as np
 
@@ -107,7 +108,15 @@ def _cmd_scan(args) -> int:
         geno_idx = geno_idx[finite]
         y = y[finite]
         covar_cols = {c: v[finite] for c, v in covar_cols.items()}
-    covariates = CovariateMatrix.build(covar_cols, n=y.shape[0]) if covar_cols else None
+    covariates = None
+    if covar_cols:
+        # --covar always adds the intercept, so the library's notice that it
+        # prepended one reports the normal case
+        with warnings.catch_warnings():
+            warnings.filterwarnings(
+                "ignore", message="no constant covariate column", category=UserWarning
+            )
+            covariates = CovariateMatrix.build(covar_cols, n=y.shape[0])
     if geno_idx.size != source.n_samples or not np.array_equal(
         geno_idx, np.arange(source.n_samples)
     ):

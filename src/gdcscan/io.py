@@ -196,7 +196,12 @@ def write_dosage_tsv(path: str, dosages: np.ndarray, snp_ids, sample_ids) -> Non
 
 
 class DosageSource:
-    """Reader for the sample-major dosage TSV."""
+    """Reader for the sample-major dosage TSV.
+
+    The whole panel is held in memory.  Each sample row becomes a float64
+    array as it is read and the rows are stacked at the end, so parsing
+    peaks at about twice the final (samples x SNPs) matrix.
+    """
 
     kind = "dosage"
 
@@ -219,13 +224,15 @@ class DosageSource:
                         f"{path}:{lineno}: expected {len(header)} fields, got {len(parts)}"
                     )
                 sample_ids.append(parts[0])
-                rows.append(
-                    [np.nan if p == "NA" else float(p) for p in parts[1:]]
-                )
+                rows.append(np.array(
+                    [np.nan if p == "NA" else float(p) for p in parts[1:]],
+                    dtype=np.float64,
+                ))
         self.sample_ids = sample_ids
         self.n_samples = len(sample_ids)
         self.n_snps = len(self.snp_ids)
-        self._matrix = np.asarray(rows, dtype=np.float64)
+        self._matrix = np.vstack(rows) if rows else np.empty((0, self.n_snps))
+        del rows  # a second copy of the matrix, not needed by the range check
         present = ~np.isnan(self._matrix)
         bad = (self._matrix < 0.0) | (self._matrix > 2.0)
         if np.any(bad & present):

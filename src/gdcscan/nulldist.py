@@ -87,7 +87,6 @@ class NullSpectrum:
     lambdas: tuple
     n: int
     df_sub: int = 1
-    sigma2_hat: float | None = None
 
     def __post_init__(self):
         lam = tuple(float(v) for v in self.lambdas)
@@ -144,7 +143,7 @@ def eig2x2(k00, k11, k01) -> tuple:
     return lam1, np.where(lam2 < EIGEN_SNAP_REL * lam1, 0.0, lam2)
 
 
-def spectrum_unadjusted(b: float, freqs, n: int, sigma2_hat=None) -> NullSpectrum:
+def spectrum_unadjusted(b: float, freqs, n: int) -> NullSpectrum:
     """Two-eigenvalue null spectrum for plain mean centering, from the
     closed-form frequency matrix."""
     p = np.asarray(freqs, dtype=np.float64)
@@ -152,7 +151,7 @@ def spectrum_unadjusted(b: float, freqs, n: int, sigma2_hat=None) -> NullSpectru
         raise ValueError("frequencies must be 3 nonnegative values summing to 1")
     k = spectrum_matrix(b, p)
     lam = tuple(float(v) for v in eig2x2(k[0, 0], k[1, 1], k[0, 1]))
-    return NullSpectrum(lambdas=lam, n=int(n), df_sub=1, sigma2_hat=sigma2_hat)
+    return NullSpectrum(lambdas=lam, n=int(n), df_sub=1)
 
 
 def _orthonormal_columns(z: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
@@ -172,7 +171,6 @@ def _orthonormal_columns(z: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
 def spectrum_from_features(
     u: np.ndarray,
     projector_basis: np.ndarray | None = None,
-    sigma2_hat=None,
 ) -> NullSpectrum:
     """Eigenvalues of (1/n) U' (I - H) U for a feature matrix U.
 
@@ -193,7 +191,7 @@ def spectrum_from_features(
         df_sub = q.shape[1]
     k = pu.T @ pu / n
     lam = snap_eigenvalues(np.linalg.eigvalsh(k))
-    return NullSpectrum(lambdas=lam, n=n, df_sub=df_sub, sigma2_hat=sigma2_hat)
+    return NullSpectrum(lambdas=lam, n=n, df_sub=df_sub)
 
 
 # ---------------------------------------------------------------------------

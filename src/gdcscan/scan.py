@@ -8,12 +8,17 @@ only when the bounds leave the interesting window (lower bound below the
 screen threshold, upper bound above the floor).  Above the configured
 sample-size switch the asymptotic tail replaces the exact law.
 
-SNP columns with no missing entries take a vectorized block path whose
-inner sweeps run in the selected kernel backend; columns with missing
-entries fall back to a per-SNP path that redoes the covariate projection
-on the complete-case subsample.  Output order always equals input order,
-and every per-SNP sum is reduced row by row, so the output bytes do not
-depend on the worker count or the block size.
+SNP columns with no missing entries take a vectorized block path: one
+producer per row kind turns the kernel sweep's per-SNP sums (class counts
+and residual sums for hard calls, feature moments for dosages) into the
+statistic's cross sums and the 2x2 spectral matrix, and one shared tail
+turns those into records.  The kernel module is the scan context's
+``kernels`` field, passed to :func:`run_scan` or read from
+``backend.kernels`` when the scan starts.  Columns with missing entries
+fall back to a per-SNP path that redoes the covariate projection on the
+complete-case subsample.  Output order always equals input order, and
+every per-SNP sum is reduced row by row, so the output bytes do not
+depend on the worker count, the block size or the kernel module.
 """
 
 from __future__ import annotations
@@ -121,7 +126,8 @@ class ScanRecord:
 @dataclass
 class ScanContext:
     """Shared per-phenotype state: residuals, their scale, the orthonormal
-    covariate basis, and the degree count they remove."""
+    covariate basis, the degree count they remove, and the kernel module
+    that runs the block sweeps."""
 
     y: np.ndarray
     covariates: CovariateMatrix | None
@@ -130,13 +136,12 @@ class ScanContext:
     rss: float
     df_sub: int
     n: int
-
-    @property
-    def sigma2(self) -> float:
-        return self.rss / self.n
+    kernels: object
 
 
-def prepare_context(phenotype, covariates: CovariateMatrix | None = None) -> ScanContext:
+def prepare_context(phenotype, covariates: CovariateMatrix | None = None,
+                    kernels=None) -> ScanContext:
+    """``kernels`` defaults to ``backend.kernels``, read at call time."""
     y = np.asarray(phenotype, dtype=np.float64)
     if y.ndim != 1:
         raise ValueError("phenotype must be a vector")
@@ -159,7 +164,7 @@ def prepare_context(phenotype, covariates: CovariateMatrix | None = None) -> Sca
         raise ValueError("degenerate response: zero phenotype variance")
     return ScanContext(
         y=y, covariates=covariates, qbasis=qbasis, resid=resid, rss=rss,
-        df_sub=df_sub, n=n,
+        df_sub=df_sub, n=n, kernels=backend.kernels if kernels is None else kernels,
     )
 
 
@@ -168,9 +173,9 @@ def prepare_context(phenotype, covariates: CovariateMatrix | None = None) -> Sca
 # ---------------------------------------------------------------------------
 
 
-def _finish_record(cfg: ScanConfig, ctx: ScanContext, variant: VariantInfo,
-                   maf: float, n_used: int, df_sub: int, stat: float,
-                   lam1: float, lam2: float, p_lo: float, p_hi: float) -> ScanRecord:
+def _finish_record(cfg: ScanConfig, variant: VariantInfo, maf: float,
+                   n_used: int, df_sub: int, stat: float, lam1: float,
+                   lam2: float, p_lo: float, p_hi: float) -> ScanRecord:
     """Apply the screening decision and, when required, the exact or
     asymptotic evaluation."""
     if lam1 <= 0.0:
@@ -193,10 +198,7 @@ def _finish_record(cfg: ScanConfig, ctx: ScanContext, variant: VariantInfo,
                 p_value = asymptotic_tail(lam1, lam2, stat)
                 method = METHOD_ASYMPTOTIC
             else:
-                spec = NullSpectrum(
-                    lambdas=(lam1, lam2), n=n_used, df_sub=df_sub,
-                    sigma2_hat=ctx.sigma2,
-                )
+                spec = NullSpectrum(lambdas=(lam1, lam2), n=n_used, df_sub=df_sub)
                 p_value, method = exact_pvalue_with_method(spec, stat)
         except NumericsError as exc:
             log.warning("%s: error:numerics: %s", variant.snp_id, exc)
@@ -226,20 +228,9 @@ def _error_record(cfg, variant, n_used, code, exc=None) -> ScanRecord:
     )
 
 
-def _process_hard_rows(cfg: ScanConfig, ctx: ScanContext, variants,
-                       counts: np.ndarray, ysums: np.ndarray) -> list:
-    """Records for complete hard-call rows from class counts and per-class
-    residual sums."""
-    b = cfg.b
-    n = ctx.n
-    sqb = math.sqrt(b / 2.0)
-    sqh = math.sqrt((4.0 - b) / 2.0)
-    v1 = sqb * (ysums[:, 2] - ysums[:, 0])
-    v2 = sqh * ysums[:, 1]
-    stat = (v1 * v1 + v2 * v2) / ctx.rss
-    k = spectrum_matrix(b, counts / float(n))
-    lam1, lam2 = eig2x2(k[:, 0, 0], k[:, 1, 1], k[:, 0, 1])
-    return _assemble(cfg, ctx, variants, counts, stat, lam1, lam2, n)
+def _scales(b: float) -> tuple:
+    """Weights sqrt(b/2) and sqrt((4-b)/2) of the two unscaled features."""
+    return math.sqrt(b / 2.0), math.sqrt((4.0 - b) / 2.0)
 
 
 def _row_basis_dots(f: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -251,81 +242,68 @@ def _row_basis_dots(f: np.ndarray, basis: np.ndarray) -> np.ndarray:
     )
 
 
-def _process_hard_rows_cov(cfg: ScanConfig, ctx: ScanContext, variants,
-                           counts: np.ndarray, ysums: np.ndarray,
-                           csums: np.ndarray) -> list:
-    """Covariate-adjusted records for complete hard-call rows.
-
-    ``csums`` holds the per-class column sums of the orthonormal covariate
-    basis, shaped (n_snps, 3, k).
-    """
-    b = cfg.b
-    n = ctx.n
-    sqb = math.sqrt(b / 2.0)
-    sqh = math.sqrt((4.0 - b) / 2.0)
-    v1 = sqb * (ysums[:, 2] - ysums[:, 0])
-    v2 = sqh * ysums[:, 1]
-    stat = (v1 * v1 + v2 * v2) / ctx.rss
-    a0 = sqb * (csums[:, 2] - csums[:, 0])
-    a1 = sqh * csums[:, 1]
-    utu00 = (b / 2.0) * (counts[:, 0] + counts[:, 2])
-    utu11 = ((4.0 - b) / 2.0) * counts[:, 1]
-    k00 = (utu00 - (a0 * a0).sum(axis=1)) / n
-    k11 = (utu11 - (a1 * a1).sum(axis=1)) / n
-    k01 = (-(a0 * a1).sum(axis=1)) / n
-    lam1, lam2 = eig2x2(k00, k11, k01)
-    return _assemble(cfg, ctx, variants, counts, stat, lam1, lam2, n)
-
-
-def _assemble(cfg, ctx, variants, counts, stat, lam1, lam2, n) -> list:
+def _hard_terms(cfg: ScanConfig, ctx: ScanContext, g: np.ndarray,
+                counts: np.ndarray, ysums: np.ndarray) -> tuple:
+    """(maf, c1, c2, k00, k11, k01) of complete hard-call rows from class
+    counts and per-class residual sums: c1/c2 are the residual cross sums
+    of the unscaled features, k the 2x2 spectral matrix."""
+    b, n = cfg.b, ctx.n
+    if ctx.qbasis is None:
+        k = spectrum_matrix(b, counts / float(n))
+        k00, k11, k01 = k[:, 0, 0], k[:, 1, 1], k[:, 0, 1]
+    else:
+        # per-class column sums of the orthonormal basis, (n_snps, 3, k)
+        csums = class_sums(g, ctx.qbasis)
+        sqb, sqh = _scales(b)
+        a0 = sqb * (csums[:, 2] - csums[:, 0])
+        a1 = sqh * csums[:, 1]
+        utu00 = (b / 2.0) * (counts[:, 0] + counts[:, 2])
+        utu11 = ((4.0 - b) / 2.0) * counts[:, 1]
+        k00 = (utu00 - (a0 * a0).sum(axis=1)) / n
+        k11 = (utu11 - (a1 * a1).sum(axis=1)) / n
+        k01 = (-(a0 * a1).sum(axis=1)) / n
     q = (counts[:, 1] + 2.0 * counts[:, 2]) / (2.0 * n)
-    maf = np.minimum(q, 1.0 - q)
-    p_lo, p_hi = pvalue_bounds_batch(lam1, lam2, stat, n, ctx.df_sub)
-    return [
-        _finish_record(
-            cfg, ctx, variants[i], float(maf[i]), n, ctx.df_sub,
-            float(stat[i]), float(lam1[i]), float(lam2[i]),
-            float(p_lo[i]), float(p_hi[i]),
-        )
-        for i in range(len(variants))
-    ]
+    c1 = ysums[:, 2] - ysums[:, 0]
+    return np.minimum(q, 1.0 - q), c1, ysums[:, 1], k00, k11, k01
 
 
-def _process_dosage_rows(cfg: ScanConfig, ctx: ScanContext, variants,
-                         s: np.ndarray, fq1=None, fq2=None) -> list:
-    """Records for complete dosage rows from feature sufficient statistics.
-
-    ``s`` columns: [nmiss, s1, s2, s11, s22, s12, s1y, s2y, ymiss];
-    ``fq1``/``fq2`` are the per-SNP products of the feature rows with the
-    covariate basis when a design is present.
-    """
-    b = cfg.b
-    n = ctx.n
-    sqb = math.sqrt(b / 2.0)
-    sqh = math.sqrt((4.0 - b) / 2.0)
+def _dosage_terms(cfg: ScanConfig, ctx: ScanContext, x: np.ndarray,
+                  s: np.ndarray) -> tuple:
+    """(maf, c1, c2, k00, k11, k01) of complete dosage rows from their
+    feature moments ``s``: [nmiss, s1, s2, s11, s22, s12, s1y, s2y, ymiss]."""
+    b, n = cfg.b, ctx.n
     s1, s2 = s[:, 1], s[:, 2]
     s11, s22, s12 = s[:, 3], s[:, 4], s[:, 5]
-    v1 = sqb * s[:, 6]
-    v2 = sqh * s[:, 7]
-    stat = (v1 * v1 + v2 * v2) / ctx.rss
     if ctx.qbasis is None:
         g11 = s11 - s1 * s1 / n
         g22 = s22 - s2 * s2 / n
         g12 = s12 - s1 * s2 / n
     else:
+        fq1 = _row_basis_dots(x, ctx.qbasis)
+        fq2 = _row_basis_dots(np.abs(x - 1.0), ctx.qbasis)
         g11 = s11 - (fq1 * fq1).sum(axis=1)
         g22 = s22 - (fq2 * fq2).sum(axis=1)
         g12 = s12 - (fq1 * fq2).sum(axis=1)
-    k00 = (b / 2.0) * g11 / n
-    k11 = ((4.0 - b) / 2.0) * g22 / n
-    k01 = sqb * sqh * g12 / n
-    lam1, lam2 = eig2x2(k00, k11, k01)
+    sqb, sqh = _scales(b)
     q = s1 / (2.0 * n)
-    maf = np.minimum(q, 1.0 - q)
-    p_lo, p_hi = pvalue_bounds_batch(lam1, lam2, stat, n, ctx.df_sub)
+    return (
+        np.minimum(q, 1.0 - q), s[:, 6], s[:, 7],
+        (b / 2.0) * g11 / n, ((4.0 - b) / 2.0) * g22 / n, sqb * sqh * g12 / n,
+    )
+
+
+def _records(cfg: ScanConfig, ctx: ScanContext, variants, maf, c1, c2,
+             k00, k11, k01) -> list:
+    """Records for complete rows from the producers' per-SNP terms."""
+    sqb, sqh = _scales(cfg.b)
+    v1 = sqb * c1
+    v2 = sqh * c2
+    stat = (v1 * v1 + v2 * v2) / ctx.rss
+    lam1, lam2 = eig2x2(k00, k11, k01)
+    p_lo, p_hi = pvalue_bounds_batch(lam1, lam2, stat, ctx.n, ctx.df_sub)
     return [
         _finish_record(
-            cfg, ctx, variants[i], float(maf[i]), n, ctx.df_sub,
+            cfg, variants[i], float(maf[i]), ctx.n, ctx.df_sub,
             float(stat[i]), float(lam1[i]), float(lam2[i]),
             float(p_lo[i]), float(p_hi[i]),
         )
@@ -370,7 +348,7 @@ def _test_single_column(cfg: ScanConfig, ctx: ScanContext,
         if rss <= 0.0:
             return _error_record(cfg, variant, n_used, "degenerate_response")
         u = column_features(cfg.b, sub)
-        spec = spectrum_from_features(u, projector_basis=zmat, sigma2_hat=rss / n_used)
+        spec = spectrum_from_features(u, projector_basis=zmat)
         v = u.T @ resid
         stat = float(v @ v) / rss
     except ValueError as exc:
@@ -379,19 +357,14 @@ def _test_single_column(cfg: ScanConfig, ctx: ScanContext,
     lam1 = lam[0] if lam else 0.0
     lam2 = lam[1] if len(lam) > 1 else 0.0
     if len(spec.nonzero) > 2:
-        return _multi_eigen_record(cfg, ctx, variant, sub, spec, stat, n_used)
+        return _multi_eigen_record(cfg, variant, sub, spec, stat, n_used)
     p_lo, p_hi = pvalue_bounds(spec, stat)
-    sub_ctx = ScanContext(
-        y=ctx.y[mask], covariates=ctx.covariates, qbasis=None, resid=resid,
-        rss=rss, df_sub=df_sub, n=n_used,
-    )
     return _finish_record(
-        cfg, sub_ctx, variant, sub.maf(), n_used, df_sub, stat,
-        lam1, lam2, p_lo, p_hi,
+        cfg, variant, sub.maf(), n_used, df_sub, stat, lam1, lam2, p_lo, p_hi,
     )
 
 
-def _multi_eigen_record(cfg, ctx, variant, sub, spec, stat, n_used) -> ScanRecord:
+def _multi_eigen_record(cfg, variant, sub, spec, stat, n_used) -> ScanRecord:
     """Multiallelic record: exact tail by inversion of the holdout law."""
     try:
         p, method = exact_pvalue_with_method(spec, stat)
@@ -407,74 +380,52 @@ def _multi_eigen_record(cfg, ctx, variant, sub, spec, stat, n_used) -> ScanRecor
 
 
 def process_block(cfg: ScanConfig, ctx: ScanContext, block: Block) -> list:
-    """Records for one block, input order preserved."""
-    records: dict[int, ScanRecord] = {}
+    """Records for one block, input order preserved.
+
+    Complete rows go through the columnar engine: hard calls, and dosage
+    rows whose entries are all 0/1/2 (as int8 calls), from class counts and
+    residual sums; other dosage rows from their feature moments.  Rows with
+    a missing entry take the per-SNP path.
+    """
+    x = block.values
     if block.kind == "hard":
-        g = block.values
-        counts, ysums, _, _ = backend.kernels.hardcall_stats(g, ctx.resid)
-        nmiss = block.values.shape[1] - counts.sum(axis=1)
-        clean = nmiss == 0
-        if clean.any():
-            idx = np.nonzero(clean)[0]
-            variants = [block.variants[i] for i in idx]
-            if ctx.qbasis is None:
-                recs = _process_hard_rows(cfg, ctx, variants, counts[idx], ysums[idx])
-            else:
-                recs = _process_hard_rows_cov(
-                    cfg, ctx, variants, counts[idx], ysums[idx],
-                    class_sums(g[idx], ctx.qbasis),
-                )
-            for i, rec in zip(idx, recs):
-                records[i] = rec
-        for i in np.nonzero(~clean)[0]:
-            col = GenotypeColumn(
-                snp_id=block.variants[i].snp_id, chrom=block.variants[i].chrom,
-                pos=block.variants[i].pos, values=g[i], kind="hard",
-            )
-            records[i] = _test_single_column(cfg, ctx, col)
+        hard, soft, g = np.arange(len(x)), np.arange(0), x
     elif block.kind == "dosage":
-        x = block.values
         present = ~np.isnan(x)
-        is_int = np.all(
-            ~present | (x == 0.0) | (x == 1.0) | (x == 2.0), axis=1
-        )
-        if is_int.any():
-            idx = np.nonzero(is_int)[0]
-            g = np.where(present[idx], x[idx], -1.0).astype(np.int8)
-            sub = Block(
-                variants=[block.variants[i] for i in idx], values=g,
-                kind="hard", start=block.start,
-            )
-            for local, rec in zip(idx, process_block(cfg, ctx, sub)):
-                records[local] = rec
-        rest = np.nonzero(~is_int)[0]
-        if rest.size:
-            xr = x[rest]
-            s = backend.kernels.dosage_stats(xr, ctx.resid)
-            clean = s[:, 0] == 0
-            cidx = rest[clean]
-            if cidx.size:
-                variants = [block.variants[i] for i in cidx]
-                if ctx.qbasis is None:
-                    recs = _process_dosage_rows(cfg, ctx, variants, s[clean])
-                else:
-                    xc = x[cidx]
-                    fq1 = _row_basis_dots(xc, ctx.qbasis)
-                    fq2 = _row_basis_dots(np.abs(xc - 1.0), ctx.qbasis)
-                    recs = _process_dosage_rows(
-                        cfg, ctx, variants, s[clean], fq1, fq2
-                    )
-                for i, rec in zip(cidx, recs):
-                    records[i] = rec
-            for i in rest[~clean]:
-                col = GenotypeColumn(
-                    snp_id=block.variants[i].snp_id, chrom=block.variants[i].chrom,
-                    pos=block.variants[i].pos, values=x[i], kind="dosage",
-                )
-                records[i] = _test_single_column(cfg, ctx, col)
+        is_int = np.all(~present | (x == 0.0) | (x == 1.0) | (x == 2.0), axis=1)
+        hard, soft = np.nonzero(is_int)[0], np.nonzero(~is_int)[0]
+        g = np.where(present[hard], x[hard], -1.0).astype(np.int8)
     else:
         raise ValueError(f"blocks must be hard or dosage, got {block.kind!r}")
-    return [records[i] for i in range(len(block.variants))]
+    records: list = [None] * len(block.variants)
+
+    def emit(rows, terms):
+        recs = _records(cfg, ctx, [block.variants[i] for i in rows], *terms)
+        for i, rec in zip(rows, recs):
+            records[i] = rec
+
+    partial = []
+    if hard.size:
+        counts, ysums, _, _ = ctx.kernels.hardcall_stats(g, ctx.resid)
+        clean = counts.sum(axis=1) == g.shape[1]
+        if clean.any():
+            emit(hard[clean], _hard_terms(cfg, ctx, g[clean], counts[clean], ysums[clean]))
+        partial.append((hard[~clean], g[~clean], "hard"))
+    if soft.size:
+        xs = x[soft]
+        s = ctx.kernels.dosage_stats(xs, ctx.resid)
+        clean = s[:, 0] == 0
+        if clean.any():
+            emit(soft[clean], _dosage_terms(cfg, ctx, xs[clean], s[clean]))
+        partial.append((soft[~clean], xs[~clean], "dosage"))
+    for rows, values, kind in partial:
+        for i, v in zip(rows, values):
+            var = block.variants[i]
+            col = GenotypeColumn(
+                snp_id=var.snp_id, chrom=var.chrom, pos=var.pos, values=v, kind=kind,
+            )
+            records[i] = _test_single_column(cfg, ctx, col)
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -531,13 +482,16 @@ def _bounded_map(fn, items: Iterator, workers: int) -> Iterator:
 
 
 def run_scan(config: ScanConfig, genotypes, phenotype,
-             covariates: CovariateMatrix | None = None) -> Iterator[ScanRecord]:
+             covariates: CovariateMatrix | None = None,
+             kernels=None) -> Iterator[ScanRecord]:
     """Stream scan records for every SNP in input order.
 
     ``genotypes`` is a source with ``iter_blocks`` (packed, dosage or
-    in-memory) or any iterable of GenotypeColumn objects.
+    in-memory) or any iterable of GenotypeColumn objects.  ``kernels`` is
+    the kernel module of the block sweeps (``backend.get_backend(name)``);
+    None takes ``backend.kernels`` as it is when the scan starts.
     """
-    ctx = prepare_context(phenotype, covariates)
+    ctx = prepare_context(phenotype, covariates, kernels)
     if hasattr(genotypes, "iter_blocks"):
         if getattr(genotypes, "n_samples", ctx.n) != ctx.n:
             raise ValueError(

@@ -330,34 +330,26 @@ def bench_throughput(n: int = 1000, n_snps: int = 10_000, b: float = 3.0,
     rows = []
     for backend_name in backends:
         if backend_name == "current":
-            chosen = backend.BACKEND_NAME
-            previous = None
+            kernels = backend.kernels
         else:
-            previous = backend.set_backend(backend_name)
-            chosen = backend.BACKEND_NAME
-        try:
-            fast_time = None
-            for mode in modes:
-                cfg = ScanConfig(b=b, threads=threads, no_screen=(mode == "naive"))
-                t0 = time.perf_counter()
-                count = sum(1 for _ in run_scan(cfg, source, y))
-                elapsed = time.perf_counter() - t0
-                if mode == "fast":
-                    fast_time = elapsed
-                row = {
-                    "mode": mode, "backend": chosen, "n": n, "n_snps": n_snps,
-                    "b": b, "threads": threads, "seconds": elapsed,
-                    "snps_per_sec": count / elapsed if elapsed > 0 else float("inf"),
-                    "naive_over_fast": (
-                        elapsed / fast_time
-                        if mode == "naive" and fast_time else "NA"
-                    ),
-                }
-                rows.append(row)
-        finally:
-            if previous is not None:
-                backend.kernels = previous
-                backend.BACKEND_NAME = (
-                    "compiled" if previous.IS_COMPILED else "python"
-                )
+            kernels = backend.get_backend(backend_name)
+        chosen = "compiled" if kernels.IS_COMPILED else "python"
+        fast_time = None
+        for mode in modes:
+            cfg = ScanConfig(b=b, threads=threads, no_screen=(mode == "naive"))
+            t0 = time.perf_counter()
+            count = sum(1 for _ in run_scan(cfg, source, y, kernels=kernels))
+            elapsed = time.perf_counter() - t0
+            if mode == "fast":
+                fast_time = elapsed
+            row = {
+                "mode": mode, "backend": chosen, "n": n, "n_snps": n_snps,
+                "b": b, "threads": threads, "seconds": elapsed,
+                "snps_per_sec": count / elapsed if elapsed > 0 else float("inf"),
+                "naive_over_fast": (
+                    elapsed / fast_time
+                    if mode == "naive" and fast_time else "NA"
+                ),
+            }
+            rows.append(row)
     return rows

@@ -1,9 +1,11 @@
 """Compiled kernels against the NumPy twins, and backend selection."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from gdcscan import _kernels_py
+from gdcscan import _kernels_py, backend
 from gdcscan.backend import get_backend
 
 try:
@@ -148,10 +150,55 @@ def test_get_backend_selection():
         get_backend("gpu")
 
 
+class _CountingKernels:
+    """The NumPy kernels, recording the height of every hard-call block."""
+
+    def __init__(self):
+        self.heights = []
+
+    def __getattr__(self, name):
+        return getattr(_kernels_py, name)
+
+    def hardcall_stats(self, g, y):
+        self.heights.append(g.shape[0])
+        return _kernels_py.hardcall_stats(g, y)
+
+
+def test_scans_with_different_kernels_run_side_by_side():
+    """Two concurrent scans, each on its own kernel module: the same bytes,
+    every block through the module passed in, the default left alone."""
+    from gdcscan.adjust import CovariateMatrix
+    from gdcscan.io import ArraySource
+    from gdcscan.scan import ScanConfig, record_row, run_scan
+
+    rng = np.random.default_rng(11)
+    g = rng.integers(0, 3, size=(90, 250)).astype(np.int8)
+    y = rng.standard_normal(250)
+    cov = CovariateMatrix.build({
+        "intercept": np.ones(250), "age": rng.standard_normal(250),
+        "sex": rng.integers(0, 2, 250).astype(float),
+    })
+    src = ArraySource(g, kind="hard")
+    cfg = ScanConfig(b=3.0, block_size=16)
+    counting = _CountingKernels()
+    default = backend.kernels
+
+    def scan(kernels):
+        return [record_row(r) for r in run_scan(cfg, src, y, cov, kernels=kernels)]
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        plain = pool.submit(scan, _kernels_py)
+        counted = pool.submit(scan, counting)
+        plain, counted = plain.result(timeout=120), counted.result(timeout=120)
+    assert len(plain) == 90
+    assert plain == counted
+    assert counting.heights == [16] * 5 + [10]
+    assert backend.kernels is default
+
+
 @needs_compiled
 def test_scan_results_match_across_backends():
     """Same hard-call panel, both kernel backends: byte-identical records."""
-    from gdcscan import backend
     from gdcscan.io import ArraySource
     from gdcscan.scan import ScanConfig, record_row, run_scan
 
@@ -160,14 +207,8 @@ def test_scan_results_match_across_backends():
     y = rng.standard_normal(300)
     src = ArraySource(g, kind="hard")
     cfg = ScanConfig(b=3.0)
-    prev = backend.set_backend("compiled")
-    try:
-        rec_c = list(run_scan(cfg, src, y))
-        backend.set_backend("python")
-        rec_p = list(run_scan(cfg, src, y))
-    finally:
-        backend.kernels = prev
-        backend.BACKEND_NAME = "compiled" if prev.IS_COMPILED else "python"
+    rec_c = list(run_scan(cfg, src, y, kernels=_compiled))
+    rec_p = list(run_scan(cfg, src, y, kernels=_kernels_py))
     assert len(rec_c) == len(rec_p) == 200
     for a, b in zip(rec_c, rec_p):
         assert record_row(a) == record_row(b)
@@ -177,7 +218,6 @@ def test_scan_results_match_across_backends():
 def test_dosage_scan_results_match_across_backends():
     """Same non-integer dosage panel, both kernel backends: byte-identical
     records, with and without covariates."""
-    from gdcscan import backend
     from gdcscan.adjust import CovariateMatrix
     from gdcscan.io import ArraySource
     from gdcscan.scan import ScanConfig, record_row, run_scan
@@ -191,14 +231,8 @@ def test_dosage_scan_results_match_across_backends():
     )
     src = ArraySource(x, kind="dosage")
     cfg = ScanConfig(b=2.5)
-    prev = backend.set_backend("compiled")
-    try:
-        rec_c = [list(run_scan(cfg, src, y, c)) for c in (None, cov)]
-        backend.set_backend("python")
-        rec_p = [list(run_scan(cfg, src, y, c)) for c in (None, cov)]
-    finally:
-        backend.kernels = prev
-        backend.BACKEND_NAME = "compiled" if prev.IS_COMPILED else "python"
+    rec_c = [list(run_scan(cfg, src, y, c, kernels=_compiled)) for c in (None, cov)]
+    rec_p = [list(run_scan(cfg, src, y, c, kernels=_kernels_py)) for c in (None, cov)]
     for rc, rp in zip(rec_c, rec_p):
         assert len(rc) == len(rp) == 120
         for a, b in zip(rc, rp):

@@ -1,6 +1,7 @@
 """End-to-end command-line runs on small synthetic inputs."""
 
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -48,11 +49,15 @@ def test_scan_command_packed(panel):
 def test_scan_command_with_covariates(panel):
     geno, pheno, g, y, tmp_path = panel
     out = str(tmp_path / "res_cov.tsv")
-    rc = main([
-        "scan", "--geno", geno, "--pheno", pheno, "--pheno-col", "trait",
-        "--covar", "age,sex", "--out", out, "--no-screen", "--threads", "2",
-    ])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([
+            "scan", "--geno", geno, "--pheno", pheno, "--pheno-col", "trait",
+            "--covar", "age,sex", "--out", out, "--no-screen", "--threads", "2",
+        ])
     assert rc == 0
+    # --covar always adds the intercept; the CLI does not warn about it
+    assert not [w for w in caught if issubclass(w.category, UserWarning)]
     recs = read_results(out)
     assert all(r.p_value is not None for r in recs)
 

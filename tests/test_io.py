@@ -102,6 +102,23 @@ def test_dosage_round_trip(tmp_path):
     assert np.all(got[mask] == dosages[mask])
 
 
+def test_dosage_source_matrix_equals_written(tmp_path):
+    """Full-precision values, integer values and scattered NAs parse back
+    into exactly the written (samples x SNPs) matrix."""
+    rng = np.random.default_rng(2)
+    dosages = rng.uniform(0, 2, size=(40, 30))
+    dosages[:, 4] = rng.integers(0, 3, size=40)
+    dosages[rng.random(dosages.shape) < 0.05] = np.nan
+    dosages[7] = np.nan  # a sample with no calls at all
+    path = str(tmp_path / "d.tsv")
+    write_dosage_tsv(path, dosages, [f"s{i}" for i in range(30)],
+                     [f"ind{j}" for j in range(40)])
+    src = DosageSource(path)
+    got = np.vstack([b.values for b in src.iter_blocks(7)]).T
+    assert got.dtype == np.float64
+    assert np.array_equal(got, dosages, equal_nan=True)
+
+
 def test_dosage_out_of_range(tmp_path):
     path = str(tmp_path / "d.tsv")
     with open(path, "w") as fh:
