@@ -18,6 +18,15 @@ import numpy as np
 IS_COMPILED = False
 
 
+# (256,) uint32 table: the entry of a byte value holds, in memory order, the
+# int8 calls of its four bit pairs, so decoding is one gather per byte
+_DECODE_LUT = (
+    np.array([0, -1, 1, 2], dtype=np.int8)[(np.arange(256)[:, None] >> (2 * np.arange(4))) & 3]
+    .view(np.uint32)
+    .ravel()
+)
+
+
 def decode_packed(raw: np.ndarray, n: int) -> np.ndarray:
     """Unpack 2-bit genotype codes into int8 calls.
 
@@ -26,24 +35,8 @@ def decode_packed(raw: np.ndarray, n: int) -> np.ndarray:
     11 -> 2.
     """
     raw = np.ascontiguousarray(raw, dtype=np.uint8)
-    lut = _decode_lut()
-    calls = lut[raw].reshape(raw.shape[0], -1)
+    calls = _DECODE_LUT[raw].view(np.int8)
     return np.ascontiguousarray(calls[:, :n])
-
-
-_LUT_CACHE = None
-
-
-def _decode_lut() -> np.ndarray:
-    global _LUT_CACHE
-    if _LUT_CACHE is None:
-        code_map = np.array([0, -1, 1, 2], dtype=np.int8)
-        lut = np.empty((256, 4), dtype=np.int8)
-        for byte in range(256):
-            for k in range(4):
-                lut[byte, k] = code_map[(byte >> (2 * k)) & 0b11]
-        _LUT_CACHE = lut
-    return _LUT_CACHE
 
 
 # calls per bincount pass: a row chunk's bins and tiled weights stay in cache

@@ -12,7 +12,11 @@ SNP columns with no missing entries take a vectorized block path: one
 producer per row kind turns the kernel sweep's per-SNP sums (class counts
 and residual sums for hard calls, feature moments for dosages) into the
 statistic's cross sums and the 2x2 spectral matrix, and one shared tail
-turns those into records.  The kernel module is the scan context's
+turns those into records.  The tail makes one screening decision per
+block, as masks over the bounds; only in-window rows are evaluated, one
+SNP at a time, and the other records are built straight from the block's
+columns.  The results file is written one ``%.17g`` template per row and
+one write per block of rows.  The kernel module is the scan context's
 ``kernels`` field, passed to :func:`run_scan` or read from
 ``backend.kernels`` when the scan starts.  Columns with missing entries
 fall back to a per-SNP path that redoes the covariate projection on the
@@ -29,6 +33,7 @@ import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -56,6 +61,8 @@ log = logging.getLogger("gdcscan")
 
 METHOD_SCREEN_HIGH = "screened_out_high"
 METHOD_SCREEN_LOW = "screened_out_low"
+# methods of the rows the block tail settles without evaluation
+_SCREENED = (METHOD_DEGENERATE, METHOD_SCREEN_HIGH, METHOD_SCREEN_LOW)
 
 OUTPUT_COLUMNS = (
     "snp_id",
@@ -193,21 +200,29 @@ def _finish_record(cfg: ScanConfig, variant: VariantInfo, maf: float,
         method = METHOD_SCREEN_LOW
         p_value = p_hi
     else:
-        try:
-            if n_used > cfg.asymptotic_switch:
-                p_value = asymptotic_tail(lam1, lam2, stat)
-                method = METHOD_ASYMPTOTIC
-            else:
-                spec = NullSpectrum(lambdas=(lam1, lam2), n=n_used, df_sub=df_sub)
-                p_value, method = exact_pvalue_with_method(spec, stat)
-        except NumericsError as exc:
-            log.warning("%s: error:numerics: %s", variant.snp_id, exc)
-            return ScanRecord(
-                snp_id=variant.snp_id, chrom=variant.chrom, pos=variant.pos,
-                maf=maf, n_used=n_used, b=cfg.b, stat=stat,
-                lambda1=lam1, lambda2=lam2, p_lower=p_lo, p_upper=p_hi,
-                p_value=None, method="error:numerics",
-            )
+        return _evaluated_record(cfg, variant, maf, n_used, df_sub, stat, lam1,
+                                 lam2, p_lo, p_hi)
+    return ScanRecord(
+        snp_id=variant.snp_id, chrom=variant.chrom, pos=variant.pos,
+        maf=maf, n_used=n_used, b=cfg.b, stat=stat, lambda1=lam1, lambda2=lam2,
+        p_lower=p_lo, p_upper=p_hi, p_value=p_value, method=method,
+    )
+
+
+def _evaluated_record(cfg: ScanConfig, variant: VariantInfo, maf: float,
+                      n_used: int, df_sub: int, stat: float, lam1: float,
+                      lam2: float, p_lo: float, p_hi: float) -> ScanRecord:
+    """Record of an in-window SNP: its exact p-value, or the asymptotic
+    tail above the sample-size switch."""
+    try:
+        if n_used > cfg.asymptotic_switch:
+            p_value, method = asymptotic_tail(lam1, lam2, stat), METHOD_ASYMPTOTIC
+        else:
+            spec = NullSpectrum(lambdas=(lam1, lam2), n=n_used, df_sub=df_sub)
+            p_value, method = exact_pvalue_with_method(spec, stat)
+    except NumericsError as exc:
+        log.warning("%s: error:numerics: %s", variant.snp_id, exc)
+        p_value, method = None, "error:numerics"
     return ScanRecord(
         snp_id=variant.snp_id, chrom=variant.chrom, pos=variant.pos,
         maf=maf, n_used=n_used, b=cfg.b, stat=stat, lambda1=lam1, lambda2=lam2,
@@ -294,20 +309,42 @@ def _dosage_terms(cfg: ScanConfig, ctx: ScanContext, x: np.ndarray,
 
 def _records(cfg: ScanConfig, ctx: ScanContext, variants, maf, c1, c2,
              k00, k11, k01) -> list:
-    """Records for complete rows from the producers' per-SNP terms."""
+    """Records for complete rows from the producers' per-SNP terms.
+
+    The screening decision is made once for the block, as masks with
+    :func:`_finish_record`'s comparisons (a NaN bound decides nothing, so
+    its row is evaluated).  Only in-window rows are evaluated, one SNP at
+    a time; the others are built straight from the columns.
+    """
     sqb, sqh = _scales(cfg.b)
     v1 = sqb * c1
     v2 = sqh * c2
     stat = (v1 * v1 + v2 * v2) / ctx.rss
     lam1, lam2 = eig2x2(k00, k11, k01)
     p_lo, p_hi = pvalue_bounds_batch(lam1, lam2, stat, ctx.n, ctx.df_sub)
+    degen = lam1 <= 0.0
+    live = ~degen
+    if cfg.no_screen:
+        high = low = np.zeros_like(degen)
+    else:
+        high = live & (p_lo >= cfg.screen_threshold)
+        low = live & ~high & (p_hi <= cfg.screen_floor)
+    # each row's index into _SCREENED, or 3 for an in-window row
+    code = np.select([degen, high, low], [0, 1, 2], 3)
+    n, df_sub, b = ctx.n, ctx.df_sub, cfg.b
+    columns = zip(
+        variants, code.tolist(), maf.tolist(),
+        np.where(live, stat, 0.0).tolist(), np.where(live, lam1, 0.0).tolist(),
+        np.where(live, lam2, 0.0).tolist(), np.where(live, p_lo, 1.0).tolist(),
+        np.where(live, p_hi, 1.0).tolist(),
+    )
+    # positional fields: keywords cost twice the time of this loop
     return [
-        _finish_record(
-            cfg, variants[i], float(maf[i]), ctx.n, ctx.df_sub,
-            float(stat[i]), float(lam1[i]), float(lam2[i]),
-            float(p_lo[i]), float(p_hi[i]),
-        )
-        for i in range(len(variants))
+        _evaluated_record(cfg, var, m, n, df_sub, s, l1, l2, lo, hi)
+        if c == 3 else
+        ScanRecord(var.snp_id, var.chrom, var.pos, m, n, b, s, l1, l2, lo, hi,
+                   None if c == 1 else hi, _SCREENED[c])
+        for var, c, m, s, l1, l2, lo, hi in columns
     ]
 
 
@@ -546,25 +583,40 @@ def _fmt(v) -> str:
     return str(v)
 
 
+# %.17g prints a float as format(v, ".17g") does, except NaN as "nan"
+_ROW = "%s\t%s\t%s\t%.17g\t%s" + "\t%.17g" * 6 + "\t%s\t%s\t%s"
+# rows per write of the results file
+_WRITE_ROWS = 1024
+
+
 def record_row(rec: ScanRecord) -> str:
-    fields = (
-        rec.snp_id, rec.chrom, rec.pos, _fmt(rec.maf), rec.n_used, _fmt(rec.b),
-        _fmt(rec.stat), _fmt(rec.lambda1), _fmt(rec.lambda2),
-        _fmt(rec.p_lower), _fmt(min(rec.p_upper, 1.0) if not math.isnan(rec.p_upper) else rec.p_upper),
-        _fmt(rec.p_value), rec.method, _fmt(rec.neg_log10_p),
+    """One TSV line: floats as ``%.17g``, NaN and missing values as NA,
+    ``p_upper`` clamped to 1."""
+    head = (
+        rec.snp_id, rec.chrom, rec.pos, rec.maf, rec.n_used, rec.b, rec.stat,
+        rec.lambda1, rec.lambda2, rec.p_lower, min(rec.p_upper, 1.0),
     )
-    return "\t".join(str(f) for f in fields)
+    p = rec.p_value
+    if p is None:
+        row = _ROW % (*head, "NA", rec.method, "NA")
+    else:
+        row = _ROW % (*head, "%.17g" % p, rec.method, "%.17g" % rec.neg_log10_p)
+    if "nan" in row:
+        # a NaN field, or "nan" inside an id, chrom or method: field by field
+        row = "\t".join(map(_fmt, (*head, p, rec.method, rec.neg_log10_p)))
+    return row
 
 
 def write_results(records: Iterable[ScanRecord], path: str) -> None:
-    """Write the output TSV atomically; a failed write leaves no partial
-    file behind."""
+    """Write the output TSV atomically, one write per ``_WRITE_ROWS``
+    records; a failed write leaves no partial file behind."""
     tmp = path + ".partial"
+    records = iter(records)
     try:
         with open(tmp, "w") as fh:
             fh.write("\t".join(OUTPUT_COLUMNS) + "\n")
-            for rec in records:
-                fh.write(record_row(rec) + "\n")
+            while chunk := list(islice(records, _WRITE_ROWS)):
+                fh.write("\n".join(map(record_row, chunk)) + "\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -39,6 +39,31 @@ def test_packed_bit_layout():
     np.testing.assert_array_equal(calls[0], [0, -1, 1, 2])
 
 
+def _decode_by_bits(raw, n):
+    """Reference decode: shift and mask each sample's bit pair."""
+    code_to_call = {0b00: 0, 0b01: -1, 0b10: 1, 0b11: 2}
+    out = np.empty((raw.shape[0], n), dtype=np.int8)
+    for r in range(raw.shape[0]):
+        for j in range(n):
+            out[r, j] = code_to_call[(int(raw[r, j // 4]) >> (2 * (j % 4))) & 0b11]
+    return out
+
+
+@pytest.mark.parametrize("n", [1021, 1022, 1023, 1024])
+def test_decode_packed_matches_bit_reference(n):
+    """Every byte value, every n mod 4 (the pad bits of the last byte carry
+    garbage), and one- and zero-row blocks, on the backend in use."""
+    rng = np.random.default_rng(n)
+    width = (n + 3) // 4
+    every_byte = np.arange(256, dtype=np.uint8)[None, :]
+    raw = np.vstack([every_byte, rng.integers(0, 256, size=(3, width), dtype=np.uint8)])
+    raw[1:, -1] |= 0b11000000  # garbage in the pad bits
+    for block in (raw, raw[:1], raw[1:2], raw[:0]):
+        calls = backend.kernels.decode_packed(block, n)
+        assert calls.dtype == np.int8 and calls.shape == (block.shape[0], n)
+        np.testing.assert_array_equal(calls, _decode_by_bits(block, n))
+
+
 def test_packed_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     for n in (5, 6, 7, 8, 13):

@@ -26,6 +26,7 @@ from gdcscan.scan import (
     write_results,
 )
 from gdcscan.simbench import draw_genotypes
+from tsv_oracle import record_row as oracle_row
 
 
 @pytest.fixture
@@ -514,3 +515,135 @@ def test_block_engine_matches_per_snp_path(seed, kind, n, n_snps, b,
             ), field
         if rec.p_value is not None and ref.p_value is not None:
             assert rec.p_value == pytest.approx(ref.p_value, rel=1e-8)
+
+
+def _oracle_panel(kind, missing):
+    """A 12-SNP panel whose scans give every kind of row: screened either
+    way, exact and classical, a monomorphic SNP, an underflow, too few
+    samples, and (with ``missing``) per-SNP fallback rows."""
+    rng = np.random.default_rng(21)
+    n = 150
+    g = rng.integers(0, 3, size=(12, n)).astype(np.int8)
+    g[1] = 1  # monomorphic
+    y = rng.standard_normal(n)
+    # a phenotype that is almost exactly SNP 2: its exact p-value underflows
+    signal = (g[2] - g[2].mean()) + 1e-6 * rng.standard_normal(n)
+    y = 6.0 * (g[3] - g[3].mean()) + 0.3 * (g[4] - g[4].mean()) + y
+    x = g.astype(np.float64)
+    if kind == "dosage":
+        x[6:] = np.clip(x[6:] + rng.normal(0.0, 0.2, size=x[6:].shape), 0.0, 2.0)
+    x[5, : n - 3] = np.nan  # too few samples
+    if missing:
+        x[7:9, rng.choice(n, 10, replace=False)] = np.nan
+    if kind == "hard":
+        x = np.where(np.isnan(x), -1, x).astype(np.int8)
+    return x, signal, y
+
+
+@pytest.mark.parametrize("kind", ["hard", "dosage"])
+@pytest.mark.parametrize("missing", [False, True])
+def test_results_tsv_matches_oracle(tmp_path, kind, missing):
+    """write_results prints every record as the field-by-field reference
+    formatter does, line for line."""
+    x, signal, y = _oracle_panel(kind, missing)
+    n = y.shape[0]
+    rng = np.random.default_rng(3)
+    covariates = CovariateMatrix(
+        matrix=np.column_stack([np.ones(n), rng.normal(50.0, 10.0, n), rng.random(n) < 0.5]),
+        names=("intercept", "age", "sex"),
+    )
+    records = []
+    for b in (0.0, 3.0, 4.0):
+        for no_screen in (False, True):
+            for cov in (None, covariates):
+                cfg = ScanConfig(b=b, no_screen=no_screen)
+                for pheno in (y, signal):
+                    records += run_scan(cfg, ArraySource(x, kind=kind), pheno, cov)
+    records += [
+        ScanRecord("clamped", "1", 7, 0.25, 150, 3.0, 2.5, 0.7, 0.3, 0.2, 4.7, 0.5, "exact_appell"),
+        ScanRecord("nan_id", "nanchrom", 8, 0.25, 150, 3.0, -0.0, 5e-324, 0.0, 0.0, 1.0, 1.0, "x"),
+        ScanRecord("rs_inf", "1", 9, 0.25, 150, 3.0, math.inf, 1.0, 0.0, 0.0, 0.0, math.nan, "x"),
+    ]
+    methods = {r.method for r in records}
+    assert {"screened_out_high", "screened_out_low", "degenerate spectrum", "underflow",
+            "exact_appell", "classical_F", "error:too_few_samples"} <= methods
+    assert any(r.p_value == 0.0 and r.neg_log10_p == math.inf for r in records)
+    assert any(r.p_upper > 1.0 for r in records)
+
+    path = tmp_path / "res.tsv"
+    write_results(records, str(path))
+    lines = path.read_text().split("\n")
+    assert lines[0] == "\t".join(scan_module.OUTPUT_COLUMNS)
+    assert lines[-1] == ""
+    assert lines[1:-1] == [oracle_row(r) for r in records]
+
+
+def test_block_tail_screening_matches_finish_record(monkeypatch):
+    """The block tail's screening masks decide every boundary case as
+    _finish_record does, and only in-window rows are evaluated."""
+    cfg = ScanConfig()
+    thr, floor = cfg.screen_threshold, cfg.screen_floor
+    nan = math.nan
+    bounds = [  # (p_lower, p_upper) per row, and the screened method
+        ((thr, 1.0), "screened_out_high"),  # p_lower at the threshold
+        ((1e-40, floor), "screened_out_low"),  # p_upper at the floor
+        ((nan, nan), None),  # NaN bounds decide nothing
+        ((0.5, 0.9), "degenerate spectrum"),  # lambda1 == 0
+        ((1e-5, 0.01), None),
+        ((math.nextafter(thr, 0.0), 1.0), None),
+        ((nan, floor / 2), "screened_out_low"),
+        ((0.2, nan), "screened_out_high"),
+    ]
+    m = len(bounds)
+    p_lo = np.array([lo for (lo, _), _ in bounds])
+    p_hi = np.array([hi for (_, hi), _ in bounds])
+    rng = np.random.default_rng(8)
+    ctx = scan_module.prepare_context(rng.standard_normal(200))
+    maf = rng.uniform(0.05, 0.5, m)
+    c1, c2 = rng.normal(0.0, 3.0, m), rng.normal(0.0, 3.0, m)
+    k00, k11 = rng.uniform(0.3, 0.8, m), rng.uniform(0.1, 0.4, m)
+    k01 = rng.uniform(-0.1, 0.1, m)
+    k00[3] = k11[3] = k01[3] = 0.0
+    variants = [VariantInfo(f"rs{i}", "1", i) for i in range(m)]
+    seen = {}
+
+    def fake_bounds(lam1, lam2, stat, n, df_sub):
+        seen.update(lam1=lam1, lam2=lam2, stat=stat)
+        return p_lo.copy(), p_hi.copy()
+
+    evaluated = []
+    exact = scan_module.exact_pvalue_with_method
+
+    def counting_exact(spec, stat):
+        evaluated.append(stat)
+        return exact(spec, stat)
+
+    monkeypatch.setattr(scan_module, "pvalue_bounds_batch", fake_bounds)
+    results = {}
+    for cfg in (ScanConfig(), ScanConfig(no_screen=True)):
+        monkeypatch.setattr(scan_module, "exact_pvalue_with_method", counting_exact)
+        evaluated.clear()
+        recs = scan_module._records(cfg, ctx, variants, maf, c1, c2, k00, k11, k01)
+        monkeypatch.setattr(scan_module, "exact_pvalue_with_method", exact)
+        expected = [
+            scan_module._finish_record(
+                cfg, variants[i], float(maf[i]), ctx.n, ctx.df_sub,
+                float(seen["stat"][i]), float(seen["lam1"][i]),
+                float(seen["lam2"][i]), float(p_lo[i]), float(p_hi[i]),
+            )
+            for i in range(m)
+        ]
+        assert [repr(r) for r in recs] == [repr(r) for r in expected]
+        screened = [
+            meth if not cfg.no_screen or meth == "degenerate spectrum" else None
+            for _, meth in bounds
+        ]
+        for rec, meth in zip(recs, screened):
+            if meth is None:
+                assert rec.method not in scan_module._SCREENED
+            else:
+                assert rec.method == meth
+        assert len(evaluated) == screened.count(None)
+        results[cfg.no_screen] = recs
+    low = results[False][1]
+    assert low.p_value == low.p_upper == floor
