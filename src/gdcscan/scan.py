@@ -11,18 +11,19 @@ sample-size switch the asymptotic tail replaces the exact law.
 SNP columns with no missing entries take a vectorized block path: one
 producer per row kind turns the kernel sweep's per-SNP sums (class counts
 and residual sums for hard calls, feature moments for dosages) into the
-statistic's cross sums and the 2x2 spectral matrix, and one shared tail
-turns those into records.  The tail makes one screening decision per
-block, as masks over the bounds; only in-window rows are evaluated, one
-SNP at a time, and the other records are built straight from the block's
-columns.  The results file is written one ``%.17g`` template per row and
-one write per block of rows.  The kernel module is the scan context's
-``kernels`` field, passed to :func:`run_scan` or read from
-``backend.kernels`` when the scan starts.  Columns with missing entries
-fall back to a per-SNP path that redoes the covariate projection on the
-complete-case subsample.  Output order always equals input order, and
-every per-SNP sum is reduced row by row, so the output bytes do not
-depend on the worker count, the block size or the kernel module.
+statistic's cross sums and the 2x2 spectral matrix.  One screening tail
+turns those into records: it makes the screening decision for the whole
+block at once, as masks over the bounds; only in-window rows are
+evaluated, one SNP at a time, and the other records are built straight
+from the block's columns.  Columns with missing entries fall back to a
+per-SNP path that redoes the covariate projection on the complete-case
+subsample and then goes through the same tail as a one-row block.  The
+kernel module is the scan context's ``kernels`` field, passed to
+:func:`run_scan` or read from ``backend.kernels`` when the scan starts.
+Each row of the results file is one ``%.17g`` template.  Output order
+always equals input order, and every per-SNP sum is reduced row by row,
+so the output bytes do not depend on the worker count, the block size or
+the kernel module.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -180,35 +180,6 @@ def prepare_context(phenotype, covariates: CovariateMatrix | None = None,
 # ---------------------------------------------------------------------------
 
 
-def _finish_record(cfg: ScanConfig, variant: VariantInfo, maf: float,
-                   n_used: int, df_sub: int, stat: float, lam1: float,
-                   lam2: float, p_lo: float, p_hi: float) -> ScanRecord:
-    """Apply the screening decision and, when required, the exact or
-    asymptotic evaluation."""
-    if lam1 <= 0.0:
-        # the statistic is identically zero on a degenerate spectrum; any
-        # residual value is round-off
-        return ScanRecord(
-            snp_id=variant.snp_id, chrom=variant.chrom, pos=variant.pos,
-            maf=maf, n_used=n_used, b=cfg.b, stat=0.0, lambda1=0.0, lambda2=0.0,
-            p_lower=1.0, p_upper=1.0, p_value=1.0, method=METHOD_DEGENERATE,
-        )
-    p_value = None
-    if not cfg.no_screen and p_lo >= cfg.screen_threshold:
-        method = METHOD_SCREEN_HIGH
-    elif not cfg.no_screen and p_hi <= cfg.screen_floor:
-        method = METHOD_SCREEN_LOW
-        p_value = p_hi
-    else:
-        return _evaluated_record(cfg, variant, maf, n_used, df_sub, stat, lam1,
-                                 lam2, p_lo, p_hi)
-    return ScanRecord(
-        snp_id=variant.snp_id, chrom=variant.chrom, pos=variant.pos,
-        maf=maf, n_used=n_used, b=cfg.b, stat=stat, lambda1=lam1, lambda2=lam2,
-        p_lower=p_lo, p_upper=p_hi, p_value=p_value, method=method,
-    )
-
-
 def _evaluated_record(cfg: ScanConfig, variant: VariantInfo, maf: float,
                       n_used: int, df_sub: int, stat: float, lam1: float,
                       lam2: float, p_lo: float, p_hi: float) -> ScanRecord:
@@ -309,29 +280,41 @@ def _dosage_terms(cfg: ScanConfig, ctx: ScanContext, x: np.ndarray,
 
 def _records(cfg: ScanConfig, ctx: ScanContext, variants, maf, c1, c2,
              k00, k11, k01) -> list:
-    """Records for complete rows from the producers' per-SNP terms.
-
-    The screening decision is made once for the block, as masks with
-    :func:`_finish_record`'s comparisons (a NaN bound decides nothing, so
-    its row is evaluated).  Only in-window rows are evaluated, one SNP at
-    a time; the others are built straight from the columns.
-    """
+    """Records for complete rows from the producers' per-SNP terms."""
     sqb, sqh = _scales(cfg.b)
     v1 = sqb * c1
     v2 = sqh * c2
     stat = (v1 * v1 + v2 * v2) / ctx.rss
     lam1, lam2 = eig2x2(k00, k11, k01)
     p_lo, p_hi = pvalue_bounds_batch(lam1, lam2, stat, ctx.n, ctx.df_sub)
+    return _screened_records(cfg, ctx.n, ctx.df_sub, variants, maf, stat,
+                             lam1, lam2, p_lo, p_hi)
+
+
+def _screened_records(cfg: ScanConfig, n_used: int, df_sub: int, variants,
+                      maf, stat, lam1, lam2, p_lo, p_hi) -> list:
+    """Apply the screening decision to rows that share a sample count and
+    a covariate degree count, and evaluate the in-window rows.
+
+    The decision is made once for all rows, as masks: degenerate
+    (``lambda1 <= 0``; the statistic is identically zero there and any
+    residual value is round-off), then high (``p_lower`` at or above the
+    screen threshold), then low (``p_upper`` at or below the floor, which
+    becomes the p-value).  A NaN compares false, so a NaN bound decides
+    nothing and its row is evaluated.  Only in-window rows are evaluated,
+    one SNP at a time; the others are built straight from the columns.
+    """
     degen = lam1 <= 0.0
     live = ~degen
+    # each row's index into _SCREENED, or 3 for an in-window row; nested
+    # np.where, not np.select, which costs 20 us on the per-SNP path's
+    # one-row calls
     if cfg.no_screen:
-        high = low = np.zeros_like(degen)
+        code = np.where(degen, 0, 3)
     else:
-        high = live & (p_lo >= cfg.screen_threshold)
-        low = live & ~high & (p_hi <= cfg.screen_floor)
-    # each row's index into _SCREENED, or 3 for an in-window row
-    code = np.select([degen, high, low], [0, 1, 2], 3)
-    n, df_sub, b = ctx.n, ctx.df_sub, cfg.b
+        low = np.where(p_hi <= cfg.screen_floor, 2, 3)
+        code = np.where(degen, 0, np.where(p_lo >= cfg.screen_threshold, 1, low))
+    b = cfg.b
     columns = zip(
         variants, code.tolist(), maf.tolist(),
         np.where(live, stat, 0.0).tolist(), np.where(live, lam1, 0.0).tolist(),
@@ -340,10 +323,10 @@ def _records(cfg: ScanConfig, ctx: ScanContext, variants, maf, c1, c2,
     )
     # positional fields: keywords cost twice the time of this loop
     return [
-        _evaluated_record(cfg, var, m, n, df_sub, s, l1, l2, lo, hi)
+        _evaluated_record(cfg, var, m, n_used, df_sub, s, l1, l2, lo, hi)
         if c == 3 else
-        ScanRecord(var.snp_id, var.chrom, var.pos, m, n, b, s, l1, l2, lo, hi,
-                   None if c == 1 else hi, _SCREENED[c])
+        ScanRecord(var.snp_id, var.chrom, var.pos, m, n_used, b, s, l1, l2,
+                   lo, hi, None if c == 1 else hi, _SCREENED[c])
         for var, c, m, s, l1, l2, lo, hi in columns
     ]
 
@@ -396,9 +379,8 @@ def _test_single_column(cfg: ScanConfig, ctx: ScanContext,
     if len(spec.nonzero) > 2:
         return _multi_eigen_record(cfg, variant, sub, spec, stat, n_used)
     p_lo, p_hi = pvalue_bounds(spec, stat)
-    return _finish_record(
-        cfg, variant, sub.maf(), n_used, df_sub, stat, lam1, lam2, p_lo, p_hi,
-    )
+    row = (np.array([v]) for v in (sub.maf(), stat, lam1, lam2, p_lo, p_hi))
+    return _screened_records(cfg, n_used, df_sub, [variant], *row)[0]
 
 
 def _multi_eigen_record(cfg, variant, sub, spec, stat, n_used) -> ScanRecord:
@@ -585,8 +567,6 @@ def _fmt(v) -> str:
 
 # %.17g prints a float as format(v, ".17g") does, except NaN as "nan"
 _ROW = "%s\t%s\t%s\t%.17g\t%s" + "\t%.17g" * 6 + "\t%s\t%s\t%s"
-# rows per write of the results file
-_WRITE_ROWS = 1024
 
 
 def record_row(rec: ScanRecord) -> str:
@@ -608,15 +588,14 @@ def record_row(rec: ScanRecord) -> str:
 
 
 def write_results(records: Iterable[ScanRecord], path: str) -> None:
-    """Write the output TSV atomically, one write per ``_WRITE_ROWS``
-    records; a failed write leaves no partial file behind."""
+    """Write the output TSV atomically; a failed write leaves no partial
+    file behind."""
     tmp = path + ".partial"
-    records = iter(records)
     try:
         with open(tmp, "w") as fh:
             fh.write("\t".join(OUTPUT_COLUMNS) + "\n")
-            while chunk := list(islice(records, _WRITE_ROWS)):
-                fh.write("\n".join(map(record_row, chunk)) + "\n")
+            for rec in records:
+                fh.write(record_row(rec) + "\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -14,7 +14,9 @@ from gdcscan.adjust import CovariateMatrix, column_features, residualize
 from gdcscan.gdc import Sample, standardized_statistic
 from gdcscan.io import ArraySource, Block, VariantInfo
 from gdcscan import scan as scan_module
-from gdcscan.nulldist import NumericsError, exact_pvalue, spectrum_from_features
+from gdcscan.nulldist import (
+    NullSpectrum, NumericsError, exact_pvalue, spectrum_from_features,
+)
 from gdcscan.premetric import GenotypeColumn
 from gdcscan.scan import (
     ScanConfig,
@@ -578,72 +580,64 @@ def test_results_tsv_matches_oracle(tmp_path, kind, missing):
     assert lines[1:-1] == [oracle_row(r) for r in records]
 
 
-def test_block_tail_screening_matches_finish_record(monkeypatch):
-    """The block tail's screening masks decide every boundary case as
-    _finish_record does, and only in-window rows are evaluated."""
-    cfg = ScanConfig()
-    thr, floor = cfg.screen_threshold, cfg.screen_floor
+def test_block_tail_screening_boundaries(monkeypatch):
+    """The screening tail decides every boundary case per row, and only
+    in-window rows are evaluated."""
+    thr, floor = ScanConfig().screen_threshold, ScanConfig().screen_floor
     nan = math.nan
-    bounds = [  # (p_lower, p_upper) per row, and the screened method
-        ((thr, 1.0), "screened_out_high"),  # p_lower at the threshold
-        ((1e-40, floor), "screened_out_low"),  # p_upper at the floor
-        ((nan, nan), None),  # NaN bounds decide nothing
-        ((0.5, 0.9), "degenerate spectrum"),  # lambda1 == 0
-        ((1e-5, 0.01), None),
-        ((math.nextafter(thr, 0.0), 1.0), None),
-        ((nan, floor / 2), "screened_out_low"),
-        ((0.2, nan), "screened_out_high"),
+    rows = [  # (lambda1, p_lower, p_upper, screened method or None)
+        (0.6, thr, 1.0, "screened_out_high"),  # p_lower at the threshold
+        (0.6, 1e-40, floor, "screened_out_low"),  # p_upper at the floor
+        (0.6, nan, nan, None),  # NaN bounds decide nothing
+        (0.0, 0.5, 0.9, "degenerate spectrum"),
+        (-1e-18, nan, nan, "degenerate spectrum"),
+        (0.6, 1e-5, 0.01, None),
+        (0.6, math.nextafter(thr, 0.0), 1.0, None),
+        (0.6, nan, floor / 2, "screened_out_low"),
+        (0.6, 0.2, nan, "screened_out_high"),
+        (0.6, 0.5, floor / 2, "screened_out_high"),  # high before low
     ]
-    m = len(bounds)
-    p_lo = np.array([lo for (lo, _), _ in bounds])
-    p_hi = np.array([hi for (_, hi), _ in bounds])
-    rng = np.random.default_rng(8)
-    ctx = scan_module.prepare_context(rng.standard_normal(200))
-    maf = rng.uniform(0.05, 0.5, m)
-    c1, c2 = rng.normal(0.0, 3.0, m), rng.normal(0.0, 3.0, m)
-    k00, k11 = rng.uniform(0.3, 0.8, m), rng.uniform(0.1, 0.4, m)
-    k01 = rng.uniform(-0.1, 0.1, m)
-    k00[3] = k11[3] = k01[3] = 0.0
+    m = len(rows)
+    lam1 = np.array([r[0] for r in rows])
+    p_lo = np.array([r[1] for r in rows])
+    p_hi = np.array([r[2] for r in rows])
+    lam2 = np.full(m, 0.2)
+    stat = np.linspace(0.01, 0.05, m)
+    maf = np.linspace(0.1, 0.4, m)
+    n, df_sub = 200, 1
     variants = [VariantInfo(f"rs{i}", "1", i) for i in range(m)]
-    seen = {}
-
-    def fake_bounds(lam1, lam2, stat, n, df_sub):
-        seen.update(lam1=lam1, lam2=lam2, stat=stat)
-        return p_lo.copy(), p_hi.copy()
-
     evaluated = []
     exact = scan_module.exact_pvalue_with_method
 
-    def counting_exact(spec, stat):
-        evaluated.append(stat)
-        return exact(spec, stat)
+    def counting_exact(spec, k):
+        evaluated.append(k)
+        return exact(spec, k)
 
-    monkeypatch.setattr(scan_module, "pvalue_bounds_batch", fake_bounds)
-    results = {}
+    monkeypatch.setattr(scan_module, "exact_pvalue_with_method", counting_exact)
     for cfg in (ScanConfig(), ScanConfig(no_screen=True)):
-        monkeypatch.setattr(scan_module, "exact_pvalue_with_method", counting_exact)
         evaluated.clear()
-        recs = scan_module._records(cfg, ctx, variants, maf, c1, c2, k00, k11, k01)
-        monkeypatch.setattr(scan_module, "exact_pvalue_with_method", exact)
-        expected = [
-            scan_module._finish_record(
-                cfg, variants[i], float(maf[i]), ctx.n, ctx.df_sub,
-                float(seen["stat"][i]), float(seen["lam1"][i]),
-                float(seen["lam2"][i]), float(p_lo[i]), float(p_hi[i]),
-            )
-            for i in range(m)
-        ]
-        assert [repr(r) for r in recs] == [repr(r) for r in expected]
-        screened = [
-            meth if not cfg.no_screen or meth == "degenerate spectrum" else None
-            for _, meth in bounds
-        ]
-        for rec, meth in zip(recs, screened):
+        recs = scan_module._screened_records(
+            cfg, n, df_sub, variants, maf, stat, lam1, lam2, p_lo, p_hi,
+        )
+        in_window = 0
+        for i, (rec, (_, lo, hi, meth)) in enumerate(zip(recs, rows)):
+            if cfg.no_screen and meth != "degenerate spectrum":
+                meth = None
+            assert (rec.snp_id, rec.maf, rec.n_used, rec.b) == (
+                f"rs{i}", maf[i], n, cfg.b)
+            if meth == "degenerate spectrum":
+                assert rec == ScanRecord(
+                    f"rs{i}", "1", i, maf[i], n, cfg.b, 0.0, 0.0, 0.0,
+                    1.0, 1.0, 1.0, meth)
+                continue
+            assert (rec.stat, rec.lambda1, rec.lambda2) == (stat[i], 0.6, 0.2)
+            np.testing.assert_array_equal([rec.p_lower, rec.p_upper], [lo, hi])
             if meth is None:
+                in_window += 1
                 assert rec.method not in scan_module._SCREENED
+                assert (rec.p_value, rec.method) == exact(
+                    NullSpectrum(lambdas=(0.6, 0.2), n=n, df_sub=df_sub), stat[i])
             else:
                 assert rec.method == meth
-        assert len(evaluated) == screened.count(None)
-        results[cfg.no_screen] = recs
-    low = results[False][1]
-    assert low.p_value == low.p_upper == floor
+                assert rec.p_value == (hi if meth == "screened_out_low" else None)
+        assert len(evaluated) == in_window
