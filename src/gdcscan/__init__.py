@@ -37,7 +37,6 @@ from .premetric import FeatureMap, GenotypeColumn, Premetric
 from .scan import ScanConfig, ScanRecord, run_multiallelic, run_scan, write_results
 from .simbench import (
     SimScenario,
-    bench_throughput,
     competitor_tests,
     draw_heterozygous_effect,
     simulate_null,

@@ -1,4 +1,4 @@
-"""Command-line interface: scan, simulate, bench."""
+"""Command-line interface: scan, simulate."""
 
 from __future__ import annotations
 
@@ -8,17 +8,10 @@ import warnings
 
 import numpy as np
 
-from . import backend
 from .adjust import CovariateMatrix
 from .io import SubsetSource, align_samples, open_genotypes, read_phenotype_table
 from .scan import ScanConfig, run_scan, write_results
-from .simbench import (
-    SimScenario,
-    bench_throughput,
-    simulate_null,
-    simulate_power,
-    write_table,
-)
+from .simbench import SimScenario, simulate_null, simulate_power, write_table
 
 
 def _parse_floats(text: str) -> tuple:
@@ -68,17 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--no-competitors", action="store_true")
     p_sim.add_argument("--out", required=True)
 
-    p_bench = sub.add_parser("bench", help="screened-vs-naive and backend timings")
-    p_bench.add_argument("--n", type=int, default=1000)
-    p_bench.add_argument("--snps", type=int, default=10_000)
-    p_bench.add_argument("--b", type=float, default=3.0)
-    p_bench.add_argument("--threads", type=int, default=1)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument(
-        "--backend", choices=("current", "python", "compiled", "both"),
-        default="current",
-    )
-    p_bench.add_argument("--out", required=True)
     return parser
 
 
@@ -151,37 +133,11 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    if args.backend == "both":
-        backends = ["python"]
-        try:
-            backend.get_backend("compiled")
-            backends.append("compiled")
-        except ImportError:
-            print("compiled backend unavailable; timing python only", file=sys.stderr)
-        backends = tuple(backends)
-    else:
-        backends = (args.backend,)
-    rows = bench_throughput(
-        n=args.n, n_snps=args.snps, b=args.b, threads=args.threads,
-        seed=args.seed, backends=backends,
-    )
-    write_table(rows, args.out)
-    for row in rows:
-        print(
-            f"{row['mode']:5s} backend={row['backend']:8s} "
-            f"{row['seconds']:8.3f}s  {row['snps_per_sec']:.0f} SNP/s"
-        )
-    return 0
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "scan":
         return _cmd_scan(args)
-    if args.command == "simulate":
-        return _cmd_simulate(args)
-    return _cmd_bench(args)
+    return _cmd_simulate(args)
 
 
 if __name__ == "__main__":

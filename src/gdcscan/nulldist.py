@@ -131,6 +131,15 @@ def spectrum_matrix(b: float, freqs) -> np.ndarray:
     return np.stack([np.stack([k00, k01], -1), np.stack([k01, k11], -1)], -2)
 
 
+def hardcall_terms(b: float, counts: np.ndarray, ysums: np.ndarray, n: int) -> tuple:
+    """(c1, c2, k00, k11, k01) of complete hard-call rows without
+    covariates, from class counts and centred per-class response sums,
+    both shaped (rows, 3): c1/c2 are the response cross sums of the
+    unscaled features, k the 2x2 spectral matrix."""
+    k = spectrum_matrix(b, counts / float(n))
+    return ysums[:, 2] - ysums[:, 0], ysums[:, 1], k[:, 0, 0], k[:, 1, 1], k[:, 0, 1]
+
+
 def eig2x2(k00, k11, k01) -> tuple:
     """Closed-form eigenvalues (lam1, lam2) of the symmetric 2x2 matrices
     [[k00, k01], [k01, k11]], elementwise, snapped like

@@ -50,10 +50,10 @@ from .nulldist import (
     asymptotic_tail,
     eig2x2,
     exact_pvalue_with_method,
+    hardcall_terms,
     pvalue_bounds,
     pvalue_bounds_batch,
     spectrum_from_features,
-    spectrum_matrix,
 )
 from .premetric import GenotypeColumn
 
@@ -234,23 +234,21 @@ def _hard_terms(cfg: ScanConfig, ctx: ScanContext, g: np.ndarray,
     counts and per-class residual sums: c1/c2 are the residual cross sums
     of the unscaled features, k the 2x2 spectral matrix."""
     b, n = cfg.b, ctx.n
-    if ctx.qbasis is None:
-        k = spectrum_matrix(b, counts / float(n))
-        k00, k11, k01 = k[:, 0, 0], k[:, 1, 1], k[:, 0, 1]
-    else:
-        # per-class column sums of the orthonormal basis, (n_snps, 3, k)
-        csums = class_sums(g, ctx.qbasis)
-        sqb, sqh = _scales(b)
-        a0 = sqb * (csums[:, 2] - csums[:, 0])
-        a1 = sqh * csums[:, 1]
-        utu00 = (b / 2.0) * (counts[:, 0] + counts[:, 2])
-        utu11 = ((4.0 - b) / 2.0) * counts[:, 1]
-        k00 = (utu00 - (a0 * a0).sum(axis=1)) / n
-        k11 = (utu11 - (a1 * a1).sum(axis=1)) / n
-        k01 = (-(a0 * a1).sum(axis=1)) / n
     q = (counts[:, 1] + 2.0 * counts[:, 2]) / (2.0 * n)
-    c1 = ysums[:, 2] - ysums[:, 0]
-    return np.minimum(q, 1.0 - q), c1, ysums[:, 1], k00, k11, k01
+    maf = np.minimum(q, 1.0 - q)
+    if ctx.qbasis is None:
+        return (maf,) + hardcall_terms(b, counts, ysums, n)
+    # per-class column sums of the orthonormal basis, (n_snps, 3, k)
+    csums = class_sums(g, ctx.qbasis)
+    sqb, sqh = _scales(b)
+    a0 = sqb * (csums[:, 2] - csums[:, 0])
+    a1 = sqh * csums[:, 1]
+    utu00 = (b / 2.0) * (counts[:, 0] + counts[:, 2])
+    utu11 = ((4.0 - b) / 2.0) * counts[:, 1]
+    k00 = (utu00 - (a0 * a0).sum(axis=1)) / n
+    k11 = (utu11 - (a1 * a1).sum(axis=1)) / n
+    k01 = (-(a0 * a1).sum(axis=1)) / n
+    return maf, ysums[:, 2] - ysums[:, 0], ysums[:, 1], k00, k11, k01
 
 
 def _dosage_terms(cfg: ScanConfig, ctx: ScanContext, x: np.ndarray,

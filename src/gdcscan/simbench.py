@@ -1,4 +1,4 @@
-"""Simulation harness: null calibration, power curves and throughput.
+"""Simulation harness: null calibration and power curves.
 
 Phenotypes follow the three-class mean model
 ``y = h * beta * 1{x=1} + beta * 1{x=2} + noise`` with Gaussian noise,
@@ -7,23 +7,28 @@ the heterozygous effect ``h`` is either fixed on a grid or drawn from the
 law under which a given ``b`` is locally most powerful (symmetric Beta for
 b in (2,4), a gamma-ratio construction for b in (0,2)).
 
+Each chunk of replications is reduced once, in one pass, to its
+sufficient statistics: class counts (n0, n1, n2), centred class sums of
+the response (s0, s1, s2) and the residual sum of squares.  Every method
+of a cell comes from those arrays: the b tests through the hard-call
+producer the scan uses (:func:`gdcscan.nulldist.hardcall_terms`), the
+additive F-test from sxy = s1 + 2 s2 and the allele-count variance, and
+the ANOVA F-test from sum_j s_j^2 / n_j.
+
 Everything runs on counter-based seed sequences, so tables are bit
 reproducible for any worker count.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special
 
-from . import backend
 from .gdc import Sample
-from .io import ArraySource
-from .nulldist import eig2x2, exact_pvalues_batch, spectrum_matrix
-from .scan import ScanConfig, run_scan
+from .nulldist import eig2x2, exact_pvalues_batch, hardcall_terms
 
 DEFAULT_H_GRID = tuple(np.round(np.arange(0.0, 1.01, 0.1), 10))
 CHUNK_ROWS = 20_000
@@ -107,101 +112,92 @@ def draw_heterozygous_effect(b: float, regime: str | None = None,
 # ---------------------------------------------------------------------------
 
 
-def _replication_stats(g: np.ndarray, y: np.ndarray, b: float):
-    """Per-replication standardized statistic and spectrum.
+class _ChunkStats(NamedTuple):
+    """Sufficient statistics of a chunk of replications, one row each:
+    class counts (n0, n1, n2) and centred class sums (s0, s1, s2) of the
+    response, both (reps, 3), its residual sum of squares and the sample
+    size.  Every method of a cell is a function of these."""
 
-    ``g`` and ``y`` are (reps, n); every replication has its own genotype
-    draw and response.
-    """
+    counts: np.ndarray
+    sums: np.ndarray
+    rss: np.ndarray
+    n: int
+
+
+def _chunk_stats(g: np.ndarray, y: np.ndarray) -> _ChunkStats:
+    """One pass over (reps, n) hard calls and responses: a bincount over
+    ``row * 3 + g``, unweighted and weighted by the centred response."""
     reps, n = g.shape
-    a = g.astype(np.float64)
-    aa = a * a
-    ca = a.sum(axis=1)
-    caa = aa.sum(axis=1)
-    n1 = 2.0 * ca - caa
-    n2 = (caa - ca) / 2.0
-    n0 = n - n1 - n2
-    ybar = y.mean(axis=1)
-    yc = y - ybar[:, None]
-    rss = (yc * yc).sum(axis=1)
-    sa = (a * yc).sum(axis=1)
-    saa = (aa * yc).sum(axis=1)
-    s1 = 2.0 * sa - saa
-    s2 = (saa - sa) / 2.0
-    s0 = -s1 - s2  # centered response sums to zero
-    sqb = np.sqrt(b / 2.0)
-    sqh = np.sqrt((4.0 - b) / 2.0)
-    v1 = sqb * (s2 - s0)
-    v2 = sqh * s1
-    k = (v1 * v1 + v2 * v2) / rss
-    km = spectrum_matrix(b, np.stack([n0 / n, n1 / n, n2 / n], axis=-1))
-    lam1, lam2 = eig2x2(km[:, 0, 0], km[:, 1, 1], km[:, 0, 1])
-    return k, lam1, lam2, (n0.astype(np.int64), n1.astype(np.int64), n2.astype(np.int64))
+    yc = y - y.mean(axis=1)[:, None]
+    bins = (g + np.arange(0, 3 * reps, 3)[:, None]).ravel()
+    counts = np.bincount(bins, minlength=3 * reps).reshape(reps, 3).astype(np.float64)
+    sums = np.bincount(bins, weights=yc.ravel(), minlength=3 * reps).reshape(reps, 3)
+    return _ChunkStats(counts, sums, (yc * yc).sum(axis=1), n)
 
 
-def _additive_pvalues(g: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Classical F-test of the regression slope, rowwise."""
-    reps, n = g.shape
-    x = g.astype(np.float64)
-    xc = x - x.mean(axis=1, keepdims=True)
-    yc = y - y.mean(axis=1, keepdims=True)
-    sxx = (xc * xc).sum(axis=1)
-    syy = (yc * yc).sum(axis=1)
-    sxy = (xc * yc).sum(axis=1)
-    out = np.ones(reps)
-    ok = (sxx > 0) & (syy > 0)
-    r2 = np.zeros(reps)
-    r2[ok] = sxy[ok] ** 2 / (sxx[ok] * syy[ok])
-    r2 = np.clip(r2, 0.0, 1.0)
-    f = (n - 2) * r2 / np.maximum(1.0 - r2, 1e-300)
-    out[ok] = special.fdtrc(1, n - 2, f[ok])
+def _gdc_stats(st: _ChunkStats, b: float) -> tuple:
+    """Per-replication standardized statistic and spectrum (stat, lam1,
+    lam2) at ``b``.  As in the scan, a zero spectrum (a monomorphic draw,
+    or no heterozygote at b = 0) has statistic zero: any nonzero class sum
+    there is round-off of the centred response's zero total."""
+    c1, c2, k00, k11, k01 = hardcall_terms(b, st.counts, st.sums, st.n)
+    v1 = np.sqrt(b / 2.0) * c1
+    v2 = np.sqrt((4.0 - b) / 2.0) * c2
+    lam1, lam2 = eig2x2(k00, k11, k01)
+    return np.where(lam1 > 0.0, (v1 * v1 + v2 * v2) / st.rss, 0.0), lam1, lam2
+
+
+def _additive_pvalues(st: _ChunkStats) -> np.ndarray:
+    """Classical F-test of the regression slope on the allele count."""
+    n1, n2, n = st.counts[:, 1], st.counts[:, 2], st.n
+    sxx = n1 + 4.0 * n2 - (n1 + 2.0 * n2) ** 2 / n
+    sxy = st.sums[:, 1] + 2.0 * st.sums[:, 2]
+    out = np.ones(sxx.shape)
+    ok = (sxx > 0) & (st.rss > 0)
+    r2 = np.clip(sxy[ok] ** 2 / (sxx[ok] * st.rss[ok]), 0.0, 1.0)
+    out[ok] = special.fdtrc(1, n - 2, (n - 2) * r2 / np.maximum(1.0 - r2, 1e-300))
     return out
 
 
-def _anova_pvalues(g: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """One-way F-test treating the genotype as categorical, rowwise.
+def _anova_pvalues(st: _ChunkStats) -> np.ndarray:
+    """One-way F-test treating the genotype as categorical.
 
     Classes absent from a replication drop out, so two-class draws reduce
     to the two-group comparison.
     """
-    reps, n = g.shape
-    out = np.ones(reps)
-    sums = np.zeros((reps, 3))
-    counts = np.zeros((reps, 3))
-    for j in range(3):
-        mask = g == j
-        counts[:, j] = mask.sum(axis=1)
-        sums[:, j] = (y * mask).sum(axis=1)
-    ybar = y.mean(axis=1)
-    yc = y - ybar[:, None]
-    sstot = (yc * yc).sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        means = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
-    ssb = (counts * (means - ybar[:, None]) ** 2).sum(axis=1)
-    ssw = np.maximum(sstot - ssb, 0.0)
-    classes = (counts > 0).sum(axis=1)
+    ssb = (st.sums * st.sums / np.maximum(st.counts, 1.0)).sum(axis=1)
+    ssw = np.maximum(st.rss - ssb, 0.0)
+    classes = (st.counts > 0).sum(axis=1)
     df1 = classes - 1
-    df2 = n - classes
+    df2 = st.n - classes
+    out = np.ones(ssb.shape)
     ok = (df1 > 0) & (df2 > 0) & (ssw > 0)
-    f = np.zeros(reps)
-    f[ok] = (ssb[ok] / df1[ok]) / (ssw[ok] / df2[ok])
-    out[ok] = special.fdtrc(df1[ok], df2[ok], f[ok])
+    f = (ssb[ok] / df1[ok]) / (ssw[ok] / df2[ok])
+    out[ok] = special.fdtrc(df1[ok], df2[ok], f)
     return out
+
+
+def _method_pvalues(st: _ChunkStats, method: str) -> np.ndarray:
+    """Per-replication p-values of one method: a b value, "additive_F" or
+    "anova_F"."""
+    if method == "additive_F":
+        return _additive_pvalues(st)
+    if method == "anova_F":
+        return _anova_pvalues(st)
+    stat, lam1, lam2 = _gdc_stats(st, float(method))
+    return exact_pvalues_batch(lam1, lam2, stat, st.n, 1)
 
 
 def competitor_tests(sample: Sample) -> dict:
     """Additive-regression and ANOVA F-test p-values for one sample."""
-    g = sample.genotypes.values.astype(np.int8)[None, :]
-    y = sample.phenotype[None, :]
-    return {
-        "additive_F": float(_additive_pvalues(g, y)[0]),
-        "anova_F": float(_anova_pvalues(g, y)[0]),
-    }
+    st = _chunk_stats(sample.genotypes.values.astype(np.int8)[None, :],
+                      sample.phenotype[None, :])
+    return {m: float(_method_pvalues(st, m)[0]) for m in ("additive_F", "anova_F")}
 
 
 def _rejection_cell(scenario, maf, h, beta, methods, seed_seq) -> dict:
     """Empirical rejection rates for one (maf, h, beta) cell, all methods
-    sharing the same replicated data."""
+    sharing the same replicated data and one statistics pass per chunk."""
     n = scenario.n
     total = scenario.replications
     hits = {m: 0 for m in methods}
@@ -214,15 +210,9 @@ def _rejection_cell(scenario, maf, h, beta, methods, seed_seq) -> dict:
         y = rng.normal(0.0, scenario.noise_sd, size=(reps, n))
         if beta != 0.0:
             y += beta * (h * (g == 1) + (g == 2))
+        st = _chunk_stats(g, y)
         for m in methods:
-            if m == "additive_F":
-                p = _additive_pvalues(g, y)
-            elif m == "anova_F":
-                p = _anova_pvalues(g, y)
-            else:
-                k, lam1, lam2, _ = _replication_stats(g, y, float(m))
-                p = exact_pvalues_batch(lam1, lam2, k, n, 1)
-            hits[m] += int((p <= scenario.alpha).sum())
+            hits[m] += int((_method_pvalues(st, m) <= scenario.alpha).sum())
         done += reps
     return {m: hits[m] / total for m in methods}
 
@@ -303,53 +293,3 @@ def write_table(rows: list, path: str) -> None:
                 )
                 + "\n"
             )
-
-
-# ---------------------------------------------------------------------------
-# throughput benchmark
-# ---------------------------------------------------------------------------
-
-
-def _null_panel(rng: np.random.Generator, n_snps: int, n: int, maf: float = 0.3):
-    g = draw_genotypes(rng, n, maf, n_snps)
-    y = rng.standard_normal(n)
-    return ArraySource(g, kind="hard"), y
-
-
-def bench_throughput(n: int = 1000, n_snps: int = 10_000, b: float = 3.0,
-                     threads: int = 1, seed: int = 0, maf: float = 0.3,
-                     modes=("fast", "naive"), backends=("current",)) -> list:
-    """Wall-clock comparison of the screened scan against the
-    exact-everywhere scan, optionally per kernel backend.
-
-    Returns timing rows; the fast/naive ratio is reported on the naive
-    rows.
-    """
-    rng = np.random.default_rng(seed)
-    source, y = _null_panel(rng, n_snps, n, maf)
-    rows = []
-    for backend_name in backends:
-        if backend_name == "current":
-            kernels = backend.kernels
-        else:
-            kernels = backend.get_backend(backend_name)
-        chosen = "compiled" if kernels.IS_COMPILED else "python"
-        fast_time = None
-        for mode in modes:
-            cfg = ScanConfig(b=b, threads=threads, no_screen=(mode == "naive"))
-            t0 = time.perf_counter()
-            count = sum(1 for _ in run_scan(cfg, source, y, kernels=kernels))
-            elapsed = time.perf_counter() - t0
-            if mode == "fast":
-                fast_time = elapsed
-            row = {
-                "mode": mode, "backend": chosen, "n": n, "n_snps": n_snps,
-                "b": b, "threads": threads, "seconds": elapsed,
-                "snps_per_sec": count / elapsed if elapsed > 0 else float("inf"),
-                "naive_over_fast": (
-                    elapsed / fast_time
-                    if mode == "naive" and fast_time else "NA"
-                ),
-            }
-            rows.append(row)
-    return rows

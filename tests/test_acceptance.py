@@ -344,7 +344,7 @@ def test_criterion_09_throughput():
 def _power_cell(n, maf, h, beta, b_values, reps, alpha, seed):
     """Per-replication rejection indicators for each b (shared draws)."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    from gdcscan.simbench import _replication_stats
+    from gdcscan.simbench import _chunk_stats, _gdc_stats
 
     rejs = {b: np.empty(reps, dtype=bool) for b in b_values}
     done = 0
@@ -353,8 +353,9 @@ def _power_cell(n, maf, h, beta, b_values, reps, alpha, seed):
         g = draw_genotypes(rng, n, maf, m)
         y = rng.normal(0.0, 5.0, size=(m, n))
         y += beta * (h * (g == 1) + (g == 2))
+        st = _chunk_stats(g, y)
         for b in b_values:
-            k, lam1, lam2, _ = _replication_stats(g, y, b)
+            k, lam1, lam2 = _gdc_stats(st, b)
             ps = exact_pvalues_batch(lam1, lam2, k, n, 1)
             rejs[b][done : done + m] = ps <= alpha
         done += m

@@ -118,11 +118,3 @@ def test_simulate_command(tmp_path):
     assert rc == 0
     lines = pathlib.Path(out).read_text().splitlines()
     assert len(lines) == 3  # header + 2 methods
-
-
-def test_bench_command(tmp_path, capsys):
-    out = str(tmp_path / "bench.tsv")
-    rc = main(["bench", "--n", "60", "--snps", "100", "--out", out])
-    assert rc == 0
-    assert "fast" in capsys.readouterr().out
-    assert len(pathlib.Path(out).read_text().splitlines()) == 3

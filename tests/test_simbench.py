@@ -1,17 +1,22 @@
-"""Simulation harness: generators, competitors, tables, bench."""
+"""Simulation harness: generators, competitors, tables."""
 
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from gdcscan.gdc import Sample, standardized_statistic
+from gdcscan.io import ArraySource
 from gdcscan.nulldist import exact_pvalue, spectrum_unadjusted
+from gdcscan.scan import ScanConfig, run_scan
 from gdcscan.simbench import (
     SimScenario,
+    _chunk_stats,
+    _gdc_stats,
+    _method_pvalues,
     _rejection_cell,
-    bench_throughput,
     competitor_tests,
     draw_genotypes,
     draw_heterozygous_effect,
@@ -108,11 +113,12 @@ def test_anova_absent_class_reduces_to_two_groups():
 
 def test_competitors_uniform_under_null():
     rng = np.random.default_rng(8)
-    from gdcscan.simbench import _additive_pvalues, _anova_pvalues
+    from gdcscan.simbench import _additive_pvalues, _anova_pvalues, _chunk_stats
 
     g = draw_genotypes(rng, 100, 0.3, 3000)
     y = rng.standard_normal((3000, 100))
-    for ps in (_additive_pvalues(g, y), _anova_pvalues(g, y)):
+    st = _chunk_stats(g, y)
+    for ps in (_additive_pvalues(st), _anova_pvalues(st)):
         ks = stats.kstest(ps, "uniform").statistic
         assert ks < 1.63 / np.sqrt(3000) * 1.5
 
@@ -179,16 +185,63 @@ def test_rejection_cell_shares_draws_across_methods():
 def test_b4_and_additive_identical_decisions_replicatewise():
     rng = np.random.default_rng(23)
     from gdcscan.nulldist import exact_pvalues_batch
-    from gdcscan.simbench import _additive_pvalues, _replication_stats
+    from gdcscan.simbench import _additive_pvalues, _chunk_stats, _gdc_stats
 
     n, reps = 300, 2000
     g = draw_genotypes(rng, n, 0.3, reps)
     y = rng.standard_normal((reps, n))
-    k, lam1, lam2, _ = _replication_stats(g, y, 4.0)
+    st = _chunk_stats(g, y)
+    k, lam1, lam2 = _gdc_stats(st, 4.0)
     p_gdc = exact_pvalues_batch(lam1, lam2, k, n, 1)
-    p_add = _additive_pvalues(g, y)
+    p_add = _additive_pvalues(st)
     np.testing.assert_allclose(p_gdc, p_add, atol=1e-10)
     np.testing.assert_array_equal(p_gdc <= 0.05, p_add <= 0.05)
+
+
+@pytest.mark.parametrize("b", [0.0, 2.0, 3.0, 4.0])
+def test_replication_stats_match_the_scan(b):
+    """The simulation's one-pass statistics and the scan's hard-call path
+    give the same statistic and spectrum for the same row and response."""
+    rng = np.random.default_rng(29)
+    n, reps = 120, 20
+    g = draw_genotypes(rng, n, 0.3, reps)
+    g[0] = np.where(rng.random(n) < 0.5, 0, 2)  # two classes, no heterozygote
+    y = rng.standard_normal((reps, n))
+    stat, lam1, lam2 = _gdc_stats(_chunk_stats(g, y), b)
+    for i in range(reps):
+        (rec,) = run_scan(ScanConfig(b=b, no_screen=True),
+                          ArraySource(g[i:i + 1], kind="hard"), y[i])
+        assert stat[i] == pytest.approx(rec.stat, rel=1e-12)
+        assert lam1[i] == pytest.approx(rec.lambda1, rel=1e-12)
+        assert lam2[i] == pytest.approx(rec.lambda2, rel=1e-12)
+
+
+def test_degenerate_replications():
+    """Monomorphic draws give p = 1 for every method; a two-class draw
+    reduces ANOVA to the two-group F-test; b = 0 is the F-test of the
+    heterozygote indicator; none of it warns."""
+    rng = np.random.default_rng(31)
+    n = 60
+    two_class = np.repeat([0, 1], n // 2)
+    one_het = np.zeros(n, dtype=np.int8)
+    one_het[7] = 1
+    g = np.stack([
+        np.zeros(n), np.ones(n), np.full(n, 2), two_class, one_het,
+        draw_genotypes(rng, n, 0.3, 1)[0],
+    ]).astype(np.int8)
+    y = rng.standard_normal((len(g), n))
+    methods = ["0.0", "2.0", "3.0", "4.0", "additive_F", "anova_F"]
+    st = _chunk_stats(g, y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = {m: _method_pvalues(st, m) for m in methods}
+    for m in methods:
+        np.testing.assert_array_equal(p[m][:3], 1.0)
+    ref = stats.f_oneway(y[3][g[3] == 0], y[3][g[3] == 1]).pvalue
+    assert p["anova_F"][3] == pytest.approx(float(ref), rel=1e-9)
+    for i in range(3, len(g)):
+        ref = stats.linregress((g[i] == 1).astype(float), y[i]).pvalue
+        assert p["0.0"][i] == pytest.approx(ref, abs=1e-10)
 
 
 def test_write_table(tmp_path):
@@ -200,20 +253,6 @@ def test_write_table(tmp_path):
     assert len(lines) == 3
     write_table([], str(tmp_path / "e.tsv"))
     assert (tmp_path / "e.tsv").read_text() == ""
-
-
-def test_bench_throughput_smoke():
-    rows = bench_throughput(n=120, n_snps=300, threads=1, seed=0)
-    assert {r["mode"] for r in rows} == {"fast", "naive"}
-    naive = next(r for r in rows if r["mode"] == "naive")
-    assert naive["naive_over_fast"] != "NA"
-    assert all(r["seconds"] > 0 for r in rows)
-
-
-def test_bench_zero_snps():
-    rows = bench_throughput(n=50, n_snps=0, threads=1, seed=0)
-    assert len(rows) == 2
-    assert all(r["seconds"] < 1.0 for r in rows)
 
 
 def test_scenario_validation():
