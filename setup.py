@@ -1,23 +1,15 @@
-import numpy
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    cythonize = None
-
-ext_modules = []
-if cythonize is not None:
-    ext_modules = cythonize(
-        [
-            Extension(
-                "gdcscan._kernels",
-                ["src/gdcscan/_kernels.pyx"],
-                include_dirs=[numpy.get_include()],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-
-setup(ext_modules=ext_modules)
+# The optional C kernels: a plain shared library with no Python API, loaded
+# through ctypes by gdcscan._kernels (build in place with
+# `python setup.py build_ext --inplace`).  -ffp-contract=off keeps every
+# multiply-add rounded twice, as in the NumPy twin, so both give the same bits.
+setup(
+    ext_modules=[
+        Extension(
+            "gdcscan._ckernels",
+            ["src/gdcscan/_ckernels.c"],
+            extra_compile_args=["-O3", "-ffp-contract=off"],
+        )
+    ]
+)

@@ -1,0 +1,100 @@
+"""The plain-C sweep kernels of ``_ckernels.c``, bound through ctypes.
+
+Same functions, signatures and bits as the NumPy twin ``_kernels_py``.
+The library is built next to this module by ``python setup.py build_ext
+--inplace``; importing raises ImportError when it is missing, so the
+backend falls back to the twin.  Inputs are converted as the twin
+converts them, and their shapes are checked here, so the C loops only
+ever see buffers of the sizes they index.  ctypes releases the GIL for
+the length of every call.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import os
+
+import numpy as np
+
+IS_COMPILED = True
+
+try:
+    _lib = np.ctypeslib.load_library("_ckernels", os.path.dirname(os.path.abspath(__file__)))
+except OSError as exc:
+    raise ImportError(f"C kernels not built ({exc}); see setup.py") from exc
+
+
+def _arr(dtype, ndim):
+    return np.ctypeslib.ndpointer(dtype=dtype, ndim=ndim, flags="C_CONTIGUOUS")
+
+
+_i64 = ctypes.c_int64
+_lib.decode_packed.argtypes = [_arr(np.uint8, 2), _i64, _i64, _i64, _arr(np.int8, 2)]
+_lib.hardcall_sweep.argtypes = [
+    _arr(np.int8, 2), _i64, _i64, _arr(np.float64, 2), _i64,
+    _arr(np.int64, 2), _arr(np.float64, 3),
+]
+_lib.dosage_stats.argtypes = [_arr(np.float64, 2), _i64, _i64, _arr(np.float64, 1),
+                              _arr(np.float64, 2)]
+for _f in (_lib.decode_packed, _lib.hardcall_sweep, _lib.dosage_stats):
+    _f.restype = None
+
+
+def _block(a, dtype, what: str) -> np.ndarray:
+    a = np.ascontiguousarray(a, dtype=dtype)
+    if a.ndim != 2:
+        raise ValueError(f"{what} must be 2-D, got shape {a.shape}")
+    return a
+
+
+def _response(y, n: int) -> np.ndarray:
+    y = np.ascontiguousarray(y, dtype=np.float64)
+    if y.shape != (n,):
+        raise ValueError("response length must match the block width")
+    return y
+
+
+def decode_packed(raw: np.ndarray, n: int) -> np.ndarray:
+    """Unpack 2-bit genotype codes into int8 calls; see the NumPy twin."""
+    raw = _block(raw, np.uint8, "packed rows")
+    n = int(n)
+    if n < 0 or raw.shape[1] * 4 < n:
+        raise ValueError("packed rows too short for the declared sample count")
+    out = np.empty((raw.shape[0], n), dtype=np.int8)
+    _lib.decode_packed(raw, raw.shape[0], raw.shape[1], n, out)
+    return out
+
+
+def _sweep(g, w: np.ndarray):
+    g = _block(g, np.int8, "hard calls")
+    n_snps, n = g.shape
+    w = np.ascontiguousarray(w, dtype=np.float64)
+    if w.ndim != 2 or w.shape[0] != n:
+        raise ValueError("weight rows must match the block width")
+    counts = np.empty((n_snps, 3), dtype=np.int64)
+    sums = np.empty((n_snps, 3, w.shape[1]), dtype=np.float64)
+    _lib.hardcall_sweep(g, n_snps, n, w, w.shape[1], counts, sums)
+    return counts, sums
+
+
+def hardcall_stats(g: np.ndarray, y: np.ndarray):
+    """(counts (n_snps, 3) int64, ysums (n_snps, 3) float64) of a hard-call
+    block; see the NumPy twin."""
+    g = _block(g, np.int8, "hard calls")
+    counts, sums = _sweep(g, _response(y, g.shape[1])[:, None])
+    return counts, sums[:, :, 0]
+
+
+def class_sums(g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(n_snps, 3, k) per-class sums of every column of ``w`` (n, k)."""
+    return _sweep(g, w)[1]
+
+
+def dosage_stats(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(n_snps, 8) feature sums [nmiss, s1, s2, s11, s22, s12, s1y, s2y] of a
+    dosage block; see the NumPy twin."""
+    x = _block(x, np.float64, "dosages")
+    y = _response(y, x.shape[1])
+    out = np.empty((x.shape[0], 8), dtype=np.float64)
+    _lib.dosage_stats(x, x.shape[0], x.shape[1], y, out)
+    return out

@@ -1,14 +1,14 @@
 """Pure-NumPy implementations of the per-SNP sweep kernels.
 
-These mirror the compiled extension's API exactly and are selected at
-import when the extension is unavailable (or when forced via
-``GDCSCAN_BACKEND=python``).  Every statistic is reduced row by row, never
-by a block-shaped matrix product, so a SNP's statistics do not depend on
-how many SNPs share its block.  Every sum adds each row's terms in sample
-order, the order of the compiled loop, so both backends give the same
-bits: the hard-call sums are weighted ``np.bincount`` passes over
-row*4 + code, taken over cache-sized row chunks, and the dosage sums are
-the last column of a per-row ``np.cumsum``.
+These mirror the C kernels' API exactly and are selected at import when
+the C library is not built (or when forced via ``GDCSCAN_BACKEND=python``).
+Every statistic is reduced row by row, never by a block-shaped matrix
+product, so a SNP's statistics do not depend on how many SNPs share its
+block.  Every sum adds each row's terms in sample order, the order of the
+C loops, so both backends give the same bits: the hard-call sums are
+weighted ``np.bincount`` passes over row*4 + code, taken over cache-sized
+row chunks, and the dosage sums are the last column of a per-row
+``np.cumsum``.
 """
 
 from __future__ import annotations
@@ -81,24 +81,15 @@ def hardcall_stats(g: np.ndarray, y: np.ndarray):
     -------
     counts : (n_snps, 3) int64 class counts over non-missing entries.
     ysums : (n_snps, 3) float64 per-class sums of y.
-    ymiss : (n_snps,) float64 sum of y over missing entries.
-    yymiss : (n_snps,) float64 sum of y^2 over missing entries.
     """
     g = np.ascontiguousarray(g, dtype=np.int8)
     y = np.ascontiguousarray(y, dtype=np.float64)
-    n_snps, n = g.shape
-    if y.shape[0] != n:
+    if y.shape[0] != g.shape[1]:
         raise ValueError("response length must match the block width")
     counts = np.stack(
         [np.count_nonzero(g == v, axis=1) for v in (0, 1, 2)], axis=1
     ).astype(np.int64)
-    sums = _code_sums(g, y[:, None])[:, :, 0]
-    yymiss = np.zeros(n_snps, dtype=np.float64)
-    rows = np.nonzero(counts.sum(axis=1) < n)[0]
-    if rows.size:
-        row, col = np.nonzero(g[rows] < 0)
-        yymiss[rows] = np.bincount(row, weights=y[col] * y[col], minlength=rows.size)
-    return counts, np.ascontiguousarray(sums[:, :3]), sums[:, 3].copy(), yymiss
+    return counts, np.ascontiguousarray(_code_sums(g, y[:, None])[:, :3, 0])
 
 
 def class_sums(g: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -120,8 +111,8 @@ def dosage_stats(x: np.ndarray, y: np.ndarray):
     Features are f1 = x and f2 = |x - 1|; sums run over non-missing
     (non-NaN) entries, added in sample order (missing entries add zero).
 
-    Returns a (n_snps, 9) float64 array with columns
-    [nmiss, s1, s2, s11, s22, s12, s1y, s2y, ymiss].
+    Returns a (n_snps, 8) float64 array with columns
+    [nmiss, s1, s2, s11, s22, s12, s1y, s2y].
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
@@ -129,7 +120,7 @@ def dosage_stats(x: np.ndarray, y: np.ndarray):
     f1 = np.where(miss, 0.0, x)
     f2 = np.abs(f1 - 1.0)
     f2[miss] = 0.0
-    out = np.empty((x.shape[0], 9), dtype=np.float64)
+    out = np.empty((x.shape[0], 8), dtype=np.float64)
     out[:, 0] = miss.sum(axis=1)
     out[:, 1] = _row_sums(f1)
     out[:, 2] = _row_sums(f2)
@@ -138,7 +129,6 @@ def dosage_stats(x: np.ndarray, y: np.ndarray):
     out[:, 5] = _row_sums(f1 * f2)
     out[:, 6] = _row_sums(f1 * y)
     out[:, 7] = _row_sums(f2 * y)
-    out[:, 8] = _row_sums(np.where(miss, y, 0.0))
     return out
 
 

@@ -1,13 +1,16 @@
 """Kernel backend selection.
 
-The scan's inner loops live in a small compiled extension with a
-pure-NumPy twin.  ``kernels`` is the default module, chosen once at import:
-the compiled one when importable, unless the ``GDCSCAN_BACKEND``
-environment variable (``auto`` / ``compiled`` / ``python``) says
-otherwise.  A scan takes its kernel module as an argument instead
-(``run_scan(..., kernels=get_backend("python"))``); when none is given it
-reads ``kernels`` as the scan starts.  Nothing swaps ``kernels`` at run
-time, so scans with different modules can run side by side.
+The scan's inner loops live in a small plain-C library, ``_ckernels.c``,
+bound through ctypes by ``_kernels``, with a pure-NumPy twin,
+``_kernels_py``; both give the same bits.  The library is optional: it is
+built in place by ``python setup.py build_ext --inplace``.  ``kernels`` is
+the default module, chosen once at import: the C one when its library is
+built, unless the ``GDCSCAN_BACKEND`` environment variable (``auto`` /
+``compiled`` / ``python``) says otherwise.  A scan takes its kernel module
+as an argument instead (``run_scan(..., kernels=get_backend("python"))``);
+when none is given it reads ``kernels`` as the scan starts.  Nothing swaps
+``kernels`` at run time, so scans with different modules can run side by
+side.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from . import _kernels_py
 def get_backend(name: str = "auto"):
     """Return the kernel module for ``name``.
 
-    ``compiled`` raises ImportError when the extension is missing; ``auto``
+    ``compiled`` raises ImportError when the C library is not built; ``auto``
     silently falls back to the NumPy implementation.
     """
     if name == "python":

@@ -40,7 +40,6 @@ import numpy as np
 
 from .adjust import CovariateMatrix, column_features, residualize
 from . import backend
-from ._kernels_py import class_sums
 from .io import Block, VariantInfo
 from .nulldist import (
     METHOD_ASYMPTOTIC,
@@ -239,7 +238,7 @@ def _hard_terms(cfg: ScanConfig, ctx: ScanContext, g: np.ndarray,
     if ctx.qbasis is None:
         return (maf,) + hardcall_terms(b, counts, ysums, n)
     # per-class column sums of the orthonormal basis, (n_snps, 3, k)
-    csums = class_sums(g, ctx.qbasis)
+    csums = ctx.kernels.class_sums(g, ctx.qbasis)
     sqb, sqh = _scales(b)
     a0 = sqb * (csums[:, 2] - csums[:, 0])
     a1 = sqh * csums[:, 1]
@@ -254,7 +253,7 @@ def _hard_terms(cfg: ScanConfig, ctx: ScanContext, g: np.ndarray,
 def _dosage_terms(cfg: ScanConfig, ctx: ScanContext, x: np.ndarray,
                   s: np.ndarray) -> tuple:
     """(maf, c1, c2, k00, k11, k01) of complete dosage rows from their
-    feature moments ``s``: [nmiss, s1, s2, s11, s22, s12, s1y, s2y, ymiss]."""
+    feature moments ``s``: [nmiss, s1, s2, s11, s22, s12, s1y, s2y]."""
     b, n = cfg.b, ctx.n
     s1, s2 = s[:, 1], s[:, 2]
     s11, s22, s12 = s[:, 3], s[:, 4], s[:, 5]
@@ -423,7 +422,7 @@ def process_block(cfg: ScanConfig, ctx: ScanContext, block: Block) -> list:
 
     partial = []
     if hard.size:
-        counts, ysums, _, _ = ctx.kernels.hardcall_stats(g, ctx.resid)
+        counts, ysums = ctx.kernels.hardcall_stats(g, ctx.resid)
         clean = counts.sum(axis=1) == g.shape[1]
         if clean.any():
             emit(hard[clean], _hard_terms(cfg, ctx, g[clean], counts[clean], ysums[clean]))
