@@ -1,6 +1,9 @@
 """The plain-C sweep kernels of ``_ckernels.c``, bound through ctypes.
 
-Same functions, signatures and bits as the NumPy twin ``_kernels_py``.
+Same functions, signatures and bits as the NumPy twin ``_kernels_py``:
+the packed decode, the one hard-call sweep that gives class counts and
+the per-class sums of any number of weight columns, and the dosage
+feature sums.
 The library is built next to this module by ``python setup.py build_ext
 --inplace``; importing raises ImportError when it is missing, so the
 backend falls back to the twin.  Inputs are converted as the twin
@@ -65,29 +68,19 @@ def decode_packed(raw: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _sweep(g, w: np.ndarray):
+def hardcall_stats(g: np.ndarray, w: np.ndarray):
+    """(counts (n_snps, 3) int64, sums (n_snps, 3, k) float64) of a
+    hard-call block and every column of the weights ``w`` (n, k), in one
+    sweep; see the NumPy twin."""
     g = _block(g, np.int8, "hard calls")
     n_snps, n = g.shape
     w = np.ascontiguousarray(w, dtype=np.float64)
     if w.ndim != 2 or w.shape[0] != n:
-        raise ValueError("weight rows must match the block width")
+        raise ValueError("weights must be (n, k) with n the block width")
     counts = np.empty((n_snps, 3), dtype=np.int64)
     sums = np.empty((n_snps, 3, w.shape[1]), dtype=np.float64)
     _lib.hardcall_sweep(g, n_snps, n, w, w.shape[1], counts, sums)
     return counts, sums
-
-
-def hardcall_stats(g: np.ndarray, y: np.ndarray):
-    """(counts (n_snps, 3) int64, ysums (n_snps, 3) float64) of a hard-call
-    block; see the NumPy twin."""
-    g = _block(g, np.int8, "hard calls")
-    counts, sums = _sweep(g, _response(y, g.shape[1])[:, None])
-    return counts, sums[:, :, 0]
-
-
-def class_sums(g: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """(n_snps, 3, k) per-class sums of every column of ``w`` (n, k)."""
-    return _sweep(g, w)[1]
 
 
 def dosage_stats(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -5,10 +5,11 @@ the C library is not built (or when forced via ``GDCSCAN_BACKEND=python``).
 Every statistic is reduced row by row, never by a block-shaped matrix
 product, so a SNP's statistics do not depend on how many SNPs share its
 block.  Every sum adds each row's terms in sample order, the order of the
-C loops, so both backends give the same bits: the hard-call sums are
-weighted ``np.bincount`` passes over row*4 + code, taken over cache-sized
-row chunks, and the dosage sums are the last column of a per-row
-``np.cumsum``.
+C loops, so both backends give the same bits.  A hard-call block takes
+one sweep, :func:`hardcall_stats`, for all its weight columns: weighted
+``np.bincount`` passes over row*4 + code, taken over cache-sized row
+chunks whose bins are built once for every column.  The dosage sums are
+the last column of a per-row ``np.cumsum``.
 """
 
 from __future__ import annotations
@@ -43,15 +44,37 @@ def decode_packed(raw: np.ndarray, n: int) -> np.ndarray:
 _CHUNK_CALLS = 1 << 17
 
 
-def _code_sums(g: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """(n_snps, 4, k) sums of every column of ``w`` (n, k) over each row's
-    calls of each code, code 3 being a missing call (-1 & 3 == 3).
+def hardcall_stats(g: np.ndarray, w: np.ndarray):
+    """Per-SNP sufficient statistics for a hard-call block: one sweep.
+
+    Parameters
+    ----------
+    g:
+        (n_snps, n) int8 calls, -1 for missing.
+    w:
+        (n, k) float64 weights, one column per summed quantity (the
+        scan's residuals and covariate basis, or the terms of the
+        complete-case projection).
+
+    Returns
+    -------
+    counts : (n_snps, 3) int64 class counts over non-missing entries.
+    sums : (n_snps, 3, k) float64 per-class sums of every column of w.
 
     One weighted ``np.bincount`` over row*4 + code per column and row
-    chunk adds each row's weights in sample order, whatever the chunk.
+    chunk, code 3 collecting the missing calls (-1 & 3 == 3), adds each
+    row's weights in sample order, whatever the chunk; a chunk's bins
+    serve every column.
     """
+    g = np.ascontiguousarray(g, dtype=np.int8)
+    w = np.asarray(w, dtype=np.float64)
+    if g.ndim != 2 or w.ndim != 2 or w.shape[0] != g.shape[1]:
+        raise ValueError("weights must be (n, k) with n the block width")
     n_snps, n = g.shape
     k = w.shape[1]
+    counts = np.stack(
+        [np.count_nonzero(g == v, axis=1) for v in (0, 1, 2)], axis=1
+    ).astype(np.int64)
     rows = max(1, min(n_snps, _CHUNK_CALLS // max(n, 1)))
     tiles = [np.tile(w[:, j], rows) for j in range(k)]
     offsets = 4 * np.arange(rows, dtype=np.intp)[:, None]
@@ -64,45 +87,7 @@ def _code_sums(g: np.ndarray, w: np.ndarray) -> np.ndarray:
             sums[start:stop, :, j] = np.bincount(
                 bins, weights=tiles[j][: h * n], minlength=4 * h
             ).reshape(h, 4)
-    return sums
-
-
-def hardcall_stats(g: np.ndarray, y: np.ndarray):
-    """Per-SNP sufficient statistics for a hard-call block.
-
-    Parameters
-    ----------
-    g:
-        (n_snps, n) int8 calls, -1 for missing.
-    y:
-        (n,) float64 response (phenotype or residuals).
-
-    Returns
-    -------
-    counts : (n_snps, 3) int64 class counts over non-missing entries.
-    ysums : (n_snps, 3) float64 per-class sums of y.
-    """
-    g = np.ascontiguousarray(g, dtype=np.int8)
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    if y.shape[0] != g.shape[1]:
-        raise ValueError("response length must match the block width")
-    counts = np.stack(
-        [np.count_nonzero(g == v, axis=1) for v in (0, 1, 2)], axis=1
-    ).astype(np.int64)
-    return counts, np.ascontiguousarray(_code_sums(g, y[:, None])[:, :3, 0])
-
-
-def class_sums(g: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Per-class sums of every column of ``w`` (n, k) over each row of a
-    hard-call block, shaped (n_snps, 3, k).
-
-    Added in the same order as :func:`hardcall_stats`, so column ``j``
-    equals ``hardcall_stats(g, w[:, j])[1]`` bit for bit, on either
-    backend; each row chunk's code bins serve all columns.
-    """
-    g = np.ascontiguousarray(g, dtype=np.int8)
-    w = np.asarray(w, dtype=np.float64)
-    return _code_sums(g, w)[:, :3]
+    return counts, sums[:, :3]
 
 
 def dosage_stats(x: np.ndarray, y: np.ndarray):

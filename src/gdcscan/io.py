@@ -153,7 +153,11 @@ class PackedSource:
         if head[2:3] != PACKED_MODE_SNP_MAJOR:
             raise ValueError(f"{path}: unsupported mode byte {head[2:3]!r}")
 
-    def iter_blocks(self, block_size: int = DEFAULT_BLOCK_SIZE) -> Iterator[Block]:
+    def iter_blocks(self, block_size: int = DEFAULT_BLOCK_SIZE,
+                    kernels=None) -> Iterator[Block]:
+        """Decoded blocks of ``block_size`` SNPs; ``kernels`` is the kernel
+        module that decodes them (None: ``backend.kernels``)."""
+        decode = (backend.kernels if kernels is None else kernels).decode_packed
         with open(self.path, "rb") as fh:
             fh.seek(3)
             start = 0
@@ -165,7 +169,7 @@ class PackedSource:
                 mat = np.frombuffer(raw, dtype=np.uint8).reshape(
                     count, self._bytes_per_snp
                 )
-                calls = backend.kernels.decode_packed(mat, self.n_samples)
+                calls = decode(mat, self.n_samples)
                 yield Block(
                     variants=self.variants[start : start + count],
                     values=calls,
@@ -240,7 +244,10 @@ class DosageSource:
             raise ValueError(f"{path}: dosage out of [0, 2] for SNP {self.snp_ids[j]}")
         self.variants = [VariantInfo(s, ".", 0) for s in self.snp_ids]
 
-    def iter_blocks(self, block_size: int = DEFAULT_BLOCK_SIZE) -> Iterator[Block]:
+    def iter_blocks(self, block_size: int = DEFAULT_BLOCK_SIZE,
+                    kernels=None) -> Iterator[Block]:
+        """``kernels`` is accepted for the sources' common signature and
+        not used: nothing here is decoded."""
         start = 0
         while start < self.n_snps:
             count = min(block_size, self.n_snps - start)
@@ -290,7 +297,10 @@ class ArraySource:
         self.sample_ids = sample_ids or [f"s{i}" for i in range(self.n_samples)]
         self.variants = [VariantInfo(s, ".", i) for i, s in enumerate(self.snp_ids)]
 
-    def iter_blocks(self, block_size: int = DEFAULT_BLOCK_SIZE) -> Iterator[Block]:
+    def iter_blocks(self, block_size: int = DEFAULT_BLOCK_SIZE,
+                    kernels=None) -> Iterator[Block]:
+        """``kernels`` is accepted for the sources' common signature and
+        not used: nothing here is decoded."""
         start = 0
         while start < self.n_snps:
             count = min(block_size, self.n_snps - start)
@@ -315,8 +325,9 @@ class SubsetSource:
         self.sample_ids = [source.sample_ids[i] for i in self._idx]
         self.variants = source.variants
 
-    def iter_blocks(self, block_size: int = DEFAULT_BLOCK_SIZE) -> Iterator[Block]:
-        for block in self._source.iter_blocks(block_size):
+    def iter_blocks(self, block_size: int = DEFAULT_BLOCK_SIZE,
+                    kernels=None) -> Iterator[Block]:
+        for block in self._source.iter_blocks(block_size, kernels=kernels):
             yield Block(
                 variants=block.variants,
                 values=np.ascontiguousarray(block.values[:, self._idx]),

@@ -8,18 +8,26 @@ only when the bounds leave the interesting window (lower bound below the
 screen threshold, upper bound above the floor).  Above the configured
 sample-size switch the asymptotic tail replaces the exact law.
 
-SNP columns with no missing entries take a vectorized block path: one
-producer per row kind turns the kernel sweep's per-SNP sums (class counts
-and residual sums for hard calls, feature moments for dosages) into the
-statistic's cross sums and the 2x2 spectral matrix.  One screening tail
-turns those into records: it makes the screening decision for the whole
-block at once, as masks over the bounds; only in-window rows are
-evaluated, one SNP at a time, and the other records are built straight
-from the block's columns.  Columns with missing entries fall back to a
-per-SNP path that redoes the covariate projection on the complete-case
-subsample and then goes through the same tail as a one-row block.  The
-kernel module is the scan context's ``kernels`` field, passed to
-:func:`run_scan` or read from ``backend.kernels`` when the scan starts.
+SNPs take a vectorized block path: one producer per row kind turns the
+kernel sweep's per-SNP sums into the statistic's cross sums and the 2x2
+spectral matrix.  A hard-call block makes one sweep, of class counts and
+the per-class sums of the residuals and the covariate basis; its rows
+with missing calls make one more, over those rows only, whose sums give
+each row's complete-case projection exactly (see
+:func:`_missing_hard_terms`).  Complete dosage rows use their feature
+moments.  One screening tail turns the terms into records: it makes the
+screening decision for the whole block at once, as masks over the
+bounds; only in-window rows are evaluated, one SNP at a time, and the
+other records are built straight from the block's columns.  A per-SNP
+path, which redoes the covariate projection on the complete-case
+subsample and then goes through the same tail as a one-row block, is
+left for dosage rows with missing entries, multiallelic columns, and the
+missing-call rows the block algebra cannot settle (too few samples, a
+near-singular complete-case design, a phenotype in its span); it gives
+those rows their error codes.  The kernel module is the scan context's
+``kernels`` field, passed to :func:`run_scan` or read from
+``backend.kernels`` when the scan starts; it also decodes packed
+sources.
 Each row of the results file is one ``%.17g`` template.  Output order
 always equals input order, and every per-SNP sum is reduced row by row,
 so the output bytes do not depend on the worker count, the block size or
@@ -57,6 +65,13 @@ from .nulldist import (
 from .premetric import GenotypeColumn
 
 log = logging.getLogger("gdcscan")
+
+# rows with missing calls whose complete-case covariate Gram matrix Q_S'Q_S
+# has an eigenvalue ratio below this, or whose complete-case residual sum
+# of squares is not above _MIN_RSS_SHARE of the residuals' own, take the
+# per-SNP path
+_MIN_GRAM_RATIO = 1e-6
+_MIN_RSS_SHARE = 1e-12
 
 METHOD_SCREEN_HIGH = "screened_out_high"
 METHOD_SCREEN_LOW = "screened_out_low"
@@ -132,8 +147,17 @@ class ScanRecord:
 @dataclass
 class ScanContext:
     """Shared per-phenotype state: residuals, their scale, the orthonormal
-    covariate basis, the degree count they remove, and the kernel module
-    that runs the block sweeps."""
+    covariate basis, the degree count they remove, the kernel module that
+    runs the block sweeps and the weight columns it sums.
+
+    ``weights`` is ``[resid | qbasis]`` (``resid`` alone without
+    covariates), the columns of every hard-call block's sweep.
+    ``miss_weights`` is ``[r^2, Q*r, upper triangle of Q Q^T]`` with ``r``
+    the residuals and ``Q`` the basis (the column ``1/sqrt(n)`` without
+    covariates), summed over the rows with missing calls.  ``gram_floor``
+    is the smallest eigenvalue ratio of a row's ``Q'Q`` that the block
+    algebra accepts.
+    """
 
     y: np.ndarray
     covariates: CovariateMatrix | None
@@ -143,6 +167,9 @@ class ScanContext:
     df_sub: int
     n: int
     kernels: object
+    weights: np.ndarray
+    miss_weights: np.ndarray
+    gram_floor: float
 
 
 def prepare_context(phenotype, covariates: CovariateMatrix | None = None,
@@ -158,19 +185,32 @@ def prepare_context(phenotype, covariates: CovariateMatrix | None = None,
         resid = y - y.mean()
         qbasis = None
         df_sub = 1
+        q = np.full((n, 1), 1.0 / math.sqrt(n))
+        weights = resid[:, None]
+        gram_floor = _MIN_GRAM_RATIO
     else:
         if covariates.n != n:
             raise ValueError("covariate rows must align with the phenotype")
         rp = residualize(y, covariates)
         resid = rp.residuals
-        qbasis = covariates.orthonormal_basis()
+        qbasis = q = covariates.orthonormal_basis()
         df_sub = qbasis.shape[1]
+        weights = np.column_stack([resid, qbasis])
+        # Z = Q S V' makes cond(Z_S) <= sqrt(cond(Q_S'Q_S)) * cond(Z), so
+        # above this floor every complete-case design passes the per-SNP
+        # path's rank test (singular values above 1e-10 of the largest)
+        # with a factor 10 to spare
+        sv = np.linalg.svd(covariates.matrix, compute_uv=False)
+        gram_floor = max(_MIN_GRAM_RATIO, (1e-9 * sv[0] / sv[-1]) ** 2)
     rss = float(resid @ resid)
     if rss <= 0.0:
         raise ValueError("degenerate response: zero phenotype variance")
+    iu, ju = np.triu_indices(q.shape[1])
+    miss_weights = np.column_stack([resid * resid, q * resid[:, None], q[:, iu] * q[:, ju]])
     return ScanContext(
         y=y, covariates=covariates, qbasis=qbasis, resid=resid, rss=rss,
         df_sub=df_sub, n=n, kernels=backend.kernels if kernels is None else kernels,
+        weights=weights, miss_weights=miss_weights, gram_floor=gram_floor,
     )
 
 
@@ -227,27 +267,96 @@ def _row_basis_dots(f: np.ndarray, basis: np.ndarray) -> np.ndarray:
     )
 
 
-def _hard_terms(cfg: ScanConfig, ctx: ScanContext, g: np.ndarray,
-                counts: np.ndarray, ysums: np.ndarray) -> tuple:
-    """(maf, c1, c2, k00, k11, k01) of complete hard-call rows from class
-    counts and per-class residual sums: c1/c2 are the residual cross sums
-    of the unscaled features, k the 2x2 spectral matrix."""
-    b, n = cfg.b, ctx.n
-    q = (counts[:, 1] + 2.0 * counts[:, 2]) / (2.0 * n)
-    maf = np.minimum(q, 1.0 - q)
-    if ctx.qbasis is None:
-        return (maf,) + hardcall_terms(b, counts, ysums, n)
-    # per-class column sums of the orthonormal basis, (n_snps, 3, k)
-    csums = ctx.kernels.class_sums(g, ctx.qbasis)
+def _maf(counts: np.ndarray, n_used) -> np.ndarray:
+    q = (counts[:, 1] + 2.0 * counts[:, 2]) / (2.0 * n_used)
+    return np.minimum(q, 1.0 - q)
+
+
+def _feature_basis_sums(b: float, counts: np.ndarray, qsums: np.ndarray) -> tuple:
+    """(utu00, utu11, a0, a1) of hard-call rows: the diagonal of U'U for
+    the scaled features U, and the rows of U'Q from the per-class sums
+    ``qsums`` (n_snps, 3, k) of the covariate basis Q (U's columns are
+    orthogonal class contrasts, so U'U is diagonal)."""
     sqb, sqh = _scales(b)
-    a0 = sqb * (csums[:, 2] - csums[:, 0])
-    a1 = sqh * csums[:, 1]
     utu00 = (b / 2.0) * (counts[:, 0] + counts[:, 2])
     utu11 = ((4.0 - b) / 2.0) * counts[:, 1]
+    return utu00, utu11, sqb * (qsums[:, 2] - qsums[:, 0]), sqh * qsums[:, 1]
+
+
+def _hard_terms(cfg: ScanConfig, ctx: ScanContext, counts: np.ndarray,
+                sums: np.ndarray) -> tuple:
+    """(maf, c1, c2, k00, k11, k01) of complete hard-call rows from the
+    sweep of ``ctx.weights``: class counts and per-class sums of the
+    residuals and the covariate basis.  c1/c2 are the residual cross sums
+    of the unscaled features, k the 2x2 spectral matrix."""
+    b, n = cfg.b, ctx.n
+    maf = _maf(counts, n)
+    ysums = sums[:, :, 0]
+    if ctx.qbasis is None:
+        return (maf,) + hardcall_terms(b, counts, ysums, n)
+    utu00, utu11, a0, a1 = _feature_basis_sums(b, counts, sums[:, :, 1:])
     k00 = (utu00 - (a0 * a0).sum(axis=1)) / n
     k11 = (utu11 - (a1 * a1).sum(axis=1)) / n
     k01 = (-(a0 * a1).sum(axis=1)) / n
     return maf, ysums[:, 2] - ysums[:, 0], ysums[:, 1], k00, k11, k01
+
+
+def _missing_hard_terms(cfg: ScanConfig, ctx: ScanContext, g: np.ndarray,
+                        counts: np.ndarray, sums: np.ndarray) -> tuple:
+    """Complete-case terms of hard-call rows with missing calls.
+
+    On a row's present samples S the complete-case residual is
+    ``r_S - Q_S beta`` with ``G = Q_S'Q_S``, ``h = Q_S'r_S`` and
+    ``beta = G^-1 h``, because the full-sample residual ``r`` differs
+    from the phenotype by a vector of the covariate span.  So one more
+    sweep, of ``ctx.miss_weights`` over these rows, gives everything:
+    ``rss = r_S'r_S - h'beta``, the residual's class sums
+    ``R_c - Q_c beta`` and ``n_used * K = diag(U'U) - A G^-1 A'`` with
+    ``A = U'Q_S``.  Every reduction runs row by row.
+
+    Returns ``(ok, n_used, rss, terms)``: a mask of the rows settled here
+    and, for those rows, their sample counts, residual sums of squares and
+    (maf, c1, c2, k00, k11, k01).  The other rows are left to the per-SNP
+    path: too few samples, a near-singular G, a phenotype (almost) in the
+    covariate span of S, or non-finite terms.
+    """
+    b = cfg.b
+    n_used = counts.sum(axis=1)
+    ok = n_used >= max(4, ctx.df_sub + 3)
+    k = ctx.df_sub  # the width of the covariate basis Q
+    rows = np.nonzero(ok)[0]
+    s = ctx.kernels.hardcall_stats(g[rows], ctx.miss_weights)[1]
+    tot = s[:, 0] + s[:, 1] + s[:, 2]
+    srr, h = tot[:, 0], tot[:, 1 : 1 + k]
+    iu, ju = np.triu_indices(k)
+    gram = np.empty((rows.size, k, k))
+    gram[:, iu, ju] = tot[:, 1 + k :]
+    gram[:, ju, iu] = tot[:, 1 + k :]
+    eig = np.linalg.eigvalsh(gram)
+    well = eig[:, 0] >= ctx.gram_floor * eig[:, -1]
+    ok[rows[~well]] = False
+    rows, srr, h, gram = rows[well], srr[well], h[well], gram[well]
+    counts, sums, n_used = counts[rows], sums[rows], n_used[rows]
+    if ctx.qbasis is None:
+        qsums = counts[:, :, None] / math.sqrt(ctx.n)
+    else:
+        qsums = sums[:, :, 1:]
+    utu00, utu11, a0, a1 = _feature_basis_sums(b, counts, qsums)
+    x = np.linalg.solve(gram, np.stack([h, a0, a1], axis=2))
+    beta = x[:, :, 0]
+    rss = srr - (h * beta).sum(axis=1)
+    e = sums[:, :, 0] - (qsums * beta[:, None, :]).sum(axis=2)
+    terms = (
+        _maf(counts, n_used), e[:, 2] - e[:, 0], e[:, 1],
+        (utu00 - (a0 * x[:, :, 1]).sum(axis=1)) / n_used,
+        (utu11 - (a1 * x[:, :, 2]).sum(axis=1)) / n_used,
+        (-(a0 * x[:, :, 2]).sum(axis=1)) / n_used,
+    )
+    good = (rss > _MIN_RSS_SHARE * srr) & np.isfinite(rss)
+    for t in terms[1:]:
+        good &= np.isfinite(t)
+    ok[rows[~good]] = False
+    return ok, n_used[good], rss[good], tuple(t[good] for t in terms)
 
 
 def _dosage_terms(cfg: ScanConfig, ctx: ScanContext, x: np.ndarray,
@@ -275,23 +384,25 @@ def _dosage_terms(cfg: ScanConfig, ctx: ScanContext, x: np.ndarray,
     )
 
 
-def _records(cfg: ScanConfig, ctx: ScanContext, variants, maf, c1, c2,
-             k00, k11, k01) -> list:
-    """Records for complete rows from the producers' per-SNP terms."""
+def _records(cfg: ScanConfig, df_sub: int, variants, n_used, rss, maf, c1,
+             c2, k00, k11, k01) -> list:
+    """Records from the producers' per-SNP terms; ``n_used`` and ``rss``
+    (the residual sum of squares) are scalars or one entry per row."""
     sqb, sqh = _scales(cfg.b)
     v1 = sqb * c1
     v2 = sqh * c2
-    stat = (v1 * v1 + v2 * v2) / ctx.rss
+    stat = (v1 * v1 + v2 * v2) / rss
     lam1, lam2 = eig2x2(k00, k11, k01)
-    p_lo, p_hi = pvalue_bounds_batch(lam1, lam2, stat, ctx.n, ctx.df_sub)
-    return _screened_records(cfg, ctx.n, ctx.df_sub, variants, maf, stat,
+    p_lo, p_hi = pvalue_bounds_batch(lam1, lam2, stat, n_used, df_sub)
+    return _screened_records(cfg, n_used, df_sub, variants, maf, stat,
                              lam1, lam2, p_lo, p_hi)
 
 
-def _screened_records(cfg: ScanConfig, n_used: int, df_sub: int, variants,
+def _screened_records(cfg: ScanConfig, n_used, df_sub: int, variants,
                       maf, stat, lam1, lam2, p_lo, p_hi) -> list:
-    """Apply the screening decision to rows that share a sample count and
-    a covariate degree count, and evaluate the in-window rows.
+    """Apply the screening decision to rows that share a covariate degree
+    count, and evaluate the in-window rows.  ``n_used`` is one sample
+    count for all rows or one per row.
 
     The decision is made once for all rows, as masks: degenerate
     (``lambda1 <= 0``; the statistic is identically zero there and any
@@ -313,26 +424,28 @@ def _screened_records(cfg: ScanConfig, n_used: int, df_sub: int, variants,
         code = np.where(degen, 0, np.where(p_lo >= cfg.screen_threshold, 1, low))
     b = cfg.b
     columns = zip(
-        variants, code.tolist(), maf.tolist(),
+        variants, code.tolist(), np.broadcast_to(n_used, code.shape).tolist(), maf.tolist(),
         np.where(live, stat, 0.0).tolist(), np.where(live, lam1, 0.0).tolist(),
         np.where(live, lam2, 0.0).tolist(), np.where(live, p_lo, 1.0).tolist(),
         np.where(live, p_hi, 1.0).tolist(),
     )
     # positional fields: keywords cost twice the time of this loop
     return [
-        _evaluated_record(cfg, var, m, n_used, df_sub, s, l1, l2, lo, hi)
+        _evaluated_record(cfg, var, m, nu, df_sub, s, l1, l2, lo, hi)
         if c == 3 else
-        ScanRecord(var.snp_id, var.chrom, var.pos, m, n_used, b, s, l1, l2,
+        ScanRecord(var.snp_id, var.chrom, var.pos, m, nu, b, s, l1, l2,
                    lo, hi, None if c == 1 else hi, _SCREENED[c])
-        for var, c, m, s, l1, l2, lo, hi in columns
+        for var, c, nu, m, s, l1, l2, lo, hi in columns
     ]
 
 
 def _test_single_column(cfg: ScanConfig, ctx: ScanContext,
                         column: GenotypeColumn) -> ScanRecord:
-    """Per-SNP path for columns with missing entries (and the multiallelic
-    entry point).  Redoes the covariate projection on the complete-case
-    subsample, so the conditional null law stays exact."""
+    """Per-SNP path: dosage columns with missing entries, the multiallelic
+    entry point, and the hard-call rows with missing calls that the block
+    algebra leaves alone (see :func:`_missing_hard_terms`).  Redoes the
+    covariate projection on the complete-case subsample, so the
+    conditional null law stays exact, and gives each row's error code."""
     variant = VariantInfo(column.snp_id, column.chrom, column.pos)
     mask = column.present_mask()
     n_used = int(mask.sum())
@@ -398,10 +511,13 @@ def _multi_eigen_record(cfg, variant, sub, spec, stat, n_used) -> ScanRecord:
 def process_block(cfg: ScanConfig, ctx: ScanContext, block: Block) -> list:
     """Records for one block, input order preserved.
 
-    Complete rows go through the columnar engine: hard calls, and dosage
-    rows whose entries are all 0/1/2 (as int8 calls), from class counts and
-    residual sums; other dosage rows from their feature moments.  Rows with
-    a missing entry take the per-SNP path.
+    Hard calls, and dosage rows whose present entries are all 0/1/2 (as
+    int8 calls), go through the columnar engine from one sweep of class
+    counts and class sums; their rows with missing calls get their
+    complete-case terms from one more sweep over those rows.  Complete
+    dosage rows go through it from their feature moments.  Dosage rows
+    with a missing entry, and the hard-call rows the missing-call algebra
+    cannot settle, take the per-SNP path.
     """
     x = block.values
     if block.kind == "hard":
@@ -415,24 +531,31 @@ def process_block(cfg: ScanConfig, ctx: ScanContext, block: Block) -> list:
         raise ValueError(f"blocks must be hard or dosage, got {block.kind!r}")
     records: list = [None] * len(block.variants)
 
-    def emit(rows, terms):
-        recs = _records(cfg, ctx, [block.variants[i] for i in rows], *terms)
+    def emit(rows, n_used, rss, terms):
+        recs = _records(cfg, ctx.df_sub, [block.variants[i] for i in rows],
+                        n_used, rss, *terms)
         for i, rec in zip(rows, recs):
             records[i] = rec
 
     partial = []
     if hard.size:
-        counts, ysums = ctx.kernels.hardcall_stats(g, ctx.resid)
+        counts, sums = ctx.kernels.hardcall_stats(g, ctx.weights)
         clean = counts.sum(axis=1) == g.shape[1]
         if clean.any():
-            emit(hard[clean], _hard_terms(cfg, ctx, g[clean], counts[clean], ysums[clean]))
-        partial.append((hard[~clean], g[~clean], "hard"))
+            emit(hard[clean], ctx.n, ctx.rss, _hard_terms(cfg, ctx, counts[clean], sums[clean]))
+        if not clean.all():
+            gm = g[~clean]
+            ok, n_used, rss, terms = _missing_hard_terms(cfg, ctx, gm, counts[~clean], sums[~clean])
+            miss = hard[~clean]
+            if ok.any():
+                emit(miss[ok], n_used, rss, terms)
+            partial.append((miss[~ok], gm[~ok], "hard"))
     if soft.size:
         xs = x[soft]
         s = ctx.kernels.dosage_stats(xs, ctx.resid)
         clean = s[:, 0] == 0
         if clean.any():
-            emit(soft[clean], _dosage_terms(cfg, ctx, xs[clean], s[clean]))
+            emit(soft[clean], ctx.n, ctx.rss, _dosage_terms(cfg, ctx, xs[clean], s[clean]))
         partial.append((soft[~clean], xs[~clean], "dosage"))
     for rows, values, kind in partial:
         for i, v in zip(rows, values):
@@ -514,7 +637,7 @@ def run_scan(config: ScanConfig, genotypes, phenotype,
                 f"genotype source has {genotypes.n_samples} samples but the "
                 f"phenotype has {ctx.n}"
             )
-        blocks = genotypes.iter_blocks(config.block_size)
+        blocks = genotypes.iter_blocks(config.block_size, kernels=ctx.kernels)
     else:
         blocks = _blocks_from_columns(genotypes, config.block_size)
 

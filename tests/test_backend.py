@@ -18,6 +18,7 @@ import pytest
 import gdcscan
 from gdcscan import _kernels_py, backend
 from gdcscan.backend import get_backend
+from test_scan import _missing_call_panel
 
 try:
     from gdcscan import _kernels as _installed
@@ -74,10 +75,11 @@ def test_decode_packed_agreement(ckernels):
 def test_hardcall_stats_agreement(ckernels):
     rng = np.random.default_rng(1)
     g = _random_block(rng)
-    y = rng.standard_normal(g.shape[1])
-    a, b = ckernels.hardcall_stats(g, y), _kernels_py.hardcall_stats(g, y)
+    w = rng.standard_normal((g.shape[1], 4))
+    a, b = ckernels.hardcall_stats(g, w), _kernels_py.hardcall_stats(g, w)
     assert len(a) == len(b) == 2
-    # both backends add each row's responses in sample order: same bits
+    assert a[1].shape == (g.shape[0], 3, 4)
+    # both backends add each row's weights in sample order: same bits
     for part_a, part_b in zip(a, b):
         assert part_a.dtype == part_b.dtype
         np.testing.assert_array_equal(part_a, part_b)
@@ -104,18 +106,17 @@ def test_c_kernels_stay_in_bounds_on_invalid_calls(ckernels):
     for i, bad in enumerate((3, -2, 127, -128)):
         g[i, rng.integers(0, 50, size=3)] = bad
     g[-1, -1] = 3  # the last call of the block's last row
-    y = rng.standard_normal(50)
     w = rng.standard_normal((50, 2))
-    counts, ysums = ckernels.hardcall_stats(g, y)
+    y = w[:, 0]
+    counts, sums = ckernels.hardcall_stats(g, w)
     assert ((counts >= 0) & (counts <= 50)).all()
     for i in range(6):
         valid = (g[i] >= 0) & (g[i] <= 2)
         assert counts[i].sum() == valid.sum()
         for j in range(3):
-            assert ysums[i, j] == pytest.approx(y[g[i] == j].sum(), abs=1e-12)
-    np.testing.assert_array_equal(counts, _kernels_py.hardcall_stats(g, y)[0])
-    np.testing.assert_array_equal(ckernels.class_sums(g, w)[:, :, 1],
-                                  ckernels.hardcall_stats(g, w[:, 1])[1])
+            assert sums[i, j, 0] == pytest.approx(y[g[i] == j].sum(), abs=1e-12)
+    np.testing.assert_array_equal(counts, _kernels_py.hardcall_stats(g, w)[0])
+    np.testing.assert_array_equal(sums[:, :, 1], ckernels.hardcall_stats(g, w[:, 1:])[1][:, :, 0])
 
 
 def test_c_binding_rejects_wrong_shapes(ckernels):
@@ -124,14 +125,15 @@ def test_c_binding_rejects_wrong_shapes(ckernels):
         ckernels.decode_packed(np.zeros((2, 3), dtype=np.uint8), 13)
     with pytest.raises(ValueError):
         ckernels.decode_packed(np.zeros(3, dtype=np.uint8), 12)
-    with pytest.raises(ValueError):
-        ckernels.hardcall_stats(g, np.zeros(9))
-    with pytest.raises(ValueError):
-        ckernels.hardcall_stats(g[0], np.zeros(10))
-    with pytest.raises(ValueError):
-        ckernels.class_sums(g, np.zeros((11, 2)))
-    with pytest.raises(ValueError):
-        ckernels.class_sums(g, np.zeros(10))
+    for kernels in (ckernels, _kernels_py):
+        with pytest.raises(ValueError):
+            kernels.hardcall_stats(g, np.zeros((9, 1)))
+        with pytest.raises(ValueError):
+            kernels.hardcall_stats(g[0], np.zeros((10, 1)))
+        with pytest.raises(ValueError):
+            kernels.hardcall_stats(g, np.zeros((11, 2)))
+        with pytest.raises(ValueError):
+            kernels.hardcall_stats(g, np.zeros(10))
     with pytest.raises(ValueError):
         ckernels.dosage_stats(np.zeros((3, 10)), np.zeros((10, 1)))
 
@@ -147,13 +149,13 @@ def test_hardcall_stats_reference():
     """NumPy kernel against a direct per-class loop."""
     rng = np.random.default_rng(3)
     g = _random_block(rng, n_snps=8, n=40)
-    y = rng.standard_normal(40)
-    counts, ysums = _kernels_py.hardcall_stats(g, y)
+    w = rng.standard_normal((40, 2))
+    counts, sums = _kernels_py.hardcall_stats(g, w)
     for i in range(8):
         for j in range(3):
             sel = g[i] == j
             assert counts[i, j] == sel.sum()
-            assert ysums[i, j] == pytest.approx(y[sel].sum(), abs=1e-12)
+            np.testing.assert_allclose(sums[i, j], w[sel].sum(axis=0), rtol=0, atol=1e-12)
 
 
 def test_dosage_stats_reference():
@@ -189,12 +191,11 @@ def test_numpy_kernels_independent_of_block_height(height, monkeypatch):
     x[rng.random(x.shape) < 0.02] = np.nan
     y = rng.standard_normal(n)
     w = rng.standard_normal((n, 3))
-    hard_rows = [_kernels_py.hardcall_stats(g[i : i + 1], y) for i in range(64)]
+    hard_rows = [_kernels_py.hardcall_stats(g[i : i + 1], w) for i in range(64)]
     dosage_rows = [_kernels_py.dosage_stats(x[i : i + 1], y) for i in range(64)]
-    class_rows = [_kernels_py.class_sums(g[i : i + 1], w) for i in range(64)]
     for start in range(0, 64, height):
         stop = start + height
-        for k, part in enumerate(_kernels_py.hardcall_stats(g[start:stop], y)):
+        for k, part in enumerate(_kernels_py.hardcall_stats(g[start:stop], w)):
             np.testing.assert_array_equal(
                 part, np.concatenate([r[k] for r in hard_rows[start:stop]])
             )
@@ -202,29 +203,27 @@ def test_numpy_kernels_independent_of_block_height(height, monkeypatch):
             _kernels_py.dosage_stats(x[start:stop], y),
             np.concatenate(dosage_rows[start:stop]),
         )
-        np.testing.assert_array_equal(
-            _kernels_py.class_sums(g[start:stop], w),
-            np.concatenate(class_rows[start:stop]),
-        )
 
 
-def test_class_sums_match_hardcall_stats(request):
-    """Each column's class sums are the hard-call kernel's response sums
-    for that column, bit for bit, on both backends (the C one when a
-    compiler is on PATH), for widths of every residue mod 4."""
+def test_hardcall_stats_columns_match_one_column_sweeps(request):
+    """Column ``j`` of a k-column sweep is the one-column sweep of that
+    column, bit for bit, on both backends (the C one when a compiler is
+    on PATH), for widths of every residue mod 4."""
     modules = [_kernels_py] + ([request.getfixturevalue("ckernels")] if CC else [])
     rng = np.random.default_rng(7)
     for n in (256, 257, 258, 259):
         g = _random_block(rng, n=n)
         w = rng.standard_normal((n, 3))
-        sums = _kernels_py.class_sums(g, w)
+        counts, sums = _kernels_py.hardcall_stats(g, w)
         assert sums.shape == (g.shape[0], 3, 3)
         for kernels in modules:
-            np.testing.assert_array_equal(kernels.class_sums(g, w), sums)
+            got = kernels.hardcall_stats(g, w)
+            np.testing.assert_array_equal(got[0], counts)
+            np.testing.assert_array_equal(got[1], sums)
             for j in range(3):
-                np.testing.assert_array_equal(
-                    sums[:, :, j], kernels.hardcall_stats(g, w[:, j])[1]
-                )
+                one = kernels.hardcall_stats(g, w[:, j : j + 1])
+                np.testing.assert_array_equal(one[0], counts)
+                np.testing.assert_array_equal(sums[:, :, j], one[1][:, :, 0])
 
 
 def test_get_backend_selection():
@@ -241,17 +240,23 @@ def test_get_backend_selection():
 
 
 class _CountingKernels:
-    """The NumPy kernels, recording the height of every hard-call block."""
+    """The NumPy kernels, recording the height of every hard-call block
+    and the number of packed decodes."""
 
     def __init__(self):
         self.heights = []
+        self.decodes = 0
 
     def __getattr__(self, name):
         return getattr(_kernels_py, name)
 
-    def hardcall_stats(self, g, y):
+    def hardcall_stats(self, g, w):
         self.heights.append(g.shape[0])
-        return _kernels_py.hardcall_stats(g, y)
+        return _kernels_py.hardcall_stats(g, w)
+
+    def decode_packed(self, raw, n):
+        self.decodes += 1
+        return _kernels_py.decode_packed(raw, n)
 
 
 def test_scans_with_different_kernels_run_side_by_side():
@@ -331,3 +336,41 @@ def test_dosage_scan_results_match_across_backends(ckernels):
         assert len(rc) == len(rp) == 120
         for a, b in zip(rc, rp):
             assert record_row(a) == record_row(b)
+
+
+def test_packed_scan_decodes_through_passed_kernels(tmp_path, monkeypatch):
+    """Every decode of a packed scan goes to the kernel module passed to
+    ``run_scan``, none to ``backend.kernels``; subset views forward it."""
+    from gdcscan.io import ArraySource, PackedSource, SubsetSource, write_packed
+    from gdcscan.scan import ScanConfig, record_row, run_scan
+
+    g, y, cov = _missing_call_panel(n_snps=90)
+    path = str(tmp_path / "panel.geno")
+    write_packed(path, g, [(f"rs{i}", "1", i) for i in range(90)],
+                 [f"s{i}" for i in range(g.shape[1])])
+    default, passed = _CountingKernels(), _CountingKernels()
+    monkeypatch.setattr(backend, "kernels", default)
+    cfg = ScanConfig(b=3.0, block_size=16)
+    packed = [record_row(r) for r in run_scan(cfg, PackedSource(path), y, cov, kernels=passed)]
+    assert (passed.decodes, default.decodes) == (6, 0)
+    half = np.arange(0, g.shape[1], 2)
+    list(run_scan(cfg, SubsetSource(PackedSource(path), half), y[half], kernels=passed))
+    assert (passed.decodes, default.decodes) == (12, 0)
+    arrays = [record_row(r) for r in run_scan(cfg, ArraySource(g), y, cov, kernels=passed)]
+    assert [row.split("\t", 3)[3] for row in packed] == [row.split("\t", 3)[3] for row in arrays]
+
+
+def test_missing_call_scan_matches_across_backends(ckernels, tmp_path):
+    """A covariate panel with random missing calls: the C library and the
+    NumPy twin write byte-identical TSVs."""
+    from gdcscan.io import ArraySource
+    from gdcscan.scan import ScanConfig, run_scan, write_results
+
+    g, y, cov = _missing_call_panel()
+    src = ArraySource(g, kind="hard")
+    blobs = []
+    for kernels in (ckernels, _kernels_py):
+        path = tmp_path / f"{kernels.IS_COMPILED}.tsv"
+        write_results(run_scan(ScanConfig(b=2.5), src, y, cov, kernels=kernels), str(path))
+        blobs.append(path.read_bytes())
+    assert blobs[0] == blobs[1]

@@ -481,10 +481,13 @@ def test_bound_sandwich_on_adjusted_spectra():
     b=st.floats(0.0, 4.0),
     with_covariates=st.booleans(),
     no_screen=st.booleans(),
+    missing=st.floats(0.0, 0.1),
 )
 def test_block_engine_matches_per_snp_path(seed, kind, n, n_snps, b,
-                                           with_covariates, no_screen):
-    """Every complete SNP of a block gets the record of the per-SNP path:
+                                           with_covariates, no_screen, missing):
+    """Every SNP the block engine settles, complete hard-call and dosage
+    rows and hard-call rows with 0-10% missing calls alike, gets the
+    record of the per-SNP path: the same method, sample count and MAF,
     stat and spectrum to rel 1e-9, p-values to rel 1e-8."""
     rng = np.random.default_rng(seed)
     maf = rng.uniform(0.05, 0.5, size=(n_snps, 1))
@@ -492,6 +495,9 @@ def test_block_engine_matches_per_snp_path(seed, kind, n, n_snps, b,
     g[:, :3] = [0, 1, 2]  # every class present: no degenerate spectrum
     if kind == "hard":
         values = g.astype(np.int8)
+        drop = rng.random((n_snps, n)) < missing
+        drop[:, :3] = False
+        values[drop] = -1
     else:
         values = np.clip(g + rng.uniform(-0.4, 0.4, size=g.shape), 0.0, 2.0)
     y = rng.standard_normal(n) + 0.5 * values[0]
@@ -510,7 +516,11 @@ def test_block_engine_matches_per_snp_path(seed, kind, n, n_snps, b,
     for i, rec in enumerate(block):
         col = GenotypeColumn(snp_id=f"rs{i}", chrom="1", pos=i, values=values[i], kind=kind)
         ref = scan_module._test_single_column(cfg, ctx, col)
-        assert rec.method == ref.method
+        assert (rec.method, rec.n_used) == (ref.method, ref.n_used)
+        if kind == "hard":
+            assert rec.maf == ref.maf
+        else:  # a sequential sum of dosages against a pairwise mean
+            assert rec.maf == pytest.approx(ref.maf, rel=1e-12)
         for field in ("stat", "lambda1", "lambda2"):
             assert getattr(rec, field) == pytest.approx(
                 getattr(ref, field), rel=1e-9, abs=1e-12
@@ -641,3 +651,92 @@ def test_block_tail_screening_boundaries(monkeypatch):
                 assert rec.method == meth
                 assert rec.p_value == (hi if meth == "screened_out_low" else None)
         assert len(evaluated) == in_window
+
+
+def _missing_call_panel(seed=31, n_snps=150, n=240):
+    """Hard calls with 0-10% missing calls per SNP, a phenotype and an
+    age + sex covariate matrix (also scanned by ``test_backend``)."""
+    rng = np.random.default_rng(seed)
+    g = draw_genotypes(rng, n, 0.3, n_snps)
+    g[rng.random((n_snps, n)) < rng.uniform(0.0, 0.1, size=(n_snps, 1))] = -1
+    sex = rng.integers(0, 2, n).astype(float)
+    y = rng.standard_normal(n) + 0.4 * sex + 0.8 * (g[0] == 2)
+    cov = CovariateMatrix.build(
+        {"intercept": np.ones(n), "age": rng.normal(50.0, 10.0, n), "sex": sex}
+    )
+    return g, y, cov
+
+
+def test_missing_calls_byte_identical_across_blocks_and_threads(tmp_path, monkeypatch):
+    """A covariate scan with random missing calls writes one TSV for block
+    sizes 1, 7 and 1024 and 1 or 3 threads, and the block engine settles
+    every one of its missing-call rows."""
+    g, y, cov = _missing_call_panel()
+    src = ArraySource(g, kind="hard")
+    single = scan_module._test_single_column
+    routed = []
+
+    def counting_single(cfg, ctx, column):
+        routed.append(column.snp_id)
+        return single(cfg, ctx, column)
+
+    monkeypatch.setattr(scan_module, "_test_single_column", counting_single)
+    blobs = []
+    for block in (1, 7, 1024):
+        for threads in (1, 3):
+            cfg = ScanConfig(b=3.0, threads=threads, block_size=block)
+            path = tmp_path / f"out_{block}_{threads}.tsv"
+            write_results(run_scan(cfg, src, y, cov), str(path))
+            blobs.append(path.read_bytes())
+    assert all(blob == blobs[0] for blob in blobs[1:])
+    assert routed == []
+    recs = read_results(str(tmp_path / "out_1024_1.tsv"))
+    assert sum(r.n_used < y.size for r in recs) > 100
+
+
+def test_routed_missing_call_rows_keep_per_snp_error_codes(caplog):
+    """Missing-call rows the block algebra cannot settle get exactly the
+    per-SNP path's record: too few samples, complete cases of one sex
+    (collinear covariates), a phenotype inside the covariate span of a
+    row's complete cases (degenerate response), and a badly scaled but
+    full-rank design whose complete cases fail the rank test although
+    their share of the orthonormal basis is well conditioned."""
+    rng = np.random.default_rng(17)
+    n = 80
+    sex = (np.arange(n) % 2).astype(float)
+    cov = CovariateMatrix.build(
+        {"intercept": np.ones(n), "age": rng.normal(50.0, 10.0, n), "sex": sex}
+    )
+    # singular value ratio 1.7e-10 on all samples, 5e-11 on row 3's
+    scaled = CovariateMatrix.build(
+        {"intercept": np.ones(n), "dose": 5e4 + (np.arange(n) < 20)}
+    )
+    g = draw_genotypes(rng, n, 0.3, 5)
+    g[0, 5:] = -1  # five samples left, below df_sub + 3 = 6
+    g[1, sex == 1] = -1  # the complete cases all have sex 0
+    g[2, : n // 2] = -1  # complete cases where y is constant
+    g[3, 1:20] = -1  # one of the 20 samples that move the dose left
+    y = rng.standard_normal(n)
+    y[n // 2 :] = 2.0
+    cases = [
+        (cov, 0, "error:too_few_samples"),
+        (cov, 1, "error:collinear_covariates"),
+        (None, 2, "error:degenerate_response"),
+        (scaled, 3, "error:collinear_covariates"),
+    ]
+    cfg = ScanConfig(b=3.0)
+    for covariates, row, method in cases:
+        ctx = scan_module.prepare_context(y, covariates)
+        with caplog.at_level(logging.WARNING, logger="gdcscan"):
+            recs = list(run_scan(cfg, ArraySource(g, kind="hard"), y, covariates))
+        col = GenotypeColumn(f"snp{row}", ".", row, g[row])
+        ref = scan_module._test_single_column(cfg, ctx, col)
+        assert ref.method == method
+        assert record_row(recs[row]) == record_row(ref)
+        assert not recs[4].method.startswith("error:")
+    # with covariates the constant phenotype is in the span of the
+    # intercept: whatever the per-SNP path makes of it, the scan agrees
+    ctx = scan_module.prepare_context(y, cov)
+    ref = scan_module._test_single_column(cfg, ctx, GenotypeColumn("snp2", ".", 2, g[2]))
+    rec = list(run_scan(cfg, ArraySource(g, kind="hard"), y, cov))[2]
+    assert record_row(rec) == record_row(ref)
