@@ -2,8 +2,8 @@
 
 Same functions, signatures and bits as the NumPy twin ``_kernels_py``:
 the packed decode, the one hard-call sweep that gives class counts and
-the per-class sums of any number of weight columns, and the dosage
-feature sums.
+the per-class sums of any number of weight columns (of hard calls, or of
+a presence pattern: 0 present, -1 missing), and the dosage feature sums.
 The library is built next to this module by ``python setup.py build_ext
 --inplace``; importing raises ImportError when it is missing, so the
 backend falls back to the twin.  Inputs are converted as the twin

@@ -50,7 +50,8 @@ def hardcall_stats(g: np.ndarray, w: np.ndarray):
     Parameters
     ----------
     g:
-        (n_snps, n) int8 calls, -1 for missing.
+        (n_snps, n) int8 calls, -1 for missing; a presence pattern (0
+        where an entry is present) gives class 0 the present-entry sums.
     w:
         (n, k) float64 weights, one column per summed quantity (the
         scan's residuals and covariate basis, or the terms of the

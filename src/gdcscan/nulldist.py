@@ -369,8 +369,7 @@ def _oscillatory_tail(f, start: float, half_period: float, eps: float,
     raise NumericsError("oscillatory tail did not converge", partial=prev_est)
 
 
-def weighted_chisq_tail(weights, threshold: float, dfs=None, eps: float = 1e-10,
-                        return_error: bool = False):
+def weighted_chisq_tail(weights, threshold: float, dfs=None, eps: float = 1e-10):
     """P(sum_r w_r chi2_{h_r} >= threshold) by numerical inversion of the
     characteristic function.  Mixed-sign weights allowed.
 
@@ -393,7 +392,7 @@ def weighted_chisq_tail(weights, threshold: float, dfs=None, eps: float = 1e-10,
             p = 1.0 if t <= 0.0 else float(special.chdtrc(hh, t / ww))
         else:
             p = 0.0 if t >= 0.0 else float(special.chdtr(hh, t / ww))
-        return (p, 0.0) if return_error else p
+        return p
 
     def theta(u):
         return 0.5 * np.sum(h * np.arctan(w * u)) - 0.5 * t * u
@@ -458,14 +457,13 @@ def weighted_chisq_tail(weights, threshold: float, dfs=None, eps: float = 1e-10,
         )
     p = 0.5 + total / math.pi
     p = min(max(p, 0.0), 1.0)
-    total_err = err_acc + eps / 2.0
     if err_acc > 4.0 * eps:
         raise NumericsError(
             "characteristic-function inversion missed its accuracy target",
             partial=p,
-            error_bound=total_err,
+            error_bound=err_acc + eps / 2.0,
         )
-    return (p, total_err) if return_error else p
+    return p
 
 
 # ---------------------------------------------------------------------------

@@ -8,21 +8,20 @@ only when the bounds leave the interesting window (lower bound below the
 screen threshold, upper bound above the floor).  Above the configured
 sample-size switch the asymptotic tail replaces the exact law.
 
-SNPs take a vectorized block path: one producer per row kind turns the
-kernel sweep's per-SNP sums into the statistic's cross sums and the 2x2
-spectral matrix.  A hard-call block makes one sweep, of class counts and
-the per-class sums of the residuals and the covariate basis; its rows
-with missing calls make one more, over those rows only, whose sums give
-each row's complete-case projection exactly (see
-:func:`_missing_hard_terms`).  Complete dosage rows use their feature
-moments.  One screening tail turns the terms into records: it makes the
-screening decision for the whole block at once, as masks over the
-bounds; only in-window rows are evaluated, one SNP at a time, and the
-other records are built straight from the block's columns.  A per-SNP
-path, which redoes the covariate projection on the complete-case
-subsample and then goes through the same tail as a one-row block, is
-left for dosage rows with missing entries, multiallelic columns, and the
-missing-call rows the block algebra cannot settle (too few samples, a
+SNPs take a vectorized block path.  A hard-call block makes one kernel
+sweep, of class counts and the per-class sums of the residuals and the
+covariate basis; dosage rows make one of their feature moments.  Both
+become sums of the scaled features over each row's present samples, and
+one complete-case projection, :func:`_projected_terms`, turns those into
+the statistic's cross sums and the 2x2 spectral matrix; rows with
+missing entries make one more sweep, over those rows only, that sums the
+projection's terms over their present samples.  One screening tail turns
+the terms into records: it makes the screening decision for the whole
+block at once, as masks over the bounds; only in-window rows are
+evaluated, one SNP at a time.  A per-SNP path, which redoes the
+covariate projection on the complete-case subsample and then goes
+through the same tail as a one-row block, is left for multiallelic
+columns and the rows the projection refuses (too few samples, a
 near-singular complete-case design, a phenotype in its span); it gives
 those rows their error codes.  The kernel module is the scan context's
 ``kernels`` field, passed to :func:`run_scan` or read from
@@ -66,7 +65,7 @@ from .premetric import GenotypeColumn
 
 log = logging.getLogger("gdcscan")
 
-# rows with missing calls whose complete-case covariate Gram matrix Q_S'Q_S
+# rows with missing entries whose complete-case covariate Gram matrix Q_S'Q_S
 # has an eigenvalue ratio below this, or whose complete-case residual sum
 # of squares is not above _MIN_RSS_SHARE of the residuals' own, take the
 # per-SNP path
@@ -105,7 +104,6 @@ class ScanConfig:
     screen_threshold: float = 1e-3
     screen_floor: float = 1e-32
     asymptotic_switch: int = 30000
-    genome_wide_alpha: float = 5e-8
     threads: int = 1
     no_screen: bool = False
     block_size: int = 1024
@@ -141,7 +139,8 @@ class ScanRecord:
             return None
         if self.p_value <= 0.0:
             return math.inf
-        return -math.log10(self.p_value)
+        # 0.0 - log10(1) is +0.0, where -log10(1) would print as -0
+        return 0.0 - math.log10(self.p_value)
 
 
 @dataclass
@@ -154,7 +153,7 @@ class ScanContext:
     covariates), the columns of every hard-call block's sweep.
     ``miss_weights`` is ``[r^2, Q*r, upper triangle of Q Q^T]`` with ``r``
     the residuals and ``Q`` the basis (the column ``1/sqrt(n)`` without
-    covariates), summed over the rows with missing calls.  ``gram_floor``
+    covariates), summed over the rows with missing entries.  ``gram_floor``
     is the smallest eigenvalue ratio of a row's ``Q'Q`` that the block
     algebra accepts.
     """
@@ -267,132 +266,110 @@ def _row_basis_dots(f: np.ndarray, basis: np.ndarray) -> np.ndarray:
     )
 
 
-def _maf(counts: np.ndarray, n_used) -> np.ndarray:
-    q = (counts[:, 1] + 2.0 * counts[:, 2]) / (2.0 * n_used)
+def _maf(dose: np.ndarray, n_used) -> np.ndarray:
+    """Minor allele frequency from the allele sum over present entries."""
+    q = dose / (2.0 * n_used)
     return np.minimum(q, 1.0 - q)
 
 
-def _feature_basis_sums(b: float, counts: np.ndarray, qsums: np.ndarray) -> tuple:
-    """(utu00, utu11, a0, a1) of hard-call rows: the diagonal of U'U for
-    the scaled features U, and the rows of U'Q from the per-class sums
-    ``qsums`` (n_snps, 3, k) of the covariate basis Q (U's columns are
-    orthogonal class contrasts, so U'U is diagonal)."""
+def _hard_sums(b: float, counts: np.ndarray, rsums: np.ndarray,
+               qsums: np.ndarray) -> tuple:
+    """(utu, ur, uq) of hard-call rows from class counts and the per-class
+    sums of r (m, 3) and Q (m, 3, k).  U's columns sqrt(b/2) (x - 1) and
+    sqrt((4-b)/2) [x = 1] are orthogonal class contrasts."""
     sqb, sqh = _scales(b)
-    utu00 = (b / 2.0) * (counts[:, 0] + counts[:, 2])
-    utu11 = ((4.0 - b) / 2.0) * counts[:, 1]
-    return utu00, utu11, sqb * (qsums[:, 2] - qsums[:, 0]), sqh * qsums[:, 1]
+    utu = np.stack([(b / 2.0) * (counts[:, 0] + counts[:, 2]),
+                    ((4.0 - b) / 2.0) * counts[:, 1], np.zeros(len(counts))], axis=1)
+    ur = np.stack([sqb * (rsums[:, 2] - rsums[:, 0]), sqh * rsums[:, 1]], axis=1)
+    uq = np.stack([sqb * (qsums[:, 2] - qsums[:, 0]), sqh * qsums[:, 1]], axis=1)
+    return utu, ur, uq
 
 
-def _hard_terms(cfg: ScanConfig, ctx: ScanContext, counts: np.ndarray,
-                sums: np.ndarray) -> tuple:
-    """(maf, c1, c2, k00, k11, k01) of complete hard-call rows from the
-    sweep of ``ctx.weights``: class counts and per-class sums of the
-    residuals and the covariate basis.  c1/c2 are the residual cross sums
-    of the unscaled features, k the 2x2 spectral matrix."""
-    b, n = cfg.b, ctx.n
-    maf = _maf(counts, n)
-    ysums = sums[:, :, 0]
+def _dosage_sums(b: float, ctx: ScanContext, x: np.ndarray, missing: np.ndarray,
+                 s: np.ndarray) -> tuple:
+    """(utu, ur, uq) of dosage rows from their moments ``s`` = [nmiss, s1,
+    s2, s11, s22, s12, s1y, s2y] over present entries.  U's columns are
+    sqrt(b/2) x and sqrt((4-b)/2) |x - 1|, zero where x is missing."""
+    sqb, sqh = _scales(b)
+    utu = np.stack([(b / 2.0) * s[:, 3], ((4.0 - b) / 2.0) * s[:, 4], sqb * sqh * s[:, 5]], axis=1)
+    ur = np.stack([sqb * s[:, 6], sqh * s[:, 7]], axis=1)
     if ctx.qbasis is None:
-        return (maf,) + hardcall_terms(b, counts, ysums, n)
-    utu00, utu11, a0, a1 = _feature_basis_sums(b, counts, sums[:, :, 1:])
-    k00 = (utu00 - (a0 * a0).sum(axis=1)) / n
-    k11 = (utu11 - (a1 * a1).sum(axis=1)) / n
-    k01 = (-(a0 * a1).sum(axis=1)) / n
-    return maf, ysums[:, 2] - ysums[:, 0], ysums[:, 1], k00, k11, k01
+        fq = s[:, 1:3, None] / math.sqrt(ctx.n)
+    else:
+        f1 = np.where(missing, 0.0, x)
+        f2 = np.where(missing, 0.0, np.abs(x - 1.0))
+        fq = np.stack([_row_basis_dots(f1, ctx.qbasis), _row_basis_dots(f2, ctx.qbasis)], axis=1)
+    return utu, ur, np.array([sqb, sqh])[:, None] * fq
 
 
-def _missing_hard_terms(cfg: ScanConfig, ctx: ScanContext, g: np.ndarray,
-                        counts: np.ndarray, sums: np.ndarray) -> tuple:
-    """Complete-case terms of hard-call rows with missing calls.
+def _projected_terms(ctx: ScanContext, n_used: np.ndarray, utu: np.ndarray,
+                     ur: np.ndarray, uq: np.ndarray, miss=None) -> tuple:
+    """Complete-case terms of block rows from sums of the scaled features
+    U over each row's present samples S: ``utu`` (m, 3) holds (U'U)_00,
+    (U'U)_11 and (U'U)_01, ``ur`` (m, 2) is U'r and ``uq`` (m, 2, k) U'Q,
+    with r the residuals and Q the orthonormal covariate basis (the column
+    1/sqrt(n) without covariates).
 
-    On a row's present samples S the complete-case residual is
-    ``r_S - Q_S beta`` with ``G = Q_S'Q_S``, ``h = Q_S'r_S`` and
-    ``beta = G^-1 h``, because the full-sample residual ``r`` differs
-    from the phenotype by a vector of the covariate span.  So one more
-    sweep, of ``ctx.miss_weights`` over these rows, gives everything:
-    ``rss = r_S'r_S - h'beta``, the residual's class sums
-    ``R_c - Q_c beta`` and ``n_used * K = diag(U'U) - A G^-1 A'`` with
-    ``A = U'Q_S``.  Every reduction runs row by row.
+    On S the complete-case residual is ``r_S - Q_S beta`` with
+    ``G = Q_S'Q_S``, ``h = Q_S'r_S`` and ``beta = G^-1 h``, because ``r``
+    differs from the phenotype by a vector of the covariate span.  So
+    ``rss = r_S'r_S - h'beta``, the cross sums are ``U'r - U'Q beta`` and
+    ``n_used * K = U'U - A G^-1 A'`` with ``A = U'Q``.  A complete row
+    (``miss`` None) has G = I, h = 0 and rss = ``ctx.rss``: no solve.
+    Rows with missing entries pass them as int8 calls in ``miss``, -1
+    where missing; one sweep of ``ctx.miss_weights`` over those rows gives
+    r_S'r_S, h and G.  Every reduction runs row by row.
 
-    Returns ``(ok, n_used, rss, terms)``: a mask of the rows settled here
-    and, for those rows, their sample counts, residual sums of squares and
-    (maf, c1, c2, k00, k11, k01).  The other rows are left to the per-SNP
-    path: too few samples, a near-singular G, a phenotype (almost) in the
-    covariate span of S, or non-finite terms.
+    Returns ``(rows, n_used, rss, terms)``: the indices of the rows
+    settled here and their sample counts, residual sums of squares and
+    (v1, v2, k00, k11, k01), the scaled cross sums and the 2x2 spectral
+    matrix.  The per-SNP path takes the other rows: too few samples, a
+    near-singular G, a phenotype (almost) in the covariate span of S, or
+    non-finite terms.
     """
-    b = cfg.b
-    n_used = counts.sum(axis=1)
-    ok = n_used >= max(4, ctx.df_sub + 3)
-    k = ctx.df_sub  # the width of the covariate basis Q
-    rows = np.nonzero(ok)[0]
-    s = ctx.kernels.hardcall_stats(g[rows], ctx.miss_weights)[1]
-    tot = s[:, 0] + s[:, 1] + s[:, 2]
-    srr, h = tot[:, 0], tot[:, 1 : 1 + k]
-    iu, ju = np.triu_indices(k)
-    gram = np.empty((rows.size, k, k))
-    gram[:, iu, ju] = tot[:, 1 + k :]
-    gram[:, ju, iu] = tot[:, 1 + k :]
-    eig = np.linalg.eigvalsh(gram)
-    well = eig[:, 0] >= ctx.gram_floor * eig[:, -1]
-    ok[rows[~well]] = False
-    rows, srr, h, gram = rows[well], srr[well], h[well], gram[well]
-    counts, sums, n_used = counts[rows], sums[rows], n_used[rows]
-    if ctx.qbasis is None:
-        qsums = counts[:, :, None] / math.sqrt(ctx.n)
+    rows = np.arange(len(n_used))
+    if miss is None:
+        srr = rss = ctx.rss
+        ga = uq  # the rows of G^-1 A'
     else:
-        qsums = sums[:, :, 1:]
-    utu00, utu11, a0, a1 = _feature_basis_sums(b, counts, qsums)
-    x = np.linalg.solve(gram, np.stack([h, a0, a1], axis=2))
-    beta = x[:, :, 0]
-    rss = srr - (h * beta).sum(axis=1)
-    e = sums[:, :, 0] - (qsums * beta[:, None, :]).sum(axis=2)
+        k = ctx.df_sub  # the width of the covariate basis Q
+        rows = rows[n_used >= max(4, k + 3)]
+        s = ctx.kernels.hardcall_stats(miss[rows], ctx.miss_weights)[1]
+        tot = s[:, 0] + s[:, 1] + s[:, 2]
+        iu, ju = np.triu_indices(k)
+        gram = np.empty((rows.size, k, k))
+        gram[:, iu, ju] = gram[:, ju, iu] = tot[:, 1 + k :]
+        eig = np.linalg.eigvalsh(gram)
+        well = eig[:, 0] >= ctx.gram_floor * eig[:, -1]
+        rows, srr, h, gram = rows[well], tot[well, 0], tot[well, 1 : 1 + k], gram[well]
+        n_used, utu, ur, uq = n_used[rows], utu[rows], ur[rows], uq[rows]
+        sol = np.linalg.solve(gram, np.concatenate([h[:, :, None], uq.transpose(0, 2, 1)], axis=2))
+        beta, ga = sol[:, :, 0], sol[:, :, 1:].transpose(0, 2, 1)
+        rss = srr - (h * beta).sum(axis=1)
+        ur = ur - (uq * beta[:, None, :]).sum(axis=2)
+    a0, a1 = uq[:, 0], uq[:, 1]
     terms = (
-        _maf(counts, n_used), e[:, 2] - e[:, 0], e[:, 1],
-        (utu00 - (a0 * x[:, :, 1]).sum(axis=1)) / n_used,
-        (utu11 - (a1 * x[:, :, 2]).sum(axis=1)) / n_used,
-        (-(a0 * x[:, :, 2]).sum(axis=1)) / n_used,
+        ur[:, 0], ur[:, 1],
+        (utu[:, 0] - (a0 * ga[:, 0]).sum(axis=1)) / n_used,
+        (utu[:, 1] - (a1 * ga[:, 1]).sum(axis=1)) / n_used,
+        (utu[:, 2] - (a0 * ga[:, 1]).sum(axis=1)) / n_used,
     )
-    good = (rss > _MIN_RSS_SHARE * srr) & np.isfinite(rss)
-    for t in terms[1:]:
-        good &= np.isfinite(t)
-    ok[rows[~good]] = False
-    return ok, n_used[good], rss[good], tuple(t[good] for t in terms)
+    good = (rss > _MIN_RSS_SHARE * srr) & np.isfinite(rss) & np.isfinite(terms).all(axis=0)
+    rss = np.broadcast_to(rss, good.shape)
+    return rows[good], n_used[good], rss[good], tuple(t[good] for t in terms)
 
 
-def _dosage_terms(cfg: ScanConfig, ctx: ScanContext, x: np.ndarray,
-                  s: np.ndarray) -> tuple:
-    """(maf, c1, c2, k00, k11, k01) of complete dosage rows from their
-    feature moments ``s``: [nmiss, s1, s2, s11, s22, s12, s1y, s2y]."""
-    b, n = cfg.b, ctx.n
-    s1, s2 = s[:, 1], s[:, 2]
-    s11, s22, s12 = s[:, 3], s[:, 4], s[:, 5]
-    if ctx.qbasis is None:
-        g11 = s11 - s1 * s1 / n
-        g22 = s22 - s2 * s2 / n
-        g12 = s12 - s1 * s2 / n
-    else:
-        fq1 = _row_basis_dots(x, ctx.qbasis)
-        fq2 = _row_basis_dots(np.abs(x - 1.0), ctx.qbasis)
-        g11 = s11 - (fq1 * fq1).sum(axis=1)
-        g22 = s22 - (fq2 * fq2).sum(axis=1)
-        g12 = s12 - (fq1 * fq2).sum(axis=1)
-    sqb, sqh = _scales(b)
-    q = s1 / (2.0 * n)
-    return (
-        np.minimum(q, 1.0 - q), s[:, 6], s[:, 7],
-        (b / 2.0) * g11 / n, ((4.0 - b) / 2.0) * g22 / n, sqb * sqh * g12 / n,
-    )
-
-
-def _records(cfg: ScanConfig, df_sub: int, variants, n_used, rss, maf, c1,
-             c2, k00, k11, k01) -> list:
-    """Records from the producers' per-SNP terms; ``n_used`` and ``rss``
-    (the residual sum of squares) are scalars or one entry per row."""
-    sqb, sqh = _scales(cfg.b)
-    v1 = sqb * c1
-    v2 = sqh * c2
+def _records(cfg: ScanConfig, df_sub: int, variants, n_used, rss, maf, mono,
+             v1, v2, k00, k11, k01) -> list:
+    """Records from per-SNP terms: v1/v2 the scaled cross sums, k the 2x2
+    spectral matrix; ``n_used`` and ``rss`` (the residual sum of squares)
+    are scalars or one entry per row.  A row with one value on all its
+    present samples (``mono``) has a statistic of zero and a spectrum of
+    round-off, so its lambda1 is set to 0: the tail reads it as
+    degenerate."""
     stat = (v1 * v1 + v2 * v2) / rss
     lam1, lam2 = eig2x2(k00, k11, k01)
+    lam1 = np.where(mono, 0.0, lam1)
     p_lo, p_hi = pvalue_bounds_batch(lam1, lam2, stat, n_used, df_sub)
     return _screened_records(cfg, n_used, df_sub, variants, maf, stat,
                              lam1, lam2, p_lo, p_hi)
@@ -441,11 +418,10 @@ def _screened_records(cfg: ScanConfig, n_used, df_sub: int, variants,
 
 def _test_single_column(cfg: ScanConfig, ctx: ScanContext,
                         column: GenotypeColumn) -> ScanRecord:
-    """Per-SNP path: dosage columns with missing entries, the multiallelic
-    entry point, and the hard-call rows with missing calls that the block
-    algebra leaves alone (see :func:`_missing_hard_terms`).  Redoes the
-    covariate projection on the complete-case subsample, so the
-    conditional null law stays exact, and gives each row's error code."""
+    """Per-SNP path: the multiallelic entry point and the block rows that
+    :func:`_projected_terms` refuses.  Redoes the covariate projection on
+    the complete-case subsample, so the conditional null law stays exact,
+    and gives each row's error code."""
     variant = VariantInfo(column.snp_id, column.chrom, column.pos)
     mask = column.present_mask()
     n_used = int(mask.sum())
@@ -483,12 +459,15 @@ def _test_single_column(cfg: ScanConfig, ctx: ScanContext,
         stat = float(v @ v) / rss
     except ValueError as exc:
         return _error_record(cfg, variant, n_used, "invalid_column", exc)
-    lam = spec.lambdas
+    if np.all(values == values[0]):  # one value on every present sample:
+        lam, p_lo, p_hi = (), 1.0, 1.0  # a zero statistic, a round-off spectrum
+    elif len(spec.nonzero) > 2:
+        return _multi_eigen_record(cfg, variant, sub, spec, stat, n_used)
+    else:
+        lam = spec.lambdas
+        p_lo, p_hi = pvalue_bounds(spec, stat)
     lam1 = lam[0] if lam else 0.0
     lam2 = lam[1] if len(lam) > 1 else 0.0
-    if len(spec.nonzero) > 2:
-        return _multi_eigen_record(cfg, variant, sub, spec, stat, n_used)
-    p_lo, p_hi = pvalue_bounds(spec, stat)
     row = (np.array([v]) for v in (sub.maf(), stat, lam1, lam2, p_lo, p_hi))
     return _screened_records(cfg, n_used, df_sub, [variant], *row)[0]
 
@@ -512,12 +491,13 @@ def process_block(cfg: ScanConfig, ctx: ScanContext, block: Block) -> list:
     """Records for one block, input order preserved.
 
     Hard calls, and dosage rows whose present entries are all 0/1/2 (as
-    int8 calls), go through the columnar engine from one sweep of class
-    counts and class sums; their rows with missing calls get their
-    complete-case terms from one more sweep over those rows.  Complete
-    dosage rows go through it from their feature moments.  Dosage rows
-    with a missing entry, and the hard-call rows the missing-call algebra
-    cannot settle, take the per-SNP path.
+    int8 calls), take one sweep of class counts and class sums; the other
+    dosage rows one sweep of feature moments.  Both become the feature
+    sums of :func:`_projected_terms`, which settles complete rows at once
+    and rows with missing entries after one more sweep over them.
+    Complete hard-call rows without covariates take the paper's
+    closed-form frequency matrix.  The rows the projection refuses take
+    the per-SNP path.
     """
     x = block.values
     if block.kind == "hard":
@@ -530,40 +510,56 @@ def process_block(cfg: ScanConfig, ctx: ScanContext, block: Block) -> list:
     else:
         raise ValueError(f"blocks must be hard or dosage, got {block.kind!r}")
     records: list = [None] * len(block.variants)
+    refused = []
 
-    def emit(rows, n_used, rss, terms):
-        recs = _records(cfg, ctx.df_sub, [block.variants[i] for i in rows],
-                        n_used, rss, *terms)
+    def emit(rows, *columns):
+        recs = _records(cfg, ctx.df_sub, [block.variants[i] for i in rows], *columns)
         for i, rec in zip(rows, recs):
             records[i] = rec
 
-    partial = []
+    def settle(sel, rows, values, kind, sums, miss=None):
+        """Records of the rows ``rows[sel]`` that the projection settles;
+        ``sums`` is (n_used, allele sum, monomorphic, utu, ur, uq) per row.
+        The other rows are queued for the per-SNP path."""
+        idx = np.nonzero(sel)[0]
+        if not idx.size:
+            return
+        n_used, dose, mono, *feats = (t[idx] for t in sums)
+        done, n_used, rss, terms = _projected_terms(
+            ctx, n_used, *feats, miss=None if miss is None else miss[idx])
+        if done.size:
+            emit(rows[idx[done]], n_used, rss, _maf(dose[done], n_used), mono[done], *terms)
+        refused.extend((rows[j], values[j], kind) for j in np.setdiff1d(idx, idx[done]))
+
     if hard.size:
-        counts, sums = ctx.kernels.hardcall_stats(g, ctx.weights)
-        clean = counts.sum(axis=1) == g.shape[1]
-        if clean.any():
-            emit(hard[clean], ctx.n, ctx.rss, _hard_terms(cfg, ctx, counts[clean], sums[clean]))
-        if not clean.all():
-            gm = g[~clean]
-            ok, n_used, rss, terms = _missing_hard_terms(cfg, ctx, gm, counts[~clean], sums[~clean])
-            miss = hard[~clean]
-            if ok.any():
-                emit(miss[ok], n_used, rss, terms)
-            partial.append((miss[~ok], gm[~ok], "hard"))
+        counts, csums = ctx.kernels.hardcall_stats(g, ctx.weights)
+        n_used = counts.sum(axis=1)
+        dose = counts[:, 1] + 2.0 * counts[:, 2]
+        mono = (counts == n_used[:, None]).any(axis=1)
+        clean = n_used == g.shape[1]
+        qsums = counts[:, :, None] / math.sqrt(ctx.n) if ctx.qbasis is None else csums[:, :, 1:]
+        sums = (n_used, dose, mono) + _hard_sums(cfg.b, counts, csums[:, :, 0], qsums)
+        if ctx.qbasis is not None:
+            settle(clean, hard, g, "hard", sums)
+        elif clean.any():  # the paper's closed-form frequency matrix
+            sqb, sqh = _scales(cfg.b)
+            c1, c2, *k = hardcall_terms(cfg.b, counts[clean], csums[clean, :, 0], ctx.n)
+            emit(hard[clean], ctx.n, ctx.rss, _maf(dose[clean], ctx.n), mono[clean],
+                 sqb * c1, sqh * c2, *k)
+        settle(~clean, hard, g, "hard", sums, g)
     if soft.size:
-        xs = x[soft]
+        xs, missing = x[soft], ~present[soft]
         s = ctx.kernels.dosage_stats(xs, ctx.resid)
+        mono = np.fmin.reduce(xs, axis=1) == np.fmax.reduce(xs, axis=1)
+        sums = (xs.shape[1] - s[:, 0].astype(np.int64), s[:, 1], mono) + _dosage_sums(
+            cfg.b, ctx, xs, missing, s)
         clean = s[:, 0] == 0
-        if clean.any():
-            emit(soft[clean], ctx.n, ctx.rss, _dosage_terms(cfg, ctx, xs[clean], s[clean]))
-        partial.append((soft[~clean], xs[~clean], "dosage"))
-    for rows, values, kind in partial:
-        for i, v in zip(rows, values):
-            var = block.variants[i]
-            col = GenotypeColumn(
-                snp_id=var.snp_id, chrom=var.chrom, pos=var.pos, values=v, kind=kind,
-            )
-            records[i] = _test_single_column(cfg, ctx, col)
+        settle(clean, soft, xs, "dosage", sums)
+        settle(~clean, soft, xs, "dosage", sums, -missing.astype(np.int8))
+    for i, v, kind in refused:
+        var = block.variants[i]
+        col = GenotypeColumn(snp_id=var.snp_id, chrom=var.chrom, pos=var.pos, values=v, kind=kind)
+        records[i] = _test_single_column(cfg, ctx, col)
     return records
 
 

@@ -18,7 +18,7 @@ import pytest
 import gdcscan
 from gdcscan import _kernels_py, backend
 from gdcscan.backend import get_backend
-from test_scan import _missing_call_panel
+from test_scan import _dosages_of, _missing_call_panel
 
 try:
     from gdcscan import _kernels as _installed
@@ -361,16 +361,17 @@ def test_packed_scan_decodes_through_passed_kernels(tmp_path, monkeypatch):
 
 
 def test_missing_call_scan_matches_across_backends(ckernels, tmp_path):
-    """A covariate panel with random missing calls: the C library and the
-    NumPy twin write byte-identical TSVs."""
+    """A covariate panel with random missing calls, and dosages missing the
+    same entries: the C library and the NumPy twin write byte-identical
+    TSVs."""
     from gdcscan.io import ArraySource
     from gdcscan.scan import ScanConfig, run_scan, write_results
 
     g, y, cov = _missing_call_panel()
-    src = ArraySource(g, kind="hard")
-    blobs = []
-    for kernels in (ckernels, _kernels_py):
-        path = tmp_path / f"{kernels.IS_COMPILED}.tsv"
-        write_results(run_scan(ScanConfig(b=2.5), src, y, cov, kernels=kernels), str(path))
-        blobs.append(path.read_bytes())
-    assert blobs[0] == blobs[1]
+    for src in (ArraySource(g, kind="hard"), ArraySource(_dosages_of(g), kind="dosage")):
+        blobs = []
+        for kernels in (ckernels, _kernels_py):
+            path = tmp_path / f"{kernels.IS_COMPILED}.tsv"
+            write_results(run_scan(ScanConfig(b=2.5), src, y, cov, kernels=kernels), str(path))
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1]

@@ -150,6 +150,41 @@ def test_monomorphic_snp(small_panel):
     assert r.method == "degenerate spectrum"
 
 
+@pytest.mark.parametrize("with_covariates", [False, True])
+def test_monomorphic_rows_on_present_samples_are_degenerate(with_covariates):
+    """A row with one value on all its present samples, hard calls or
+    dosages, complete or with missing entries, is a degenerate spectrum
+    with stat 0 and p = 1, on the block path and the per-SNP path, and
+    its TSV line ends in 0, not -0."""
+    rng = np.random.default_rng(8)
+    n = 200
+    g = draw_genotypes(rng, n, 0.3, 8)
+    g[0], g[1], g[2] = 0, 0, 2
+    g[1, rng.choice(n, 7, replace=False)] = -1
+    g[2, :5] = -1
+    x = np.clip(g + rng.uniform(-0.3, 0.3, size=g.shape), 0.0, 2.0)
+    x[g < 0] = np.nan
+    x[0], x[1] = 0.37, np.where(np.isnan(x[1]), np.nan, 0.37)
+    x[2] = np.where(np.isnan(x[2]), np.nan, 2.0)
+    y = rng.standard_normal(n)
+    cov = None
+    if with_covariates:
+        cov = CovariateMatrix.build({"intercept": np.ones(n), "age": rng.normal(50.0, 10.0, n)})
+    cfg = ScanConfig(b=3.0)
+    ctx = scan_module.prepare_context(y, cov)
+    for values, kind in ((g, "hard"), (x, "dosage")):
+        recs = list(run_scan(cfg, ArraySource(values, kind=kind), y, cov))
+        for i in range(3):
+            col = GenotypeColumn(f"snp{i}", ".", i, values[i], kind=kind)
+            for rec in (recs[i], scan_module._test_single_column(cfg, ctx, col)):
+                assert rec.method == "degenerate spectrum", (kind, i)
+                assert (rec.stat, rec.lambda1, rec.lambda2) == (0.0, 0.0, 0.0)
+                assert (rec.p_lower, rec.p_upper, rec.p_value) == (1.0, 1.0, 1.0)
+                assert rec.n_used == int(np.sum(col.present_mask()))
+                assert record_row(rec).endswith("\t1\tdegenerate spectrum\t0")
+        assert all(r.method != "degenerate spectrum" for r in recs[3:])
+
+
 def test_too_few_samples_error_record():
     rng = np.random.default_rng(5)
     g = rng.integers(0, 3, size=(2, 10)).astype(np.int8)
@@ -438,7 +473,7 @@ def test_numerics_error_code(small_panel, monkeypatch, caplog):
 def test_bound_sandwich_on_adjusted_spectra():
     """p_lower <= p_value <= min(p_upper, 1) on every exactly evaluated
     row of covariate-adjusted hard-call and dosage scans, complete columns
-    and per-SNP fallback columns alike."""
+    and columns with missing entries alike."""
     rng = np.random.default_rng(404)
     n, m = 400, 300
     age = rng.uniform(20.0, 70.0, n)
@@ -457,7 +492,7 @@ def test_bound_sandwich_on_adjusted_spectra():
             g[j] = np.where(rng.random(n) < frac, g[j], g[c])
     x = np.clip(g + rng.normal(0.0, 0.15, g.shape), 0.0, 2.0)
     x[::3] = g[::3]  # integer dosage rows take the hard-call path
-    for i in range(0, m, 4):  # missing calls send a quarter of the SNPs per-SNP
+    for i in range(0, m, 4):  # a quarter of the SNPs miss 3% of their entries
         drop = rng.random(n) < 0.03
         g[i, drop] = -1
         x[i, drop] = np.nan
@@ -485,22 +520,24 @@ def test_bound_sandwich_on_adjusted_spectra():
 )
 def test_block_engine_matches_per_snp_path(seed, kind, n, n_snps, b,
                                            with_covariates, no_screen, missing):
-    """Every SNP the block engine settles, complete hard-call and dosage
-    rows and hard-call rows with 0-10% missing calls alike, gets the
-    record of the per-SNP path: the same method, sample count and MAF,
-    stat and spectrum to rel 1e-9, p-values to rel 1e-8."""
+    """Every SNP the block engine settles, complete rows and rows with
+    0-10% missing entries, hard calls and dosages alike, gets the record
+    of the per-SNP path: the same method, sample count and MAF, stat and
+    spectrum to rel 1e-9, p-values to rel 1e-8."""
     rng = np.random.default_rng(seed)
     maf = rng.uniform(0.05, 0.5, size=(n_snps, 1))
     g = (rng.random((n_snps, n)) < maf).astype(np.int8) + (rng.random((n_snps, n)) < maf)
     g[:, :3] = [0, 1, 2]  # every class present: no degenerate spectrum
+    drop = rng.random((n_snps, n)) < missing
+    drop[:, :3] = False
     if kind == "hard":
         values = g.astype(np.int8)
-        drop = rng.random((n_snps, n)) < missing
-        drop[:, :3] = False
         values[drop] = -1
     else:
         values = np.clip(g + rng.uniform(-0.4, 0.4, size=g.shape), 0.0, 2.0)
     y = rng.standard_normal(n) + 0.5 * values[0]
+    if kind == "dosage":
+        values[drop] = np.nan
     cov = None
     if with_covariates:
         cov = CovariateMatrix.build({
@@ -667,12 +704,19 @@ def _missing_call_panel(seed=31, n_snps=150, n=240):
     return g, y, cov
 
 
+def _dosages_of(g, seed=32):
+    """Non-integer dosages around the calls ``g``, NaN where a call is
+    missing."""
+    noise = np.random.default_rng(seed).uniform(-0.3, 0.3, size=g.shape)
+    return np.where(g < 0, np.nan, np.clip(g + noise, 0.0, 2.0))
+
+
 def test_missing_calls_byte_identical_across_blocks_and_threads(tmp_path, monkeypatch):
-    """A covariate scan with random missing calls writes one TSV for block
-    sizes 1, 7 and 1024 and 1 or 3 threads, and the block engine settles
-    every one of its missing-call rows."""
+    """A covariate scan with random missing calls, or dosages missing the
+    same entries, writes one TSV for block sizes 1, 7 and 1024 and 1 or 3
+    threads, and the block engine settles every one of its rows with
+    missing entries."""
     g, y, cov = _missing_call_panel()
-    src = ArraySource(g, kind="hard")
     single = scan_module._test_single_column
     routed = []
 
@@ -681,17 +725,18 @@ def test_missing_calls_byte_identical_across_blocks_and_threads(tmp_path, monkey
         return single(cfg, ctx, column)
 
     monkeypatch.setattr(scan_module, "_test_single_column", counting_single)
-    blobs = []
-    for block in (1, 7, 1024):
-        for threads in (1, 3):
-            cfg = ScanConfig(b=3.0, threads=threads, block_size=block)
-            path = tmp_path / f"out_{block}_{threads}.tsv"
-            write_results(run_scan(cfg, src, y, cov), str(path))
-            blobs.append(path.read_bytes())
-    assert all(blob == blobs[0] for blob in blobs[1:])
-    assert routed == []
-    recs = read_results(str(tmp_path / "out_1024_1.tsv"))
-    assert sum(r.n_used < y.size for r in recs) > 100
+    for src in (ArraySource(g, kind="hard"), ArraySource(_dosages_of(g), kind="dosage")):
+        blobs = []
+        for block in (1, 7, 1024):
+            for threads in (1, 3):
+                cfg = ScanConfig(b=3.0, threads=threads, block_size=block)
+                path = tmp_path / f"out_{block}_{threads}.tsv"
+                write_results(run_scan(cfg, src, y, cov), str(path))
+                blobs.append(path.read_bytes())
+        assert all(blob == blobs[0] for blob in blobs[1:])
+        assert routed == []
+        recs = read_results(str(tmp_path / "out_1024_1.tsv"))
+        assert sum(r.n_used < y.size for r in recs) > 100
 
 
 def test_routed_missing_call_rows_keep_per_snp_error_codes(caplog):
@@ -725,18 +770,22 @@ def test_routed_missing_call_rows_keep_per_snp_error_codes(caplog):
         (scaled, 3, "error:collinear_covariates"),
     ]
     cfg = ScanConfig(b=3.0)
+    x = _dosages_of(g)
     for covariates, row, method in cases:
         ctx = scan_module.prepare_context(y, covariates)
-        with caplog.at_level(logging.WARNING, logger="gdcscan"):
-            recs = list(run_scan(cfg, ArraySource(g, kind="hard"), y, covariates))
-        col = GenotypeColumn(f"snp{row}", ".", row, g[row])
-        ref = scan_module._test_single_column(cfg, ctx, col)
-        assert ref.method == method
-        assert record_row(recs[row]) == record_row(ref)
-        assert not recs[4].method.startswith("error:")
+        for values, kind in ((g, "hard"), (x, "dosage")):
+            with caplog.at_level(logging.WARNING, logger="gdcscan"):
+                recs = list(run_scan(cfg, ArraySource(values, kind=kind), y, covariates))
+            col = GenotypeColumn(f"snp{row}", ".", row, values[row], kind=kind)
+            ref = scan_module._test_single_column(cfg, ctx, col)
+            assert ref.method == method
+            assert record_row(recs[row]) == record_row(ref)
+            assert not recs[4].method.startswith("error:")
     # with covariates the constant phenotype is in the span of the
     # intercept: whatever the per-SNP path makes of it, the scan agrees
     ctx = scan_module.prepare_context(y, cov)
-    ref = scan_module._test_single_column(cfg, ctx, GenotypeColumn("snp2", ".", 2, g[2]))
-    rec = list(run_scan(cfg, ArraySource(g, kind="hard"), y, cov))[2]
-    assert record_row(rec) == record_row(ref)
+    for values, kind in ((g, "hard"), (x, "dosage")):
+        col = GenotypeColumn("snp2", ".", 2, values[2], kind=kind)
+        ref = scan_module._test_single_column(cfg, ctx, col)
+        rec = list(run_scan(cfg, ArraySource(values, kind=kind), y, cov))[2]
+        assert record_row(rec) == record_row(ref)
