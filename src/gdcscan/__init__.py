@@ -2,25 +2,9 @@
 covariance: exact finite-sample p-values, screening bounds, covariate
 adjustment, dosage/multiallelic support, and a batched scan pipeline."""
 
-from .adjust import (
-    CovariateMatrix,
-    JointMoments,
-    ResidualizedPhenotype,
-    adjusted_asymptotic_spectrum,
-    adjusted_spectrum,
-    adjusted_statistic,
-    residualize,
-)
+from .adjust import CovariateMatrix, ResidualizedPhenotype, residualize
 from .backend import BACKEND_NAME, get_backend
-from .gdc import (
-    PopulationModel,
-    Sample,
-    dcov_fast,
-    dcov_kernel_form,
-    dcov_oracle,
-    population_dcov,
-    standardized_statistic,
-)
+from .gdc import Sample, dcov_fast, standardized_statistic
 from .nulldist import (
     NullSpectrum,
     NumericsError,

@@ -14,12 +14,10 @@ inner products against that basis.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gdc import Sample, dcov_fast
-from .nulldist import NullSpectrum, snap_eigenvalues, spectrum_from_features
 from .premetric import GenotypeColumn, Premetric
 
 RANK_TOL = 1e-10
@@ -30,11 +28,14 @@ class CovariateMatrix:
     """Named covariate columns with a mandatory leading intercept.
 
     Full column rank is checked at construction (singular values below
-    1e-10 of the largest count as zero).
+    1e-10 of the largest count as zero).  ``svd`` holds the thin
+    decomposition ``(u, s, vt)`` of the matrix made for that check; every
+    later use of the design reads it instead of decomposing again.
     """
 
     matrix: np.ndarray
     names: tuple
+    svd: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         z = np.asarray(self.matrix, dtype=np.float64)
@@ -47,11 +48,12 @@ class CovariateMatrix:
             raise ValueError("one name per covariate column required")
         if not np.all(z[:, 0] == 1.0):
             raise ValueError("first covariate column must be the intercept (all ones)")
-        s = np.linalg.svd(z, compute_uv=False)
+        u, s, vt = np.linalg.svd(z, full_matrices=False)
         if np.sum(s > RANK_TOL * s[0]) < z.shape[1]:
             raise ValueError("collinear covariates: covariate matrix is rank deficient")
         object.__setattr__(self, "matrix", z)
         object.__setattr__(self, "names", names)
+        object.__setattr__(self, "svd", (u, s, vt))
 
     @classmethod
     def build(cls, columns: dict, n: int | None = None) -> "CovariateMatrix":
@@ -91,9 +93,9 @@ class CovariateMatrix:
         return self.matrix.shape[1] - 1
 
     def orthonormal_basis(self) -> np.ndarray:
-        u, s, _ = np.linalg.svd(self.matrix, full_matrices=False)
-        rank = int(np.sum(s > RANK_TOL * s[0]))
-        return u[:, :rank]
+        """Orthonormal basis of the column space: the full-rank
+        constructor makes it ``u`` itself."""
+        return self.svd[0]
 
 
 @dataclass(frozen=True)
@@ -118,10 +120,7 @@ def residualize(y: np.ndarray, z: CovariateMatrix) -> ResidualizedPhenotype:
         raise ValueError("covariate rows must align with the phenotype")
     if n <= z.q + 3:
         raise ValueError("need n > q + 3 samples for residualization")
-    u, s, vt = np.linalg.svd(z.matrix, full_matrices=False)
-    rank = int(np.sum(s > RANK_TOL * s[0]))
-    if rank < z.matrix.shape[1]:
-        raise ValueError("collinear covariates: covariate matrix is rank deficient")
+    u, s, vt = z.svd
     coeffs_basis = u.T @ y
     gamma = vt.T @ (coeffs_basis / s)
     resid = y - u @ coeffs_basis
@@ -130,19 +129,10 @@ def residualize(y: np.ndarray, z: CovariateMatrix) -> ResidualizedPhenotype:
     return ResidualizedPhenotype(residuals=resid, gamma_hat=gamma, sigma2_eps_hat=sigma2)
 
 
-def adjusted_statistic(b: float, geno: GenotypeColumn, resid: ResidualizedPhenotype) -> float:
-    """Adjusted distance covariance: the plain statistic on the residuals."""
-    sample = Sample.from_column(geno, resid.residuals)
-    if sample.n != geno.n_total:
-        raise ValueError(
-            "adjusted_statistic expects a complete-case column; filter jointly "
-            "with the covariates first"
-        )
-    return dcov_fast(b, sample)
-
-
 def column_features(b: float, geno: GenotypeColumn) -> np.ndarray:
-    """Feature matrix of a complete-case hard-call or dosage column."""
+    """Feature matrix of a complete-case column: the canonical map of hard
+    calls, the interpolated features of dosages, or the concatenated
+    features of allele counts."""
     if not geno.present_mask().all():
         raise ValueError("expected a complete-case column; filter first")
     pm = Premetric(b)
@@ -152,54 +142,3 @@ def column_features(b: float, geno: GenotypeColumn) -> np.ndarray:
         f1, f2 = pm.dosage_features(geno.values)
         return np.column_stack([f1, f2])
     return pm.multiallelic_features(geno.values)
-
-
-def adjusted_spectrum(b: float, geno: GenotypeColumn,
-                      z: CovariateMatrix) -> NullSpectrum:
-    """Null spectrum of the adjusted statistic for a fixed design."""
-    u = column_features(b, geno)
-    return spectrum_from_features(u, projector_basis=z.matrix)
-
-
-@dataclass(frozen=True)
-class JointMoments:
-    """Population moments for the large-sample adjusted spectrum.
-
-    ``e_phi_phi`` is E[Phi Phi'], ``e_phi_z`` is E[Phi Z'], ``e_zz`` is
-    E[Z Z'] with Z including the intercept coordinate.
-    """
-
-    e_phi_phi: np.ndarray
-    e_phi_z: np.ndarray
-    e_zz: np.ndarray
-
-
-def adjusted_asymptotic_spectrum(b: float, moments: JointMoments, n: int = 4,
-                                 df_sub: int | None = None) -> NullSpectrum:
-    """Population analogue of :func:`adjusted_spectrum`.
-
-    The eigenvalues come from E[Phi Phi'] minus the cross-moment correction
-    through (E[Z Z'])^{-1}.
-    """
-    Premetric(b)
-    a = np.asarray(moments.e_phi_phi, dtype=np.float64)
-    cz = np.asarray(moments.e_phi_z, dtype=np.float64)
-    zz = np.asarray(moments.e_zz, dtype=np.float64)
-    if zz.ndim != 2 or zz.shape[0] != zz.shape[1]:
-        raise ValueError("E[Z Z'] must be square")
-    sign, logdet = np.linalg.slogdet(zz)
-    if sign <= 0 or not np.isfinite(logdet):
-        raise ValueError("singular covariate moment matrix")
-    k = a - cz @ np.linalg.solve(zz, cz.T)
-    lam = snap_eigenvalues(np.linalg.eigvalsh(k))
-    if df_sub is None:
-        df_sub = zz.shape[0]
-    return NullSpectrum(lambdas=lam, n=n, df_sub=df_sub)
-
-
-def population_feature_moments(b: float, p) -> np.ndarray:
-    """E[Phi Phi'] for the canonical features under class probabilities p."""
-    pm = Premetric(b)
-    fm = pm.canonical_feature_map().matrix
-    p = np.asarray(p, dtype=np.float64)
-    return (fm * p) @ fm.T

@@ -44,7 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--asymptotic-switch", type=int, default=30000)
     p_scan.add_argument("--threads", type=int, default=1)
     p_scan.add_argument("--no-screen", action="store_true")
-    p_scan.add_argument("--seed", type=int, default=None, help="accepted for CLI symmetry; the scan is deterministic")
     p_scan.add_argument("--allow-missing-samples", action="store_true")
 
     p_sim = sub.add_parser("simulate", help="type-I error and power tables")

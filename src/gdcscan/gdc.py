@@ -1,17 +1,12 @@
 """Distance-covariance statistic between one SNP and a quantitative trait.
 
-Three mathematically equivalent forms are provided:
-
-- ``dcov_oracle``: the O(n^2) double-centering definition, used only as a
-  reference in tests (capped at n <= 2000);
-- ``dcov_fast``: the O(n) feature form used in production, valid for hard
-  calls and dosages;
-- ``dcov_kernel_form``: the quadratic form in the centered response under
-  the premetric-induced kernel Gram, certifying the HSIC representation.
-
-``population_dcov`` gives the population value for a three-class mean model
-and is used for model-level checks (detection inside the open parameter
-interval, blindness at the endpoints).
+``dcov_fast`` is the O(n) feature form the scan computes, valid for hard
+calls and dosages: the squared norm of the centred feature / centred
+response cross sums, divided by n^2.  ``Sample`` is the complete-case
+pair it reads.  The paper's two other forms (the double-centring
+definition and the kernel (HSIC) form) and the population value for a
+three-class mean model are verification oracles; they live with the
+tests, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -20,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .premetric import GenotypeColumn, Premetric
+from .adjust import column_features
+from .premetric import GenotypeColumn
 
-ORACLE_N_CAP = 2000
 NEG_ROUNDOFF_TOL = 1e-14
 
 
@@ -65,28 +60,6 @@ class Sample:
         return cls.from_column(col, np.asarray(y, dtype=np.float64))
 
 
-@dataclass(frozen=True)
-class PopulationModel:
-    """Genotype class probabilities and conditional response means."""
-
-    p: tuple
-    mu: tuple
-
-    def __post_init__(self):
-        p = np.asarray(self.p, dtype=np.float64)
-        if p.shape != (3,) or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError("p must be 3 nonnegative probabilities summing to 1")
-        mu = np.asarray(self.mu, dtype=np.float64)
-        if mu.shape != (3,):
-            raise ValueError("mu must have 3 entries")
-        object.__setattr__(self, "p", tuple(p))
-        object.__setattr__(self, "mu", tuple(mu))
-
-    @property
-    def mu_y(self) -> float:
-        return float(np.dot(self.p, self.mu))
-
-
 def _clamp_nonneg(v: float) -> float:
     if v < 0.0:
         if v < -NEG_ROUNDOFF_TOL:
@@ -95,73 +68,16 @@ def _clamp_nonneg(v: float) -> float:
     return v
 
 
-def feature_columns(pm: Premetric, sample: Sample) -> np.ndarray:
-    """(n, 2) feature values for a hard-call or dosage sample.
-
-    Hard calls use the canonical map; dosages the interpolated map.  The two
-    agree after centering, which is all any statistic or spectrum sees.
-    """
-    vals = sample.genotypes.values
-    if sample.genotypes.kind == "hard":
-        return pm.canonical_feature_map().evaluate(vals.astype(np.intp))
-    if sample.genotypes.kind == "dosage":
-        f1, f2 = pm.dosage_features(vals)
-        return np.column_stack([f1, f2])
-    raise ValueError("feature_columns expects hard calls or dosages")
-
-
-def dcov_oracle(b: float, sample: Sample) -> float:
-    """Reference double-centering evaluation, O(n^2). Test use only."""
-    pm = Premetric(b)
-    if sample.genotypes.kind != "hard":
-        raise ValueError("the oracle path is defined for hard calls")
-    n = sample.n
-    if n > ORACLE_N_CAP:
-        raise ValueError(f"oracle path capped at n <= {ORACLE_N_CAP}")
-    x = sample.genotypes.values.astype(np.intp)
-    y = sample.phenotype
-    dx = pm.distance_matrix()[np.ix_(x, x)]
-    dy = 0.5 * np.subtract.outer(y, y) ** 2
-    h = np.eye(n) - np.full((n, n), 1.0 / n)
-    dxt = h @ dx @ h
-    dyt = h @ dy @ h
-    return _clamp_nonneg(float((dxt * dyt).sum()) / n**2)
-
-
 def dcov_fast(b: float, sample: Sample) -> float:
     """Feature-form statistic: squared norm of the centered feature /
     centered response cross sums, divided by n^2."""
-    pm = Premetric(b)
-    u = feature_columns(pm, sample)
+    u = column_features(b, sample.genotypes)
     y = sample.phenotype
     n = sample.n
     yc = y - y.mean()
     uc = u - u.mean(axis=0)
     v = uc.T @ yc
     return _clamp_nonneg(float(v @ v) / n**2)
-
-
-def dcov_kernel_form(b: float, sample: Sample) -> float:
-    """Kernel (HSIC) form: quadratic form of the centered response under
-    the induced-kernel Gram, scaled by 1/(2 n^2).
-
-    The Gram uses twice the induced kernel d(x,1) + d(y,1) - d(x,y); with
-    that convention the kernel form coincides exactly with the
-    double-centering definition.
-    """
-    pm = Premetric(b)
-    if sample.genotypes.kind != "hard":
-        raise ValueError("the kernel form is defined for hard calls")
-    n = sample.n
-    x = sample.genotypes.values.astype(np.intp)
-    y = sample.phenotype
-    yc = y - y.mean()
-    states = np.array([0, 1, 2])
-    kmat = np.array(
-        [[2.0 * pm.induced_kernel(int(a), int(c)) for c in states] for a in states]
-    )
-    gram = kmat[np.ix_(x, x)]
-    return _clamp_nonneg(float(yc @ gram @ yc) / (2.0 * n**2))
 
 
 def standardized_statistic(b: float, sample: Sample) -> tuple:
@@ -178,14 +94,3 @@ def standardized_statistic(b: float, sample: Sample) -> tuple:
         raise ValueError("degenerate response: zero phenotype variance")
     v2 = dcov_fast(b, sample)
     return (n * v2 / sigma2, sigma2)
-
-
-def population_dcov(b: float, model: PopulationModel) -> float:
-    """Population distance covariance for a three-class mean model."""
-    Premetric(b)
-    p0, p1, p2 = model.p
-    m0, m1, m2 = model.mu
-    my = model.mu_y
-    hom = -p0 * (m0 - my) + p2 * (m2 - my)
-    het = p1 * (m1 - my)
-    return (b / 2.0) * hom**2 + ((4.0 - b) / 2.0) * het**2

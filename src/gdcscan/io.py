@@ -28,7 +28,6 @@ from typing import Iterator
 import numpy as np
 
 from . import backend
-from .premetric import GenotypeColumn
 
 PACKED_MAGIC = b"\x6c\x1b"
 PACKED_MODE_SNP_MAJOR = b"\x01"
@@ -49,7 +48,6 @@ class Block:
     variants: list
     values: np.ndarray  # (n_snps, n_samples); int8 for "hard", float64 for "dosage"
     kind: str
-    start: int  # index of the first SNP within the source
 
 
 def variants_path(geno_path: str) -> str:
@@ -174,7 +172,6 @@ class PackedSource:
                     variants=self.variants[start : start + count],
                     values=calls,
                     kind="hard",
-                    start=start,
                 )
                 start += count
 
@@ -256,7 +253,6 @@ class DosageSource:
                 variants=self.variants[start : start + count],
                 values=vals,
                 kind="dosage",
-                start=start,
             )
             start += count
 
@@ -308,7 +304,6 @@ class ArraySource:
                 variants=self.variants[start : start + count],
                 values=self._matrix[start : start + count],
                 kind=self.kind,
-                start=start,
             )
             start += count
 
@@ -332,7 +327,6 @@ class SubsetSource:
                 variants=block.variants,
                 values=np.ascontiguousarray(block.values[:, self._idx]),
                 kind=block.kind,
-                start=block.start,
             )
 
 
@@ -343,20 +337,6 @@ def open_genotypes(path: str, fmt: str):
     if fmt == "dosage-tsv":
         return DosageSource(path)
     raise ValueError(f"unknown genotype format {fmt!r}")
-
-
-def load_genotypes(path: str, fmt: str) -> Iterator[GenotypeColumn]:
-    """Stream the file as GenotypeColumn objects (one per SNP)."""
-    source = open_genotypes(path, fmt)
-    for block in source.iter_blocks():
-        for i, v in enumerate(block.variants):
-            yield GenotypeColumn(
-                snp_id=v.snp_id,
-                chrom=v.chrom,
-                pos=v.pos,
-                values=block.values[i],
-                kind=block.kind,
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,12 @@ The family fixes both heterozygous-homozygous distances at 1 and leaves the
 distance between the two homozygous states as a free parameter ``b``.  The
 square root of the premetric satisfies the triangle inequality exactly when
 ``0 <= b <= 4``, which is the condition for a well-defined distance
-covariance.  Everything downstream (statistics, null spectra, dosage and
-multiallelic extensions) consumes genotype geometry through this module.
+covariance.  The statistic and its null spectra see the geometry only
+through feature maps: the canonical map of hard calls, the interpolated
+features of dosages and the concatenated features of allele counts, all
+defined here together with ``GenotypeColumn``.  The distances and kernels
+themselves are verification oracles and live with the tests, in
+``tests/oracles.py``.
 
 All objects here are immutable after construction and safe to share across
 threads.
@@ -38,18 +42,10 @@ class FeatureMap:
             raise ValueError("feature matrix must be r x 3 with r >= 1")
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def arity(self) -> int:
-        return self.matrix.shape[0]
-
     def evaluate(self, states: np.ndarray) -> np.ndarray:
         """Map an array of hard calls to the (len, r) feature values."""
         s = np.asarray(states)
         return self.matrix[:, s].T
-
-    def pairwise_sq_dist(self, x: int, y: int) -> float:
-        d = self.matrix[:, x] - self.matrix[:, y]
-        return float(d @ d)
 
 
 @dataclass(frozen=True)
@@ -72,52 +68,6 @@ class Premetric:
             raise ValueError(f"b must lie in [0, 4], got {self.b!r}")
         object.__setattr__(self, "b", b)
 
-    # -- hard-call geometry -------------------------------------------------
-
-    def distance(self, x: int, y: int) -> float:
-        """Distance between two hard calls: 0 on the diagonal, 1 for
-        het-hom pairs, b between the homozygotes."""
-        if x not in (0, 1, 2) or y not in (0, 1, 2):
-            raise ValueError("genotype states must be in {0, 1, 2}")
-        if x == y:
-            return 0.0
-        if abs(x - y) == 1:
-            return 1.0
-        return self.b
-
-    def distance_matrix(self) -> np.ndarray:
-        """3x3 matrix of pairwise state distances."""
-        b = self.b
-        return np.array([[0.0, 1.0, b], [1.0, 0.0, 1.0], [b, 1.0, 0.0]])
-
-    def kernel(self, x: int, y: int) -> float:
-        """Kernel associated with the premetric.
-
-        Values: k(0,0) = k(2,2) = 1; k(0,2) = 2 - b; zero whenever either
-        argument is the heterozygous state.
-        """
-        if x not in (0, 1, 2) or y not in (0, 1, 2):
-            raise ValueError("genotype states must be in {0, 1, 2}")
-        if x == 1 or y == 1:
-            return 0.0
-        if x == y:
-            return 1.0
-        return 2.0 - self.b
-
-    def induced_kernel(self, x: int, y: int, base_point: int = 1) -> float:
-        """Kernel induced by the premetric at ``base_point``:
-        d(x, x0) + d(y, x0) - d(x, y).
-
-        This is the Gram form reproduced exactly by the translated canonical
-        feature map; it is the kernel under which the quadratic form in the
-        centered response equals the distance-covariance statistic.
-        """
-        return (
-            self.distance(x, base_point)
-            + self.distance(y, base_point)
-            - self.distance(x, y)
-        )
-
     # -- feature maps -------------------------------------------------------
 
     def canonical_feature_map(self) -> FeatureMap:
@@ -128,28 +78,7 @@ class Premetric:
         phi2 = np.sqrt((4.0 - b) / 2.0) * np.array([0.0, 1.0, 0.0])
         return FeatureMap(np.vstack([phi1, phi2]), name="canonical")
 
-    def regime_feature_map(self) -> FeatureMap:
-        """Three-feature map whose components correspond to dominant,
-        recessive and additive (resp. purely heterozygous) patterns.
-
-        For b in [2, 4] the third feature is the additive ramp; for b in
-        [0, 2] it is the heterozygote indicator.  Both regimes coincide at
-        b = 2.
-        """
-        b = self.b
-        if b >= 2.0:
-            phi1 = np.sqrt(4.0 - b) * np.array([0.0, 0.0, 1.0])
-            phi2 = np.sqrt(4.0 - b) * np.array([0.0, 1.0, 1.0])
-            phi3 = 2.0 * np.sqrt(b - 2.0) * np.array([0.0, 0.5, 1.0])
-            name = "regime_upper"
-        else:
-            phi1 = np.sqrt(b) * np.array([0.0, 0.0, 1.0])
-            phi2 = np.sqrt(b) * np.array([0.0, 1.0, 1.0])
-            phi3 = np.sqrt(2.0 - b) * np.array([0.0, 1.0, 0.0])
-            name = "regime_lower"
-        return FeatureMap(np.vstack([phi1, phi2, phi3]), name=name)
-
-    # -- dosage extension ---------------------------------------------------
+    # -- dosage and multiallelic extensions -----------------------------------
 
     def dosage_features(self, x) -> tuple:
         """Linearly interpolated features for an expected allele count in
@@ -166,36 +95,6 @@ class Premetric:
         if f1.ndim == 0:
             return (float(f1), float(f2))
         return (f1, f2)
-
-    def dosage_distance(self, x: float, y: float) -> float:
-        """Distance between dosages induced by the interpolated features.
-
-        (x - y)^2 when x and y lie on the same side of 1 (x >= 1 counts as
-        the upper side), else (b/4)(x - y)^2 + ((4-b)/4)(x + y - 2)^2.
-        """
-        if not (0.0 <= x <= 2.0 and 0.0 <= y <= 2.0):
-            raise ValueError("dosage values must lie in [0, 2]")
-        same_side = (x >= 1.0) == (y >= 1.0)
-        if same_side:
-            return (x - y) ** 2
-        b = self.b
-        return (b / 4.0) * (x - y) ** 2 + ((4.0 - b) / 4.0) * (x + y - 2.0) ** 2
-
-    # -- multiallelic extension ----------------------------------------------
-
-    def multiallelic_distance(self, x, y) -> float:
-        """Distance between allele-count vectors: half the coordinate-wise
-        sum of dosage distances.  Coordinates must sum to 2 (diploid)."""
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        if x.shape != y.shape or x.ndim != 1:
-            raise ValueError("allele-count vectors must be 1-d with equal length")
-        for v in (x, y):
-            if abs(float(v.sum()) - 2.0) > 1e-9:
-                raise ValueError("allele-count coordinates must sum to 2")
-        return 0.5 * sum(
-            self.dosage_distance(float(a), float(c)) for a, c in zip(x, y)
-        )
 
     def multiallelic_features(self, counts: np.ndarray) -> np.ndarray:
         """Feature matrix for an (n, m) allele-count matrix.
@@ -294,20 +193,3 @@ class GenotypeColumn:
         vals = self.values[mask].astype(np.float64)
         q = float(vals.mean()) / 2.0
         return min(q, 1.0 - q)
-
-
-def as_hard_calls(values: np.ndarray) -> np.ndarray | None:
-    """Return an int8 hard-call vector if every non-missing entry of a
-    dosage vector is exactly 0, 1 or 2, else None.
-
-    Integer-valued dosage columns are routed through the hard-call path so
-    the two ingestion formats produce identical records.
-    """
-    v = np.asarray(values, dtype=np.float64)
-    present = ~np.isnan(v)
-    vp = v[present]
-    if vp.size and not np.all((vp == 0.0) | (vp == 1.0) | (vp == 2.0)):
-        return None
-    out = np.full(v.shape, MISSING_HARD_CALL, dtype=np.int8)
-    out[present] = vp.astype(np.int8)
-    return out

@@ -8,6 +8,10 @@ only when the bounds leave the interesting window (lower bound below the
 screen threshold, upper bound above the floor).  Above the configured
 sample-size switch the asymptotic tail replaces the exact law.
 
+Genotypes arrive as blocks: :func:`run_scan` reads a block source of
+``gdcscan.io``, and :func:`run_multiallelic` makes a one-row dosage block
+of a two-allele column.
+
 SNPs take a vectorized block path.  A hard-call block makes one kernel
 sweep, of class counts and the per-class sums of the residuals and the
 covariate basis; dosage rows make one of their feature moments.  Both
@@ -20,8 +24,8 @@ the terms into records: it makes the screening decision for the whole
 block at once, as masks over the bounds; only in-window rows are
 evaluated, one SNP at a time.  A per-SNP path, which redoes the
 covariate projection on the complete-case subsample and then goes
-through the same tail as a one-row block, is left for multiallelic
-columns and the rows the projection refuses (too few samples, a
+through the same tail as a one-row block, is left for columns of more
+than two alleles and the rows the projection refuses (too few samples, a
 near-singular complete-case design, a phenotype in its span); it gives
 those rows their error codes.  The kernel module is the scan context's
 ``kernels`` field, passed to :func:`run_scan` or read from
@@ -199,7 +203,7 @@ def prepare_context(phenotype, covariates: CovariateMatrix | None = None,
         # above this floor every complete-case design passes the per-SNP
         # path's rank test (singular values above 1e-10 of the largest)
         # with a factor 10 to spare
-        sv = np.linalg.svd(covariates.matrix, compute_uv=False)
+        sv = covariates.svd[1]
         gram_floor = max(_MIN_GRAM_RATIO, (1e-9 * sv[0] / sv[-1]) ** 2)
     rss = float(resid @ resid)
     if rss <= 0.0:
@@ -568,38 +572,6 @@ def process_block(cfg: ScanConfig, ctx: ScanContext, block: Block) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _blocks_from_columns(columns: Iterable[GenotypeColumn], block_size: int) -> Iterator[Block]:
-    pending: list[GenotypeColumn] = []
-    kind = None
-    start = 0
-
-    def flush():
-        nonlocal pending, start
-        if not pending:
-            return None
-        vals = np.vstack([c.values for c in pending])
-        blk = Block(
-            variants=[VariantInfo(c.snp_id, c.chrom, c.pos) for c in pending],
-            values=vals, kind=kind, start=start,
-        )
-        start += len(pending)
-        pending = []
-        return blk
-
-    for col in columns:
-        if col.kind == "allele_counts":
-            raise ValueError("allele-count columns go through run_multiallelic")
-        if kind is not None and (col.kind != kind or len(pending) >= block_size):
-            blk = flush()
-            if blk is not None:
-                yield blk
-        kind = col.kind
-        pending.append(col)
-    blk = flush()
-    if blk is not None:
-        yield blk
-
-
 def _bounded_map(fn, items: Iterator, workers: int) -> Iterator:
     """Ordered parallel map with a bounded number of in-flight tasks."""
     if workers <= 1:
@@ -621,21 +593,19 @@ def run_scan(config: ScanConfig, genotypes, phenotype,
              kernels=None) -> Iterator[ScanRecord]:
     """Stream scan records for every SNP in input order.
 
-    ``genotypes`` is a source with ``iter_blocks`` (packed, dosage or
-    in-memory) or any iterable of GenotypeColumn objects.  ``kernels`` is
-    the kernel module of the block sweeps (``backend.get_backend(name)``);
-    None takes ``backend.kernels`` as it is when the scan starts.
+    ``genotypes`` is a block source of ``gdcscan.io`` (``PackedSource``,
+    ``DosageSource``, ``ArraySource`` or a ``SubsetSource`` of one): it
+    has ``n_samples`` and ``iter_blocks``.  ``kernels`` is the kernel
+    module of the block sweeps (``backend.get_backend(name)``); None takes
+    ``backend.kernels`` as it is when the scan starts.
     """
     ctx = prepare_context(phenotype, covariates, kernels)
-    if hasattr(genotypes, "iter_blocks"):
-        if getattr(genotypes, "n_samples", ctx.n) != ctx.n:
-            raise ValueError(
-                f"genotype source has {genotypes.n_samples} samples but the "
-                f"phenotype has {ctx.n}"
-            )
-        blocks = genotypes.iter_blocks(config.block_size, kernels=ctx.kernels)
-    else:
-        blocks = _blocks_from_columns(genotypes, config.block_size)
+    if genotypes.n_samples != ctx.n:
+        raise ValueError(
+            f"genotype source has {genotypes.n_samples} samples but the "
+            f"phenotype has {ctx.n}"
+        )
+    blocks = genotypes.iter_blocks(config.block_size, kernels=ctx.kernels)
 
     def work(block: Block) -> list:
         return process_block(config, ctx, block)
@@ -649,21 +619,25 @@ def run_multiallelic(config: ScanConfig, genotype: GenotypeColumn, phenotype,
     """Test one multiallelic SNP from its allele-count column.
 
     With two alleles the column reduces to the biallelic scan on the
-    second-allele count and goes through exactly that code path.
+    second-allele count and goes through exactly that code path: a
+    one-row dosage block.
     """
     if genotype.kind != "allele_counts":
         raise ValueError("run_multiallelic expects an allele-count column")
     if genotype.m < 2:
         raise ValueError("need at least two alleles")
-    if genotype.m == 2:
-        col = GenotypeColumn(
-            snp_id=genotype.snp_id, chrom=genotype.chrom, pos=genotype.pos,
-            values=genotype.values[:, 1], kind="dosage",
-        )
-        records = list(run_scan(config, iter([col]), phenotype, covariates))
-        return records[0]
     ctx = prepare_context(phenotype, covariates)
-    return _test_single_column(config, ctx, genotype)
+    if genotype.m > 2:
+        return _test_single_column(config, ctx, genotype)
+    col = GenotypeColumn(
+        snp_id=genotype.snp_id, chrom=genotype.chrom, pos=genotype.pos,
+        values=genotype.values[:, 1], kind="dosage",
+    )
+    block = Block(
+        variants=[VariantInfo(col.snp_id, col.chrom, col.pos)],
+        values=col.values[None, :], kind="dosage",
+    )
+    return process_block(config, ctx, block)[0]
 
 
 # ---------------------------------------------------------------------------

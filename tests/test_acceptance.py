@@ -11,7 +11,7 @@ import numpy as np
 from scipy import stats
 
 from gdcscan.adjust import CovariateMatrix, column_features
-from gdcscan.gdc import Sample, dcov_fast, dcov_kernel_form, dcov_oracle
+from gdcscan.gdc import Sample, dcov_fast
 from gdcscan.io import ArraySource
 from gdcscan.nulldist import (
     exact_pvalue,
@@ -25,6 +25,8 @@ from gdcscan.nulldist import (
 from gdcscan.premetric import GenotypeColumn, Premetric
 from gdcscan.scan import ScanConfig, run_multiallelic, run_scan, record_row
 from gdcscan.simbench import SimScenario, draw_genotypes, hwe_probs
+
+from oracles import dcov_kernel_form, dcov_oracle
 
 RESULTS = []
 

@@ -2,20 +2,25 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from gdcscan.adjust import (
-    CovariateMatrix,
+from gdcscan.adjust import CovariateMatrix, column_features, residualize
+from gdcscan.gdc import Sample, dcov_fast
+from gdcscan.nulldist import (
+    exact_pvalue,
+    pvalue_bounds,
+    spectrum_from_features,
+    spectrum_unadjusted,
+)
+from gdcscan.premetric import GenotypeColumn
+
+from oracles import (
     JointMoments,
     adjusted_asymptotic_spectrum,
     adjusted_spectrum,
     adjusted_statistic,
-    column_features,
     population_feature_moments,
-    residualize,
 )
-from gdcscan.gdc import Sample, dcov_fast
-from gdcscan.nulldist import exact_pvalue, spectrum_from_features, spectrum_unadjusted
-from gdcscan.premetric import GenotypeColumn
 
 
 def _hwe(maf):
@@ -287,3 +292,33 @@ def test_adjusted_null_calibration_small():
 
     ks_stat = st.kstest(ps, "uniform").statistic
     assert ks_stat < 1.63 / np.sqrt(reps) * 1.5
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(20, 400),
+    q=st.integers(1, 4),
+    kind=st.sampled_from(["hard", "dosage"]),
+    b=st.floats(0.0, 4.0),
+    frac=st.floats(0.0, 0.9),
+)
+def test_adjusted_bound_sandwich(seed, n, q, kind, b, frac):
+    """p* <= p <= p** with no tolerance on covariate-adjusted spectra, as
+    acceptance criterion 05 checks it on unadjusted ones: 1-4 covariates,
+    hard calls or dosages, any b, statistics up to 0.9 n lambda1."""
+    rng = np.random.default_rng(seed)
+    z = _design(rng, n, q)
+    x = rng.choice(3, size=n, p=_hwe(rng.uniform(0.05, 0.5)))
+    x[:3] = [0, 1, 2]
+    if kind == "hard":
+        col = GenotypeColumn("snp", "1", 1, x.astype(np.int8))
+    else:
+        dose = np.clip(x + rng.uniform(-0.4, 0.4, size=n), 0.0, 2.0)
+        col = GenotypeColumn("snp", "1", 1, dose, kind="dosage")
+    spec = spectrum_from_features(column_features(b, col), projector_basis=z.matrix)
+    assume(spec.lambdas[0] > 0.0)
+    k = frac * spec.lambdas[0] * n
+    lo, hi = pvalue_bounds(spec, k)
+    p = exact_pvalue(spec, k)
+    assert lo <= p <= hi, (lo, p, hi)

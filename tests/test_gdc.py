@@ -3,15 +3,9 @@
 import numpy as np
 import pytest
 
-from gdcscan.gdc import (
-    PopulationModel,
-    Sample,
-    dcov_fast,
-    dcov_kernel_form,
-    dcov_oracle,
-    population_dcov,
-    standardized_statistic,
-)
+from gdcscan.gdc import Sample, dcov_fast, standardized_statistic
+
+from oracles import PopulationModel, dcov_kernel_form, dcov_oracle, population_dcov
 
 B_GRID = [0.0, 0.5, 1.0, 2.0, 3.0, 4.0]
 

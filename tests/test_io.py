@@ -13,7 +13,6 @@ from gdcscan.io import (
     SubsetSource,
     align_samples,
     encode_packed,
-    load_genotypes,
     read_phenotype_table,
     write_dosage_tsv,
     write_packed,
@@ -166,15 +165,6 @@ def test_dosage_header_requires_sample_id(tmp_path):
         fh.write("id\tsnp1\nind0\t1.0\n")
     with pytest.raises(ValueError, match="sample_id"):
         DosageSource(path)
-
-
-def test_load_genotypes_stream(tmp_path):
-    calls = np.array([[0, 1, 2, -1], [2, 2, 0, 1]], dtype=np.int8)
-    path = _write_panel(tmp_path, calls)
-    cols = list(load_genotypes(path, "packed"))
-    assert [c.snp_id for c in cols] == ["rs0", "rs1"]
-    assert cols[0].pos == 1000
-    np.testing.assert_array_equal(cols[1].values, calls[1])
 
 
 def test_phenotype_table_round_trip(tmp_path):

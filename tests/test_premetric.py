@@ -3,11 +3,16 @@
 import numpy as np
 import pytest
 
-from gdcscan.premetric import (
-    FeatureMap,
-    GenotypeColumn,
-    Premetric,
-    as_hard_calls,
+from gdcscan.premetric import FeatureMap, GenotypeColumn, Premetric
+
+from oracles import (
+    distance,
+    dosage_distance,
+    induced_kernel,
+    kernel,
+    multiallelic_distance,
+    pairwise_sq_dist,
+    regime_feature_map,
 )
 
 B_GRID = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
@@ -15,12 +20,12 @@ STATES = [0, 1, 2]
 
 
 def test_distance_values():
-    assert Premetric(1.0).distance(0, 2) == 1.0  # discrete metric
-    assert Premetric(2.0).distance(0, 2) == 2.0  # absolute distance
-    assert Premetric(3.3).distance(1, 1) == 0.0
+    assert distance(Premetric(1.0).b, 0, 2) == 1.0  # discrete metric
+    assert distance(Premetric(2.0).b, 0, 2) == 2.0  # absolute distance
+    assert distance(Premetric(3.3).b, 1, 1) == 0.0
     pm = Premetric(2.7)
-    assert pm.distance(0, 1) == pm.distance(1, 2) == 1.0
-    assert pm.distance(2, 0) == 2.7
+    assert distance(pm.b, 0, 1) == distance(pm.b, 1, 2) == 1.0
+    assert distance(pm.b, 2, 0) == 2.7
 
 
 def test_b_validation():
@@ -34,21 +39,21 @@ def test_b_validation():
 def test_distance_state_validation():
     pm = Premetric(1.0)
     with pytest.raises(ValueError):
-        pm.distance(3, 0)
+        distance(pm.b, 3, 0)
     with pytest.raises(ValueError):
-        pm.kernel(0, -1)
+        kernel(pm.b, 0, -1)
 
 
 def test_kernel_values():
-    assert Premetric(2.0).kernel(0, 2) == 0.0
-    assert Premetric(4.0).kernel(0, 2) == -2.0
+    assert kernel(Premetric(2.0).b, 0, 2) == 0.0
+    assert kernel(Premetric(4.0).b, 0, 2) == -2.0
     for b in B_GRID:
         pm = Premetric(b)
-        assert pm.kernel(1, 1) == 0.0
-        assert pm.kernel(0, 1) == pm.kernel(1, 2) == 0.0
-        assert pm.kernel(0, 0) == pm.kernel(2, 2) == 1.0
-        assert pm.kernel(0, 2) == pytest.approx(2.0 - b)
-        assert pm.kernel(2, 0) == pm.kernel(0, 2)
+        assert kernel(pm.b, 1, 1) == 0.0
+        assert kernel(pm.b, 0, 1) == kernel(pm.b, 1, 2) == 0.0
+        assert kernel(pm.b, 0, 0) == kernel(pm.b, 2, 2) == 1.0
+        assert kernel(pm.b, 0, 2) == pytest.approx(2.0 - b)
+        assert kernel(pm.b, 2, 0) == kernel(pm.b, 0, 2)
 
 
 def test_canonical_feature_map_values():
@@ -65,12 +70,12 @@ def test_canonical_feature_map_values():
 
 
 def test_regime_feature_map_values():
-    fm3 = Premetric(3.0).regime_feature_map()
+    fm3 = regime_feature_map(Premetric(3.0).b)
     np.testing.assert_allclose(fm3.matrix[2], [0.0, 1.0, 2.0])
     # both regimes coincide at b = 2: third feature vanishes
-    up = Premetric(2.0).regime_feature_map()
+    up = regime_feature_map(Premetric(2.0).b)
     np.testing.assert_allclose(up.matrix[2], 0.0)
-    fm0 = Premetric(0.0).regime_feature_map()
+    fm0 = regime_feature_map(Premetric(0.0).b)
     np.testing.assert_allclose(fm0.matrix[0], 0.0)
     np.testing.assert_allclose(fm0.matrix[1], 0.0)
     np.testing.assert_allclose(fm0.matrix[2], [0.0, np.sqrt(2.0), 0.0])
@@ -80,11 +85,11 @@ def test_regime_feature_map_values():
 def test_feature_distance_consistency(b):
     """Squared feature distances equal twice the premetric, for both maps."""
     pm = Premetric(b)
-    for fm in (pm.canonical_feature_map(), pm.regime_feature_map()):
+    for fm in (pm.canonical_feature_map(), regime_feature_map(pm.b)):
         for x in STATES:
             for y in STATES:
-                assert fm.pairwise_sq_dist(x, y) == pytest.approx(
-                    2.0 * pm.distance(x, y), abs=1e-12
+                assert pairwise_sq_dist(fm, x, y) == pytest.approx(
+                    2.0 * distance(pm.b, x, y), abs=1e-12
                 )
 
 
@@ -98,7 +103,7 @@ def test_translated_canonical_map_reproduces_induced_kernel(b):
     for x in STATES:
         for y in STATES:
             gram = float(fm[:, x] @ fm[:, y])
-            assert gram == pytest.approx(pm.induced_kernel(x, y), abs=1e-12)
+            assert gram == pytest.approx(induced_kernel(pm.b, x, y), abs=1e-12)
 
 
 @pytest.mark.parametrize("b", B_GRID)
@@ -107,7 +112,7 @@ def test_coding_swap_invariance(b):
     swap = {0: 2, 1: 1, 2: 0}
     for x in STATES:
         for y in STATES:
-            assert pm.distance(x, y) == pm.distance(swap[x], swap[y])
+            assert distance(pm.b, x, y) == distance(pm.b, swap[x], swap[y])
 
 
 def test_dosage_features_values():
@@ -136,15 +141,15 @@ def test_dosage_distance_matches_feature_oracle(b):
         f1x, f2x = pm.dosage_features(x)
         f1y, f2y = pm.dosage_features(y)
         oracle = (f1x - f1y) ** 2 + (f2x - f2y) ** 2
-        assert pm.dosage_distance(x, y) == pytest.approx(oracle / 2.0, abs=1e-12)
+        assert dosage_distance(pm.b, x, y) == pytest.approx(oracle / 2.0, abs=1e-12)
 
 
 def test_dosage_distance_values():
     pm = Premetric(3.0)
-    assert pm.dosage_distance(2.0, 0.0) == pytest.approx(3.0)
-    assert pm.dosage_distance(1.3, 1.3) == 0.0
+    assert dosage_distance(pm.b, 2.0, 0.0) == pytest.approx(3.0)
+    assert dosage_distance(pm.b, 1.3, 1.3) == 0.0
     # frozen from the feature oracle: opposite sides of 1, terms (3/4)*1 + 0
-    assert pm.dosage_distance(1.5, 0.5) == pytest.approx(0.75)
+    assert dosage_distance(pm.b, 1.5, 0.5) == pytest.approx(0.75)
 
 
 @pytest.mark.parametrize("b", B_GRID)
@@ -152,18 +157,18 @@ def test_dosage_distance_restricts_to_hard_distance(b):
     pm = Premetric(b)
     for x in STATES:
         for y in STATES:
-            assert pm.dosage_distance(float(x), float(y)) == pm.distance(x, y)
+            assert dosage_distance(pm.b, float(x), float(y)) == distance(pm.b, x, y)
 
 
 def test_multiallelic_distance():
     pm = Premetric(2.2)
-    assert pm.multiallelic_distance([2, 0], [0, 2]) == pytest.approx(2.2)
-    assert pm.multiallelic_distance([1, 1, 0], [1, 1, 0]) == 0.0
-    assert pm.multiallelic_distance([1, 1, 0], [1, 0, 1]) == pytest.approx(1.0)
+    assert multiallelic_distance(pm.b, [2, 0], [0, 2]) == pytest.approx(2.2)
+    assert multiallelic_distance(pm.b, [1, 1, 0], [1, 1, 0]) == 0.0
+    assert multiallelic_distance(pm.b, [1, 1, 0], [1, 0, 1]) == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        pm.multiallelic_distance([1, 1], [1, 1, 0])
+        multiallelic_distance(pm.b, [1, 1], [1, 1, 0])
     with pytest.raises(ValueError):
-        pm.multiallelic_distance([1, 0.5], [1, 1])
+        multiallelic_distance(pm.b, [1, 0.5], [1, 1])
 
 
 @pytest.mark.parametrize("b", B_GRID)
@@ -171,8 +176,8 @@ def test_multiallelic_reduces_to_biallelic(b):
     pm = Premetric(b)
     for x in STATES:
         for y in STATES:
-            d = pm.multiallelic_distance([2 - x, x], [2 - y, y])
-            assert d == pytest.approx(pm.distance(x, y), abs=1e-12)
+            d = multiallelic_distance(pm.b, [2 - x, x], [2 - y, y])
+            assert d == pytest.approx(distance(pm.b, x, y), abs=1e-12)
 
 
 @pytest.mark.parametrize("b", B_GRID)
@@ -188,7 +193,7 @@ def test_multiallelic_features_match_distance(b):
     feats = pm.multiallelic_features(counts)
     for i in range(0, 30, 5):
         for j in range(0, 30, 7):
-            d = pm.multiallelic_distance(counts[i], counts[j])
+            d = multiallelic_distance(pm.b, counts[i], counts[j])
             gap = feats[i] - feats[j]
             assert float(gap @ gap) == pytest.approx(2.0 * d, abs=1e-12)
 
@@ -226,8 +231,3 @@ def test_genotype_column_allele_counts():
         GenotypeColumn("rs2", "1", 1, np.array([[1.0, 0.5, 0.0]]), m=3,
                        kind="allele_counts")
 
-
-def test_as_hard_calls():
-    out = as_hard_calls(np.array([0.0, 1.0, 2.0, np.nan]))
-    np.testing.assert_array_equal(out, np.array([0, 1, 2, -1], dtype=np.int8))
-    assert as_hard_calls(np.array([0.0, 0.5])) is None

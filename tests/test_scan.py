@@ -303,15 +303,6 @@ def test_asymptotic_switch_routes_large_samples(small_panel):
     )
 
 
-def test_run_scan_accepts_column_iterables(small_panel):
-    g, y = small_panel
-    cols = [GenotypeColumn(f"c{i}", "2", i, g[i]) for i in range(10)]
-    recs = list(run_scan(ScanConfig(b=3.0), iter(cols), y))
-    via_source = list(run_scan(ScanConfig(b=3.0), ArraySource(g[:10], kind="hard"), y))
-    for a, b in zip(recs, via_source):
-        assert a.stat == b.stat and a.p_value == b.p_value
-
-
 def test_multiallelic_m2_byte_identical(small_panel):
     g, y = small_panel
     x = g[0]
@@ -548,7 +539,7 @@ def test_block_engine_matches_per_snp_path(seed, kind, n, n_snps, b,
     ctx = scan_module.prepare_context(y, cov)
     variants = [VariantInfo(f"rs{i}", "1", i) for i in range(n_snps)]
     block = scan_module.process_block(
-        cfg, ctx, Block(variants=variants, values=values, kind=kind, start=0)
+        cfg, ctx, Block(variants=variants, values=values, kind=kind)
     )
     for i, rec in enumerate(block):
         col = GenotypeColumn(snp_id=f"rs{i}", chrom="1", pos=i, values=values[i], kind=kind)
