@@ -16,7 +16,12 @@ One batched router, behind :func:`exact_pvalues_batch` and
 :func:`exact_pvalue_with_method`, picks the evaluation route of a
 two-eigenvalue spectrum (degenerate, classical F, generalized F, holdout,
 underflow); the scalar entry points are one-entry calls of the batch ones,
-so both give the same bits.  Also provided: cheap lower/upper p-value
+so both give the same bits.  A one-entry call costs no more bookkeeping
+than its one-entry batch: the router and the tail work on flat arrays, a
+route or mask that covers every entry takes the whole arrays (no index
+arrays, gathers or scatters), nu = inf is classified once per call, and
+Gauss-Legendre orders 64 and 128, which every entry needs, are summed in
+one pass over one node grid.  Also provided: cheap lower/upper p-value
 bounds used for two-stage screening and a characteristic-function
 inversion for weighted sums of chi-square variables (the fallback, and the
 multiallelic path with more than two eigenvalues).
@@ -187,15 +192,22 @@ def spectrum_from_features(
     absent, H is the projector onto constants.  df_sub equals the number of
     covariate columns.
     """
+    q = None if projector_basis is None else _orthonormal_columns(projector_basis)
+    return _projected_spectrum(u, q)
+
+
+def _projected_spectrum(u, q) -> NullSpectrum:
+    """:func:`spectrum_from_features` with H = Q Q' for an orthonormal
+    basis ``q`` of the covariate space, or the projector onto constants
+    when ``q`` is None."""
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 2 or not np.all(np.isfinite(u)):
         raise ValueError("feature matrix must be finite and 2-d")
     n = u.shape[0]
-    if projector_basis is None:
+    if q is None:
         pu = u - u.mean(axis=0)
         df_sub = 1
     else:
-        q = _orthonormal_columns(projector_basis)
         pu = u - q @ (q.T @ u)
         df_sub = q.shape[1]
     k = pu.T @ pu / n
@@ -208,33 +220,49 @@ def spectrum_from_features(
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=32)
-def _gl_nodes(order: int):
-    """Gauss-Legendre nodes and weights mapped to [0, pi/2], with the
-    squared cosines and sines of the nodes."""
-    x, w = np.polynomial.legendre.leggauss(order)
+@lru_cache(maxsize=8)
+def _gl_nodes(orders: tuple) -> tuple:
+    """Gauss-Legendre nodes and weights of each order in ``orders`` mapped
+    to [0, pi/2], with the squared cosines and sines of the nodes, each
+    concatenated over the orders, and the slice that holds each order."""
+    grids, edges = [], [0]
     half = np.pi / 4.0
-    theta = half * (x + 1.0)
-    return theta, half * w, np.cos(theta) ** 2, np.sin(theta) ** 2
+    for order in orders:
+        x, w = np.polynomial.legendre.leggauss(order)
+        theta = half * (x + 1.0)
+        grids.append((theta, half * w, np.cos(theta) ** 2, np.sin(theta) ** 2))
+        edges.append(edges[-1] + order)
+    theta, wts, cos2, sin2 = (np.concatenate(v) for v in zip(*grids))
+    return theta, wts, cos2, sin2, [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
 
 
-def _gl_order_doubling(estimate, size: int) -> tuple:
+def _agree(prev, cur):
+    """Whether each quadrature sum agrees with the one at half its order."""
+    return np.abs(cur - prev) <= 1e-12 * np.maximum(np.abs(cur), 1e-300)
+
+
+def _gl_order_doubling(estimate) -> tuple:
     """Per-entry Gauss-Legendre order doubling.
 
-    ``estimate(order, sel)`` returns the order-``order`` quadrature sums of
-    the entries indexed by ``sel``.  Each entry keeps the first estimate
-    that agrees with the one at half its order, and only entries still
-    open are evaluated at the next order, so an entry's value does not
-    depend on the other entries of the batch.  Returns the sums and the
-    indices of entries that did not converge by order 512 (their sums are
-    left at 1.0 for the caller's scalar fallback).
+    ``estimate(orders, sel)`` returns, for each order in ``orders``, the
+    quadrature sums of the entries ``sel`` selects.  Each entry keeps the
+    first estimate that agrees with the one at half its order.  Every
+    entry needs orders 64 and 128, so both come from one pass; only
+    entries still open are evaluated at the next order, so an entry's
+    value does not depend on the other entries of the batch.  Returns the
+    sums and the indices of entries that did not converge by order 512
+    (their sums are left at 1.0 for the caller's scalar fallback).
     """
-    sums = np.ones(size, dtype=np.float64)
-    sel = np.arange(size)
-    prev = estimate(64, sel)
-    for order in (128, 256, 512):
-        cur = estimate(order, sel)
-        ok = np.abs(cur - prev) <= 1e-12 * np.maximum(np.abs(cur), 1e-300)
+    prev, cur = estimate((64, 128), slice(None))
+    ok = _agree(prev, cur)
+    if ok.all():
+        return cur, ()
+    sums = np.where(ok, cur, 1.0)
+    sel = (~ok).nonzero()[0]
+    prev = cur[sel]
+    for order in (256, 512):
+        (cur,) = estimate((order,), sel)
+        ok = _agree(prev, cur)
         sums[sel[ok]] = cur[ok]
         sel, prev = sel[~ok], cur[~ok]
         if not sel.size:
@@ -242,15 +270,41 @@ def _gl_order_doubling(estimate, size: int) -> tuple:
     return sums, sel
 
 
-def _log_kernel(c, s, nu):
-    """log (1 + s / (nu c))^(-nu/2), and its nu = inf limit -s / (2c)."""
+def _select(mask):
+    """What picks the true entries of the 1-d ``mask``: the whole array
+    when every entry is true, else their indices (empty when none is)."""
+    return slice(None) if mask.all() else mask.nonzero()[0]
+
+
+def _inf_nu(nu) -> tuple:
+    """Classify nu = inf once per call for :func:`_log_kernel`: (nu, chi)
+    with chi True or False when every entry or none has nu = inf, else the
+    mask, with nu = 1 in place of inf."""
     chi = np.isinf(nu)
     if not chi.any():
-        return -(nu / 2.0) * np.log1p(s / (nu * c))
+        return nu, False
     if chi.all():
+        return nu, True
+    return np.where(chi, 1.0, nu), chi
+
+
+def _log_kernel(c, s, nu, chi):
+    """log (1 + s / (nu c))^(-nu/2), and its nu = inf limit -s / (2c)
+    where ``chi`` (from :func:`_inf_nu`) marks nu = inf."""
+    if chi is False:
+        return -(nu / 2.0) * np.log1p(s / (nu * c))
+    if chi is True:
         return -s / (2.0 * c)
-    fin = np.where(chi, 1.0, nu)
-    return np.where(chi, -s / (2.0 * c), -(fin / 2.0) * np.log1p(s / (fin * c)))
+    return np.where(chi, -s / (2.0 * c), -(nu / 2.0) * np.log1p(s / (nu * c)))
+
+
+# entries per pass of :func:`_tail`, so that the (entries x 192 nodes)
+# float64 temporaries of a pass, 192 KiB each, stay in a core's L2 cache:
+# on a Xeon with 2 MiB of L2 per core, batches of 1024 and 5000 screening
+# bounds took 0.6x the time of one pass over all their entries
+_TAIL_CHUNK = 128
+_LOG_2_OVER_PI = np.log(2.0 / np.pi)
+_LOG_FLOOR = np.log(PVALUE_FLOOR)
 
 
 def angular_tail(w1, w2, s, nu):
@@ -276,50 +330,84 @@ def angular_tail(w1, w2, s, nu):
         *(np.asarray(v, dtype=np.float64) for v in (w1, w2, s, nu))
     )
     shape = w1.shape
-    w1, w2, s, nu = (v.ravel() for v in (w1, w2, s, nu))
-    cut = (w2 < 0.0) & (w1 > 0.0)
-    theta_star = np.full(w1.shape, np.pi / 2.0)
-    theta_star[cut] = np.arctan(np.sqrt(w1[cut] / -w2[cut]))
-    scale = theta_star / (np.pi / 2.0)
-    # s = 0: the chance that the angular combination is nonnegative
-    out = np.where(w2 >= 0.0, 1.0, scale * cut)
-    out[s > 0.0] = 0.0
-    live = np.nonzero((s > 0.0) & (w1 > 0.0))[0]
-    if not live.size:
-        return out.reshape(shape)[()]
-    a, b, ss, vv, top, scale = (v[live] for v in (w1, w2, s, nu, theta_star, scale))
-    part = scale < 1.0
-    lmax = _log_kernel(a, ss, vv)
+    return _tail(*(v.ravel() for v in (w1, w2, s, nu))).reshape(shape)[()]
 
-    def node_sums(i, cos2, sin2, wts):
+
+def _tail(w1, w2, s, nu):
+    """:func:`angular_tail` on 1-d float64 arrays of one length."""
+    if w1.size > _TAIL_CHUNK:
+        return np.concatenate([
+            _tail(*(v[lo:lo + _TAIL_CHUNK] for v in (w1, w2, s, nu)))
+            for lo in range(0, w1.size, _TAIL_CHUNK)
+        ])
+    pos = w1 > 0.0
+    cut = (w2 < 0.0) & pos
+    live = _select((s > 0.0) & pos)
+    theta_star = scale = None  # theta* and theta* / (pi/2); None while no entry is cut
+    if cut.any():
+        theta_star = np.full(w1.shape, np.pi / 2.0)
+        i = _select(cut)
+        theta_star[i] = np.arctan(np.sqrt(w1[i] / -w2[i]))
+        scale = theta_star / (np.pi / 2.0)
+    if isinstance(live, slice):
+        out = None
+    else:
+        # s = 0: the chance that the angular combination is nonnegative
+        out = np.where(w2 >= 0.0, 1.0, 0.0 if scale is None else scale * cut)
+        out[s > 0.0] = 0.0
+        if not live.size:
+            return out
+    a, b, ss = (v[live] for v in (w1, w2, s))
+    vv, chi = _inf_nu(nu[live])
+    part = None
+    if scale is not None:
+        theta_star, scale = theta_star[live], scale[live]
+        part = scale < 1.0
+        if not part.any():
+            part = None
+    lmax = _log_kernel(a, ss, vv, chi)
+
+    def node_sums(i, cos2, sin2, wts, slices):
         c = a[i, None] * cos2 + b[i, None] * sin2
-        f = np.exp(_log_kernel(c, ss[i, None], vv[i, None]) - lmax[i, None])
-        return (f * wts).sum(axis=1)
+        kchi = chi if isinstance(chi, bool) else chi[i, None]
+        f = np.exp(_log_kernel(c, ss[i, None], vv[i, None], kchi) - lmax[i, None]) * wts
+        return [f[:, o].sum(axis=1) for o in slices]
 
-    def estimate(order, sel):
-        theta, wts, cos2, sin2 = _gl_nodes(order)
-        sums = np.empty(sel.size)
-        full = ~part[sel]
+    def estimate(orders, sel):
+        theta, wts, cos2, sin2, slices = _gl_nodes(orders)
+        if part is None:
+            return node_sums(sel, cos2, sin2, wts, slices)
+        idx = np.arange(a.size)[sel]
+        full = ~part[idx]
+        sums = [np.empty(idx.size) for _ in orders]
         if full.any():
-            sums[full] = node_sums(sel[full], cos2, sin2, wts)
+            for acc, v in zip(sums, node_sums(idx[full], cos2, sin2, wts, slices)):
+                acc[full] = v
         if not full.all():
-            i = sel[~full]
+            i = idx[~full]
             t = scale[i, None] * theta  # the nodes mapped to [0, theta*]
-            sums[~full] = scale[i] * node_sums(i, np.cos(t) ** 2, np.sin(t) ** 2, wts)
+            for acc, v in zip(sums, node_sums(i, np.cos(t) ** 2, np.sin(t) ** 2, wts, slices)):
+                acc[~full] = scale[i] * v
         return sums
 
-    sums, pending = _gl_order_doubling(estimate, a.size)
+    sums, pending = _gl_order_doubling(estimate)
     for i in pending:
-        def f(theta, i=i):
-            c = a[i] * math.cos(theta) ** 2 + b[i] * math.sin(theta) ** 2
-            return math.exp(_log_kernel(c, ss[i], vv[i]) - lmax[i]) if c > 0.0 else 0.0
+        ci = chi if isinstance(chi, bool) else bool(chi[i])
 
-        val, err = _quad(f, 0.0, top[i], epsabs=1e-300, epsrel=1e-13, limit=300)
+        def f(theta, i=i, ci=ci):
+            c = a[i] * math.cos(theta) ** 2 + b[i] * math.sin(theta) ** 2
+            return math.exp(_log_kernel(c, ss[i], vv[i], ci) - lmax[i]) if c > 0.0 else 0.0
+
+        top = np.pi / 2.0 if theta_star is None else theta_star[i]
+        val, err = _quad(f, 0.0, top, epsabs=1e-300, epsrel=1e-13, limit=300)
         sums[i] = val if val > 0.0 and err <= 1e-9 * val else np.nan
-    log_p = np.log(2.0 / np.pi) + lmax + np.log(np.maximum(sums, 1e-320))
-    vals = np.where(log_p < np.log(PVALUE_FLOOR), 0.0, np.exp(np.maximum(log_p, -745.0)))
-    out[live] = np.minimum(vals, 1.0)
-    return out.reshape(shape)[()]
+    log_p = _LOG_2_OVER_PI + lmax + np.log(np.maximum(sums, 1e-320))
+    vals = np.where(log_p < _LOG_FLOOR, 0.0, np.exp(np.maximum(log_p, -745.0)))
+    vals = np.minimum(vals, 1.0)
+    if out is None:
+        return vals
+    out[live] = vals
+    return out
 
 
 def genF_sf(alpha1: float, alpha2: float, nu: float, x: float) -> float:
@@ -487,8 +575,8 @@ _DEGENERATE, _CLASSICAL_F, _EXACT, _INVERSION, _UNDERFLOW = range(len(_ROUTES))
 
 
 def _route_two(lam1, lam2, k, n, df_sub) -> tuple:
-    """Exact p-values and method codes (indices into ``_ROUTES``) over
-    arrays of spectra lam1 >= lam2 >= 0, shaped like their broadcast.
+    """Exact p-values and method codes (indices into ``_ROUTES``) over 1-d
+    float64 arrays of one length of spectra lam1 >= lam2 >= 0.
 
     Routes: a zero spectrum is degenerate; a single nonzero eigenvalue
     gives the classical F reduction; with two, the holdout weights
@@ -498,42 +586,46 @@ def _route_two(lam1, lam2, k, n, df_sub) -> tuple:
     Outside the degenerate route, p-values below 1e-300 are reported as 0
     with the underflow route.
     """
-    args = np.broadcast_arrays(
-        *(np.asarray(v, dtype=np.float64) for v in (lam1, lam2, k, n, df_sub))
-    )
-    shape = args[0].shape
-    lam1, lam2, k, n, df_sub = (v.ravel() for v in args)
-    p = np.zeros(lam1.shape)
-    code = np.full(lam1.shape, _DEGENERATE, dtype=np.int8)
     degenerate = lam1 <= 0.0
-    p[degenerate & (k <= 0.0)] = 1.0
+    two = ~degenerate & (lam2 > 0.0)
+    if two.all():
+        p, code = _two_eigen(lam1, lam2, k, n, df_sub)
+    else:
+        p = np.zeros(lam1.shape)
+        code = np.full(lam1.shape, _DEGENERATE, dtype=np.int8)
+        p[degenerate & (k <= 0.0)] = 1.0
+        single = (~degenerate & (lam2 <= 0.0)).nonzero()[0]
+        if single.size:
+            nu1 = n[single] - df_sub[single] - 1.0
+            denom = lam1[single] * n[single] - k[single]
+            ok = denom > 0.0
+            ps = np.zeros(single.size)
+            ps[ok] = special.fdtrc(1.0, nu1[ok], k[single][ok] * nu1[ok] / denom[ok])
+            p[single] = ps
+            code[single] = _CLASSICAL_F
+        i = two.nonzero()[0]
+        if i.size:
+            p[i], code[i] = _two_eigen(*(v[i] for v in (lam1, lam2, k, n, df_sub)))
+    under = p < PVALUE_FLOOR
+    if under.any():
+        under &= ~degenerate
+        p[under] = 0.0
+        code[under] = _UNDERFLOW
+    return p, code
 
-    single = np.nonzero(~degenerate & (lam2 <= 0.0))[0]
-    if single.size:
-        nu1 = n[single] - df_sub[single] - 1.0
-        denom = lam1[single] * n[single] - k[single]
-        ok = denom > 0.0
-        ps = np.zeros(single.size)
-        ps[ok] = special.fdtrc(1.0, nu1[ok], k[single][ok] * nu1[ok] / denom[ok])
-        p[single] = ps
-        code[single] = _CLASSICAL_F
 
-    two = np.nonzero(~degenerate & (lam2 > 0.0))[0]
-    if two.size:
-        l1, l2, kk, nn = (v[two] for v in (lam1, lam2, k, n))
-        nu = nn - df_sub[two] - 2.0
-        w2 = l2 - kk / nn
-        pt = angular_tail(l1 - kk / nn, w2, kk * nu / nn, nu)
-        code[two] = np.where(w2 > 0.0, _EXACT, _INVERSION)
-        for i in np.nonzero(np.isnan(pt))[0]:
-            pt[i] = _tail_tn_inversion([l1[i], l2[i]], kk[i], nn[i], nu[i])
-            code[two[i]] = _INVERSION
-        p[two] = pt
-
-    under = ~degenerate & (p < PVALUE_FLOOR)
-    p[under] = 0.0
-    code[under] = _UNDERFLOW
-    return p.reshape(shape), code.reshape(shape)
+def _two_eigen(l1, l2, k, n, df_sub) -> tuple:
+    """The two-eigenvalue routes of :func:`_route_two`: generalized F or
+    holdout law by :func:`angular_tail`, inversion where it fails."""
+    nu = n - df_sub - 2.0
+    h = k / n
+    w2 = l2 - h
+    p = _tail(l1 - h, w2, k * nu / n, nu)
+    code = np.where(w2 > 0.0, np.int8(_EXACT), np.int8(_INVERSION))
+    for i in np.isnan(p).nonzero()[0]:
+        p[i] = _tail_tn_inversion([l1[i], l2[i]], k[i], n[i], nu[i])
+        code[i] = _INVERSION
+    return p, code
 
 
 def exact_pvalue(spec: NullSpectrum, k: float) -> float:
@@ -556,14 +648,24 @@ def exact_pvalue_with_method(spec: NullSpectrum, k: float) -> tuple:
         p = _tail_tn_inversion(nonzero, k, spec.n, spec.noise_df())
         return (p, METHOD_INVERSION) if p >= PVALUE_FLOOR else (0.0, METHOD_UNDERFLOW)
     lam = nonzero + (0.0, 0.0)
-    p, code = _route_two(lam[0], lam[1], k, spec.n, spec.df_sub)
-    return float(p), _ROUTES[code]
+    entry = np.array([lam[0], lam[1], k, spec.n, spec.df_sub], dtype=np.float64)
+    p, code = _route_two(*entry[:, None])
+    return float(p[0]), _ROUTES[code[0]]
+
+
+def _flat(*arrays) -> tuple:
+    """The arrays broadcast against each other, as float64 and raveled,
+    and the broadcast shape."""
+    args = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in arrays))
+    return [v.ravel() for v in args], args[0].shape
 
 
 def exact_pvalues_batch(lam1, lam2, k, n, df_sub=1) -> np.ndarray:
     """Vectorized exact p-values over arrays of two-eigenvalue spectra
-    (the routes of :func:`exact_pvalue_with_method`)."""
-    return _route_two(lam1, lam2, k, n, df_sub)[0]
+    (the routes of :func:`exact_pvalue_with_method`), shaped like their
+    broadcast."""
+    args, shape = _flat(lam1, lam2, k, n, df_sub)
+    return _route_two(*args)[0].reshape(shape)
 
 
 def _floor_prob(x):
@@ -585,49 +687,49 @@ def pvalue_bounds(spec: NullSpectrum, k: float) -> tuple:
 
 
 def pvalue_bounds_batch(lam1, lam2, k, n, df_sub=1) -> tuple:
-    """Vectorized (p*, p**) over arrays of spectra and statistics.
+    """Vectorized (p*, p**) over arrays of spectra and statistics, shaped
+    like their broadcast.
 
     p* is the largest of three lower bounds; one whose quadrature fails
     is left out.
     """
-    lam1, lam2, k = np.broadcast_arrays(
-        *(np.asarray(v, dtype=np.float64) for v in (lam1, lam2, k))
-    )
-    n = np.broadcast_to(np.asarray(n, dtype=np.float64), lam1.shape)
-    df_sub = np.broadcast_to(np.asarray(df_sub, dtype=np.float64), lam1.shape)
+    (lam1, lam2, k, n, df_sub), shape = _flat(lam1, lam2, k, n, df_sub)
     nu = n - df_sub - 2.0
     p_star = np.zeros(lam1.shape)
     p_star2 = np.zeros(lam1.shape)
 
     degenerate = lam1 <= 0.0
-    p_deg = np.where(k <= 0.0, 1.0, 0.0)
-    p_star[degenerate] = p_deg[degenerate]
-    p_star2[degenerate] = p_deg[degenerate]
+    if degenerate.any():
+        p_deg = np.where(k <= 0.0, 1.0, 0.0)
+        p_star[degenerate] = p_deg[degenerate]
+        p_star2[degenerate] = p_deg[degenerate]
 
     upper = (~degenerate) & (lam2 - k / n > 0.0)
     if upper.any():
-        l1, l2, kk, nn, vv = (v[upper] for v in (lam1, lam2, k, n, nu))
+        i = _select(upper)
+        l1, l2, kk, nn, vv = (v[i] for v in (lam1, lam2, k, n, nu))
         t = kk * vv / nn
-        t1 = angular_tail(l1 - kk / nn, l2 - kk / nn, t, np.inf)
+        t1 = _tail(l1 - kk / nn, l2 - kk / nn, t, np.full(t.shape, np.inf))
         t2 = special.fdtrc(1.0, vv, kk * vv / (l1 * nn - kk))
         t3 = special.fdtrc(2.0, vv, kk * vv / np.sqrt((l1 * nn - kk) * (l2 * nn - kk)))
-        p_star[upper] = np.fmax(np.fmax(t1, t2), t3)
-        p_star2[upper] = 5.0 * special.fdtrc(
+        p_star[i] = np.fmax(np.fmax(t1, t2), t3)
+        p_star2[i] = 5.0 * special.fdtrc(
             1.0, vv + 1, kk * (vv + 1) / ((l1 + l2) * nn - 2.0 * kk)
         )
 
     lower = (~degenerate) & ~upper
     if lower.any():
-        l1, kk, nn, vv = (v[lower] for v in (lam1, k, n, nu))
+        i = _select(lower)
+        l1, kk, nn, vv = (v[i] for v in (lam1, k, n, nu))
         denom = l1 * nn - kk
         safe = denom > 0.0
         ps = np.zeros(denom.shape)
         ps2 = np.zeros(denom.shape)
         ps[safe] = special.fdtrc(1.0, vv[safe] + 1, kk[safe] * (vv[safe] + 1) / denom[safe])
         ps2[safe] = special.fdtrc(1.0, vv[safe], kk[safe] * vv[safe] / denom[safe])
-        p_star[lower] = ps
-        p_star2[lower] = ps2
-    return _floor_prob(p_star), _floor_prob(p_star2)
+        p_star[i] = ps
+        p_star2[i] = ps2
+    return _floor_prob(p_star).reshape(shape), _floor_prob(p_star2).reshape(shape)
 
 
 def asymptotic_tail(lam1: float, lam2: float, t: float) -> float:

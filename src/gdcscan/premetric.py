@@ -34,7 +34,6 @@ class FeatureMap:
     """
 
     matrix: np.ndarray
-    name: str = "feature_map"
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.float64)
@@ -76,7 +75,7 @@ class Premetric:
         b = self.b
         phi1 = np.sqrt(b / 2.0) * np.array([-1.0, 0.0, 1.0])
         phi2 = np.sqrt((4.0 - b) / 2.0) * np.array([0.0, 1.0, 0.0])
-        return FeatureMap(np.vstack([phi1, phi2]), name="canonical")
+        return FeatureMap(np.vstack([phi1, phi2]))
 
     # -- dosage and multiallelic extensions -----------------------------------
 

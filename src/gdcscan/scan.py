@@ -57,13 +57,13 @@ from .nulldist import (
     METHOD_DEGENERATE,
     NullSpectrum,
     NumericsError,
+    _projected_spectrum,
     asymptotic_tail,
     eig2x2,
     exact_pvalue_with_method,
     hardcall_terms,
     pvalue_bounds,
     pvalue_bounds_batch,
-    spectrum_from_features,
 )
 from .premetric import GenotypeColumn
 
@@ -440,7 +440,7 @@ def _test_single_column(cfg: ScanConfig, ctx: ScanContext,
     try:
         if ctx.covariates is None:
             resid = ctx.y[mask] - ctx.y[mask].mean()
-            zmat = None
+            basis = None
             df_sub = 1
         else:
             try:
@@ -452,13 +452,13 @@ def _test_single_column(cfg: ScanConfig, ctx: ScanContext,
                 return _error_record(cfg, variant, n_used, "collinear_covariates", exc)
             rp = residualize(ctx.y[mask], zsub)
             resid = rp.residuals
-            zmat = zsub.matrix
+            basis = zsub.orthonormal_basis()
             df_sub = zsub.matrix.shape[1]
         rss = float(resid @ resid)
         if rss <= 0.0:
             return _error_record(cfg, variant, n_used, "degenerate_response")
         u = column_features(cfg.b, sub)
-        spec = spectrum_from_features(u, projector_basis=zmat)
+        spec = _projected_spectrum(u, basis)
         v = u.T @ resid
         stat = float(v @ v) / rss
     except ValueError as exc:

@@ -91,13 +91,11 @@ def regime_feature_map(b: float) -> FeatureMap:
         phi1 = np.sqrt(4.0 - b) * np.array([0.0, 0.0, 1.0])
         phi2 = np.sqrt(4.0 - b) * np.array([0.0, 1.0, 1.0])
         phi3 = 2.0 * np.sqrt(b - 2.0) * np.array([0.0, 0.5, 1.0])
-        name = "regime_upper"
     else:
         phi1 = np.sqrt(b) * np.array([0.0, 0.0, 1.0])
         phi2 = np.sqrt(b) * np.array([0.0, 1.0, 1.0])
         phi3 = np.sqrt(2.0 - b) * np.array([0.0, 1.0, 0.0])
-        name = "regime_lower"
-    return FeatureMap(np.vstack([phi1, phi2, phi3]), name=name)
+    return FeatureMap(np.vstack([phi1, phi2, phi3]))
 
 
 def dosage_distance(b: float, x: float, y: float) -> float:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
+from gdcscan import nulldist as nd
 from gdcscan.gdc import Sample
 from gdcscan.nulldist import (
     NullSpectrum,
@@ -637,6 +638,69 @@ def test_scalar_and_batch_routes_agree_bitwise():
         "exact_appell", "weighted_chisq_inversion", "classical_F",
         "degenerate spectrum", "underflow",
     }
+
+
+def _top_order(monkeypatch, lam1, lam2, k, n, df_sub):
+    """The highest Gauss-Legendre order each entry's one-entry router call
+    evaluates (0 when it evaluates none)."""
+    grid, seen, top = nd._gl_nodes, [], []
+
+    def spy(orders):
+        seen.extend(orders)
+        return grid(orders)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(nd, "_gl_nodes", spy)
+        for row in zip(lam1, lam2, k, n, df_sub):
+            seen.clear()
+            exact_pvalues_batch(*row)
+            top.append(max(seen, default=0))
+    return np.array(top)
+
+
+def _same_bits(a, b):
+    np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_route_batches_equal_their_entries_in_a_mixed_batch(monkeypatch):
+    """A batch whose entries all take one route (every entry two-eigenvalue,
+    live, uncut, converging at order 128; all holdout entries, whose
+    angular range is cut; all single-eigenvalue, degenerate or underflow
+    entries; entries that need order 256 or 512) gives the bits those
+    entries get inside a mixed batch, for the p-values and the bounds."""
+    rng = np.random.default_rng(73)
+    m = 900
+    n = rng.integers(8, 3000, m).astype(float)
+    df_sub = rng.integers(1, 5, m).astype(float)
+    lam1 = 10.0 ** rng.uniform(-3.0, 0.3, m)
+    lam2 = lam1 * 10.0 ** rng.uniform(-6.0, 0.0, m)
+    kind = rng.integers(0, 6, m)
+    lam2[kind == 1] = 0.0
+    lam1[kind == 2] = lam2[kind == 2] = 0.0
+    k = lam1 * n * 10.0 ** rng.uniform(-4.0, 0.2, m)
+    k[kind == 2] = rng.choice([0.0, 1.0], (kind == 2).sum())
+    k[kind == 3] = lam2[kind == 3] * n[kind == 3] * rng.uniform(0.5, 1.5, (kind == 3).sum())
+    _, code = nd._route_two(lam1, lam2, k, n, df_sub)
+    top = _top_order(monkeypatch, lam1, lam2, k, n, df_sub)
+    exact = code == nd._EXACT
+    groups = {
+        "exact at 128": exact & (top == 128),
+        "exact at 256 or 512": exact & (top > 128),
+        "holdout": code == nd._INVERSION,
+        "classical F": code == nd._CLASSICAL_F,
+        "degenerate": code == nd._DEGENERATE,
+        "underflow": code == nd._UNDERFLOW,
+    }
+    assert (top == 512).any()
+    p = exact_pvalues_batch(lam1, lam2, k, n, df_sub)
+    lo, hi = pvalue_bounds_batch(lam1, lam2, k, n, df_sub)
+    for name, sel in groups.items():
+        assert sel.sum() >= 10, name
+        args = (lam1[sel], lam2[sel], k[sel], n[sel], df_sub[sel])
+        _same_bits(exact_pvalues_batch(*args), p[sel])
+        lo_g, hi_g = pvalue_bounds_batch(*args)
+        _same_bits(lo_g, lo[sel])
+        _same_bits(hi_g, hi[sel])
 
 
 # ---------------------------------------------------------------------------

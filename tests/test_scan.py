@@ -15,7 +15,7 @@ from gdcscan.gdc import Sample, standardized_statistic
 from gdcscan.io import ArraySource, Block, VariantInfo
 from gdcscan import scan as scan_module
 from gdcscan.nulldist import (
-    NullSpectrum, NumericsError, exact_pvalue, spectrum_from_features,
+    NullSpectrum, NumericsError, exact_pvalue, exact_pvalues_batch, spectrum_from_features,
 )
 from gdcscan.premetric import GenotypeColumn
 from gdcscan.scan import (
@@ -700,6 +700,25 @@ def _dosages_of(g, seed=32):
     missing."""
     noise = np.random.default_rng(seed).uniform(-0.3, 0.3, size=g.shape)
     return np.where(g < 0, np.nan, np.clip(g + noise, 0.0, 2.0))
+
+
+@pytest.mark.parametrize("cfg", [
+    ScanConfig(b=3.0, screen_threshold=0.2), ScanConfig(b=3.0, no_screen=True),
+])
+def test_in_window_pvalues_equal_the_batched_router(cfg):
+    """The scan evaluates its in-window rows one SNP at a time, screened
+    or not; each p-value equals, bit for bit, the batched router's on the
+    row's (lambda1, lambda2, stat, n_used, df_sub)."""
+    g, y, cov = _missing_call_panel()
+    recs = list(run_scan(cfg, ArraySource(g, kind="hard"), y, cov))
+    rows = [r for r in recs if r.method not in scan_module._SCREENED]
+    assert len(rows) >= 30 and sum(r.n_used < len(y) for r in rows) >= 20
+    lam1, lam2, stat, n_used = (
+        np.array([getattr(r, f) for r in rows]) for f in ("lambda1", "lambda2", "stat", "n_used")
+    )
+    batch = exact_pvalues_batch(lam1, lam2, stat, n_used, cov.matrix.shape[1])
+    scalar = np.array([r.p_value for r in rows])
+    np.testing.assert_array_equal(scalar.view(np.int64), batch.view(np.int64))
 
 
 def test_missing_calls_byte_identical_across_blocks_and_threads(tmp_path, monkeypatch):
