@@ -1,9 +1,10 @@
 /* Per-SNP sweep kernels in plain C, called through ctypes by _kernels.py.
  *
  * No Python or NumPy API: every array is a C-contiguous buffer whose
- * dtype and shape the binding checks before the call.  Each sum adds a
- * row's terms in sample order, as the NumPy twin in _kernels_py.py does,
- * so both give the same bits (build without floating-point contraction).
+ * dtype and shape the binding checks before the call.  Both sweeps sum
+ * (n, k) weight columns.  Each sum adds a row's terms in sample order, as
+ * the NumPy twin in _kernels_py.py does, so both give the same bits (build
+ * without floating-point contraction).
  */
 #include <math.h>
 #include <stdint.h>
@@ -56,17 +57,20 @@ void hardcall_sweep(const int8_t *g, int64_t n_snps, int64_t n, const double *w,
     }
 }
 
-/* x (n_snps, n) dosages, NaN for missing, y (n,) -> out (n_snps, 8) with
- * columns [nmiss, s1, s2, s11, s22, s12, s1y, s2y] of the features
- * f1 = x, f2 = |x - 1|.  A missing entry adds zero features, and every
- * sum starts at -0.0, the additive identity, so it equals the last entry
- * of the twin's np.cumsum bit for bit, signed zeros included. */
-void dosage_stats(const double *x, int64_t n_snps, int64_t n, const double *y,
-                  double *out)
+/* x (n_snps, n) dosages, NaN for missing, w (n, k) weights -> moments
+ * (n_snps, 6) [nmiss, s1, s2, s11, s22, s12] and sums (n_snps, 2, k) of
+ * the features f1 = x, f2 = |x - 1| against every weight column.  A
+ * missing entry adds zero features, and every sum starts at -0.0, the
+ * additive identity, so it equals the twin's np.cumsum bit for bit. */
+void dosage_sweep(const double *x, int64_t n_snps, int64_t n, const double *w,
+                  int64_t k, double *restrict moments, double *restrict sums)
 {
     for (int64_t i = 0; i < n_snps; i++) {
         const double *row = x + i * n;
-        double t[8] = {0.0, -0.0, -0.0, -0.0, -0.0, -0.0, -0.0, -0.0};
+        double t[6] = {0.0, -0.0, -0.0, -0.0, -0.0, -0.0};
+        double *s = sums + 2 * k * i;
+        for (int64_t m = 0; m < 2 * k; m++)
+            s[m] = -0.0;
         for (int64_t j = 0; j < n; j++) {
             int miss = isnan(row[j]);
             double f1 = miss ? 0.0 : row[j];
@@ -77,9 +81,11 @@ void dosage_stats(const double *x, int64_t n_snps, int64_t n, const double *y,
             t[3] += f1 * f1;
             t[4] += f2 * f2;
             t[5] += f1 * f2;
-            t[6] += f1 * y[j];
-            t[7] += f2 * y[j];
+            for (int64_t m = 0; m < k; m++) {
+                s[m] += f1 * w[j * k + m];
+                s[k + m] += f2 * w[j * k + m];
+            }
         }
-        memcpy(out + 8 * i, t, sizeof t);
+        memcpy(moments + 6 * i, t, sizeof t);
     }
 }

@@ -1,9 +1,9 @@
 """The plain-C sweep kernels of ``_ckernels.c``, bound through ctypes.
 
 Same functions, signatures and bits as the NumPy twin ``_kernels_py``:
-the packed decode, the one hard-call sweep that gives class counts and
-the per-class sums of any number of weight columns (of hard calls, or of
-a presence pattern: 0 present, -1 missing), and the dosage feature sums.
+the packed decode and two sweeps of any number of weight columns: class
+counts and per-class sums of hard calls (or of a presence pattern: 0
+present, -1 missing), and feature moments and feature sums of dosages.
 The library is built next to this module by ``python setup.py build_ext
 --inplace``; importing raises ImportError when it is missing, so the
 backend falls back to the twin.  Inputs are converted as the twin
@@ -37,9 +37,11 @@ _lib.hardcall_sweep.argtypes = [
     _arr(np.int8, 2), _i64, _i64, _arr(np.float64, 2), _i64,
     _arr(np.int64, 2), _arr(np.float64, 3),
 ]
-_lib.dosage_stats.argtypes = [_arr(np.float64, 2), _i64, _i64, _arr(np.float64, 1),
-                              _arr(np.float64, 2)]
-for _f in (_lib.decode_packed, _lib.hardcall_sweep, _lib.dosage_stats):
+_lib.dosage_sweep.argtypes = [
+    _arr(np.float64, 2), _i64, _i64, _arr(np.float64, 2), _i64,
+    _arr(np.float64, 2), _arr(np.float64, 3),
+]
+for _f in (_lib.decode_packed, _lib.hardcall_sweep, _lib.dosage_sweep):
     _f.restype = None
 
 
@@ -50,11 +52,11 @@ def _block(a, dtype, what: str) -> np.ndarray:
     return a
 
 
-def _response(y, n: int) -> np.ndarray:
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    if y.shape != (n,):
-        raise ValueError("response length must match the block width")
-    return y
+def _weights(w, n: int) -> np.ndarray:
+    w = np.ascontiguousarray(w, dtype=np.float64)
+    if w.ndim != 2 or w.shape[0] != n:
+        raise ValueError("weights must be (n, k) with n the block width")
+    return w
 
 
 def decode_packed(raw: np.ndarray, n: int) -> np.ndarray:
@@ -74,20 +76,20 @@ def hardcall_stats(g: np.ndarray, w: np.ndarray):
     sweep; see the NumPy twin."""
     g = _block(g, np.int8, "hard calls")
     n_snps, n = g.shape
-    w = np.ascontiguousarray(w, dtype=np.float64)
-    if w.ndim != 2 or w.shape[0] != n:
-        raise ValueError("weights must be (n, k) with n the block width")
+    w = _weights(w, n)
     counts = np.empty((n_snps, 3), dtype=np.int64)
     sums = np.empty((n_snps, 3, w.shape[1]), dtype=np.float64)
     _lib.hardcall_sweep(g, n_snps, n, w, w.shape[1], counts, sums)
     return counts, sums
 
 
-def dosage_stats(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(n_snps, 8) feature sums [nmiss, s1, s2, s11, s22, s12, s1y, s2y] of a
-    dosage block; see the NumPy twin."""
+def dosage_stats(x: np.ndarray, w: np.ndarray):
+    """(moments (n_snps, 6), sums (n_snps, 2, k)) float64 of a dosage block
+    and every column of the weights ``w`` (n, k), in one sweep; see the twin."""
     x = _block(x, np.float64, "dosages")
-    y = _response(y, x.shape[1])
-    out = np.empty((x.shape[0], 8), dtype=np.float64)
-    _lib.dosage_stats(x, x.shape[0], x.shape[1], y, out)
-    return out
+    n_snps, n = x.shape
+    w = _weights(w, n)
+    moments = np.empty((n_snps, 6), dtype=np.float64)
+    sums = np.empty((n_snps, 2, w.shape[1]), dtype=np.float64)
+    _lib.dosage_sweep(x, n_snps, n, w, w.shape[1], moments, sums)
+    return moments, sums

@@ -5,11 +5,10 @@ the C library is not built (or when forced via ``GDCSCAN_BACKEND=python``).
 Every statistic is reduced row by row, never by a block-shaped matrix
 product, so a SNP's statistics do not depend on how many SNPs share its
 block.  Every sum adds each row's terms in sample order, the order of the
-C loops, so both backends give the same bits.  A hard-call block takes
-one sweep, :func:`hardcall_stats`, for all its weight columns: weighted
-``np.bincount`` passes over row*4 + code, taken over cache-sized row
-chunks whose bins are built once for every column.  The dosage sums are
-the last column of a per-row ``np.cumsum``.
+C loops, so both backends give the same bits.  Both sweeps sum (n, k)
+weight columns over cache-sized row chunks: a hard-call chunk by weighted
+``np.bincount`` passes over row*4 + code, a dosage chunk by the last
+column of a per-row ``np.cumsum``.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ def decode_packed(raw: np.ndarray, n: int) -> np.ndarray:
     return np.ascontiguousarray(calls[:, :n])
 
 
-# calls per bincount pass: a row chunk's bins and tiled weights stay in cache
+# entries per row chunk: a chunk's temporaries stay in cache
 _CHUNK_CALLS = 1 << 17
 
 
@@ -91,31 +90,34 @@ def hardcall_stats(g: np.ndarray, w: np.ndarray):
     return counts, sums[:, :3]
 
 
-def dosage_stats(x: np.ndarray, y: np.ndarray):
-    """Per-SNP sufficient statistics for a dosage block.
+def dosage_stats(x: np.ndarray, w: np.ndarray):
+    """Per-SNP sufficient statistics for a dosage block ``x`` (n_snps, n),
+    NaN for missing, and the weights ``w`` of :func:`hardcall_stats`.
 
-    Features are f1 = x and f2 = |x - 1|; sums run over non-missing
-    (non-NaN) entries, added in sample order (missing entries add zero).
-
-    Returns a (n_snps, 8) float64 array with columns
-    [nmiss, s1, s2, s11, s22, s12, s1y, s2y].
+    Returns ``moments`` (n_snps, 6) [nmiss, s1, s2, s11, s22, s12] and
+    ``sums`` (n_snps, 2, k) of the features f1 = x and f2 = |x - 1|
+    against every column of w, over present entries, added in sample
+    order.  Each row's sums are its own ``np.cumsum``, whatever its chunk.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    miss = np.isnan(x)
-    f1 = np.where(miss, 0.0, x)
-    f2 = np.abs(f1 - 1.0)
-    f2[miss] = 0.0
-    out = np.empty((x.shape[0], 8), dtype=np.float64)
-    out[:, 0] = miss.sum(axis=1)
-    out[:, 1] = _row_sums(f1)
-    out[:, 2] = _row_sums(f2)
-    out[:, 3] = _row_sums(f1 * f1)
-    out[:, 4] = _row_sums(f2 * f2)
-    out[:, 5] = _row_sums(f1 * f2)
-    out[:, 6] = _row_sums(f1 * y)
-    out[:, 7] = _row_sums(f2 * y)
-    return out
+    w = np.asarray(w, dtype=np.float64)
+    if x.ndim != 2 or w.ndim != 2 or w.shape[0] != x.shape[1]:
+        raise ValueError("weights must be (n, k) with n the block width")
+    n_snps, n = x.shape
+    moments = np.empty((n_snps, 6), dtype=np.float64)
+    sums = np.empty((n_snps, 2, w.shape[1]), dtype=np.float64)
+    rows = max(1, min(n_snps, _CHUNK_CALLS // max(n, 1)))
+    for start in range(0, n_snps, rows):
+        c = slice(start, start + rows)
+        miss = np.isnan(x[c])
+        f1 = np.where(miss, 0.0, x[c])
+        f2 = np.where(miss, 0.0, np.abs(f1 - 1.0))
+        for j, t in enumerate((miss, f1, f2, f1 * f1, f2 * f2, f1 * f2)):
+            moments[c, j] = _row_sums(t)
+        for j in range(w.shape[1]):
+            sums[c, 0, j] = _row_sums(f1 * w[:, j])
+            sums[c, 1, j] = _row_sums(f2 * w[:, j])
+    return moments, sums
 
 
 def _row_sums(t: np.ndarray) -> np.ndarray:

@@ -353,6 +353,9 @@ def read_phenotype_table(path: str):
         header = fh.readline().rstrip("\n").split("\t")
         if "sample_id" not in header:
             raise ValueError(f"{path}: header must contain a sample_id column")
+        dup = _first_duplicate(header)
+        if dup is not None:
+            raise ValueError(f"{path}: duplicated column {dup!r} in the header")
         id_idx = header.index("sample_id")
         names = [h for i, h in enumerate(header) if i != id_idx]
         ids = []
@@ -376,12 +379,27 @@ def read_phenotype_table(path: str):
     return ids, {k: np.asarray(v, dtype=np.float64) for k, v in cols.items()}
 
 
+def _first_duplicate(names):
+    """The first name that occurs a second time, or None."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            return name
+        seen.add(name)
+    return None
+
+
 def align_samples(geno_ids, table_ids, allow_missing: bool = False) -> tuple:
     """Match genotype samples to table rows by ID.
 
-    Returns (geno_index, table_index) arrays.  Without ``allow_missing``
-    any unmatched ID on either side is an error naming both counts.
+    Returns (geno_index, table_index) arrays.  A duplicated ID on either
+    side is an error naming it.  Without ``allow_missing`` any unmatched
+    ID on either side is an error naming both counts.
     """
+    for side, ids in (("genotype", geno_ids), ("phenotype table", table_ids)):
+        dup = _first_duplicate(ids)
+        if dup is not None:
+            raise ValueError(f"duplicated sample ID {dup!r} in the {side} samples")
     table_pos = {sid: i for i, sid in enumerate(table_ids)}
     geno_idx, table_idx = [], []
     for i, sid in enumerate(geno_ids):

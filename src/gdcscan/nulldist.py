@@ -399,7 +399,10 @@ def _tail(w1, w2, s, nu):
             return math.exp(_log_kernel(c, ss[i], vv[i], ci) - lmax[i]) if c > 0.0 else 0.0
 
         top = np.pi / 2.0 if theta_star is None else theta_star[i]
-        val, err = _quad(f, 0.0, top, epsabs=1e-300, epsrel=1e-13, limit=300)
+        # full_output returns SciPy's IntegrationWarning message instead of
+        # warning (a warnings filter is global state, and scans run
+        # threaded); the error check below decides
+        val, err = _quad(f, 0.0, top, epsabs=1e-300, epsrel=1e-13, limit=300, full_output=1)[:2]
         sums[i] = val if val > 0.0 and err <= 1e-9 * val else np.nan
     log_p = _LOG_2_OVER_PI + lmax + np.log(np.maximum(sums, 1e-320))
     vals = np.where(log_p < _LOG_FLOOR, 0.0, np.exp(np.maximum(log_p, -745.0)))

@@ -149,14 +149,14 @@ class ScanRecord:
 
 @dataclass
 class ScanContext:
-    """Shared per-phenotype state: residuals, their scale, the orthonormal
-    covariate basis, the degree count they remove, the kernel module that
-    runs the block sweeps and the weight columns it sums.
+    """Shared per-phenotype state: the phenotype and its covariates, the
+    residual sum of squares, the degree count the covariates remove, the
+    kernel module that runs the block sweeps and the weight columns it sums.
 
-    ``weights`` is ``[resid | qbasis]`` (``resid`` alone without
-    covariates), the columns of every hard-call block's sweep.
-    ``miss_weights`` is ``[r^2, Q*r, upper triangle of Q Q^T]`` with ``r``
-    the residuals and ``Q`` the basis (the column ``1/sqrt(n)`` without
+    ``weights`` is ``[r | Q]``, the residuals and the orthonormal covariate
+    basis (``r`` alone without covariates), the columns of every block's
+    first sweep, hard calls and dosages alike.  ``miss_weights`` is ``[r^2,
+    Q*r, upper triangle of Q Q^T]`` (Q the column ``1/sqrt(n)`` without
     covariates), summed over the rows with missing entries.  ``gram_floor``
     is the smallest eigenvalue ratio of a row's ``Q'Q`` that the block
     algebra accepts.
@@ -164,8 +164,6 @@ class ScanContext:
 
     y: np.ndarray
     covariates: CovariateMatrix | None
-    qbasis: np.ndarray | None
-    resid: np.ndarray
     rss: float
     df_sub: int
     n: int
@@ -186,7 +184,6 @@ def prepare_context(phenotype, covariates: CovariateMatrix | None = None,
     n = y.shape[0]
     if covariates is None:
         resid = y - y.mean()
-        qbasis = None
         df_sub = 1
         q = np.full((n, 1), 1.0 / math.sqrt(n))
         weights = resid[:, None]
@@ -196,9 +193,9 @@ def prepare_context(phenotype, covariates: CovariateMatrix | None = None,
             raise ValueError("covariate rows must align with the phenotype")
         rp = residualize(y, covariates)
         resid = rp.residuals
-        qbasis = q = covariates.orthonormal_basis()
-        df_sub = qbasis.shape[1]
-        weights = np.column_stack([resid, qbasis])
+        q = covariates.orthonormal_basis()
+        df_sub = q.shape[1]
+        weights = np.column_stack([resid, q])
         # Z = Q S V' makes cond(Z_S) <= sqrt(cond(Q_S'Q_S)) * cond(Z), so
         # above this floor every complete-case design passes the per-SNP
         # path's rank test (singular values above 1e-10 of the largest)
@@ -211,7 +208,7 @@ def prepare_context(phenotype, covariates: CovariateMatrix | None = None,
     iu, ju = np.triu_indices(q.shape[1])
     miss_weights = np.column_stack([resid * resid, q * resid[:, None], q[:, iu] * q[:, ju]])
     return ScanContext(
-        y=y, covariates=covariates, qbasis=qbasis, resid=resid, rss=rss,
+        y=y, covariates=covariates, rss=rss,
         df_sub=df_sub, n=n, kernels=backend.kernels if kernels is None else kernels,
         weights=weights, miss_weights=miss_weights, gram_floor=gram_floor,
     )
@@ -261,15 +258,6 @@ def _scales(b: float) -> tuple:
     return math.sqrt(b / 2.0), math.sqrt((4.0 - b) / 2.0)
 
 
-def _row_basis_dots(f: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """(n_snps, k) products of feature rows with each covariate basis
-    column, reduced row by row (a matrix product's summation order
-    depends on the block's shape)."""
-    return np.stack(
-        [(f * basis[:, j]).sum(axis=1) for j in range(basis.shape[1])], axis=1
-    )
-
-
 def _maf(dose: np.ndarray, n_used) -> np.ndarray:
     """Minor allele frequency from the allele sum over present entries."""
     q = dose / (2.0 * n_used)
@@ -289,21 +277,18 @@ def _hard_sums(b: float, counts: np.ndarray, rsums: np.ndarray,
     return utu, ur, uq
 
 
-def _dosage_sums(b: float, ctx: ScanContext, x: np.ndarray, missing: np.ndarray,
-                 s: np.ndarray) -> tuple:
-    """(utu, ur, uq) of dosage rows from their moments ``s`` = [nmiss, s1,
-    s2, s11, s22, s12, s1y, s2y] over present entries.  U's columns are
-    sqrt(b/2) x and sqrt((4-b)/2) |x - 1|, zero where x is missing."""
+def _dosage_sums(b: float, ctx: ScanContext, s: np.ndarray, fsums: np.ndarray) -> tuple:
+    """(utu, ur, uq) of dosage rows from one ``dosage_stats`` sweep: the
+    moments ``s`` = [nmiss, s1, s2, s11, s22, s12] and the sums ``fsums``
+    (m, 2, k) of the two features against ``ctx.weights``, whose column 0
+    gives U'r and the others U'Q (without covariates U'Q is (s1, s2) /
+    sqrt(n), as for :func:`_hard_sums`).  U's columns are sqrt(b/2) x and
+    sqrt((4-b)/2) |x - 1|, zero where x is missing."""
     sqb, sqh = _scales(b)
     utu = np.stack([(b / 2.0) * s[:, 3], ((4.0 - b) / 2.0) * s[:, 4], sqb * sqh * s[:, 5]], axis=1)
-    ur = np.stack([sqb * s[:, 6], sqh * s[:, 7]], axis=1)
-    if ctx.qbasis is None:
-        fq = s[:, 1:3, None] / math.sqrt(ctx.n)
-    else:
-        f1 = np.where(missing, 0.0, x)
-        f2 = np.where(missing, 0.0, np.abs(x - 1.0))
-        fq = np.stack([_row_basis_dots(f1, ctx.qbasis), _row_basis_dots(f2, ctx.qbasis)], axis=1)
-    return utu, ur, np.array([sqb, sqh])[:, None] * fq
+    fq = s[:, 1:3, None] / math.sqrt(ctx.n) if ctx.covariates is None else fsums[:, :, 1:]
+    scale = np.array([sqb, sqh])
+    return utu, scale * fsums[:, :, 0], scale[:, None] * fq
 
 
 def _projected_terms(ctx: ScanContext, n_used: np.ndarray, utu: np.ndarray,
@@ -495,8 +480,9 @@ def process_block(cfg: ScanConfig, ctx: ScanContext, block: Block) -> list:
     """Records for one block, input order preserved.
 
     Hard calls, and dosage rows whose present entries are all 0/1/2 (as
-    int8 calls), take one sweep of class counts and class sums; the other
-    dosage rows one sweep of feature moments.  Both become the feature
+    int8 calls), take one kernel sweep of class counts and the class sums
+    of ``ctx.weights``; the other dosage rows one sweep of feature moments
+    and the feature sums of the same columns.  Both become the feature
     sums of :func:`_projected_terms`, which settles complete rows at once
     and rows with missing entries after one more sweep over them.
     Complete hard-call rows without covariates take the paper's
@@ -541,9 +527,10 @@ def process_block(cfg: ScanConfig, ctx: ScanContext, block: Block) -> list:
         dose = counts[:, 1] + 2.0 * counts[:, 2]
         mono = (counts == n_used[:, None]).any(axis=1)
         clean = n_used == g.shape[1]
-        qsums = counts[:, :, None] / math.sqrt(ctx.n) if ctx.qbasis is None else csums[:, :, 1:]
+        qsums = (counts[:, :, None] / math.sqrt(ctx.n) if ctx.covariates is None
+                 else csums[:, :, 1:])
         sums = (n_used, dose, mono) + _hard_sums(cfg.b, counts, csums[:, :, 0], qsums)
-        if ctx.qbasis is not None:
+        if ctx.covariates is not None:
             settle(clean, hard, g, "hard", sums)
         elif clean.any():  # the paper's closed-form frequency matrix
             sqb, sqh = _scales(cfg.b)
@@ -552,14 +539,14 @@ def process_block(cfg: ScanConfig, ctx: ScanContext, block: Block) -> list:
                  sqb * c1, sqh * c2, *k)
         settle(~clean, hard, g, "hard", sums, g)
     if soft.size:
-        xs, missing = x[soft], ~present[soft]
-        s = ctx.kernels.dosage_stats(xs, ctx.resid)
+        xs = x[soft]
+        s, fsums = ctx.kernels.dosage_stats(xs, ctx.weights)
         mono = np.fmin.reduce(xs, axis=1) == np.fmax.reduce(xs, axis=1)
         sums = (xs.shape[1] - s[:, 0].astype(np.int64), s[:, 1], mono) + _dosage_sums(
-            cfg.b, ctx, xs, missing, s)
+            cfg.b, ctx, s, fsums)
         clean = s[:, 0] == 0
         settle(clean, soft, xs, "dosage", sums)
-        settle(~clean, soft, xs, "dosage", sums, -missing.astype(np.int8))
+        settle(~clean, soft, xs, "dosage", sums, -(~present[soft]).astype(np.int8))
     for i, v, kind in refused:
         var = block.variants[i]
         col = GenotypeColumn(snp_id=var.snp_id, chrom=var.chrom, pos=var.pos, values=v, kind=kind)

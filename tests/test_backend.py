@@ -9,6 +9,7 @@ does inside the package after ``python setup.py build_ext --inplace``.
 import importlib.util
 import shutil
 import subprocess
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -87,15 +88,22 @@ def test_hardcall_stats_agreement(ckernels):
 
 def test_dosage_stats_agreement(ckernels):
     rng = np.random.default_rng(2)
-    for n in (308, 309, 310, 311):
+    for n, k in ((308, 1), (309, 2), (310, 4), (311, 4)):
         x = rng.uniform(0, 2, size=(32, n))
         x[rng.random(x.shape) < 0.02] = np.nan
         x[0] = 1.0  # f2 is zero on the whole row
-        y = rng.standard_normal(n)
-        a = ckernels.dosage_stats(x, y)
-        b = _kernels_py.dosage_stats(x, y)
-        assert a.shape == b.shape == (32, 8)
-        np.testing.assert_array_equal(a, b)
+        x[1] = 0.0  # f1 is zero on the whole row
+        w = rng.standard_normal((n, k))
+        a = ckernels.dosage_stats(x, w)
+        b = _kernels_py.dosage_stats(x, w)
+        assert len(a) == len(b) == 2
+        assert a[0].shape == b[0].shape == (32, 6)
+        assert a[1].shape == b[1].shape == (32, 2, k)
+        # both backends add each row's terms in sample order: same bits,
+        # signed zeros included
+        for part_a, part_b in zip(a, b):
+            np.testing.assert_array_equal(part_a, part_b)
+            np.testing.assert_array_equal(np.signbit(part_a), np.signbit(part_b))
 
 
 def test_c_kernels_stay_in_bounds_on_invalid_calls(ckernels):
@@ -134,8 +142,15 @@ def test_c_binding_rejects_wrong_shapes(ckernels):
             kernels.hardcall_stats(g, np.zeros((11, 2)))
         with pytest.raises(ValueError):
             kernels.hardcall_stats(g, np.zeros(10))
-    with pytest.raises(ValueError):
-        ckernels.dosage_stats(np.zeros((3, 10)), np.zeros((10, 1)))
+        x = np.zeros((3, 10))
+        with pytest.raises(ValueError):
+            kernels.dosage_stats(x, np.zeros(10))
+        with pytest.raises(ValueError):
+            kernels.dosage_stats(x, np.zeros((9, 1)))
+        with pytest.raises(ValueError):
+            kernels.dosage_stats(x, np.zeros((11, 2)))
+        with pytest.raises(ValueError):
+            kernels.dosage_stats(x[0], np.zeros((10, 1)))
 
 
 def test_c_binding_without_library_raises_import_error(tmp_path):
@@ -159,23 +174,40 @@ def test_hardcall_stats_reference():
 
 
 def test_dosage_stats_reference():
+    """NumPy kernel against direct sums over each row's present entries."""
     rng = np.random.default_rng(4)
     x = rng.uniform(0, 2, size=(5, 30))
     x[0, 3] = np.nan
-    y = rng.standard_normal(30)
-    s = _kernels_py.dosage_stats(x, y)
+    x[2, ::4] = np.nan
+    w = rng.standard_normal((30, 3))
+    moments, sums = _kernels_py.dosage_stats(x, w)
     for i in range(5):
         ok = ~np.isnan(x[i])
         f1 = x[i][ok]
         f2 = np.abs(f1 - 1.0)
         np.testing.assert_allclose(
-            s[i],
-            [
-                (~ok).sum(), f1.sum(), f2.sum(), (f1 * f1).sum(),
-                (f2 * f2).sum(), (f1 * f2).sum(), f1 @ y[ok], f2 @ y[ok],
-            ],
+            moments[i],
+            [(~ok).sum(), f1.sum(), f2.sum(), (f1 * f1).sum(), (f2 * f2).sum(), (f1 * f2).sum()],
             rtol=1e-12, atol=1e-12,
         )
+        np.testing.assert_allclose(sums[i], [f1 @ w[ok], f2 @ w[ok]], rtol=1e-12, atol=1e-12)
+
+
+def test_numpy_dosage_stats_memory_is_bounded_per_chunk():
+    """The twin's dosage sweep allocates per row chunk, not per block: on a
+    1024 x 4000 block (33 MB) with four weight columns its traced
+    allocations peak below 16 MB."""
+    rng = np.random.default_rng(9)
+    x = rng.uniform(0, 2, size=(1024, 4000))
+    x[rng.random(x.shape) < 0.005] = np.nan
+    w = rng.standard_normal((4000, 4))
+    tracemalloc.start()
+    try:
+        _kernels_py.dosage_stats(x, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 @pytest.mark.parametrize("height", [1, 2, 7, 64])
@@ -184,25 +216,24 @@ def test_numpy_kernels_independent_of_block_height(height, monkeypatch):
     inside a block of any height."""
     rng = np.random.default_rng(6)
     n = 1031
-    # 5-row bincount chunks, so blocks also straddle chunk boundaries
+    # 5-row chunks, so blocks also straddle chunk boundaries
     monkeypatch.setattr(_kernels_py, "_CHUNK_CALLS", 5 * n)
     g = _random_block(rng, n_snps=64, n=n)
     x = rng.uniform(0, 2, size=(64, n))
     x[rng.random(x.shape) < 0.02] = np.nan
-    y = rng.standard_normal(n)
     w = rng.standard_normal((n, 3))
     hard_rows = [_kernels_py.hardcall_stats(g[i : i + 1], w) for i in range(64)]
-    dosage_rows = [_kernels_py.dosage_stats(x[i : i + 1], y) for i in range(64)]
+    dosage_rows = [_kernels_py.dosage_stats(x[i : i + 1], w) for i in range(64)]
     for start in range(0, 64, height):
         stop = start + height
-        for k, part in enumerate(_kernels_py.hardcall_stats(g[start:stop], w)):
-            np.testing.assert_array_equal(
-                part, np.concatenate([r[k] for r in hard_rows[start:stop]])
-            )
-        np.testing.assert_array_equal(
-            _kernels_py.dosage_stats(x[start:stop], y),
-            np.concatenate(dosage_rows[start:stop]),
-        )
+        for rows, kernel, block in (
+            (hard_rows, _kernels_py.hardcall_stats, g),
+            (dosage_rows, _kernels_py.dosage_stats, x),
+        ):
+            for k, part in enumerate(kernel(block[start:stop], w)):
+                np.testing.assert_array_equal(
+                    part, np.concatenate([r[k] for r in rows[start:stop]])
+                )
 
 
 def test_hardcall_stats_columns_match_one_column_sweeps(request):

@@ -180,6 +180,31 @@ def test_phenotype_table_round_trip(tmp_path):
     assert cols["age"][1] == 41.0
 
 
+@pytest.mark.parametrize(
+    "header", ["sample_id\ty\ty", "y\tsample_id\tsample_id"], ids=["trait", "sample_id"]
+)
+def test_phenotype_table_rejects_duplicated_columns(tmp_path, header):
+    """Two columns of one name would be merged into one 2n-long column."""
+    path = str(tmp_path / "pheno.tsv")
+    dup = header.split("\t")[-1]
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for i in range(3):
+            fh.write(f"{i}\t{i}\t{i}\n")
+    with pytest.raises(ValueError, match=f"duplicated column '{dup}'"):
+        read_phenotype_table(path)
+
+
+@pytest.mark.parametrize("allow_missing", [False, True])
+def test_align_samples_rejects_duplicated_ids(allow_missing):
+    """A repeated ID on either side would reuse one phenotype and drop
+    another without a word."""
+    with pytest.raises(ValueError, match="'a' in the genotype samples"):
+        align_samples(["a", "a"], ["a", "b"], allow_missing=allow_missing)
+    with pytest.raises(ValueError, match="'b' in the phenotype table samples"):
+        align_samples(["a", "b"], ["b", "a", "b"], allow_missing=allow_missing)
+
+
 def test_align_samples_strict_and_permissive():
     with pytest.raises(ValueError, match="3 genotype samples vs 2 table rows"):
         align_samples(["a", "b", "c"], ["a", "b"])

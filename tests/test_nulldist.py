@@ -1,6 +1,7 @@
 """Null spectra, the Appell/generalized-F machinery, bounds, inversion."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -343,6 +344,20 @@ def test_tail_batches_independent_of_batch_members():
         assert angular_tail(w1[one], w2_neg[one], t[one], nu[one])[0] == hold[i]
         assert angular_tail(w1[one], w2_neg[one], t[one], math.inf)[0] == hold_chisq[i]
         assert angular_tail(w1[one], w2_mixed[one], t[one], nu_mixed[one])[0] == mixed[i]
+
+
+def test_adaptive_fallback_keeps_integration_warnings_inside(monkeypatch):
+    """A holdout chi-square entry whose quadrature orders disagree goes to
+    the adaptive fallback; SciPy's roundoff warning stays inside it (no
+    global filter is touched), and the value is unchanged."""
+    calls = []
+    quad = nd._quad
+    monkeypatch.setattr(nd, "_quad", lambda *a, **k: calls.append(k) or quad(*a, **k))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = angular_tail(7.16e-6, -8.52e-3, 17.09, math.inf)
+    assert calls
+    assert p == 0.0
 
 
 # ---------------------------------------------------------------------------
