@@ -41,7 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--out", required=True)
     p_scan.add_argument("--screen-M", type=float, default=1e-3, dest="screen_threshold")
     p_scan.add_argument("--screen-m", type=float, default=1e-32, dest="screen_floor")
-    p_scan.add_argument("--asymptotic-switch", type=int, default=30000)
     p_scan.add_argument("--threads", type=int, default=1)
     p_scan.add_argument("--no-screen", action="store_true")
     p_scan.add_argument("--allow-missing-samples", action="store_true")
@@ -106,7 +105,6 @@ def _cmd_scan(args) -> int:
         b=args.b,
         screen_threshold=args.screen_threshold,
         screen_floor=args.screen_floor,
-        asymptotic_switch=args.asymptotic_switch,
         threads=args.threads,
         no_screen=args.no_screen,
     )

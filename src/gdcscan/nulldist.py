@@ -47,7 +47,6 @@ PVALUE_FLOOR = 1e-300
 
 METHOD_EXACT = "exact_appell"
 METHOD_INVERSION = "weighted_chisq_inversion"
-METHOD_ASYMPTOTIC = "asymptotic"
 METHOD_CLASSICAL_F = "classical_F"
 METHOD_DEGENERATE = "degenerate spectrum"
 METHOD_UNDERFLOW = "underflow"

@@ -5,8 +5,7 @@ For every SNP the pipeline (1) applies the per-SNP complete-case filter,
 is supplied), (3) computes the two-eigenvalue null spectrum, (4) computes
 the cheap lower/upper p-value bounds, and (5) evaluates the exact p-value
 only when the bounds leave the interesting window (lower bound below the
-screen threshold, upper bound above the floor).  Above the configured
-sample-size switch the asymptotic tail replaces the exact law.
+screen threshold, upper bound above the floor).
 
 Genotypes arrive as blocks: :func:`run_scan` reads a block source of
 ``gdcscan.io``, and :func:`run_multiallelic` makes a one-row dosage block
@@ -51,14 +50,12 @@ import numpy as np
 
 from .adjust import CovariateMatrix, column_features, residualize
 from . import backend
-from .io import Block, VariantInfo
+from .io import DEFAULT_BLOCK_SIZE, Block, VariantInfo
 from .nulldist import (
-    METHOD_ASYMPTOTIC,
     METHOD_DEGENERATE,
     NullSpectrum,
     NumericsError,
     _projected_spectrum,
-    asymptotic_tail,
     eig2x2,
     exact_pvalue_with_method,
     hardcall_terms,
@@ -107,10 +104,9 @@ class ScanConfig:
     b: float = 3.0
     screen_threshold: float = 1e-3
     screen_floor: float = 1e-32
-    asymptotic_switch: int = 30000
     threads: int = 1
     no_screen: bool = False
-    block_size: int = 1024
+    block_size: int = DEFAULT_BLOCK_SIZE
 
     def __post_init__(self):
         if not (0.0 <= self.b <= 4.0):
@@ -222,14 +218,10 @@ def prepare_context(phenotype, covariates: CovariateMatrix | None = None,
 def _evaluated_record(cfg: ScanConfig, variant: VariantInfo, maf: float,
                       n_used: int, df_sub: int, stat: float, lam1: float,
                       lam2: float, p_lo: float, p_hi: float) -> ScanRecord:
-    """Record of an in-window SNP: its exact p-value, or the asymptotic
-    tail above the sample-size switch."""
+    """Record of an in-window SNP, with its exact p-value."""
     try:
-        if n_used > cfg.asymptotic_switch:
-            p_value, method = asymptotic_tail(lam1, lam2, stat), METHOD_ASYMPTOTIC
-        else:
-            spec = NullSpectrum(lambdas=(lam1, lam2), n=n_used, df_sub=df_sub)
-            p_value, method = exact_pvalue_with_method(spec, stat)
+        spec = NullSpectrum(lambdas=(lam1, lam2), n=n_used, df_sub=df_sub)
+        p_value, method = exact_pvalue_with_method(spec, stat)
     except NumericsError as exc:
         log.warning("%s: error:numerics: %s", variant.snp_id, exc)
         p_value, method = None, "error:numerics"
@@ -678,31 +670,3 @@ def write_results(records: Iterable[ScanRecord], path: str) -> None:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
-
-
-def read_results(path: str) -> list:
-    """Parse a results TSV back into ScanRecord objects."""
-    out = []
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        if tuple(header) != OUTPUT_COLUMNS:
-            raise ValueError(f"{path}: unexpected result columns {header}")
-        for line in fh:
-            f = line.rstrip("\n").split("\t")
-            if len(f) != len(OUTPUT_COLUMNS):
-                raise ValueError(f"{path}: ragged result row")
-
-            def num(s):
-                return math.nan if s == "NA" else float(s)
-
-            out.append(
-                ScanRecord(
-                    snp_id=f[0], chrom=f[1], pos=int(f[2]), maf=num(f[3]),
-                    n_used=int(f[4]), b=num(f[5]), stat=num(f[6]),
-                    lambda1=num(f[7]), lambda2=num(f[8]), p_lower=num(f[9]),
-                    p_upper=num(f[10]),
-                    p_value=None if f[11] == "NA" else float(f[11]),
-                    method=f[12],
-                )
-            )
-    return out

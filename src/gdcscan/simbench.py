@@ -230,12 +230,11 @@ def simulate_null(scenario: SimScenario) -> list:
     methods = [str(b) for b in scenario.b_values]
     if scenario.competitors:
         methods += ["additive_F", "anova_F"]
-    root = np.random.SeedSequence(scenario.seed)
+    seeds = np.random.SeedSequence(scenario.seed).spawn(len(scenario.maf))
     rows = []
-    for i, maf in enumerate(scenario.maf):
+    for maf, seed_seq in zip(scenario.maf, seeds):
         rates = _rejection_cell(
-            scenario, maf, h=0.0, beta=0.0, methods=methods,
-            seed_seq=root.spawn(len(scenario.maf))[i],
+            scenario, maf, h=0.0, beta=0.0, methods=methods, seed_seq=seed_seq,
         )
         for m in methods:
             lo, hi = _ci(rates[m], scenario.replications)

@@ -8,8 +8,8 @@ import pytest
 
 from gdcscan.cli import main
 from gdcscan.io import write_packed, write_dosage_tsv
-from gdcscan.scan import read_results
 from gdcscan.simbench import draw_genotypes
+from tsv_oracle import read_results
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ import pathlib
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from gdcscan.adjust import CovariateMatrix, column_features, residualize
 from gdcscan.gdc import Sample, standardized_statistic
@@ -21,14 +22,13 @@ from gdcscan.premetric import GenotypeColumn
 from gdcscan.scan import (
     ScanConfig,
     ScanRecord,
-    read_results,
     record_row,
     run_multiallelic,
     run_scan,
     write_results,
 )
 from gdcscan.simbench import draw_genotypes
-from tsv_oracle import record_row as oracle_row
+from tsv_oracle import read_results, record_row as oracle_row
 
 
 @pytest.fixture
@@ -289,18 +289,33 @@ def test_dosage_scan_with_covariates_matches_library():
         assert recs[i].n_used == int(mask.sum())
 
 
-def test_asymptotic_switch_routes_large_samples(small_panel):
-    g, y = small_panel
-    src = ArraySource(g[:5], kind="hard")
-    cfg = ScanConfig(b=2.0, no_screen=True, asymptotic_switch=100)  # n=400 > 100
-    recs = list(run_scan(cfg, src, y))
-    assert all(r.method == "asymptotic" for r in recs)
-    from gdcscan.nulldist import angular_tail
-
-    r = recs[0]
-    assert r.p_value == pytest.approx(
-        angular_tail(r.lambda1, r.lambda2, r.stat, math.inf), rel=1e-10
-    )
+def test_exact_law_at_large_n():
+    """At n = 40 000 every evaluated row takes the exact law: no row is
+    asymptotic, p_lower <= p_value <= min(p_upper, 1), and the b = 4 and
+    b = 0 rows equal the slope F-test on the dose and on the heterozygote
+    indicator to 1e-10, screened and not."""
+    rng = np.random.default_rng(4000)
+    n, m = 40_000, 30
+    g = np.stack([draw_genotypes(rng, n, q, 1)[0] for q in rng.uniform(0.1, 0.5, m)])
+    y = rng.standard_normal(n)
+    # weak additive and heterozygous effects, from none to p ~ 1e-8
+    for i, beta in enumerate(np.linspace(0.0, 0.05, m)):
+        y += beta * (g[i] if i % 2 else (g[i] == 1))
+    evaluated = ("exact_appell", "weighted_chisq_inversion", "classical_F", "underflow")
+    src = ArraySource(g, kind="hard")
+    for no_screen in (False, True):
+        for b in (0.0, 2.0, 3.0, 4.0):
+            recs = list(run_scan(ScanConfig(b=b, no_screen=no_screen), src, y))
+            assert not any(r.method == "asymptotic" for r in recs)
+            rows = [(i, r) for i, r in enumerate(recs) if r.method in evaluated]
+            assert len(rows) == m if no_screen else 0 < len(rows) < m
+            for i, r in rows:
+                assert r.p_lower <= r.p_value <= min(r.p_upper, 1.0), r
+                if b in (0.0, 4.0):
+                    x = g[i] if b == 4.0 else (g[i] == 1)
+                    ref = stats.linregress(x.astype(float), y).pvalue
+                    assert r.method == "classical_F"
+                    assert abs(r.p_value - ref) <= 1e-10, (r, ref)
 
 
 def test_multiallelic_m2_byte_identical(small_panel):

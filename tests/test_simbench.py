@@ -136,6 +136,18 @@ def test_simulate_null_rows_and_determinism():
         assert 0.0 <= r["ci_low"] <= r["estimate"] <= r["ci_high"] <= 1.0
 
 
+def test_simulate_null_cells_keep_their_seeds():
+    """Cell i draws from child i of the scenario's seed, so appending a MAF
+    leaves the rows of the earlier cells identical."""
+    def rows(maf):
+        return simulate_null(SimScenario(n=200, maf=maf, b_values=(2.0, 3.0),
+                                         replications=600, seed=4))
+
+    short, long = rows((0.1, 0.3)), rows((0.1, 0.3, 0.4))
+    assert long[: len(short)] == short
+    assert [r["maf"] for r in long[len(short):]] == [0.4] * 4
+
+
 def test_alpha_zero_rejects_nothing():
     scenario = SimScenario(
         n=60, maf=(0.3,), b_values=(3.0,), replications=200, alpha=0.0, seed=3,
