@@ -62,9 +62,9 @@ def hardcall_stats(g: np.ndarray, w: np.ndarray):
     sums : (n_snps, 3, k) float64 per-class sums of every column of w.
 
     One weighted ``np.bincount`` over row*4 + code per column and row
-    chunk, code 3 collecting the missing calls (-1 & 3 == 3), adds each
-    row's weights in sample order, whatever the chunk; a chunk's bins
-    serve every column.
+    chunk, code 3 collecting the missing calls (-1 & 3 == 3) and, as in
+    C, any call outside 0..2, adds each row's weights in sample order,
+    whatever the chunk; a chunk's bins serve every column.
     """
     g = np.ascontiguousarray(g, dtype=np.int8)
     w = np.asarray(w, dtype=np.float64)
@@ -72,6 +72,10 @@ def hardcall_stats(g: np.ndarray, w: np.ndarray):
         raise ValueError("weights must be (n, k) with n the block width")
     n_snps, n = g.shape
     k = w.shape[1]
+    if g.size and (g.min() < -1 or g.max() > 2):
+        # an invalid call would share a class's bin (4 & 3 == 0); as in C,
+        # it is skipped like a missing one
+        g = np.where((g >= 0) & (g <= 2), g, np.int8(-1))
     counts = np.stack(
         [np.count_nonzero(g == v, axis=1) for v in (0, 1, 2)], axis=1
     ).astype(np.int64)

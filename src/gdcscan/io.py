@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -102,6 +102,22 @@ def write_packed(path: str, calls: np.ndarray, variants, sample_ids) -> None:
     with open(samples_path(path), "w") as fh:
         for sid in sample_ids:
             fh.write(f"{sid}\n")
+
+
+def write_lines(path: str, lines: Iterable[str]) -> None:
+    """Write ``lines``, each followed by a newline, through
+    ``path + ".partial"`` and ``os.replace``: a failed write leaves neither
+    file behind."""
+    tmp = path + ".partial"
+    try:
+        with open(tmp, "w") as fh:
+            for line in lines:
+                fh.write(line + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _read_variants(path: str) -> list:

@@ -38,9 +38,9 @@ the kernel module.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
-import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -50,7 +50,7 @@ import numpy as np
 
 from .adjust import CovariateMatrix, column_features, residualize
 from . import backend
-from .io import DEFAULT_BLOCK_SIZE, Block, VariantInfo
+from .io import DEFAULT_BLOCK_SIZE, Block, VariantInfo, write_lines
 from .nulldist import (
     METHOD_DEGENERATE,
     NullSpectrum,
@@ -659,14 +659,6 @@ def record_row(rec: ScanRecord) -> str:
 def write_results(records: Iterable[ScanRecord], path: str) -> None:
     """Write the output TSV atomically; a failed write leaves no partial
     file behind."""
-    tmp = path + ".partial"
-    try:
-        with open(tmp, "w") as fh:
-            fh.write("\t".join(OUTPUT_COLUMNS) + "\n")
-            for rec in records:
-                fh.write(record_row(rec) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    write_lines(path, itertools.chain(
+        ["\t".join(OUTPUT_COLUMNS)], (record_row(rec) for rec in records)
+    ))

@@ -15,12 +15,19 @@ producer the scan uses (:func:`gdcscan.nulldist.hardcall_terms`), the
 additive F-test from sxy = s1 + 2 s2 and the allele-count variance, and
 the ANOVA F-test from sum_j s_j^2 / n_j.
 
+Memory is bounded by the chunk's int8 calls plus one strip of about
+2**17 entries per float array: a chunk draws its calls strip by strip,
+then draws and reduces each strip's responses before the next.  The
+strip height moves no bit, so ``CHUNK_ROWS`` is only the seeding unit:
+each chunk of replications draws from its own child seed.
+
 Everything runs on counter-based seed sequences, so tables are bit
 reproducible for any worker count.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -28,10 +35,13 @@ import numpy as np
 from scipy import special
 
 from .gdc import Sample
+from .io import write_lines
 from .nulldist import eig2x2, exact_pvalues_batch, hardcall_terms
 
 DEFAULT_H_GRID = tuple(np.round(np.arange(0.0, 1.01, 0.1), 10))
 CHUNK_ROWS = 20_000
+# entries per strip of a chunk: one strip's float temporaries stay in cache
+_STRIP_CALLS = 1 << 17
 
 
 @dataclass
@@ -57,6 +67,8 @@ class SimScenario:
                 raise ValueError("b values must lie in [0, 4]")
         if not (0.0 <= self.alpha <= 1.0):
             raise ValueError("alpha must lie in [0, 1]")
+        if not (0.0 < self.noise_sd < np.inf) or not np.isfinite(self.beta):
+            raise ValueError("noise_sd must be positive and finite, and beta finite")
 
 
 def hwe_probs(maf: float) -> np.ndarray:
@@ -197,20 +209,33 @@ def competitor_tests(sample: Sample) -> dict:
 
 def _rejection_cell(scenario, maf, h, beta, methods, seed_seq) -> dict:
     """Empirical rejection rates for one (maf, h, beta) cell, all methods
-    sharing the same replicated data and one statistics pass per chunk."""
+    sharing the same replicated data and one evaluation per chunk.
+
+    A chunk draws its calls strip by strip into one int8 array, then each
+    strip's responses, reduced by :func:`_chunk_stats` before the next
+    strip is drawn.  Both draws fill in stream order and every statistic
+    is per replication, so the strip height moves no bit."""
     n = scenario.n
     total = scenario.replications
+    strip = max(1, _STRIP_CALLS // n)
     hits = {m: 0 for m in methods}
     chunk_seeds = seed_seq.spawn((total + CHUNK_ROWS - 1) // CHUNK_ROWS)
     done = 0
     for child in chunk_seeds:
         reps = min(CHUNK_ROWS, total - done)
         rng = np.random.default_rng(child)
-        g = draw_genotypes(rng, n, maf, reps)
-        y = rng.normal(0.0, scenario.noise_sd, size=(reps, n))
-        if beta != 0.0:
-            y += beta * (h * (g == 1) + (g == 2))
-        st = _chunk_stats(g, y)
+        strips = [slice(s, s + strip) for s in range(0, reps, strip)]
+        g = np.empty((reps, n), dtype=np.int8)
+        for rows in strips:
+            g[rows] = draw_genotypes(rng, n, maf, len(g[rows]))
+        counts, sums, rss = np.empty((reps, 3)), np.empty((reps, 3)), np.empty(reps)
+        for rows in strips:
+            gs = g[rows]
+            y = rng.normal(0.0, scenario.noise_sd, size=gs.shape)
+            if beta != 0.0:
+                y += beta * (h * (gs == 1) + (gs == 2))
+            counts[rows], sums[rows], rss[rows], _ = _chunk_stats(gs, y)
+        st = _ChunkStats(counts, sums, rss, n)
         for m in methods:
             hits[m] += int((_method_pvalues(st, m) <= scenario.alpha).sum())
         done += reps
@@ -277,18 +302,14 @@ def simulate_power(scenario: SimScenario) -> list:
 
 
 def write_table(rows: list, path: str) -> None:
-    if not rows:
-        with open(path, "w") as fh:
-            fh.write("")
-        return
-    cols = list(rows[0].keys())
-    with open(path, "w") as fh:
-        fh.write("\t".join(cols) + "\n")
-        for row in rows:
-            fh.write(
-                "\t".join(
-                    format(v, ".17g") if isinstance(v, float) else str(v)
-                    for v in (row[c] for c in cols)
-                )
-                + "\n"
-            )
+    """Write the table atomically (empty when there are no rows); a failed
+    write leaves no partial file behind."""
+    cols = list(rows[0].keys()) if rows else []
+    lines = (
+        "\t".join(
+            format(v, ".17g") if isinstance(v, float) else str(v)
+            for v in (row[c] for c in cols)
+        )
+        for row in rows
+    )
+    write_lines(path, itertools.chain(["\t".join(cols)] if cols else [], lines))

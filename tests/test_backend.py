@@ -123,8 +123,36 @@ def test_c_kernels_stay_in_bounds_on_invalid_calls(ckernels):
         assert counts[i].sum() == valid.sum()
         for j in range(3):
             assert sums[i, j, 0] == pytest.approx(y[g[i] == j].sum(), abs=1e-12)
-    np.testing.assert_array_equal(counts, _kernels_py.hardcall_stats(g, w)[0])
+    twin_counts, twin_sums = _kernels_py.hardcall_stats(g, w)
+    np.testing.assert_array_equal(counts, twin_counts)
+    np.testing.assert_array_equal(sums, twin_sums)
     np.testing.assert_array_equal(sums[:, :, 1], ckernels.hardcall_stats(g, w[:, 1:])[1][:, :, 0])
+
+
+def test_twin_skips_invalid_calls():
+    """The twin bins calls by their low two bits, yet a call outside -1..2
+    (4, 5, -2, -128, ...) is skipped, as in C: its counts and sums are
+    those of the block with every invalid call made missing."""
+    g = np.array([[4, 0, -2, 1, 5, 127, 3, -1]], dtype=np.int8)
+    w = 10.0 ** np.arange(8)[:, None]
+    counts, sums = _kernels_py.hardcall_stats(g, w)
+    np.testing.assert_array_equal(counts, [[1, 1, 0]])
+    np.testing.assert_array_equal(sums[:, :, 0], [[10.0, 1000.0, 0.0]])
+    rng = np.random.default_rng(9)
+    g = _random_block(rng, n_snps=40, n=300)
+    bad = rng.random(g.shape) < 0.05
+    g[bad] = rng.choice(np.array([3, 4, 5, 6, -2, -3, -4, 127, -128], dtype=np.int8),
+                        size=int(bad.sum()))
+    w = rng.standard_normal((300, 3))
+    counts, sums = _kernels_py.hardcall_stats(g, w)
+    clean = np.where((g >= 0) & (g <= 2), g, np.int8(-1))
+    ref_counts, ref_sums = _kernels_py.hardcall_stats(clean, w)
+    np.testing.assert_array_equal(counts, ref_counts)
+    np.testing.assert_array_equal(sums, ref_sums)
+    for i in range(len(g)):
+        for j in range(3):
+            assert counts[i, j] == (g[i] == j).sum()
+            np.testing.assert_allclose(sums[i, j], w[g[i] == j].sum(axis=0), atol=1e-12)
 
 
 def test_c_binding_rejects_wrong_shapes(ckernels):

@@ -1,12 +1,15 @@
 """Simulation harness: generators, competitors, tables."""
 
+import os
 import pathlib
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from gdcscan import simbench
 from gdcscan.gdc import Sample, standardized_statistic
 from gdcscan.io import ArraySource
 from gdcscan.nulldist import exact_pvalue, spectrum_unadjusted
@@ -256,6 +259,40 @@ def test_degenerate_replications():
         assert p["0.0"][i] == pytest.approx(ref, abs=1e-10)
 
 
+@pytest.mark.parametrize("mode", ["null", "power"])
+def test_strip_height_moves_no_bit(monkeypatch, mode):
+    """A chunk's rows are drawn and reduced in strips of any height with
+    the same draws and the same statistics: strips of one row, of seven
+    (none of which divides a chunk) and of a whole chunk give the same
+    table, over several chunks and a short last one."""
+    scenario = SimScenario(n=50, maf=(0.2, 0.4), b_values=(0.0, 3.0), replications=230,
+                           h_grid=(0.5,), beta=2.0, seed=37)
+    simulate = simulate_null if mode == "null" else simulate_power
+    monkeypatch.setattr(simbench, "CHUNK_ROWS", 100)
+    tables = []
+    for rows in (1, 7, scenario.replications):
+        monkeypatch.setattr(simbench, "_STRIP_CALLS", rows * scenario.n)
+        tables.append(simulate(scenario))
+    assert tables[0] == tables[1] == tables[2]
+    assert len({r["estimate"] for r in tables[0]}) > 1
+
+
+def test_simulation_memory_is_bounded():
+    """A chunk holds its int8 calls and one strip's floats, not
+    (replications x n) float64 arrays: at n = 2000 and 4000 replications
+    the traced peak stays below three times the chunk's 8 MB of calls."""
+    scenario = SimScenario(n=2000, maf=(0.3,), b_values=(3.0,), replications=4000,
+                           seed=41, competitors=False)
+    calls_bytes = scenario.n * scenario.replications
+    tracemalloc.start()
+    try:
+        simulate_null(scenario)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * calls_bytes
+
+
 def test_write_table(tmp_path):
     rows = [{"a": 1, "b": 0.5}, {"a": 2, "b": 0.25}]
     path = str(tmp_path / "t.tsv")
@@ -274,3 +311,22 @@ def test_scenario_validation():
         SimScenario(b_values=(5.0,))
     with pytest.raises(ValueError):
         SimScenario(alpha=1.5)
+    # zero noise would give every replication a zero residual sum of
+    # squares and a table of 0/0 statistics
+    for bad in ({"noise_sd": 0.0}, {"noise_sd": -1.0}, {"noise_sd": np.inf},
+                {"noise_sd": np.nan}, {"beta": np.inf}, {"beta": np.nan}):
+        with pytest.raises(ValueError):
+            SimScenario(**bad)
+
+
+def test_write_table_leaves_no_partial_file(tmp_path):
+    class Unprintable:
+        def __str__(self):
+            raise RuntimeError("row died")
+
+    path = str(tmp_path / "t.tsv")
+    rows = [{"a": 1, "b": 0.5}, {"a": Unprintable(), "b": 0.25}]
+    with pytest.raises(RuntimeError):
+        write_table(rows, path)
+    assert not os.path.exists(path)
+    assert not os.path.exists(path + ".partial")
