@@ -62,15 +62,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_scan(args) -> int:
+def _scan_inputs(args) -> tuple:
+    """The scan's config, genotype source, phenotype and covariates."""
     source = open_genotypes(args.geno, args.geno_format)
     ids, table = read_phenotype_table(args.pheno)
     if args.pheno_col not in table:
-        raise SystemExit(f"phenotype column {args.pheno_col!r} not in {sorted(table)}")
+        raise ValueError(f"phenotype column {args.pheno_col!r} not in {sorted(table)}")
     covar_names = [c for c in (args.covar or "").split(",") if c]
     for c in covar_names:
         if c not in table:
-            raise SystemExit(f"covariate column {c!r} not in {sorted(table)}")
+            raise ValueError(f"covariate column {c!r} not in {sorted(table)}")
     geno_idx, table_idx = align_samples(
         source.sample_ids, ids, allow_missing=args.allow_missing_samples
     )
@@ -108,12 +109,11 @@ def _cmd_scan(args) -> int:
         threads=args.threads,
         no_screen=args.no_screen,
     )
-    write_results(run_scan(cfg, source, y, covariates), args.out)
-    return 0
+    return cfg, source, y, covariates
 
 
-def _cmd_simulate(args) -> int:
-    scenario = SimScenario(
+def _simulate_inputs(args) -> SimScenario:
+    return SimScenario(
         n=args.n,
         maf=_parse_floats(args.maf),
         b_values=_parse_floats(args.b),
@@ -125,16 +125,26 @@ def _cmd_simulate(args) -> int:
         seed=args.seed,
         competitors=not args.no_competitors,
     )
-    rows = simulate_null(scenario) if args.mode == "null" else simulate_power(scenario)
-    write_table(rows, args.out)
-    return 0
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one subcommand.  An input that cannot be read, checked or built
+    ends the run before any output is written, with one ``error:`` line on
+    stderr and exit code 2, as argparse ends a bad command line."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    build = _scan_inputs if args.command == "scan" else _simulate_inputs
+    try:
+        inputs = build(args)
+    except (ValueError, OSError) as exc:
+        parser.exit(2, f"{parser.prog} {args.command}: error: {exc}\n")
     if args.command == "scan":
-        return _cmd_scan(args)
-    return _cmd_simulate(args)
+        write_results(run_scan(*inputs), args.out)
+    elif args.mode == "null":
+        write_table(simulate_null(inputs), args.out)
+    else:
+        write_table(simulate_power(inputs), args.out)
+    return 0
 
 
 if __name__ == "__main__":

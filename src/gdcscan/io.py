@@ -28,6 +28,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import backend
+from .premetric import check_genotypes
 
 PACKED_MAGIC = b"\x6c\x1b"
 PACKED_MODE_SNP_MAJOR = b"\x01"
@@ -63,11 +64,14 @@ def samples_path(geno_path: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def encode_packed(calls: np.ndarray) -> np.ndarray:
-    """Pack int8 calls (-1/0/1/2) into 2-bit codes, SNP-major."""
-    calls = np.asarray(calls, dtype=np.int8)
+def encode_packed(calls: np.ndarray, snp_ids=None) -> np.ndarray:
+    """Pack calls (-1/0/1/2) into 2-bit codes, SNP-major; an error names
+    the SNP by ``snp_ids``, or by its row."""
+    calls = np.asarray(calls)
     if calls.ndim != 2:
         raise ValueError("calls must be (n_snps, n_samples)")
+    calls = check_genotypes(
+        calls, "hard", snp_ids or [f"row {i}" for i in range(len(calls))])
     codes = np.empty(calls.shape, dtype=np.uint8)
     codes[calls == 0] = 0b00
     codes[calls == -1] = 0b01
@@ -83,22 +87,22 @@ def encode_packed(calls: np.ndarray) -> np.ndarray:
 
 
 def write_packed(path: str, calls: np.ndarray, variants, sample_ids) -> None:
-    """Write the packed payload and its two sidecar files."""
-    calls = np.asarray(calls, dtype=np.int8)
+    """Write the packed payload and its two sidecar files.  ``variants``
+    holds a ``VariantInfo`` or an (snp_id, chrom, pos) tuple per row."""
+    calls = np.asarray(calls)
     n_snps, n = calls.shape
     if len(variants) != n_snps:
         raise ValueError("one variant record per SNP row required")
     if len(sample_ids) != n:
         raise ValueError("one sample ID per column required")
+    variants = [v if isinstance(v, VariantInfo) else VariantInfo(*v) for v in variants]
+    payload = encode_packed(calls, [v.snp_id for v in variants])
     with open(path, "wb") as fh:
         fh.write(PACKED_MAGIC + PACKED_MODE_SNP_MAJOR)
-        fh.write(encode_packed(calls).tobytes())
+        fh.write(payload.tobytes())
     with open(variants_path(path), "w") as fh:
         for v in variants:
-            if isinstance(v, VariantInfo):
-                fh.write(f"{v.snp_id}\t{v.chrom}\t{v.pos}\n")
-            else:
-                fh.write(f"{v[0]}\t{v[1]}\t{v[2]}\n")
+            fh.write(f"{v.snp_id}\t{v.chrom}\t{v.pos}\n")
     with open(samples_path(path), "w") as fh:
         for sid in sample_ids:
             fh.write(f"{sid}\n")
@@ -134,7 +138,27 @@ def _read_variants(path: str) -> list:
     return out
 
 
-class PackedSource:
+class _BlockSource:
+    """A genotype source served in blocks of consecutive SNPs.  A source
+    sets ``kind``, ``n_snps`` and ``variants`` and reads the rows of SNPs
+    ``start:stop`` in ``_read``; an in-memory source holds them in an
+    (n_snps, n_samples) ``_matrix``."""
+
+    def iter_blocks(self, block_size: int = DEFAULT_BLOCK_SIZE,
+                    kernels=None) -> Iterator[Block]:
+        """Blocks of ``block_size`` SNPs in order; ``kernels`` is the kernel
+        module that decodes packed rows (None: ``backend.kernels``)."""
+        kernels = backend.kernels if kernels is None else kernels
+        for start in range(0, self.n_snps, block_size):
+            stop = min(start + block_size, self.n_snps)
+            yield Block(variants=self.variants[start:stop],
+                        values=self._read(start, stop, kernels), kind=self.kind)
+
+    def _read(self, start: int, stop: int, kernels) -> np.ndarray:
+        return np.ascontiguousarray(self._matrix[start:stop])
+
+
+class PackedSource(_BlockSource):
     """Streaming reader for the packed 2-bit format."""
 
     kind = "hard"
@@ -167,29 +191,15 @@ class PackedSource:
         if head[2:3] != PACKED_MODE_SNP_MAJOR:
             raise ValueError(f"{path}: unsupported mode byte {head[2:3]!r}")
 
-    def iter_blocks(self, block_size: int = DEFAULT_BLOCK_SIZE,
-                    kernels=None) -> Iterator[Block]:
-        """Decoded blocks of ``block_size`` SNPs; ``kernels`` is the kernel
-        module that decodes them (None: ``backend.kernels``)."""
-        decode = (backend.kernels if kernels is None else kernels).decode_packed
+    def _read(self, start: int, stop: int, kernels) -> np.ndarray:
+        count, width = stop - start, self._bytes_per_snp
         with open(self.path, "rb") as fh:
-            fh.seek(3)
-            start = 0
-            while start < self.n_snps:
-                count = min(block_size, self.n_snps - start)
-                raw = fh.read(count * self._bytes_per_snp)
-                if len(raw) != count * self._bytes_per_snp:
-                    raise ValueError(f"{self.path}: truncated payload")
-                mat = np.frombuffer(raw, dtype=np.uint8).reshape(
-                    count, self._bytes_per_snp
-                )
-                calls = decode(mat, self.n_samples)
-                yield Block(
-                    variants=self.variants[start : start + count],
-                    values=calls,
-                    kind="hard",
-                )
-                start += count
+            fh.seek(3 + start * width)
+            raw = fh.read(count * width)
+        if len(raw) != count * width:
+            raise ValueError(f"{self.path}: truncated payload")
+        mat = np.frombuffer(raw, dtype=np.uint8).reshape(count, width)
+        return kernels.decode_packed(mat, self.n_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +222,7 @@ def write_dosage_tsv(path: str, dosages: np.ndarray, snp_ids, sample_ids) -> Non
             fh.write(f"{sid}\t{row}\n")
 
 
-class DosageSource:
+class DosageSource(_BlockSource):
     """Reader for the sample-major dosage TSV.
 
     The whole panel is held in memory.  Each sample row becomes a float64
@@ -248,50 +258,14 @@ class DosageSource:
         self.sample_ids = sample_ids
         self.n_samples = len(sample_ids)
         self.n_snps = len(self.snp_ids)
-        self._matrix = np.vstack(rows) if rows else np.empty((0, self.n_snps))
-        del rows  # a second copy of the matrix, not needed by the range check
-        present = ~np.isnan(self._matrix)
-        bad = (self._matrix < 0.0) | (self._matrix > 2.0)
-        if np.any(bad & present):
-            j = int(np.nonzero((bad & present).any(axis=0))[0][0])
-            raise ValueError(f"{path}: dosage out of [0, 2] for SNP {self.snp_ids[j]}")
+        matrix = np.vstack(rows) if rows else np.empty((0, self.n_snps))
+        del rows  # a second copy of the matrix
+        # SNP-major view of the sample-major matrix; blocks copy their rows
+        self._matrix = check_genotypes(matrix.T, "dosage", self.snp_ids, path)
         self.variants = [VariantInfo(s, ".", 0) for s in self.snp_ids]
 
-    def iter_blocks(self, block_size: int = DEFAULT_BLOCK_SIZE,
-                    kernels=None) -> Iterator[Block]:
-        """``kernels`` is accepted for the sources' common signature and
-        not used: nothing here is decoded."""
-        start = 0
-        while start < self.n_snps:
-            count = min(block_size, self.n_snps - start)
-            vals = np.ascontiguousarray(self._matrix[:, start : start + count].T)
-            yield Block(
-                variants=self.variants[start : start + count],
-                values=vals,
-                kind="dosage",
-            )
-            start += count
 
-
-def _check_hard_calls(values: np.ndarray, snp_ids) -> None:
-    """Raise unless every call is -1 (missing), 0, 1 or 2: the kernels
-    index their class counts by the call, unchecked."""
-    if (
-        np.issubdtype(values.dtype, np.integer)
-        and values.size
-        and values.min() >= -1
-        and values.max() <= 2
-    ):
-        return
-    bad = ~np.isin(values, (-1, 0, 1, 2))
-    if bad.any():
-        row, col = np.argwhere(bad)[0]
-        raise ValueError(
-            f"{snp_ids[row]}: hard calls must be 0/1/2 or -1, got {values[row, col]!r}"
-        )
-
-
-class ArraySource:
+class ArraySource(_BlockSource):
     """In-memory genotype source (simulation and benchmark panels)."""
 
     def __init__(self, values: np.ndarray, kind: str = "hard", snp_ids=None,
@@ -299,29 +273,10 @@ class ArraySource:
         values = np.asarray(values)
         self.n_snps, self.n_samples = values.shape
         self.snp_ids = snp_ids or [f"snp{i}" for i in range(self.n_snps)]
-        if kind == "hard":
-            _check_hard_calls(values, self.snp_ids)
-            values = values.astype(np.int8, copy=False)
-        else:
-            values = values.astype(np.float64, copy=False)
+        self._matrix = check_genotypes(values, kind, self.snp_ids)
         self.kind = kind
-        self._matrix = values
         self.sample_ids = sample_ids or [f"s{i}" for i in range(self.n_samples)]
         self.variants = [VariantInfo(s, ".", i) for i, s in enumerate(self.snp_ids)]
-
-    def iter_blocks(self, block_size: int = DEFAULT_BLOCK_SIZE,
-                    kernels=None) -> Iterator[Block]:
-        """``kernels`` is accepted for the sources' common signature and
-        not used: nothing here is decoded."""
-        start = 0
-        while start < self.n_snps:
-            count = min(block_size, self.n_snps - start)
-            yield Block(
-                variants=self.variants[start : start + count],
-                values=self._matrix[start : start + count],
-                kind=self.kind,
-            )
-            start += count
 
 
 class SubsetSource:

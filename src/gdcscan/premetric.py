@@ -7,9 +7,10 @@ square root of the premetric satisfies the triangle inequality exactly when
 covariance.  The statistic and its null spectra see the geometry only
 through feature maps: the canonical map of hard calls, the interpolated
 features of dosages and the concatenated features of allele counts, all
-defined here together with ``GenotypeColumn``.  The distances and kernels
-themselves are verification oracles and live with the tests, in
-``tests/oracles.py``.
+defined here together with ``GenotypeColumn`` and ``check_genotypes``, the
+one test of which hard-call and dosage values are valid.  The distances
+and kernels themselves are verification oracles and live with the tests,
+in ``tests/oracles.py``.
 
 All objects here are immutable after construction and safe to share across
 threads.
@@ -22,6 +23,37 @@ from dataclasses import dataclass, field
 import numpy as np
 
 MISSING_HARD_CALL = np.int8(-1)
+
+
+def check_genotypes(values, kind: str, snp_ids, where: str = "") -> np.ndarray:
+    """Check and convert genotype values of one kind: "hard" calls become
+    int8 -1 (missing), 0, 1 or 2; "dosage" values become float64 in
+    [0, 2], NaN marking missing.
+
+    ``values`` is one SNP's array, named by the string ``snp_ids``, or an
+    (n_snps, n_samples) array with one ID per row.  Hard calls are checked
+    before the int8 cast, so 258 or 1.5 cannot wrap or truncate into a
+    valid call.  The error names the first bad value's SNP, after
+    ``where`` (a file name) when one is given.
+    """
+    v = np.asarray(values)
+    if kind == "hard":
+        rule, dtype = "hard calls must be 0/1/2 or -1", np.int8
+        in_range = np.issubdtype(v.dtype, np.integer) and (
+            not v.size or (v.min() >= -1 and v.max() <= 2))
+        bad = None if in_range else ~np.isin(v, (-1, 0, 1, 2))
+    elif kind == "dosage":
+        rule, dtype = "dosage out of [0, 2]", np.float64
+        v = v.astype(np.float64, copy=False)
+        bad = ~((v >= 0.0) & (v <= 2.0)) & ~np.isnan(v)
+    else:
+        raise ValueError(f"unknown genotype kind {kind!r}")
+    if bad is not None and bad.any():
+        pos = tuple(np.argwhere(bad)[0])
+        snp = snp_ids if isinstance(snp_ids, str) else snp_ids[pos[0]]
+        head = f"{where}: " if where else ""
+        raise ValueError(f"{head}{snp}: {rule}, got {v[pos].item()!r}")
+    return v.astype(dtype, copy=False)
 
 
 @dataclass(frozen=True)
@@ -86,9 +118,7 @@ class Premetric:
         At integer dosages these agree with the canonical map up to a
         per-feature translation/sign, so all centered statistics coincide.
         """
-        x = np.asarray(x, dtype=np.float64)
-        if np.any(x < 0.0) or np.any(x > 2.0) or np.any(~np.isfinite(x)):
-            raise ValueError("dosage values must lie in [0, 2]")
+        x = check_genotypes(x, "dosage", "x")
         f1 = np.sqrt(self.b / 2.0) * x
         f2 = np.sqrt((4.0 - self.b) / 2.0) * np.abs(x - 1.0)
         if f1.ndim == 0:
@@ -136,19 +166,8 @@ class GenotypeColumn:
     kind: str = field(default="hard")
 
     def __post_init__(self):
-        v = np.asarray(self.values)
-        if self.kind == "hard":
-            v = v.astype(np.int8, copy=False)
-            ok = (v >= 0) & (v <= 2)
-            if not np.all(ok | (v == MISSING_HARD_CALL)):
-                raise ValueError(f"{self.snp_id}: hard calls must be 0/1/2 or -1")
-        elif self.kind == "dosage":
-            v = v.astype(np.float64, copy=False)
-            present = ~np.isnan(v)
-            if np.any((v[present] < 0.0) | (v[present] > 2.0)):
-                raise ValueError(f"{self.snp_id}: dosage out of [0, 2]")
-        elif self.kind == "allele_counts":
-            v = v.astype(np.float64, copy=False)
+        if self.kind == "allele_counts":
+            v = np.asarray(self.values, dtype=np.float64)
             if v.ndim != 2 or v.shape[1] != self.m:
                 raise ValueError(f"{self.snp_id}: allele-count matrix must be (n, m)")
             rowsum = v.sum(axis=1)
@@ -156,7 +175,7 @@ class GenotypeColumn:
             if np.any(np.abs(rowsum[present] - 2.0) > 1e-9):
                 raise ValueError(f"{self.snp_id}: allele counts must sum to 2")
         else:
-            raise ValueError(f"unknown genotype kind {self.kind!r}")
+            v = check_genotypes(self.values, self.kind, self.snp_id)
         object.__setattr__(self, "values", v)
 
     @property

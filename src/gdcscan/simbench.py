@@ -3,9 +3,10 @@
 Phenotypes follow the three-class mean model
 ``y = h * beta * 1{x=1} + beta * 1{x=2} + noise`` with Gaussian noise,
 genotypes are drawn under Hardy-Weinberg proportions from the MAF, and
-the heterozygous effect ``h`` is either fixed on a grid or drawn from the
-law under which a given ``b`` is locally most powerful (symmetric Beta for
-b in (2,4), a gamma-ratio construction for b in (0,2)).
+the heterozygous effect ``h`` is fixed on a grid.
+:func:`draw_heterozygous_effect` draws ``h`` from the law under which a
+given ``b`` is locally most powerful, as a library call; no simulation
+here uses it.
 
 Each chunk of replications is reduced once, in one pass, to its
 sufficient statistics: class counts (n0, n1, n2), centred class sums of
@@ -62,6 +63,10 @@ class SimScenario:
     def __post_init__(self):
         if self.n < 4 or self.replications < 1:
             raise ValueError("need n >= 4 and at least one replication")
+        if not self.maf or not self.b_values:
+            raise ValueError("need at least one MAF and one b value")
+        for maf in self.maf:
+            hwe_probs(maf)  # raises on a MAF outside (0, 0.5]
         for b in self.b_values:
             if not (0.0 <= b <= 4.0):
                 raise ValueError("b values must lie in [0, 4]")
@@ -75,7 +80,7 @@ def hwe_probs(maf: float) -> np.ndarray:
     """Hardy-Weinberg genotype probabilities for minor allele frequency q."""
     q = float(maf)
     if not (0.0 < q <= 0.5):
-        raise ValueError("MAF must lie in (0, 0.5]")
+        raise ValueError(f"MAF must lie in (0, 0.5], got {maf!r}")
     return np.array([(1.0 - q) ** 2, 2.0 * q * (1.0 - q), q * q])
 
 

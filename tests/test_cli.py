@@ -1,11 +1,16 @@
 """End-to-end command-line runs on small synthetic inputs."""
 
+import os
 import pathlib
+import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import gdcscan
 from gdcscan.cli import main
 from gdcscan.io import write_packed, write_dosage_tsv
 from gdcscan.simbench import draw_genotypes
@@ -78,7 +83,7 @@ def test_scan_command_dosage(panel):
     assert len(read_results(out)) == 40
 
 
-def test_scan_command_allow_missing_samples(panel):
+def test_scan_command_allow_missing_samples(panel, capsys):
     geno, pheno, g, y, tmp_path = panel
     pruned = str(tmp_path / "pheno_pruned.tsv")
     with open(pheno) as src, open(pruned, "w") as dst:
@@ -86,11 +91,13 @@ def test_scan_command_allow_missing_samples(panel):
             if i != 3:  # drop one sample
                 dst.write(line)
     out = str(tmp_path / "res_pruned.tsv")
-    with pytest.raises(ValueError, match="sample mismatch"):
+    with pytest.raises(SystemExit) as exit_info:
         main([
             "scan", "--geno", geno, "--pheno", pruned, "--pheno-col", "trait",
             "--out", out,
         ])
+    assert exit_info.value.code == 2
+    assert "sample mismatch" in capsys.readouterr().err
     rc = main([
         "scan", "--geno", geno, "--pheno", pruned, "--pheno-col", "trait",
         "--out", out, "--allow-missing-samples",
@@ -101,11 +108,80 @@ def test_scan_command_allow_missing_samples(panel):
 
 def test_scan_command_unknown_column(panel):
     geno, pheno, g, y, tmp_path = panel
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exit_info:
         main([
             "scan", "--geno", geno, "--pheno", pheno, "--pheno-col", "nope",
             "--out", str(tmp_path / "x.tsv"),
         ])
+    assert exit_info.value.code == 2
+
+
+def _bad_dosage_file(tmp_path):
+    path = str(tmp_path / "bad.dosage.tsv")
+    with open(path, "w") as fh:
+        fh.write("sample_id\trs0\n" + "".join(f"ind{j}\t{j % 3}\n" for j in range(149)))
+        fh.write("ind149\t3.0\n")
+    return path
+
+
+_SCAN = ["scan", "--pheno-col", "trait"]
+_SIM = ["simulate", "--mode", "null", "--n", "40", "--replications", "20", "--b", "3"]
+_INPUT_ERRORS = {
+    "missing geno file": (lambda t, geno, pheno: _SCAN + [
+        "--geno", str(t / "none.geno"), "--pheno", pheno], "none.geno"),
+    "sample mismatch": (lambda t, geno, pheno: _SCAN + [
+        "--geno", geno, "--pheno", str(t / "pruned.tsv")], "sample mismatch"),
+    "unknown covariate": (lambda t, geno, pheno: _SCAN + [
+        "--geno", geno, "--pheno", pheno, "--covar", "age,height"],
+        "covariate column 'height'"),
+    "dosage out of range": (lambda t, geno, pheno: _SCAN + [
+        "--geno", _bad_dosage_file(t), "--geno-format", "dosage-tsv", "--pheno", pheno],
+        r"bad.dosage.tsv: rs0: dosage out of \[0, 2\], got 3.0"),
+    "b out of range": (lambda t, geno, pheno: _SCAN + [
+        "--geno", geno, "--pheno", pheno, "--b", "5"], "b must lie in"),
+    "zero noise": (lambda t, geno, pheno: _SIM + ["--noise-sd", "0"], "noise_sd"),
+    "MAF above 0.5": (lambda t, geno, pheno: _SIM + ["--maf", "0.1,0.7"],
+                      r"MAF must lie in \(0, 0.5\], got 0.7"),
+    "no MAF": (lambda t, geno, pheno: _SIM + ["--maf", ""], "at least one MAF"),
+    "no b": (lambda t, geno, pheno: _SIM[:-2] + ["--b", ""], "one b value"),
+    "unparsable MAF": (lambda t, geno, pheno: _SIM + ["--maf", "0.1,x"], "'x'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_INPUT_ERRORS))
+def test_input_errors_exit_2_with_one_line(panel, capsys, case):
+    """Every input error of either subcommand ends the same way: exit code
+    2, one error line on stderr, no output file and no partial file."""
+    geno, pheno, g, y, tmp_path = panel
+    with open(pheno) as src, open(tmp_path / "pruned.tsv", "w") as dst:
+        dst.writelines(line for i, line in enumerate(src) if i != 3)
+    build_argv, message = _INPUT_ERRORS[case]
+    argv = build_argv(tmp_path, geno, pheno)
+    out = tmp_path / "out.tsv"
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--out", str(out)])
+    assert exit_info.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"gdcscan {argv[0]}: error: ")
+    assert re.search(message, lines[0]), lines[0]
+    assert not out.exists() and not (tmp_path / "out.tsv.partial").exists()
+
+
+def test_input_error_in_a_fresh_process_prints_no_traceback(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(pathlib.Path(gdcscan.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    out = tmp_path / "x.tsv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "gdcscan.cli", "simulate", "--mode", "null",
+         "--noise-sd", "0", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "gdcscan simulate: error: noise_sd must be positive and finite, and beta finite"]
+    assert not out.exists()
 
 
 def test_simulate_command(tmp_path):

@@ -1,11 +1,12 @@
 """Codecs: packed 2-bit genotypes, dosage TSV, phenotype tables."""
 
+import os
 import pathlib
 
 import numpy as np
 import pytest
 
-from gdcscan import backend
+from gdcscan import GenotypeColumn, Sample, backend, get_backend
 from gdcscan.io import (
     ArraySource,
     DosageSource,
@@ -78,6 +79,8 @@ def test_packed_round_trip(tmp_path):
 def test_packed_encode_shape():
     enc = encode_packed(np.array([[0, 1, 2, -1, 2]], dtype=np.int8))
     assert enc.shape == (1, 2)
+    with pytest.raises(ValueError, match="row 1: hard calls must be 0/1/2 or -1, got 3"):
+        encode_packed(np.array([[0, 1], [2, 3]]))
 
 
 def test_packed_bad_magic(tmp_path):
@@ -224,15 +227,124 @@ def test_subset_source():
     assert sub.sample_ids == ["s2", "s0"]
 
 
-@pytest.mark.parametrize("bad", [3, 258, 1.5])
-def test_array_source_rejects_bad_hard_calls(bad):
-    """A call outside -1/0/1/2 would index past the kernels' class counts
-    (3), or wrap (258) or truncate (1.5) in the int8 cast."""
-    calls = np.zeros((3, 5))
-    calls[1, 4] = bad
-    if bad != 1.5:
-        calls = calls.astype(np.int64)
-    with pytest.raises(ValueError, match=r"snp1: hard calls must be 0/1/2 or -1"):
-        ArraySource(calls, kind="hard")
-    calls[1, 4] = -1
-    ArraySource(calls, kind="hard")
+_VALUE_TABLE = (
+    [pytest.param("hard", v, True, id=f"hard-ok-{v}") for v in (-1, 0, 1, 2)]
+    + [pytest.param("hard", v, False, id=str(v)) for v in (3, -2, 257, 258, 1.5, np.nan)]
+    + [pytest.param("dosage", v, True, id=f"dosage-ok-{v}")
+       for v in (np.nan, 0.0, -0.0, 2.0)]
+    + [pytest.param("dosage", v, False, id=f"dosage-{v}")
+       for v in (-0.5, 2.0000001, np.inf, -np.inf)]
+)
+
+
+@pytest.mark.parametrize("kind, value, accepted", _VALUE_TABLE)
+def test_array_source_rejects_bad_hard_calls(tmp_path, kind, value, accepted):
+    """One verdict per genotype value, whichever way it comes in.  A hard
+    call outside -1/0/1/2 would index past the kernels' class counts (3),
+    or wrap (258) or truncate (1.5) in the int8 cast; a dosage outside
+    [0, 2] would give a silent p-value, and an infinite one would abort
+    the scan inside a block."""
+    values = np.zeros((3, 5))
+    values[1, 4] = value
+    if kind == "hard" and float(value).is_integer():
+        values = values.astype(np.int64)
+    y = np.arange(5.0)
+    builders = {
+        "ArraySource": lambda: next(ArraySource(values, kind=kind).iter_blocks()).values[1],
+        "GenotypeColumn": lambda: GenotypeColumn("snp1", ".", 0, values[1], kind=kind).values,
+        "Sample.from_arrays": lambda: Sample.from_arrays(
+            values[1], y, kind=kind, snp_id="snp1").genotypes.values,
+    }
+    snp_ids, sample_ids = [f"snp{i}" for i in range(3)], [f"ind{j}" for j in range(5)]
+    if kind == "dosage":
+        path = str(tmp_path / "d.tsv")
+        write_dosage_tsv(path, values.T, snp_ids, sample_ids)
+        builders["DosageSource"] = lambda: next(DosageSource(path).iter_blocks()).values[1]
+    else:
+        def packed():
+            write_packed(geno, values, [(sid, "1", 0) for sid in snp_ids], sample_ids)
+            return next(PackedSource(geno).iter_blocks()).values[1]
+
+        geno = str(tmp_path / "p.geno")
+        builders["write_packed"] = packed
+    rule = "hard calls must be 0/1/2 or -1" if kind == "hard" else r"dosage out of \[0, 2\]"
+    for name, build in builders.items():
+        if not accepted:
+            with pytest.raises(ValueError, match=rf"snp1: {rule}") as err:
+                build()
+            assert name != "DosageSource" or str(err.value).startswith(path)
+            assert name != "write_packed" or not os.path.exists(geno)
+            continue
+        got = build()
+        assert got.dtype == (np.int8 if kind == "hard" else np.float64), name
+        if name != "Sample.from_arrays":  # which drops the missing entry
+            assert np.array_equal(got[-1], value, equal_nan=True), name
+
+
+def test_unknown_genotype_kind_rejected_at_construction():
+    values = np.zeros((2, 5), dtype=np.int8)
+    for build in (
+        lambda: ArraySource(values, kind="probability"),
+        lambda: GenotypeColumn("snp0", ".", 0, values[0], kind="probability"),
+        lambda: Sample.from_arrays(values[0], np.arange(5.0), kind="probability"),
+    ):
+        with pytest.raises(ValueError, match="unknown genotype kind 'probability'"):
+            build()
+
+
+class _CountingKernels:
+    """The python kernels, counting the packed rows they decode."""
+
+    def __init__(self):
+        self.rows = 0
+
+    def decode_packed(self, raw, n):
+        self.rows += raw.shape[0]
+        return get_backend("python").decode_packed(raw, n)
+
+
+def test_every_source_gives_the_same_rows_for_any_block_size(tmp_path):
+    rng = np.random.default_rng(4)
+    n_snps, n = 11, 9
+    calls = rng.integers(-1, 3, size=(n_snps, n)).astype(np.int8)
+    dosages = np.where(calls < 0, np.nan, calls + rng.uniform(-0.4, 0.4, calls.shape))
+    dosages = np.clip(dosages, 0.0, 2.0)
+    packed = _write_panel(tmp_path, calls)
+    dosage_path = str(tmp_path / "d.tsv")
+    write_dosage_tsv(dosage_path, dosages.T, [f"rs{i}" for i in range(n_snps)],
+                     [f"ind{j}" for j in range(n)])
+    keep = np.array([8, 0, 3])
+    sources = [  # (source, its rows, whether the kernels decode them)
+        (PackedSource(packed), calls, True),
+        (ArraySource(calls), calls, False),
+        (ArraySource(dosages, kind="dosage"), dosages, False),
+        (DosageSource(dosage_path), dosages, False),
+        (SubsetSource(PackedSource(packed), keep), calls[:, keep], True),
+        (SubsetSource(DosageSource(dosage_path), keep), dosages[:, keep], False),
+    ]
+    for source, expected, decoded in sources:
+        for size in (1, 3, n_snps, n_snps + 5):
+            kernels = _CountingKernels()
+            blocks = list(source.iter_blocks(size, kernels=kernels))
+            assert [len(b.variants) for b in blocks] == [
+                min(size, n_snps - start) for start in range(0, n_snps, size)]
+            assert [v for b in blocks for v in b.variants] == source.variants
+            for b in blocks:
+                assert b.kind == source.kind and b.values.flags.c_contiguous
+                assert b.values.dtype == (np.int8 if source.kind == "hard" else np.float64)
+            got = np.vstack([b.values for b in blocks])
+            assert np.array_equal(got, expected, equal_nan=True)
+            assert kernels.rows == (n_snps if decoded else 0)
+
+
+def test_packed_payload_cut_short_after_open(tmp_path):
+    """The size check at open cannot see a file that shrinks later; the
+    block read must not decode the short read."""
+    path = _write_panel(tmp_path, np.zeros((4, 6), dtype=np.int8))
+    source = PackedSource(path)
+    with open(path, "r+b") as fh:
+        fh.truncate(os.path.getsize(path) - 1)
+    blocks = source.iter_blocks(3)
+    assert next(blocks).values.shape == (3, 6)
+    with pytest.raises(ValueError, match="truncated payload"):
+        next(blocks)

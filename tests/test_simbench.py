@@ -311,6 +311,13 @@ def test_scenario_validation():
         SimScenario(b_values=(5.0,))
     with pytest.raises(ValueError):
         SimScenario(alpha=1.5)
+    # checked before any cell runs, not when the bad cell is reached
+    for maf in ((0.1, 0.7), (0.0,), (-0.1,)):
+        with pytest.raises(ValueError, match=r"MAF must lie in \(0, 0.5\]"):
+            SimScenario(maf=maf)
+    for empty in ({"maf": ()}, {"b_values": ()}):
+        with pytest.raises(ValueError, match="at least one MAF and one b value"):
+            SimScenario(**empty)
     # zero noise would give every replication a zero residual sum of
     # squares and a table of 0/0 statistics
     for bad in ({"noise_sd": 0.0}, {"noise_sd": -1.0}, {"noise_sd": np.inf},
