@@ -113,11 +113,14 @@ def _scan_inputs(args) -> tuple:
 
 
 def _simulate_inputs(args) -> SimScenario:
+    h_grid = _parse_floats(args.h_grid)
+    if args.mode == "power" and not h_grid:
+        raise ValueError("power mode needs at least one h value")
     return SimScenario(
         n=args.n,
         maf=_parse_floats(args.maf),
         b_values=_parse_floats(args.b),
-        h_grid=_parse_floats(args.h_grid),
+        h_grid=h_grid,
         beta=args.beta,
         noise_sd=args.noise_sd,
         alpha=args.alpha,

@@ -188,17 +188,40 @@ def test_c_binding_without_library_raises_import_error(tmp_path):
         _load_binding(tmp_path)
 
 
+def _assert_same_bits(a, b):
+    """Equal values, dtypes and shapes, and equal bytes: zero signs too."""
+    np.testing.assert_array_equal(a, b, strict=True)
+    assert a.tobytes() == b.tobytes()
+
+
+def _sequential_hardcall_stats(g, w):
+    """C's hard-call loop, one add at a time: every sum starts at +0.0,
+    takes its row's weights in sample order and skips calls outside 0..2."""
+    counts = np.zeros((g.shape[0], 3), dtype=np.int64)
+    sums = np.zeros((g.shape[0], 3, w.shape[1]))
+    for i, row in enumerate(g.tolist()):
+        for s, v in enumerate(row):
+            if 0 <= v <= 2:
+                counts[i, v] += 1
+                for m in range(w.shape[1]):
+                    sums[i, v, m] += w[s, m]
+    return counts, sums
+
+
 def test_hardcall_stats_reference():
-    """NumPy kernel against a direct per-class loop."""
+    """NumPy kernel against a sequential per-call loop, bit for bit, on
+    blocks with missing and invalid calls, for widths of every residue
+    mod 4 and k = 1, 3 and 10 weight columns."""
     rng = np.random.default_rng(3)
-    g = _random_block(rng, n_snps=8, n=40)
-    w = rng.standard_normal((40, 2))
-    counts, sums = _kernels_py.hardcall_stats(g, w)
-    for i in range(8):
-        for j in range(3):
-            sel = g[i] == j
-            assert counts[i, j] == sel.sum()
-            np.testing.assert_allclose(sums[i, j], w[sel].sum(axis=0), rtol=0, atol=1e-12)
+    for k in (1, 3, 10):
+        for n in (37, 38, 39, 40):
+            g = _random_block(rng, n_snps=8, n=n)
+            g[5, ::7], g[6, 1::5], g[7, 2::3] = 3, -2, 127
+            w = rng.standard_normal((n, k))
+            counts, sums = _kernels_py.hardcall_stats(g, w)
+            want_counts, want_sums = _sequential_hardcall_stats(g, w)
+            _assert_same_bits(counts, want_counts)
+            _assert_same_bits(sums, want_sums)
 
 
 def test_dosage_stats_reference():
@@ -238,30 +261,47 @@ def test_numpy_dosage_stats_memory_is_bounded_per_chunk():
     assert peak < 16e6
 
 
+def test_numpy_hardcall_stats_memory_is_bounded_per_chunk():
+    """The twin's hard-call sweep allocates per row chunk, not per block:
+    on a 1024 x 4000 block (4 MB of calls) with ten weight columns its
+    traced allocations peak below 8 MB, which one block-sized bool (4 MB)
+    or intp (33 MB) temporary would exceed."""
+    rng = np.random.default_rng(9)
+    g = _random_block(rng, n_snps=1024, n=4000)
+    w = rng.standard_normal((4000, 10))
+    tracemalloc.start()
+    try:
+        _kernels_py.hardcall_stats(g, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
 @pytest.mark.parametrize("height", [1, 2, 7, 64])
 def test_numpy_kernels_independent_of_block_height(height, monkeypatch):
     """A row's statistics are the same bits whether it is reduced alone or
-    inside a block of any height."""
+    inside a block of any height, in row chunks of 1, 5 or 7 rows (so
+    blocks straddle chunk boundaries, and 7 does not divide 64) or of the
+    whole block."""
     rng = np.random.default_rng(6)
     n = 1031
-    # 5-row chunks, so blocks also straddle chunk boundaries
-    monkeypatch.setattr(_kernels_py, "_CHUNK_CALLS", 5 * n)
     g = _random_block(rng, n_snps=64, n=n)
     x = rng.uniform(0, 2, size=(64, n))
     x[rng.random(x.shape) < 0.02] = np.nan
     w = rng.standard_normal((n, 3))
     hard_rows = [_kernels_py.hardcall_stats(g[i : i + 1], w) for i in range(64)]
     dosage_rows = [_kernels_py.dosage_stats(x[i : i + 1], w) for i in range(64)]
-    for start in range(0, 64, height):
-        stop = start + height
-        for rows, kernel, block in (
-            (hard_rows, _kernels_py.hardcall_stats, g),
-            (dosage_rows, _kernels_py.dosage_stats, x),
-        ):
-            for k, part in enumerate(kernel(block[start:stop], w)):
-                np.testing.assert_array_equal(
-                    part, np.concatenate([r[k] for r in rows[start:stop]])
-                )
+    for chunk_rows in (1, 5, 7, 64):
+        monkeypatch.setattr(_kernels_py, "_CHUNK_CALLS", chunk_rows * n)
+        for start in range(0, 64, height):
+            stop = start + height
+            for rows, kernel, block in (
+                (hard_rows, _kernels_py.hardcall_stats, g),
+                (dosage_rows, _kernels_py.dosage_stats, x),
+            ):
+                for k, part in enumerate(kernel(block[start:stop], w)):
+                    _assert_same_bits(part, np.concatenate([r[k] for r in rows[start:stop]]))
 
 
 def test_hardcall_stats_columns_match_one_column_sweeps(request):

@@ -145,6 +145,9 @@ _INPUT_ERRORS = {
     "no MAF": (lambda t, geno, pheno: _SIM + ["--maf", ""], "at least one MAF"),
     "no b": (lambda t, geno, pheno: _SIM[:-2] + ["--b", ""], "one b value"),
     "unparsable MAF": (lambda t, geno, pheno: _SIM + ["--maf", "0.1,x"], "'x'"),
+    "no h in power mode": (lambda t, geno, pheno: [
+        "simulate", "--mode", "power", "--n", "40", "--replications", "20", "--b", "3",
+        "--h-grid", ""], "at least one h value"),
 }
 
 
