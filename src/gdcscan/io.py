@@ -8,8 +8,9 @@ Two genotype formats are supported:
   first allele, 01 = missing, 10 = heterozygous, 11 = homozygous second
   allele).  Sidecar files sit next to the payload: ``<path>.variants.tsv``
   (snp_id, chrom, pos per line, same order) and ``<path>.samples.txt``
-  (one sample ID per line).  Reading is streamed, so memory stays O(n)
-  per block regardless of SNP count.
+  (one sample ID per line).  Reading is streamed: each block reads its
+  rows of the payload and its lines of the variant sidecar, so a scan
+  holds one block and an 8-byte offset per SNP, whatever the SNP count.
 
 - **dosage-tsv**: header ``sample_id<TAB>snp1<TAB>...``, one row per
   sample, dosages in [0, 2] or ``NA``.  Sample-major on disk, so the file
@@ -21,7 +22,9 @@ numeric columns, joined to the genotype samples by ID.
 
 from __future__ import annotations
 
+import locale
 import os
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -33,6 +36,8 @@ from .premetric import check_genotypes
 PACKED_MAGIC = b"\x6c\x1b"
 PACKED_MODE_SNP_MAJOR = b"\x01"
 DEFAULT_BLOCK_SIZE = 1024
+# what open() decodes text files with
+_ENCODING = locale.getpreferredencoding(False)
 
 
 @dataclass
@@ -124,25 +129,56 @@ def write_lines(path: str, lines: Iterable[str]) -> None:
         raise
 
 
-def _read_variants(path: str) -> list:
-    out = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected snp_id<TAB>chrom<TAB>pos")
-            out.append(VariantInfo(parts[0], parts[1], int(parts[2])))
-    return out
+def _check_variant(fields: list) -> None:
+    """Refuse a sidecar line's fields unless they are snp_id, chrom and
+    an integer position."""
+    if len(fields) != 3:
+        raise ValueError("expected snp_id<TAB>chrom<TAB>pos")
+    try:
+        int(fields[2])
+    except ValueError:
+        raise ValueError(f"position {fields[2]!r} is not an integer") from None
+
+
+def _index_variants(path: str) -> tuple:
+    """Check a variant sidecar in one pass and index it.
+
+    Every line that is not blank must hold snp_id, chrom and an integer
+    position, tab-separated; an error names ``<path>:<line>``.  Returns
+    the byte offset of each such line, then the file's length, as an
+    int64 ``array`` (8 bytes per SNP), and the file's (size, mtime) stamp.
+    """
+    starts = array("q")
+    offset = 0
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode(_ENCODING).rstrip("\n").removesuffix("\r")
+                if line:  # not a blank line
+                    _check_variant(line.split("\t"))
+                    starts.append(offset)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            offset += len(raw)
+        stamp = _stamp(fh)
+    starts.append(offset)
+    return starts, stamp
+
+
+def _stamp(fh) -> tuple:
+    stat = os.fstat(fh.fileno())
+    return stat.st_size, stat.st_mtime_ns
 
 
 class _BlockSource:
-    """A genotype source served in blocks of consecutive SNPs.  A source
-    sets ``kind``, ``n_snps`` and ``variants`` and reads the rows of SNPs
-    ``start:stop`` in ``_read``; an in-memory source holds them in an
-    (n_snps, n_samples) ``_matrix``."""
+    """A genotype source served in blocks of consecutive SNPs.
+
+    A source sets ``kind`` and ``n_snps``; for the SNPs ``start:stop`` it
+    reads their ``VariantInfo`` list in ``_variants`` and their rows in
+    ``_read``.  An in-memory source holds all of them: a ``variants`` list
+    and an (n_snps, n_samples) ``_matrix``.  A streamed source reads both
+    per block, so one block is all it holds of the panel.
+    """
 
     def iter_blocks(self, block_size: int = DEFAULT_BLOCK_SIZE,
                     kernels=None) -> Iterator[Block]:
@@ -151,21 +187,34 @@ class _BlockSource:
         kernels = backend.kernels if kernels is None else kernels
         for start in range(0, self.n_snps, block_size):
             stop = min(start + block_size, self.n_snps)
-            yield Block(variants=self.variants[start:stop],
+            yield Block(variants=self._variants(start, stop),
                         values=self._read(start, stop, kernels), kind=self.kind)
+
+    def _variants(self, start: int, stop: int) -> list:
+        return self.variants[start:stop]
 
     def _read(self, start: int, stop: int, kernels) -> np.ndarray:
         return np.ascontiguousarray(self._matrix[start:stop])
 
 
 class PackedSource(_BlockSource):
-    """Streaming reader for the packed 2-bit format."""
+    """Streaming reader for the packed 2-bit format.
+
+    Opening checks the header, the payload size and every line of the
+    variant sidecar (lines end in LF or CRLF; blank lines are skipped),
+    and keeps only the byte offset of each SNP's line.  Each block then
+    reads its SNPs' rows of the payload and their lines of the sidecar,
+    so a scan holds one block of calls whatever the SNP count.  A payload
+    cut short is an error naming it, and so is a sidecar whose size or
+    mtime changed since opening or whose block no longer starts and ends
+    on the line boundaries found then.  An edit that keeps all of these
+    (a same-size rewrite that keeps the mtime) is read as it now stands.
+    """
 
     kind = "hard"
 
     def __init__(self, path: str):
         self.path = path
-        self.variants = _read_variants(variants_path(path))
         with open(samples_path(path)) as fh:
             self.sample_ids = [line.strip() for line in fh if line.strip()]
         self.n_samples = len(self.sample_ids)
@@ -179,17 +228,43 @@ class PackedSource(_BlockSource):
                 f"{self._bytes_per_snp} bytes per SNP"
             )
         self.n_snps = payload // self._bytes_per_snp if self._bytes_per_snp else 0
-        if self.n_snps != len(self.variants):
-            raise ValueError(
-                f"{path}: payload holds {self.n_snps} SNPs but the variant "
-                f"sidecar lists {len(self.variants)}"
-            )
         with open(path, "rb") as fh:
             head = fh.read(3)
         if head[:2] != PACKED_MAGIC:
             raise ValueError(f"{path}: bad magic bytes {head[:2]!r}")
         if head[2:3] != PACKED_MODE_SNP_MAJOR:
             raise ValueError(f"{path}: unsupported mode byte {head[2:3]!r}")
+        self._line_starts, self._sidecar_stamp = _index_variants(variants_path(path))
+        if self.n_snps != len(self._line_starts) - 1:
+            raise ValueError(
+                f"{path}: payload holds {self.n_snps} SNPs but the variant "
+                f"sidecar lists {len(self._line_starts) - 1}"
+            )
+
+    def _variants(self, start: int, stop: int) -> list:
+        path = variants_path(self.path)
+        lo, hi = self._line_starts[start], self._line_starts[stop]
+        # from the byte before the block on, which must end a line
+        at = max(lo - 1, 0)
+        with open(path, "rb") as fh:
+            stamp = _stamp(fh)
+            fh.seek(at)
+            raw = fh.read(hi - at)
+        out = []
+        if (stamp == self._sidecar_stamp and len(raw) == hi - at
+                and (lo == 0 or raw.startswith(b"\n"))
+                and (hi == stamp[0] or raw.endswith(b"\n"))):
+            # lines checked at open: int() takes a position's "\r" as blank,
+            # and the split skips the "\n" before the block
+            try:
+                out = [VariantInfo(snp_id, chrom, int(pos)) for snp_id, chrom, pos in
+                       (line.split("\t") for line in raw.decode(_ENCODING).split("\n")
+                        if line and line != "\r")]
+            except ValueError:
+                out = []
+        if len(out) != stop - start:
+            raise ValueError(f"{path}: changed since it was opened")
+        return out
 
     def _read(self, start: int, stop: int, kernels) -> np.ndarray:
         count, width = stop - start, self._bytes_per_snp
@@ -289,16 +364,16 @@ class SubsetSource:
         self.n_samples = int(self._idx.size)
         self.n_snps = source.n_snps
         self.sample_ids = [source.sample_ids[i] for i in self._idx]
-        self.variants = source.variants
 
     def iter_blocks(self, block_size: int = DEFAULT_BLOCK_SIZE,
                     kernels=None) -> Iterator[Block]:
-        for block in self._source.iter_blocks(block_size, kernels=kernels):
-            yield Block(
-                variants=block.variants,
-                values=np.ascontiguousarray(block.values[:, self._idx]),
-                kind=block.kind,
-            )
+        # map holds no block of the source once it has handed on its subset
+        return map(self._subset, self._source.iter_blocks(block_size, kernels=kernels))
+
+    def _subset(self, block: Block) -> Block:
+        return Block(variants=block.variants,
+                     values=np.ascontiguousarray(block.values[:, self._idx]),
+                     kind=block.kind)
 
 
 def open_genotypes(path: str, fmt: str):

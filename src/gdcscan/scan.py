@@ -284,7 +284,7 @@ def _dosage_sums(b: float, ctx: ScanContext, s: np.ndarray, fsums: np.ndarray) -
 
 
 def _projected_terms(ctx: ScanContext, n_used: np.ndarray, utu: np.ndarray,
-                     ur: np.ndarray, uq: np.ndarray, miss=None) -> tuple:
+                     ur: np.ndarray, uq: np.ndarray, miss=None, at=None) -> tuple:
     """Complete-case terms of block rows from sums of the scaled features
     U over each row's present samples S: ``utu`` (m, 3) holds (U'U)_00,
     (U'U)_11 and (U'U)_01, ``ur`` (m, 2) is U'r and ``uq`` (m, 2, k) U'Q,
@@ -297,9 +297,10 @@ def _projected_terms(ctx: ScanContext, n_used: np.ndarray, utu: np.ndarray,
     ``rss = r_S'r_S - h'beta``, the cross sums are ``U'r - U'Q beta`` and
     ``n_used * K = U'U - A G^-1 A'`` with ``A = U'Q``.  A complete row
     (``miss`` None) has G = I, h = 0 and rss = ``ctx.rss``: no solve.
-    Rows with missing entries pass them as int8 calls in ``miss``, -1
-    where missing; one sweep of ``ctx.miss_weights`` over those rows gives
-    r_S'r_S, h and G.  Every reduction runs row by row.
+    Rows with missing entries pass int8 calls in ``miss``, -1 where
+    missing, and their row of it in ``at``; one sweep of
+    ``ctx.miss_weights`` over those rows gives r_S'r_S, h and G.  Every
+    reduction runs row by row.
 
     Returns ``(rows, n_used, rss, terms)``: the indices of the rows
     settled here and their sample counts, residual sums of squares and
@@ -315,7 +316,7 @@ def _projected_terms(ctx: ScanContext, n_used: np.ndarray, utu: np.ndarray,
     else:
         k = ctx.df_sub  # the width of the covariate basis Q
         rows = rows[n_used >= max(4, k + 3)]
-        s = ctx.kernels.hardcall_stats(miss[rows], ctx.miss_weights)[1]
+        s = _miss_sums(ctx, miss, at[rows])
         tot = s[:, 0] + s[:, 1] + s[:, 2]
         iu, ju = np.triu_indices(k)
         gram = np.empty((rows.size, k, k))
@@ -338,6 +339,23 @@ def _projected_terms(ctx: ScanContext, n_used: np.ndarray, utu: np.ndarray,
     good = (rss > _MIN_RSS_SHARE * srr) & np.isfinite(rss) & np.isfinite(terms).all(axis=0)
     rss = np.broadcast_to(rss, good.shape)
     return rows[good], n_used[good], rss[good], tuple(t[good] for t in terms)
+
+
+# calls per chunk of the missing-entry sweep
+_MISS_CHUNK_CALLS = 1 << 18
+
+
+def _miss_sums(ctx: ScanContext, miss: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The class sums of ``ctx.miss_weights`` over the rows ``miss[rows]``.
+    They are copied and swept in chunks of about ``_MISS_CHUNK_CALLS``
+    calls, so no copy of a block outlives its chunk; the sweep runs row
+    by row, so the chunks move no bit."""
+    sums = np.empty((rows.size, 3, ctx.miss_weights.shape[1]))
+    step = max(1, _MISS_CHUNK_CALLS // max(miss.shape[1], 1))
+    for i in range(0, rows.size, step):
+        sums[i : i + step] = ctx.kernels.hardcall_stats(
+            miss[rows[i : i + step]], ctx.miss_weights)[1]
+    return sums
 
 
 def _records(cfg: ScanConfig, df_sub: int, variants, n_used, rss, maf, mono,
@@ -507,8 +525,7 @@ def process_block(cfg: ScanConfig, ctx: ScanContext, block: Block) -> list:
         if not idx.size:
             return
         n_used, dose, mono, *feats = (t[idx] for t in sums)
-        done, n_used, rss, terms = _projected_terms(
-            ctx, n_used, *feats, miss=None if miss is None else miss[idx])
+        done, n_used, rss, terms = _projected_terms(ctx, n_used, *feats, miss=miss, at=idx)
         if done.size:
             emit(rows[idx[done]], n_used, rss, _maf(dose[done], n_used), mono[done], *terms)
         refused.extend((rows[j], values[j], kind) for j in np.setdiff1d(idx, idx[done]))
@@ -552,10 +569,11 @@ def process_block(cfg: ScanConfig, ctx: ScanContext, block: Block) -> list:
 
 
 def _bounded_map(fn, items: Iterator, workers: int) -> Iterator:
-    """Ordered parallel map with a bounded number of in-flight tasks."""
+    """Ordered parallel map with a bounded number of in-flight tasks.  One
+    worker holds no item or result once it has handed it on, so the next
+    item is read after the previous one is gone."""
     if workers <= 1:
-        for item in items:
-            yield fn(item)
+        yield from map(fn, items)
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
         queue = deque()
@@ -576,7 +594,9 @@ def run_scan(config: ScanConfig, genotypes, phenotype,
     ``DosageSource``, ``ArraySource`` or a ``SubsetSource`` of one): it
     has ``n_samples`` and ``iter_blocks``.  ``kernels`` is the kernel
     module of the block sweeps (``backend.get_backend(name)``); None takes
-    ``backend.kernels`` as it is when the scan starts.
+    ``backend.kernels`` as it is when the scan starts.  With one thread
+    the scan holds one block and its records at a time: both are released
+    before the next block is read.
     """
     ctx = prepare_context(phenotype, covariates, kernels)
     if genotypes.n_samples != ctx.n:
@@ -589,8 +609,8 @@ def run_scan(config: ScanConfig, genotypes, phenotype,
     def work(block: Block) -> list:
         return process_block(config, ctx, block)
 
-    for recs in _bounded_map(work, blocks, config.threads):
-        yield from recs
+    # chain drops a block's record list before it asks for the next one
+    yield from itertools.chain.from_iterable(_bounded_map(work, blocks, config.threads))
 
 
 def run_multiallelic(config: ScanConfig, genotype: GenotypeColumn, phenotype,

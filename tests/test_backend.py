@@ -278,6 +278,23 @@ def test_numpy_hardcall_stats_memory_is_bounded_per_chunk():
     assert peak < 8e6
 
 
+def test_numpy_decode_holds_one_block_when_n_is_not_a_multiple_of_4():
+    """The twin decodes row chunks straight into the (rows, n) result: on
+    a 1024 x 2001 block (2 MB of calls) its traced allocations peak below
+    1.25 blocks, which a gather of the padded rows and a copy of them
+    without the pad (2 blocks) exceeds."""
+    rng = np.random.default_rng(2)
+    raw = rng.integers(0, 256, size=(1024, 501), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        calls = _kernels_py.decode_packed(raw, 2001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls.shape == (1024, 2001) and calls.flags.c_contiguous
+    assert peak < 1.25 * calls.nbytes
+
+
 @pytest.mark.parametrize("height", [1, 2, 7, 64])
 def test_numpy_kernels_independent_of_block_height(height, monkeypatch):
     """A row's statistics are the same bits whether it is reduced alone or

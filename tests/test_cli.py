@@ -5,6 +5,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -124,6 +125,12 @@ def _bad_dosage_file(tmp_path):
     return path
 
 
+def _bad_position(geno):
+    sidecar = pathlib.Path(geno + ".variants.tsv")
+    sidecar.write_text(sidecar.read_text().replace("rs2\t1\t20\n", "rs2\t1\tx20\n"))
+    return geno
+
+
 _SCAN = ["scan", "--pheno-col", "trait"]
 _SIM = ["simulate", "--mode", "null", "--n", "40", "--replications", "20", "--b", "3"]
 _INPUT_ERRORS = {
@@ -137,6 +144,9 @@ _INPUT_ERRORS = {
     "dosage out of range": (lambda t, geno, pheno: _SCAN + [
         "--geno", _bad_dosage_file(t), "--geno-format", "dosage-tsv", "--pheno", pheno],
         r"bad.dosage.tsv: rs0: dosage out of \[0, 2\], got 3.0"),
+    "bad sidecar position": (lambda t, geno, pheno: _SCAN + [
+        "--geno", _bad_position(geno), "--pheno", pheno],
+        r"panel\.geno\.variants\.tsv:3: position 'x20' is not an integer"),
     "b out of range": (lambda t, geno, pheno: _SCAN + [
         "--geno", geno, "--pheno", pheno, "--b", "5"], "b must lie in"),
     "zero noise": (lambda t, geno, pheno: _SIM + ["--noise-sd", "0"], "noise_sd"),
@@ -185,6 +195,35 @@ def test_input_error_in_a_fresh_process_prints_no_traceback(tmp_path):
     assert proc.stderr.splitlines() == [
         "gdcscan simulate: error: noise_sd must be positive and finite, and beta finite"]
     assert not out.exists()
+
+
+def test_packed_scan_memory_does_not_grow_with_snp_count(tmp_path):
+    """A packed scan keeps no per-SNP table: the traced peak of ``main``
+    at 20 000 SNPs exceeds the one at 2 000 SNPs by at most 24 bytes per
+    extra SNP (n = 64).  One 8-byte sidecar offset per SNP fits; one
+    ``VariantInfo`` per SNP (about 190 bytes) does not."""
+    rng = np.random.default_rng(3)
+    n = 64
+    ids = [f"ind{j}" for j in range(n)]
+    pheno = tmp_path / "pheno.tsv"
+    pheno.write_text("sample_id\ttrait\n" + "".join(
+        f"{sid}\t{v!r}\n" for sid, v in zip(ids, rng.standard_normal(n).tolist())))
+
+    def peak(n_snps):
+        geno = str(tmp_path / f"p{n_snps}.geno")
+        write_packed(geno, rng.integers(0, 3, size=(n_snps, n)),
+                     [(f"rs{i}", "1", 1000 + i) for i in range(n_snps)], ids)
+        tracemalloc.start()
+        try:
+            main(["scan", "--geno", geno, "--pheno", str(pheno), "--pheno-col", "trait",
+                  "--out", str(tmp_path / "out.tsv")])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2000)  # first calls fill caches of their own
+    small, large = peak(2000), peak(20_000)
+    assert large - small <= 24 * 18_000, (small, large)
 
 
 def test_simulate_command(tmp_path):

@@ -2,6 +2,7 @@
 
 import os
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from gdcscan.io import (
     DosageSource,
     PackedSource,
     SubsetSource,
+    VariantInfo,
     align_samples,
     encode_packed,
     read_phenotype_table,
@@ -112,6 +114,86 @@ def test_packed_variant_count_mismatch(tmp_path):
         fh.write("rs_extra\t1\t5\n")
     with pytest.raises(ValueError, match="variant"):
         PackedSource(path)
+
+
+def _rewrite_sidecar(path, edit):
+    """Replace the variant sidecar of ``path`` by ``edit`` of its text."""
+    sidecar = pathlib.Path(path + ".variants.tsv")
+    sidecar.write_bytes(edit(sidecar.read_bytes()))
+    return str(sidecar)
+
+
+def test_sidecar_bad_position_names_file_and_line(tmp_path):
+    path = _write_panel(tmp_path, np.zeros((4, 6), dtype=np.int8))
+    sidecar = _rewrite_sidecar(path, lambda text: text.replace(b"\t1002\n", b"\tx12\n"))
+    with pytest.raises(ValueError) as err:
+        PackedSource(path)
+    assert str(err.value) == f"{sidecar}:3: position 'x12' is not an integer"
+    _rewrite_sidecar(path, lambda text: text.replace(b"rs1\t1\t", b"rs1\t"))
+    with pytest.raises(ValueError, match=r"variants\.tsv:2: expected snp_id<TAB>chrom<TAB>pos"):
+        PackedSource(path)
+
+
+def test_sidecar_blank_lines_and_crlf_give_the_same_blocks(tmp_path):
+    rng = np.random.default_rng(5)
+    n_snps = 7
+    calls = rng.integers(-1, 3, size=(n_snps, 9)).astype(np.int8)
+    plain = PackedSource(_write_panel(tmp_path, calls, name="lf.geno"))
+    path = _write_panel(tmp_path, calls, name="crlf.geno")
+    _rewrite_sidecar(path, lambda text: b"\r\n\n" + text.replace(
+        b"\n", b"\r\n").replace(b"rs3", b"\n\r\nrs3") + b"\r\n\n")
+    crlf = PackedSource(path)
+    for size in (1, 3, n_snps + 5):
+        for a, b in zip(plain.iter_blocks(size), crlf.iter_blocks(size), strict=True):
+            assert a.variants == b.variants and np.array_equal(a.values, b.values)
+    assert [v.snp_id for b in crlf.iter_blocks(3) for v in b.variants] == [
+        f"rs{i}" for i in range(n_snps)]
+
+
+def test_sidecar_non_ascii_ids_and_signed_positions(tmp_path):
+    """Non-ASCII IDs and signed or zero positions pass the check at open
+    and are read back by each block."""
+    variants = [VariantInfo("rs0\u00e9", "1", -5), VariantInfo("rs1", "X", 0),
+                VariantInfo("rs2", "1", 7)]
+    path = str(tmp_path / "p.geno")
+    write_packed(path, np.zeros((3, 4), dtype=np.int8), variants, list("abcd"))
+    _rewrite_sidecar(path, lambda text: text.replace(b"\t7\n", b"\t+7\n"))
+    for size in (1, 2, 3):
+        assert [v for b in PackedSource(path).iter_blocks(size) for v in b.variants] == variants
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: text[: len(text) // 2],  # cut short
+    lambda text: text.replace(b"rs2\t1\t1002\n", b""),  # one line removed
+    lambda text: text.replace(b"\t1001\n", b"\t10x1\n"),  # same size, bad position
+    lambda text: text.replace(b"rs1\t1\t", b"rs1\t1\t\t"),  # a field added
+], ids=["cut", "line removed", "bad position", "field added"])
+def test_sidecar_changed_after_open(tmp_path, edit):
+    """The offsets taken at open cannot see a sidecar that changes later;
+    the block read must fail naming it, not yield a short or shifted list
+    of variants."""
+    path = _write_panel(tmp_path, np.zeros((6, 5), dtype=np.int8))
+    source = PackedSource(path)
+    sidecar = _rewrite_sidecar(path, edit)
+    for size in (2, 6):
+        with pytest.raises(ValueError, match=rf"^{re.escape(sidecar)}: changed since"):
+            next(source.iter_blocks(size))
+
+
+def test_sidecar_shifted_at_the_same_size_and_mtime(tmp_path):
+    """A rewrite that keeps the sidecar's size and mtime but moves a line
+    boundary is refused where a block starts or ends on it, not read as
+    rs1 at 10011 and s2 at 1002."""
+    path = _write_panel(tmp_path, np.zeros((6, 5), dtype=np.int8))
+    source = PackedSource(path)
+    stat = os.stat(path + ".variants.tsv")
+    sidecar = _rewrite_sidecar(path, lambda text: text.replace(
+        b"\t1001\nrs2\t", b"\t10011\ns2\t"))
+    os.utime(sidecar, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert os.stat(sidecar).st_size == stat.st_size
+    for size in (1, 2):
+        with pytest.raises(ValueError, match=rf"^{re.escape(sidecar)}: changed since"):
+            list(source.iter_blocks(size))
 
 
 def test_dosage_round_trip(tmp_path):
@@ -314,21 +396,24 @@ def test_every_source_gives_the_same_rows_for_any_block_size(tmp_path):
     write_dosage_tsv(dosage_path, dosages.T, [f"rs{i}" for i in range(n_snps)],
                      [f"ind{j}" for j in range(n)])
     keep = np.array([8, 0, 3])
-    sources = [  # (source, its rows, whether the kernels decode them)
-        (PackedSource(packed), calls, True),
-        (ArraySource(calls), calls, False),
-        (ArraySource(dosages, kind="dosage"), dosages, False),
-        (DosageSource(dosage_path), dosages, False),
-        (SubsetSource(PackedSource(packed), keep), calls[:, keep], True),
-        (SubsetSource(DosageSource(dosage_path), keep), dosages[:, keep], False),
+    written = [VariantInfo(f"rs{i}", "1", 1000 + i) for i in range(n_snps)]
+    in_memory = [VariantInfo(f"snp{i}", ".", i) for i in range(n_snps)]
+    from_tsv = [VariantInfo(f"rs{i}", ".", 0) for i in range(n_snps)]
+    sources = [  # (source, its rows, its variants, whether the kernels decode them)
+        (PackedSource(packed), calls, written, True),
+        (ArraySource(calls), calls, in_memory, False),
+        (ArraySource(dosages, kind="dosage"), dosages, in_memory, False),
+        (DosageSource(dosage_path), dosages, from_tsv, False),
+        (SubsetSource(PackedSource(packed), keep), calls[:, keep], written, True),
+        (SubsetSource(DosageSource(dosage_path), keep), dosages[:, keep], from_tsv, False),
     ]
-    for source, expected, decoded in sources:
+    for source, expected, variants, decoded in sources:
         for size in (1, 3, n_snps, n_snps + 5):
             kernels = _CountingKernels()
             blocks = list(source.iter_blocks(size, kernels=kernels))
             assert [len(b.variants) for b in blocks] == [
                 min(size, n_snps - start) for start in range(0, n_snps, size)]
-            assert [v for b in blocks for v in b.variants] == source.variants
+            assert [v for b in blocks for v in b.variants] == variants
             for b in blocks:
                 assert b.kind == source.kind and b.values.flags.c_contiguous
                 assert b.values.dtype == (np.int8 if source.kind == "hard" else np.float64)

@@ -5,6 +5,7 @@ import math
 import os
 
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,16 @@ from scipy import stats
 
 from gdcscan.adjust import CovariateMatrix, column_features, residualize
 from gdcscan.gdc import Sample, standardized_statistic
-from gdcscan.io import ArraySource, Block, VariantInfo
+from gdcscan.io import (
+    PACKED_MAGIC,
+    PACKED_MODE_SNP_MAJOR,
+    ArraySource,
+    Block,
+    PackedSource,
+    VariantInfo,
+    samples_path,
+    variants_path,
+)
 from gdcscan import scan as scan_module
 from gdcscan.nulldist import (
     NullSpectrum, NumericsError, exact_pvalue, exact_pvalues_batch, spectrum_from_features,
@@ -762,6 +772,51 @@ def test_missing_calls_byte_identical_across_blocks_and_threads(tmp_path, monkey
         assert routed == []
         recs = read_results(str(tmp_path / "out_1024_1.tsv"))
         assert sum(r.n_used < y.size for r in recs) > 100
+
+
+def test_missing_entry_sweep_chunks_move_no_bit(tmp_path, monkeypatch):
+    """The rows with missing entries are swept in chunks of whole rows;
+    chunks of one row, of a few rows and of the whole block give the same
+    bytes."""
+    g, y, cov = _missing_call_panel()
+    blobs = []
+    for calls in (1, 7 * g.shape[1], scan_module._MISS_CHUNK_CALLS):
+        monkeypatch.setattr(scan_module, "_MISS_CHUNK_CALLS", calls)
+        for src in (ArraySource(g, kind="hard"), ArraySource(_dosages_of(g), kind="dosage")):
+            path = tmp_path / "out.tsv"
+            write_results(run_scan(ScanConfig(b=3.0), src, y, cov), str(path))
+            blobs.append(path.read_bytes())
+    assert blobs[0::2] == [blobs[0]] * 3 and blobs[1::2] == [blobs[1]] * 3
+
+
+def test_single_thread_scan_holds_one_block(tmp_path):
+    """A one-thread packed scan holds one block at a time: its packed
+    bytes while they are decoded, then its calls, plus scratch of a fixed
+    size.  On 512-SNP blocks of 20 000 samples (10 MB of calls), a quarter
+    of the calls missing, traced allocations peak below 1.25 blocks plus
+    3 MB.  Holding the previous block while the next one is read, or
+    copying a block's rows with missing calls, would exceed 2 blocks."""
+    n, block_size, n_snps = 20_000, 512, 1536
+    rng = np.random.default_rng(12)
+    path = str(tmp_path / "wide.geno")
+    with open(path, "wb") as fh:
+        fh.write(PACKED_MAGIC + PACKED_MODE_SNP_MAJOR)
+        for _ in range(n_snps):
+            fh.write(rng.integers(0, 256, size=n // 4, dtype=np.uint8).tobytes())
+    with open(variants_path(path), "w") as fh:
+        fh.writelines(f"rs{i}\t1\t{i}\n" for i in range(n_snps))
+    with open(samples_path(path), "w") as fh:
+        fh.writelines(f"s{j}\n" for j in range(n))
+    source = PackedSource(path)
+    y = rng.standard_normal(n)
+    tracemalloc.start()
+    try:
+        rows = sum(1 for _ in run_scan(ScanConfig(block_size=block_size), source, y))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == n_snps
+    assert peak < 1.25 * block_size * n + 3e6
 
 
 def test_routed_missing_call_rows_keep_per_snp_error_codes(caplog):
