@@ -8,9 +8,9 @@ Two genotype formats are supported:
   first allele, 01 = missing, 10 = heterozygous, 11 = homozygous second
   allele).  Sidecar files sit next to the payload: ``<path>.variants.tsv``
   (snp_id, chrom, pos per line, same order) and ``<path>.samples.txt``
-  (one sample ID per line).  Reading is streamed: each block reads its
-  rows of the payload and its lines of the variant sidecar, so a scan
-  holds one block and an 8-byte offset per SNP, whatever the SNP count.
+  (one sample ID per line).  Reading is streamed: a pass over the blocks
+  reads the payload and the variant sidecar forward, so a scan holds one
+  block, whatever the SNP count.
 
 - **dosage-tsv**: header ``sample_id<TAB>snp1<TAB>...``, one row per
   sample, dosages in [0, 2] or ``NA``.  Sample-major on disk, so the file
@@ -24,8 +24,10 @@ from __future__ import annotations
 
 import locale
 import os
-from array import array
+import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import islice, starmap
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -129,40 +131,35 @@ def write_lines(path: str, lines: Iterable[str]) -> None:
         raise
 
 
-def _check_variant(fields: list) -> None:
-    """Refuse a sidecar line's fields unless they are snp_id, chrom and
-    an integer position."""
-    if len(fields) != 3:
-        raise ValueError("expected snp_id<TAB>chrom<TAB>pos")
+def _variant_rows(lines: list, path: str, at: tuple) -> tuple:
+    """Check and parse the next ``lines`` of a variant sidecar read forward,
+    bytes that end in LF or CRLF; ``at`` holds the CRC-32 of the lines
+    before them and the number of the first.  Returns the [snp_id, chrom,
+    pos] of each line that is not blank, and ``at`` after them.  A line
+    that is not snp_id, chrom and an integer position, tab-separated, is
+    an error naming ``<path>:<line>``."""
+    raw = b"".join(lines)
+    crc, first = at
     try:
-        int(fields[2])
-    except ValueError:
-        raise ValueError(f"position {fields[2]!r} is not an integer") from None
-
-
-def _index_variants(path: str) -> tuple:
-    """Check a variant sidecar in one pass and index it.
-
-    Every line that is not blank must hold snp_id, chrom and an integer
-    position, tab-separated; an error names ``<path>:<line>``.  Returns
-    the byte offset of each such line, then the file's length, as an
-    int64 ``array`` (8 bytes per SNP), and the file's (size, mtime) stamp.
-    """
-    starts = array("q")
-    offset = 0
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            try:
-                line = raw.decode(_ENCODING).rstrip("\n").removesuffix("\r")
-                if line:  # not a blank line
-                    _check_variant(line.split("\t"))
-                    starts.append(offset)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            offset += len(raw)
-        stamp = _stamp(fh)
-    starts.append(offset)
-    return starts, stamp
+        text = raw.decode(_ENCODING)
+    except UnicodeDecodeError as exc:
+        newlines = raw.count(b"\n", 0, exc.start)
+        raise ValueError(f"{path}:{first + newlines}: {exc}") from None
+    rows = []
+    for lineno, line in enumerate(text.split("\n"), first):
+        line = line.removesuffix("\r")
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise ValueError(f"{path}:{lineno}: expected snp_id<TAB>chrom<TAB>pos")
+        try:
+            fields[2] = int(fields[2])
+        except ValueError:
+            raise ValueError(
+                f"{path}:{lineno}: position {fields[2]!r} is not an integer") from None
+        rows.append(fields)
+    return rows, (zlib.crc32(raw, crc), first + len(lines))
 
 
 def _stamp(fh) -> tuple:
@@ -173,11 +170,12 @@ def _stamp(fh) -> tuple:
 class _BlockSource:
     """A genotype source served in blocks of consecutive SNPs.
 
-    A source sets ``kind`` and ``n_snps``; for the SNPs ``start:stop`` it
-    reads their ``VariantInfo`` list in ``_variants`` and their rows in
-    ``_read``.  An in-memory source holds all of them: a ``variants`` list
-    and an (n_snps, n_samples) ``_matrix``.  A streamed source reads both
-    per block, so one block is all it holds of the panel.
+    A source sets ``kind`` and ``n_snps``.  Each pass over the blocks
+    enters ``_open(kernels)``, a context giving ``read(start, stop)``: the
+    ``VariantInfo`` list and the rows of SNPs ``start:stop``, asked for in
+    order.  An in-memory source slices its ``variants`` list and its
+    (n_snps, n_samples) ``_matrix``; a streamed one reads forward through
+    files that belong to the pass.
     """
 
     def iter_blocks(self, block_size: int = DEFAULT_BLOCK_SIZE,
@@ -185,30 +183,26 @@ class _BlockSource:
         """Blocks of ``block_size`` SNPs in order; ``kernels`` is the kernel
         module that decodes packed rows (None: ``backend.kernels``)."""
         kernels = backend.kernels if kernels is None else kernels
-        for start in range(0, self.n_snps, block_size):
-            stop = min(start + block_size, self.n_snps)
-            yield Block(variants=self._variants(start, stop),
-                        values=self._read(start, stop, kernels), kind=self.kind)
+        with self._open(kernels) as read:
+            for start in range(0, self.n_snps, block_size):
+                yield Block(*read(start, min(start + block_size, self.n_snps)),
+                            kind=self.kind)
 
-    def _variants(self, start: int, stop: int) -> list:
-        return self.variants[start:stop]
-
-    def _read(self, start: int, stop: int, kernels) -> np.ndarray:
-        return np.ascontiguousarray(self._matrix[start:stop])
+    @contextmanager
+    def _open(self, kernels):
+        yield lambda start, stop: (self.variants[start:stop],
+                                   np.ascontiguousarray(self._matrix[start:stop]))
 
 
 class PackedSource(_BlockSource):
     """Streaming reader for the packed 2-bit format.
 
-    Opening checks the header, the payload size and every line of the
-    variant sidecar (lines end in LF or CRLF; blank lines are skipped),
-    and keeps only the byte offset of each SNP's line.  Each block then
-    reads its SNPs' rows of the payload and their lines of the sidecar,
-    so a scan holds one block of calls whatever the SNP count.  A payload
-    cut short is an error naming it, and so is a sidecar whose size or
-    mtime changed since opening or whose block no longer starts and ends
-    on the line boundaries found then.  An edit that keeps all of these
-    (a same-size rewrite that keeps the mtime) is read as it now stands.
+    Opening checks the header, the payload size and every sidecar line in
+    one pass, and keeps the (size, mtime) stamps of both files and the
+    sidecar's CRC-32.  Each pass over the blocks reads both forward through
+    handles of its own, closed when it ends or is dropped.  Each block
+    checks both stamps, and the last also the CRC-32 of the whole sidecar:
+    a file that fails is an error naming it as changed since it was opened.
     """
 
     kind = "hard"
@@ -219,7 +213,10 @@ class PackedSource(_BlockSource):
             self.sample_ids = [line.strip() for line in fh if line.strip()]
         self.n_samples = len(self.sample_ids)
         self._bytes_per_snp = (self.n_samples + 3) // 4
-        payload = os.path.getsize(path) - 3
+        with open(path, "rb") as fh:
+            head = fh.read(3)
+            self._stamp = _stamp(fh)
+        payload = self._stamp[0] - 3
         if payload < 0:
             raise ValueError(f"{path}: truncated header")
         if self._bytes_per_snp and payload % self._bytes_per_snp != 0:
@@ -228,53 +225,55 @@ class PackedSource(_BlockSource):
                 f"{self._bytes_per_snp} bytes per SNP"
             )
         self.n_snps = payload // self._bytes_per_snp if self._bytes_per_snp else 0
-        with open(path, "rb") as fh:
-            head = fh.read(3)
         if head[:2] != PACKED_MAGIC:
             raise ValueError(f"{path}: bad magic bytes {head[:2]!r}")
         if head[2:3] != PACKED_MODE_SNP_MAJOR:
             raise ValueError(f"{path}: unsupported mode byte {head[2:3]!r}")
-        self._line_starts, self._sidecar_stamp = _index_variants(variants_path(path))
-        if self.n_snps != len(self._line_starts) - 1:
+        sidecar, count, at = variants_path(path), 0, (0, 1)
+        with open(sidecar, "rb") as fh:
+            while lines := list(islice(fh, DEFAULT_BLOCK_SIZE)):
+                rows, at = _variant_rows(lines, sidecar, at)
+                count += len(rows)
+            self._sidecar_stamp = _stamp(fh)
+        self._sidecar_crc = at[0]
+        if self.n_snps != count:
             raise ValueError(
                 f"{path}: payload holds {self.n_snps} SNPs but the variant "
-                f"sidecar lists {len(self._line_starts) - 1}"
+                f"sidecar lists {count}"
             )
 
-    def _variants(self, start: int, stop: int) -> list:
-        path = variants_path(self.path)
-        lo, hi = self._line_starts[start], self._line_starts[stop]
-        # from the byte before the block on, which must end a line
-        at = max(lo - 1, 0)
-        with open(path, "rb") as fh:
-            stamp = _stamp(fh)
-            fh.seek(at)
-            raw = fh.read(hi - at)
-        out = []
-        if (stamp == self._sidecar_stamp and len(raw) == hi - at
-                and (lo == 0 or raw.startswith(b"\n"))
-                and (hi == stamp[0] or raw.endswith(b"\n"))):
-            # lines checked at open: int() takes a position's "\r" as blank,
-            # and the split skips the "\n" before the block
-            try:
-                out = [VariantInfo(snp_id, chrom, int(pos)) for snp_id, chrom, pos in
-                       (line.split("\t") for line in raw.decode(_ENCODING).split("\n")
-                        if line and line != "\r")]
-            except ValueError:
-                out = []
-        if len(out) != stop - start:
-            raise ValueError(f"{path}: changed since it was opened")
-        return out
+    @contextmanager
+    def _open(self, kernels):
+        sidecar = variants_path(self.path)
+        width = self._bytes_per_snp
+        with open(self.path, "rb") as payload, open(sidecar, "rb") as lines:
+            payload.seek(3)
+            at = (0, 1)
 
-    def _read(self, start: int, stop: int, kernels) -> np.ndarray:
-        count, width = stop - start, self._bytes_per_snp
-        with open(self.path, "rb") as fh:
-            fh.seek(3 + start * width)
-            raw = fh.read(count * width)
-        if len(raw) != count * width:
-            raise ValueError(f"{self.path}: truncated payload")
-        mat = np.frombuffer(raw, dtype=np.uint8).reshape(count, width)
-        return kernels.decode_packed(mat, self.n_samples)
+            def read(start: int, stop: int) -> tuple:
+                nonlocal at
+                count, last = stop - start, stop == self.n_snps
+                raw = payload.read(count * width)
+                if _stamp(payload) != self._stamp or len(raw) != count * width:
+                    raise ValueError(f"{self.path}: changed since it was opened")
+                try:
+                    if _stamp(lines) != self._sidecar_stamp:
+                        raise ValueError("its size or mtime changed")
+                    out = []
+                    while len(out) < count and (got := list(islice(lines, count - len(out)))):
+                        rows, at = _variant_rows(got, sidecar, at)
+                        out += starmap(VariantInfo, rows)
+                    if last:  # the rest holds blank lines at most: a row breaks the count
+                        rows, at = _variant_rows(lines.readlines(), sidecar, at)
+                        out += rows
+                    if len(out) != count or last and at[0] != self._sidecar_crc:
+                        raise ValueError("its lines or CRC-32 changed")
+                except ValueError as exc:
+                    raise ValueError(f"{sidecar}: changed since it was opened") from exc
+                mat = np.frombuffer(raw, dtype=np.uint8).reshape(count, width)
+                return out, kernels.decode_packed(mat, self.n_samples)
+
+            yield read
 
 
 # ---------------------------------------------------------------------------
@@ -314,22 +313,10 @@ class DosageSource(_BlockSource):
             if not header or header[0] != "sample_id":
                 raise ValueError(f"{path}: first header field must be 'sample_id'")
             self.snp_ids = header[1:]
-            sample_ids = []
-            rows = []
-            for lineno, line in enumerate(fh, 2):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != len(header):
-                    raise ValueError(
-                        f"{path}:{lineno}: expected {len(header)} fields, got {len(parts)}"
-                    )
-                sample_ids.append(parts[0])
-                rows.append(np.array(
-                    [np.nan if p == "NA" else float(p) for p in parts[1:]],
-                    dtype=np.float64,
-                ))
+            sample_ids, rows = [], []
+            for sample_id, values in _table_rows(fh, header, 0, path):
+                sample_ids.append(sample_id)
+                rows.append(np.array(values, dtype=np.float64))
         self.sample_ids = sample_ids
         self.n_samples = len(sample_ids)
         self.n_snps = len(self.snp_ids)
@@ -404,25 +391,35 @@ def read_phenotype_table(path: str):
             raise ValueError(f"{path}: duplicated column {dup!r} in the header")
         id_idx = header.index("sample_id")
         names = [h for i, h in enumerate(header) if i != id_idx]
-        ids = []
-        cols = {name: [] for name in names}
-        for lineno, line in enumerate(fh, 2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != len(header):
-                raise ValueError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(parts)}"
-                )
-            ids.append(parts[id_idx])
-            j = 0
-            for i, val in enumerate(parts):
-                if i == id_idx:
-                    continue
-                cols[names[j]].append(np.nan if val == "NA" else float(val))
-                j += 1
+        ids, cols = [], {name: [] for name in names}
+        for sample_id, values in _table_rows(fh, header, id_idx, path):
+            ids.append(sample_id)
+            for name, value in zip(names, values):
+                cols[name].append(value)
     return ids, {k: np.asarray(v, dtype=np.float64) for k, v in cols.items()}
+
+
+def _table_rows(fh, header: list, id_col: int, path: str) -> Iterator[tuple]:
+    """The sample ID and the other fields as floats, NA as NaN, of each
+    line after the header of a TSV table that is not blank.  A line whose
+    field count is not the header's, or a field that is no number, is an
+    error naming ``<path>:<line>``, and for a field its column."""
+    names = header[:id_col] + header[id_col + 1:]
+    for lineno, line in enumerate(fh, 2):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != len(header):
+            raise ValueError(
+                f"{path}:{lineno}: expected {len(header)} fields, got {len(fields)}")
+        sample_id, values = fields.pop(id_col), []
+        for name, field in zip(names, fields):
+            try:
+                values.append(np.nan if field == "NA" else float(field))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: column {name}: {exc}") from None
+        yield sample_id, values
 
 
 def _first_duplicate(names):

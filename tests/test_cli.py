@@ -125,6 +125,26 @@ def _bad_dosage_file(tmp_path):
     return path
 
 
+def _unparsable_field(path, lineno, column, value):
+    """A copy of the table at ``path`` whose field in ``column`` on line
+    ``lineno`` reads ``value``."""
+    lines = pathlib.Path(path).read_text().split("\n")
+    fields = lines[lineno - 1].split("\t")
+    fields[lines[0].split("\t").index(column)] = value
+    lines[lineno - 1] = "\t".join(fields)
+    copy = pathlib.Path(path).with_name("unparsable-" + pathlib.Path(path).name)
+    copy.write_text("\n".join(lines))
+    return str(copy)
+
+
+def _dosage_file(tmp_path):
+    path = str(tmp_path / "dosage.tsv")
+    with open(path, "w") as fh:
+        fh.write("sample_id\trs0\trs1\n" + "".join(
+            f"ind{j}\t{j % 3}\t{(j + 1) % 3}\n" for j in range(150)))
+    return path
+
+
 def _bad_position(geno):
     sidecar = pathlib.Path(geno + ".variants.tsv")
     sidecar.write_text(sidecar.read_text().replace("rs2\t1\t20\n", "rs2\t1\tx20\n"))
@@ -144,6 +164,14 @@ _INPUT_ERRORS = {
     "dosage out of range": (lambda t, geno, pheno: _SCAN + [
         "--geno", _bad_dosage_file(t), "--geno-format", "dosage-tsv", "--pheno", pheno],
         r"bad.dosage.tsv: rs0: dosage out of \[0, 2\], got 3.0"),
+    "unparsable phenotype field": (lambda t, geno, pheno: _SCAN + [
+        "--geno", geno, "--pheno", _unparsable_field(pheno, 4, "age", "4o"),
+        "--covar", "age"],
+        r"unparsable-pheno\.tsv:4: column age: could not convert string to float: '4o'$"),
+    "unparsable dosage field": (lambda t, geno, pheno: _SCAN + [
+        "--geno", _unparsable_field(_dosage_file(t), 7, "rs1", "1..5"),
+        "--geno-format", "dosage-tsv", "--pheno", pheno],
+        r"unparsable-dosage\.tsv:7: column rs1: could not convert string to float: '1\.\.5'$"),
     "bad sidecar position": (lambda t, geno, pheno: _SCAN + [
         "--geno", _bad_position(geno), "--pheno", pheno],
         r"panel\.geno\.variants\.tsv:3: position 'x20' is not an integer"),
@@ -199,9 +227,9 @@ def test_input_error_in_a_fresh_process_prints_no_traceback(tmp_path):
 
 def test_packed_scan_memory_does_not_grow_with_snp_count(tmp_path):
     """A packed scan keeps no per-SNP table: the traced peak of ``main``
-    at 20 000 SNPs exceeds the one at 2 000 SNPs by at most 24 bytes per
-    extra SNP (n = 64).  One 8-byte sidecar offset per SNP fits; one
-    ``VariantInfo`` per SNP (about 190 bytes) does not."""
+    at 20 000 SNPs exceeds the one at 2 000 SNPs by at most 6 bytes per
+    extra SNP (n = 64).  Even one 8-byte sidecar offset per SNP does not
+    fit, nor does one ``VariantInfo`` per SNP (about 190 bytes)."""
     rng = np.random.default_rng(3)
     n = 64
     ids = [f"ind{j}" for j in range(n)]
@@ -223,7 +251,7 @@ def test_packed_scan_memory_does_not_grow_with_snp_count(tmp_path):
 
     peak(2000)  # first calls fill caches of their own
     small, large = peak(2000), peak(20_000)
-    assert large - small <= 24 * 18_000, (small, large)
+    assert large - small <= 6 * 18_000, (small, large)
 
 
 def test_simulate_command(tmp_path):

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from gdcscan import GenotypeColumn, Sample, backend, get_backend
+from gdcscan import io as io_module
+from gdcscan import scan as scan_module
 from gdcscan.io import (
     ArraySource,
     DosageSource,
@@ -20,6 +22,7 @@ from gdcscan.io import (
     write_dosage_tsv,
     write_packed,
 )
+from gdcscan.scan import ScanConfig, run_scan
 
 
 def _write_panel(tmp_path, calls, name="panel.geno"):
@@ -430,6 +433,89 @@ def test_packed_payload_cut_short_after_open(tmp_path):
     with open(path, "r+b") as fh:
         fh.truncate(os.path.getsize(path) - 1)
     blocks = source.iter_blocks(3)
-    assert next(blocks).values.shape == (3, 6)
-    with pytest.raises(ValueError, match="truncated payload"):
+    with pytest.raises(ValueError, match=rf"^{re.escape(path)}: changed since"):
         next(blocks)
+
+
+def test_packed_payload_rewritten_at_the_same_size_after_open(tmp_path):
+    """A payload rewritten after open keeps its size, so only its stamp
+    can tell: the next block, and a new pass, must be refused rather than
+    decode the new calls next to sidecar lines they no longer match."""
+    path = _write_panel(tmp_path, np.zeros((4, 8), dtype=np.int8))
+    old = os.stat(path).st_mtime - 10
+    os.utime(path, (old, old))  # a panel written a while ago
+    source = PackedSource(path)
+    blocks = source.iter_blocks(2)
+    assert not next(blocks).values.any()
+    size = os.path.getsize(path)
+    write_packed(path, np.full((4, 8), 2, dtype=np.int8),
+                 [(f"rs{i}", "1", 1000 + i) for i in range(4)], [f"ind{j}" for j in range(8)])
+    assert os.path.getsize(path) == size
+    for blocks in (blocks, source.iter_blocks(2)):
+        with pytest.raises(ValueError, match=rf"^{re.escape(path)}: changed since"):
+            next(blocks)
+
+
+def test_packed_passes_interleaved_are_independent(tmp_path):
+    """Each pass reads its own handles: two passes over one source, their
+    blocks asked for in turn, give the blocks of two separate passes."""
+    rng = np.random.default_rng(9)
+    n_snps = 10
+    source = PackedSource(_write_panel(
+        tmp_path, rng.integers(-1, 3, size=(n_snps, 7)).astype(np.int8)))
+    alone = [list(source.iter_blocks(size)) for size in (1, 3)]
+    fine, coarse = source.iter_blocks(1), source.iter_blocks(3)
+    together = ([], [])
+    for step in range(n_snps):
+        together[0].append(next(fine))
+        if step % 3 == 0:
+            together[1].append(next(coarse))
+    assert next(fine, None) is None and next(coarse, None) is None
+    for got, want in zip(together, alone, strict=True):
+        assert [b.variants for b in got] == [b.variants for b in want]
+        assert all(np.array_equal(a.values, b.values) for a, b in zip(got, want, strict=True))
+
+
+def _spy_on_open(monkeypatch):
+    """Record every file that ``gdcscan.io`` opens from here on."""
+    opened = []
+
+    def spy(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(io_module, "open", spy, raising=False)
+    return opened
+
+
+def test_packed_pass_dropped_early_closes_its_files(tmp_path, monkeypatch):
+    path = _write_panel(tmp_path, np.zeros((6, 5), dtype=np.int8))
+    source = PackedSource(path)
+    opened = _spy_on_open(monkeypatch)
+    blocks = source.iter_blocks(2)
+    next(blocks)
+    assert [fh.name for fh in opened] == [path, path + ".variants.tsv"]
+    assert not any(fh.closed for fh in opened)
+    del blocks
+    assert all(fh.closed for fh in opened)
+
+
+def test_packed_pass_ended_by_a_threaded_scan_error_closes_its_files(tmp_path, monkeypatch):
+    """A worker's error ends a two-thread scan; by the time it reaches the
+    caller, the pass has closed both of its files."""
+    rng = np.random.default_rng(4)
+    path = _write_panel(tmp_path, rng.integers(0, 3, size=(12, 30)).astype(np.int8))
+    source = PackedSource(path)
+    opened = _spy_on_open(monkeypatch)
+    process_block = scan_module.process_block
+
+    def fail_on_the_second_block(cfg, ctx, block):
+        if block.variants[0].snp_id == "rs3":
+            raise RuntimeError("worker failed")
+        return process_block(cfg, ctx, block)
+
+    monkeypatch.setattr(scan_module, "process_block", fail_on_the_second_block)
+    scan = run_scan(ScanConfig(threads=2, block_size=3), source, rng.standard_normal(30))
+    with pytest.raises(RuntimeError, match="worker failed"):
+        list(scan)
+    assert len(opened) == 2 and all(fh.closed for fh in opened)
