@@ -18,19 +18,42 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .nulldist import min_samples
 from .premetric import GenotypeColumn, Premetric
 
 RANK_TOL = 1e-10
+# a response whose residual sum of squares is at most this share of its
+# centred sum of squares is (up to round-off) inside the covariate span
+MIN_RSS_SHARE = 1e-12
+
+
+def full_rank_svd(z: np.ndarray) -> tuple:
+    """Thin SVD ``(u, s, vt)`` of a covariate matrix of full column rank,
+    so ``u`` is a basis of its span; a singular value at or below
+    ``RANK_TOL`` of the largest counts as zero and raises."""
+    u, s, vt = np.linalg.svd(z, full_matrices=False)
+    if not s.size or np.sum(s > RANK_TOL * s[0]) < z.shape[1]:
+        raise ValueError("collinear covariates: covariate matrix is rank deficient")
+    return u, s, vt
+
+
+def degenerate_response(y: np.ndarray, rss: float) -> bool:
+    """Whether the response ``y`` on the samples used carries no signal
+    the statistic can standardize: it is constant there, or its residual
+    sum of squares ``rss`` after the covariates (the intercept at least)
+    is at most ``MIN_RSS_SHARE`` of its centred sum of squares."""
+    yc = y - y.mean()
+    return y.min() == y.max() or not rss > MIN_RSS_SHARE * float(yc @ yc)
 
 
 @dataclass(frozen=True)
 class CovariateMatrix:
     """Named covariate columns with a mandatory leading intercept.
 
-    Full column rank is checked at construction (singular values below
-    1e-10 of the largest count as zero).  ``svd`` holds the thin
-    decomposition ``(u, s, vt)`` of the matrix made for that check; every
-    later use of the design reads it instead of decomposing again.
+    Full column rank is checked at construction (:func:`full_rank_svd`).
+    ``svd`` holds the thin decomposition ``(u, s, vt)`` made for that
+    check; every later use of the design reads it instead of decomposing
+    again.
     """
 
     matrix: np.ndarray
@@ -48,12 +71,9 @@ class CovariateMatrix:
             raise ValueError("one name per covariate column required")
         if not np.all(z[:, 0] == 1.0):
             raise ValueError("first covariate column must be the intercept (all ones)")
-        u, s, vt = np.linalg.svd(z, full_matrices=False)
-        if np.sum(s > RANK_TOL * s[0]) < z.shape[1]:
-            raise ValueError("collinear covariates: covariate matrix is rank deficient")
+        object.__setattr__(self, "svd", full_rank_svd(z))
         object.__setattr__(self, "matrix", z)
         object.__setattr__(self, "names", names)
-        object.__setattr__(self, "svd", (u, s, vt))
 
     @classmethod
     def build(cls, columns: dict, n: int | None = None) -> "CovariateMatrix":
@@ -63,16 +83,14 @@ class CovariateMatrix:
         cols = [np.asarray(columns[k], dtype=np.float64) for k in names]
         if n is None:
             n = cols[0].shape[0] if cols else 0
-        has_intercept = any(c.size and np.all(c == c[0]) and c[0] != 0.0 for c in cols)
-        if not has_intercept:
+        idx = next((i for i, c in enumerate(cols)
+                    if c.size and np.all(c == c[0]) and c[0] != 0.0), None)
+        if idx is None:
             warnings.warn("no constant covariate column found; prepending an intercept")
             names = ["intercept"] + names
             cols = [np.ones(n)] + cols
         else:
             # move the constant column first and rescale it to ones
-            idx = next(
-                i for i, c in enumerate(cols) if np.all(c == c[0]) and c[0] != 0.0
-            )
             const = cols.pop(idx)
             cname = names.pop(idx)
             cols = [const / const[0]] + cols
@@ -118,8 +136,8 @@ def residualize(y: np.ndarray, z: CovariateMatrix) -> ResidualizedPhenotype:
     n = y.shape[0]
     if z.n != n:
         raise ValueError("covariate rows must align with the phenotype")
-    if n <= z.q + 3:
-        raise ValueError("need n > q + 3 samples for residualization")
+    if n < min_samples(z.q + 1, 2):
+        raise ValueError(f"need n > q + 3 samples for residualization, got {n}")
     u, s, vt = z.svd
     coeffs_basis = u.T @ y
     gamma = vt.T @ (coeffs_basis / s)

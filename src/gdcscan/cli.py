@@ -139,10 +139,12 @@ def main(argv=None) -> int:
     build = _scan_inputs if args.command == "scan" else _simulate_inputs
     try:
         inputs = build(args)
+        if args.command == "scan":
+            records = run_scan(*inputs)
     except (ValueError, OSError) as exc:
         parser.exit(2, f"{parser.prog} {args.command}: error: {exc}\n")
     if args.command == "scan":
-        write_results(run_scan(*inputs), args.out)
+        write_results(records, args.out)
     elif args.mode == "null":
         write_table(simulate_null(inputs), args.out)
     else:

@@ -11,14 +11,13 @@ tests, in ``tests/oracles.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .adjust import column_features
+from .adjust import column_features, degenerate_response
+from .nulldist import min_samples
 from .premetric import GenotypeColumn
-
-NEG_ROUNDOFF_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -39,33 +38,16 @@ class Sample:
         if not np.all(np.isfinite(y)):
             raise ValueError("phenotype contains non-finite values")
         mask = column.present_mask()
-        vals = column.values[mask]
-        y = y[mask]
         n = int(mask.sum())
-        if n < 4:
-            raise ValueError(f"need at least 4 complete cases, got {n}")
-        col = GenotypeColumn(
-            snp_id=column.snp_id,
-            chrom=column.chrom,
-            pos=column.pos,
-            values=vals,
-            m=column.m,
-            kind=column.kind,
-        )
-        return cls(genotypes=col, phenotype=y, n=n)
+        need = min_samples(1, column.n_features)
+        if n < need:
+            raise ValueError(f"need at least {need} complete cases, got {n}")
+        return cls(genotypes=replace(column, values=column.values[mask]), phenotype=y[mask], n=n)
 
     @classmethod
     def from_arrays(cls, x, y, kind: str = "hard", snp_id: str = "snp") -> "Sample":
         col = GenotypeColumn(snp_id=snp_id, chrom=".", pos=0, values=np.asarray(x), kind=kind)
         return cls.from_column(col, np.asarray(y, dtype=np.float64))
-
-
-def _clamp_nonneg(v: float) -> float:
-    if v < 0.0:
-        if v < -NEG_ROUNDOFF_TOL:
-            return v
-        return 0.0
-    return v
 
 
 def dcov_fast(b: float, sample: Sample) -> float:
@@ -77,20 +59,21 @@ def dcov_fast(b: float, sample: Sample) -> float:
     yc = y - y.mean()
     uc = u - u.mean(axis=0)
     v = uc.T @ yc
-    return _clamp_nonneg(float(v @ v) / n**2)
+    return float(v @ v) / n**2
 
 
 def standardized_statistic(b: float, sample: Sample) -> tuple:
     """Return (k, sigma2_hat) with k = n * dcov / sigma2_hat.
 
     ``sigma2_hat`` uses the 1/n convention; the exact null law absorbs the
-    choice.  Raises on a constant phenotype.
+    choice.  Raises on a degenerate (constant) phenotype.
     """
     y = sample.phenotype
     n = sample.n
     yc = y - y.mean()
-    sigma2 = float(yc @ yc) / n
-    if sigma2 <= 0.0:
-        raise ValueError("degenerate response: zero phenotype variance")
+    rss = float(yc @ yc)
+    if degenerate_response(y, rss):
+        raise ValueError("degenerate response: constant phenotype")
+    sigma2 = rss / n
     v2 = dcov_fast(b, sample)
     return (n * v2 / sigma2, sigma2)

@@ -78,6 +78,14 @@ def _quad(f, a, b, **kwargs):
 # ---------------------------------------------------------------------------
 
 
+def min_samples(df_sub: int, slots: int) -> int:
+    """The fewest samples the exact law accepts: at least 4, and at least
+    one pure-noise degree left, n - df_sub - slots >= 1, with ``df_sub``
+    the projected-out directions and ``slots`` the feature columns (the
+    eigenvalue slots)."""
+    return max(4, df_sub + slots + 1)
+
+
 @dataclass(frozen=True)
 class NullSpectrum:
     """Eigenvalues defining the conditional null law of the statistic.
@@ -96,22 +104,14 @@ class NullSpectrum:
         lam = tuple(float(v) for v in self.lambdas)
         if any(v < 0 for v in lam) or list(lam) != sorted(lam, reverse=True):
             raise ValueError("eigenvalues must be nonnegative and sorted descending")
-        if self.n < 4:
-            raise ValueError("need n >= 4")
-        if self.df_sub < 1 or self.n - self.df_sub - len(lam) < 1:
-            raise ValueError("too few residual degrees of freedom")
+        need = min_samples(self.df_sub, len(lam))
+        if self.df_sub < 1 or self.n < need:
+            raise ValueError(f"need df_sub >= 1 and n >= {need}, got {self.df_sub} and {self.n}")
         object.__setattr__(self, "lambdas", lam)
 
     @property
     def nonzero(self) -> tuple:
         return tuple(v for v in self.lambdas if v > 0.0)
-
-    def noise_df(self, n_slots: int | None = None) -> int:
-        """Number of pure-noise chi-square terms when ``n_slots``
-        eigenvalue slots are held out (default: the nonzero ones)."""
-        if n_slots is None:
-            n_slots = len(self.nonzero)
-        return self.n - self.df_sub - n_slots
 
 
 def snap_eigenvalues(values) -> tuple:
@@ -167,20 +167,6 @@ def spectrum_unadjusted(b: float, freqs, n: int) -> NullSpectrum:
     return NullSpectrum(lambdas=lam, n=int(n), df_sub=1)
 
 
-def _orthonormal_columns(z: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis of the column space; raises on rank deficiency."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim == 1:
-        z = z[:, None]
-    u, s, _ = np.linalg.svd(z, full_matrices=False)
-    if s.size == 0 or s[0] <= 0.0:
-        raise ValueError("collinear covariates: zero covariate matrix")
-    rank = int(np.sum(s > rank_tol * s[0]))
-    if rank < z.shape[1]:
-        raise ValueError("collinear covariates: covariate matrix is rank deficient")
-    return u[:, :rank]
-
-
 def spectrum_from_features(
     u: np.ndarray,
     projector_basis: np.ndarray | None = None,
@@ -191,8 +177,12 @@ def spectrum_from_features(
     absent, H is the projector onto constants.  df_sub equals the number of
     covariate columns.
     """
-    q = None if projector_basis is None else _orthonormal_columns(projector_basis)
-    return _projected_spectrum(u, q)
+    if projector_basis is None:
+        return _projected_spectrum(u, None)
+    from .adjust import full_rank_svd  # adjust imports this module
+
+    z = np.asarray(projector_basis, dtype=np.float64)
+    return _projected_spectrum(u, full_rank_svd(z[:, None] if z.ndim == 1 else z)[0])
 
 
 def _projected_spectrum(u, q) -> NullSpectrum:
@@ -647,7 +637,7 @@ def exact_pvalue_with_method(spec: NullSpectrum, k: float) -> tuple:
         raise ValueError("the standardized statistic is nonnegative")
     nonzero = spec.nonzero
     if len(nonzero) > 2:
-        p = _tail_tn_inversion(nonzero, k, spec.n, spec.noise_df())
+        p = _tail_tn_inversion(nonzero, k, spec.n, spec.n - spec.df_sub - len(nonzero))
         return (p, METHOD_INVERSION) if p >= PVALUE_FLOOR else (0.0, METHOD_UNDERFLOW)
     lam = nonzero + (0.0, 0.0)
     entry = np.array([lam[0], lam[1], k, spec.n, spec.df_sub], dtype=np.float64)
@@ -755,8 +745,8 @@ def asymptotic_pvalue(b: float, freqs, sigma2: float, n: int, stat: float) -> fl
 
     ``stat`` is n times the distance covariance (unstandardized).
     """
-    if n < 4:
-        raise ValueError("need n >= 4")
+    if n < min_samples(1, 2):
+        raise ValueError(f"need n >= {min_samples(1, 2)}")
     if sigma2 <= 0.0:
         raise ValueError("sigma2 must be positive")
     if stat <= 0.0:

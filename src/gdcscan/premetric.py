@@ -18,11 +18,27 @@ threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 MISSING_HARD_CALL = np.int8(-1)
+
+
+def check_b(b) -> float:
+    """``b`` as a float; raises unless it lies in [0, 4], where the square
+    root of the premetric is a metric (negative type)."""
+    v = float(b)
+    if not 0.0 <= v <= 4.0:
+        raise ValueError(f"b must lie in [0, 4], got {b!r}")
+    return v
+
+
+def feature_scales(b: float) -> tuple:
+    """The weights sqrt(b/2) and sqrt((4-b)/2) of the two unscaled
+    features: x - 1 and [x = 1] of hard calls, x and |x - 1| of dosages."""
+    return math.sqrt(b / 2.0), math.sqrt((4.0 - b) / 2.0)
 
 
 def check_genotypes(values, kind: str, snp_ids, where: str = "") -> np.ndarray:
@@ -94,20 +110,15 @@ class Premetric:
     b: float
 
     def __post_init__(self):
-        b = float(self.b)
-        if not np.isfinite(b) or b < 0.0 or b > 4.0:
-            raise ValueError(f"b must lie in [0, 4], got {self.b!r}")
-        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "b", check_b(self.b))
 
     # -- feature maps -------------------------------------------------------
 
     def canonical_feature_map(self) -> FeatureMap:
         """Two-feature map: a signed homozygote contrast and a heterozygote
         indicator, scaled so squared feature distances equal 2 d(x, y)."""
-        b = self.b
-        phi1 = np.sqrt(b / 2.0) * np.array([-1.0, 0.0, 1.0])
-        phi2 = np.sqrt((4.0 - b) / 2.0) * np.array([0.0, 1.0, 0.0])
-        return FeatureMap(np.vstack([phi1, phi2]))
+        sqb, sqh = feature_scales(self.b)
+        return FeatureMap(np.array([[-sqb, 0.0, sqb], [0.0, sqh, 0.0]]))
 
     # -- dosage and multiallelic extensions -----------------------------------
 
@@ -119,8 +130,9 @@ class Premetric:
         per-feature translation/sign, so all centered statistics coincide.
         """
         x = check_genotypes(x, "dosage", "x")
-        f1 = np.sqrt(self.b / 2.0) * x
-        f2 = np.sqrt((4.0 - self.b) / 2.0) * np.abs(x - 1.0)
+        sqb, sqh = feature_scales(self.b)
+        f1 = sqb * x
+        f2 = sqh * np.abs(x - 1.0)
         if f1.ndim == 0:
             return (float(f1), float(f2))
         return (f1, f2)
@@ -181,6 +193,12 @@ class GenotypeColumn:
     @property
     def n_total(self) -> int:
         return self.values.shape[0]
+
+    @property
+    def n_features(self) -> int:
+        """Width of the column's feature matrix: two features per allele
+        of an allele-count column, two otherwise."""
+        return 2 * self.m if self.kind == "allele_counts" else 2
 
     def present_mask(self) -> np.ndarray:
         if self.kind == "hard":

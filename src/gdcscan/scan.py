@@ -43,12 +43,13 @@ import logging
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .adjust import CovariateMatrix, column_features, residualize
+from .adjust import (MIN_RSS_SHARE, CovariateMatrix, column_features, degenerate_response,
+                     residualize)
 from . import backend
 from .io import DEFAULT_BLOCK_SIZE, Block, VariantInfo, write_lines
 from .nulldist import (
@@ -59,19 +60,19 @@ from .nulldist import (
     eig2x2,
     exact_pvalue_with_method,
     hardcall_terms,
+    min_samples,
     pvalue_bounds,
     pvalue_bounds_batch,
 )
-from .premetric import GenotypeColumn
+from .premetric import GenotypeColumn, check_b, feature_scales
 
 log = logging.getLogger("gdcscan")
 
 # rows with missing entries whose complete-case covariate Gram matrix Q_S'Q_S
 # has an eigenvalue ratio below this, or whose complete-case residual sum
-# of squares is not above _MIN_RSS_SHARE of the residuals' own, take the
+# of squares is not above MIN_RSS_SHARE of the residuals' own, take the
 # per-SNP path
 _MIN_GRAM_RATIO = 1e-6
-_MIN_RSS_SHARE = 1e-12
 
 METHOD_SCREEN_HIGH = "screened_out_high"
 METHOD_SCREEN_LOW = "screened_out_low"
@@ -109,8 +110,7 @@ class ScanConfig:
     block_size: int = DEFAULT_BLOCK_SIZE
 
     def __post_init__(self):
-        if not (0.0 <= self.b <= 4.0):
-            raise ValueError("b must lie in [0, 4]")
+        check_b(self.b)
         if not (0.0 < self.screen_floor < self.screen_threshold < 1.0):
             raise ValueError("need 0 < screen_floor < screen_threshold < 1")
         if self.threads < 1 or self.block_size < 1:
@@ -178,19 +178,18 @@ def prepare_context(phenotype, covariates: CovariateMatrix | None = None,
     if not np.all(np.isfinite(y)):
         raise ValueError("phenotype contains non-finite values")
     n = y.shape[0]
+    # complete rows use all n samples, and the block engine takes them as given
+    df_sub = 1 if covariates is None else covariates.matrix.shape[1]
+    if n < min_samples(df_sub, 2):
+        raise ValueError(f"too few samples: need at least {min_samples(df_sub, 2)}, got {n}")
     if covariates is None:
         resid = y - y.mean()
-        df_sub = 1
         q = np.full((n, 1), 1.0 / math.sqrt(n))
         weights = resid[:, None]
         gram_floor = _MIN_GRAM_RATIO
     else:
-        if covariates.n != n:
-            raise ValueError("covariate rows must align with the phenotype")
-        rp = residualize(y, covariates)
-        resid = rp.residuals
+        resid = residualize(y, covariates).residuals  # checks that the rows align
         q = covariates.orthonormal_basis()
-        df_sub = q.shape[1]
         weights = np.column_stack([resid, q])
         # Z = Q S V' makes cond(Z_S) <= sqrt(cond(Q_S'Q_S)) * cond(Z), so
         # above this floor every complete-case design passes the per-SNP
@@ -199,8 +198,9 @@ def prepare_context(phenotype, covariates: CovariateMatrix | None = None,
         sv = covariates.svd[1]
         gram_floor = max(_MIN_GRAM_RATIO, (1e-9 * sv[0] / sv[-1]) ** 2)
     rss = float(resid @ resid)
-    if rss <= 0.0:
-        raise ValueError("degenerate response: zero phenotype variance")
+    if degenerate_response(y, rss):
+        raise ValueError("degenerate response: the phenotype is constant or "
+                         "inside the covariate span")
     iu, ju = np.triu_indices(q.shape[1])
     miss_weights = np.column_stack([resid * resid, q * resid[:, None], q[:, iu] * q[:, ju]])
     return ScanContext(
@@ -245,11 +245,6 @@ def _error_record(cfg, variant, n_used, code, exc=None) -> ScanRecord:
     )
 
 
-def _scales(b: float) -> tuple:
-    """Weights sqrt(b/2) and sqrt((4-b)/2) of the two unscaled features."""
-    return math.sqrt(b / 2.0), math.sqrt((4.0 - b) / 2.0)
-
-
 def _maf(dose: np.ndarray, n_used) -> np.ndarray:
     """Minor allele frequency from the allele sum over present entries."""
     q = dose / (2.0 * n_used)
@@ -261,7 +256,7 @@ def _hard_sums(b: float, counts: np.ndarray, rsums: np.ndarray,
     """(utu, ur, uq) of hard-call rows from class counts and the per-class
     sums of r (m, 3) and Q (m, 3, k).  U's columns sqrt(b/2) (x - 1) and
     sqrt((4-b)/2) [x = 1] are orthogonal class contrasts."""
-    sqb, sqh = _scales(b)
+    sqb, sqh = feature_scales(b)
     utu = np.stack([(b / 2.0) * (counts[:, 0] + counts[:, 2]),
                     ((4.0 - b) / 2.0) * counts[:, 1], np.zeros(len(counts))], axis=1)
     ur = np.stack([sqb * (rsums[:, 2] - rsums[:, 0]), sqh * rsums[:, 1]], axis=1)
@@ -276,7 +271,7 @@ def _dosage_sums(b: float, ctx: ScanContext, s: np.ndarray, fsums: np.ndarray) -
     gives U'r and the others U'Q (without covariates U'Q is (s1, s2) /
     sqrt(n), as for :func:`_hard_sums`).  U's columns are sqrt(b/2) x and
     sqrt((4-b)/2) |x - 1|, zero where x is missing."""
-    sqb, sqh = _scales(b)
+    sqb, sqh = feature_scales(b)
     utu = np.stack([(b / 2.0) * s[:, 3], ((4.0 - b) / 2.0) * s[:, 4], sqb * sqh * s[:, 5]], axis=1)
     fq = s[:, 1:3, None] / math.sqrt(ctx.n) if ctx.covariates is None else fsums[:, :, 1:]
     scale = np.array([sqb, sqh])
@@ -315,7 +310,7 @@ def _projected_terms(ctx: ScanContext, n_used: np.ndarray, utu: np.ndarray,
         ga = uq  # the rows of G^-1 A'
     else:
         k = ctx.df_sub  # the width of the covariate basis Q
-        rows = rows[n_used >= max(4, k + 3)]
+        rows = rows[n_used >= min_samples(k, 2)]
         s = _miss_sums(ctx, miss, at[rows])
         tot = s[:, 0] + s[:, 1] + s[:, 2]
         iu, ju = np.triu_indices(k)
@@ -336,7 +331,7 @@ def _projected_terms(ctx: ScanContext, n_used: np.ndarray, utu: np.ndarray,
         (utu[:, 1] - (a1 * ga[:, 1]).sum(axis=1)) / n_used,
         (utu[:, 2] - (a0 * ga[:, 1]).sum(axis=1)) / n_used,
     )
-    good = (rss > _MIN_RSS_SHARE * srr) & np.isfinite(rss) & np.isfinite(terms).all(axis=0)
+    good = (rss > MIN_RSS_SHARE * srr) & np.isfinite(rss) & np.isfinite(terms).all(axis=0)
     rss = np.broadcast_to(rss, good.shape)
     return rows[good], n_used[good], rss[good], tuple(t[good] for t in terms)
 
@@ -424,19 +419,13 @@ def _test_single_column(cfg: ScanConfig, ctx: ScanContext,
     variant = VariantInfo(column.snp_id, column.chrom, column.pos)
     mask = column.present_mask()
     n_used = int(mask.sum())
-    min_n = max(4, ctx.df_sub + 3)
-    if n_used < min_n:
+    if n_used < min_samples(ctx.df_sub, column.n_features):
         return _error_record(cfg, variant, n_used, "too_few_samples")
-    values = column.values[mask]
-    sub = GenotypeColumn(
-        snp_id=column.snp_id, chrom=column.chrom, pos=column.pos,
-        values=values, m=column.m, kind=column.kind,
-    )
+    values, y = column.values[mask], ctx.y[mask]
+    sub = replace(column, values=values)
     try:
         if ctx.covariates is None:
-            resid = ctx.y[mask] - ctx.y[mask].mean()
-            basis = None
-            df_sub = 1
+            resid, basis = y - y.mean(), None
         else:
             try:
                 # the constructor's only check a row subset can fail is rank
@@ -445,12 +434,10 @@ def _test_single_column(cfg: ScanConfig, ctx: ScanContext,
                 )
             except ValueError as exc:
                 return _error_record(cfg, variant, n_used, "collinear_covariates", exc)
-            rp = residualize(ctx.y[mask], zsub)
-            resid = rp.residuals
+            resid = residualize(y, zsub).residuals
             basis = zsub.orthonormal_basis()
-            df_sub = zsub.matrix.shape[1]
         rss = float(resid @ resid)
-        if rss <= 0.0:
+        if degenerate_response(y, rss):
             return _error_record(cfg, variant, n_used, "degenerate_response")
         u = column_features(cfg.b, sub)
         spec = _projected_spectrum(u, basis)
@@ -465,10 +452,9 @@ def _test_single_column(cfg: ScanConfig, ctx: ScanContext,
     else:
         lam = spec.lambdas
         p_lo, p_hi = pvalue_bounds(spec, stat)
-    lam1 = lam[0] if lam else 0.0
-    lam2 = lam[1] if len(lam) > 1 else 0.0
+    lam1, lam2 = (*lam, 0.0, 0.0)[:2]
     row = (np.array([v]) for v in (sub.maf(), stat, lam1, lam2, p_lo, p_hi))
-    return _screened_records(cfg, n_used, df_sub, [variant], *row)[0]
+    return _screened_records(cfg, n_used, ctx.df_sub, [variant], *row)[0]
 
 
 def _multi_eigen_record(cfg, variant, sub, spec, stat, n_used) -> ScanRecord:
@@ -542,7 +528,7 @@ def process_block(cfg: ScanConfig, ctx: ScanContext, block: Block) -> list:
         if ctx.covariates is not None:
             settle(clean, hard, g, "hard", sums)
         elif clean.any():  # the paper's closed-form frequency matrix
-            sqb, sqh = _scales(cfg.b)
+            sqb, sqh = feature_scales(cfg.b)
             c1, c2, *k = hardcall_terms(cfg.b, counts[clean], csums[clean, :, 0], ctx.n)
             emit(hard[clean], ctx.n, ctx.rss, _maf(dose[clean], ctx.n), mono[clean],
                  sqb * c1, sqh * c2, *k)
@@ -588,15 +574,18 @@ def _bounded_map(fn, items: Iterator, workers: int) -> Iterator:
 def run_scan(config: ScanConfig, genotypes, phenotype,
              covariates: CovariateMatrix | None = None,
              kernels=None) -> Iterator[ScanRecord]:
-    """Stream scan records for every SNP in input order.
+    """The stream of scan records for every SNP, in input order.
 
     ``genotypes`` is a block source of ``gdcscan.io`` (``PackedSource``,
     ``DosageSource``, ``ArraySource`` or a ``SubsetSource`` of one): it
     has ``n_samples`` and ``iter_blocks``.  ``kernels`` is the kernel
     module of the block sweeps (``backend.get_backend(name)``); None takes
-    ``backend.kernels`` as it is when the scan starts.  With one thread
-    the scan holds one block and its records at a time: both are released
-    before the next block is read.
+    ``backend.kernels`` as it is when the scan starts.  The phenotype,
+    the covariates and the sample count are checked by this call, before
+    any block is read, so an input the scan refuses raises here; the
+    returned iterator reads the blocks.  With one thread the scan holds
+    one block and its records at a time: both are released before the
+    next block is read.
     """
     ctx = prepare_context(phenotype, covariates, kernels)
     if genotypes.n_samples != ctx.n:
@@ -610,7 +599,7 @@ def run_scan(config: ScanConfig, genotypes, phenotype,
         return process_block(config, ctx, block)
 
     # chain drops a block's record list before it asks for the next one
-    yield from itertools.chain.from_iterable(_bounded_map(work, blocks, config.threads))
+    return itertools.chain.from_iterable(_bounded_map(work, blocks, config.threads))
 
 
 def run_multiallelic(config: ScanConfig, genotype: GenotypeColumn, phenotype,

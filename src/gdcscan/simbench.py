@@ -37,7 +37,8 @@ from scipy import special
 
 from .gdc import Sample
 from .io import write_lines
-from .nulldist import eig2x2, exact_pvalues_batch, hardcall_terms
+from .nulldist import eig2x2, exact_pvalues_batch, hardcall_terms, min_samples
+from .premetric import check_b, feature_scales
 
 DEFAULT_H_GRID = tuple(np.round(np.arange(0.0, 1.01, 0.1), 10))
 CHUNK_ROWS = 20_000
@@ -61,15 +62,14 @@ class SimScenario:
     competitors: bool = True
 
     def __post_init__(self):
-        if self.n < 4 or self.replications < 1:
-            raise ValueError("need n >= 4 and at least one replication")
+        if self.n < min_samples(1, 2) or self.replications < 1:
+            raise ValueError(f"need n >= {min_samples(1, 2)} and at least one replication")
         if not self.maf or not self.b_values:
             raise ValueError("need at least one MAF and one b value")
         for maf in self.maf:
             hwe_probs(maf)  # raises on a MAF outside (0, 0.5]
         for b in self.b_values:
-            if not (0.0 <= b <= 4.0):
-                raise ValueError("b values must lie in [0, 4]")
+            check_b(b)
         if not (0.0 <= self.alpha <= 1.0):
             raise ValueError("alpha must lie in [0, 1]")
         if not (0.0 < self.noise_sd < np.inf) or not np.isfinite(self.beta):
@@ -158,8 +158,8 @@ def _gdc_stats(st: _ChunkStats, b: float) -> tuple:
     or no heterozygote at b = 0) has statistic zero: any nonzero class sum
     there is round-off of the centred response's zero total."""
     c1, c2, k00, k11, k01 = hardcall_terms(b, st.counts, st.sums, st.n)
-    v1 = np.sqrt(b / 2.0) * c1
-    v2 = np.sqrt((4.0 - b) / 2.0) * c2
+    sqb, sqh = feature_scales(b)
+    v1, v2 = sqb * c1, sqh * c2
     lam1, lam2 = eig2x2(k00, k11, k01)
     return np.where(lam1 > 0.0, (v1 * v1 + v2 * v2) / st.rss, 0.0), lam1, lam2
 
@@ -252,26 +252,30 @@ def _ci(rate: float, reps: int, z: float = 1.959963984540054) -> tuple:
     return (max(rate - half, 0.0), min(rate + half, 1.0))
 
 
-def simulate_null(scenario: SimScenario) -> list:
-    """Empirical type-I error per (b, MAF) cell, competitors included.
-
-    Returns table rows as dicts with estimate and a 95% binomial CI.
-    """
+def _simulate(scenario: SimScenario, mode: str) -> list:
+    """Table rows of one mode: a null cell per MAF (no effect, ``h``
+    printed as NA) or a power cell per (MAF, h), each with its own child
+    seed, all methods sharing the cell's replicated data.  Rows carry the
+    rejection rate and a 95% binomial CI."""
     methods = [str(b) for b in scenario.b_values]
     if scenario.competitors:
         methods += ["additive_F", "anova_F"]
-    seeds = np.random.SeedSequence(scenario.seed).spawn(len(scenario.maf))
+    null = mode == "null"
+    h_grid = (0.0,) if null else scenario.h_grid
+    beta = 0.0 if null else scenario.beta
+    cells = [(maf, h) for maf in scenario.maf for h in h_grid]
+    seeds = np.random.SeedSequence(scenario.seed).spawn(len(cells))
     rows = []
-    for maf, seed_seq in zip(scenario.maf, seeds):
+    for (maf, h), seed_seq in zip(cells, seeds):
         rates = _rejection_cell(
-            scenario, maf, h=0.0, beta=0.0, methods=methods, seed_seq=seed_seq,
+            scenario, maf, h=h, beta=beta, methods=methods, seed_seq=seed_seq,
         )
         for m in methods:
             lo, hi = _ci(rates[m], scenario.replications)
             rows.append(
                 {
-                    "mode": "null", "method": m, "maf": maf, "h": "NA",
-                    "beta": 0.0, "alpha": scenario.alpha, "n": scenario.n,
+                    "mode": mode, "method": m, "maf": maf, "h": "NA" if null else h,
+                    "beta": beta, "alpha": scenario.alpha, "n": scenario.n,
                     "replications": scenario.replications,
                     "estimate": rates[m], "ci_low": lo, "ci_high": hi,
                 }
@@ -279,31 +283,14 @@ def simulate_null(scenario: SimScenario) -> list:
     return rows
 
 
+def simulate_null(scenario: SimScenario) -> list:
+    """Empirical type-I error per (b, MAF) cell, competitors included."""
+    return _simulate(scenario, "null")
+
+
 def simulate_power(scenario: SimScenario) -> list:
     """Empirical power per method over the heterozygous-effect grid."""
-    methods = [str(b) for b in scenario.b_values]
-    if scenario.competitors:
-        methods += ["additive_F", "anova_F"]
-    root = np.random.SeedSequence(scenario.seed)
-    cells = [(maf, h) for maf in scenario.maf for h in scenario.h_grid]
-    seeds = root.spawn(len(cells))
-    rows = []
-    for (maf, h), seed_seq in zip(cells, seeds):
-        rates = _rejection_cell(
-            scenario, maf, h=h, beta=scenario.beta, methods=methods,
-            seed_seq=seed_seq,
-        )
-        for m in methods:
-            lo, hi = _ci(rates[m], scenario.replications)
-            rows.append(
-                {
-                    "mode": "power", "method": m, "maf": maf, "h": h,
-                    "beta": scenario.beta, "alpha": scenario.alpha,
-                    "n": scenario.n, "replications": scenario.replications,
-                    "estimate": rates[m], "ci_low": lo, "ci_high": hi,
-                }
-            )
-    return rows
+    return _simulate(scenario, "power")
 
 
 def write_table(rows: list, path: str) -> None:

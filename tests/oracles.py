@@ -17,11 +17,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from gdcscan.adjust import ResidualizedPhenotype, column_features
-from gdcscan.gdc import Sample, _clamp_nonneg, dcov_fast
+from gdcscan.gdc import Sample, dcov_fast
 from gdcscan.nulldist import NullSpectrum, snap_eigenvalues, spectrum_from_features
 from gdcscan.premetric import FeatureMap, GenotypeColumn, Premetric
 
 ORACLE_N_CAP = 2000
+NEG_ROUNDOFF_TOL = 1e-14
+
+
+def _clamp_nonneg(v: float) -> float:
+    """A statistic summed from terms of both signs, with a negative
+    round-off of at most ``NEG_ROUNDOFF_TOL`` set to zero."""
+    if v < 0.0:
+        if v < -NEG_ROUNDOFF_TOL:
+            return v
+        return 0.0
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,17 @@ def _bad_position(geno):
     return geno
 
 
+def _trait_of_age(pheno, trait):
+    """A copy of the phenotype table at ``pheno`` whose trait column is
+    ``trait(age)``."""
+    lines = pathlib.Path(pheno).read_text().splitlines(keepends=True)
+    rows = [line.split("\t") for line in lines[1:]]
+    copy = pathlib.Path(pheno).with_name("trait-of-age.tsv")
+    copy.write_text(lines[0] + "".join(
+        f"{sid}\t{trait(float(age))!r}\t{age}\t{sex}" for sid, _, age, sex in rows))
+    return str(copy)
+
+
 _SCAN = ["scan", "--pheno-col", "trait"]
 _SIM = ["simulate", "--mode", "null", "--n", "40", "--replications", "20", "--b", "3"]
 _INPUT_ERRORS = {
@@ -175,6 +186,12 @@ _INPUT_ERRORS = {
     "bad sidecar position": (lambda t, geno, pheno: _SCAN + [
         "--geno", _bad_position(geno), "--pheno", pheno],
         r"panel\.geno\.variants\.tsv:3: position 'x20' is not an integer"),
+    "constant phenotype": (lambda t, geno, pheno: _SCAN + [
+        "--geno", geno, "--pheno", _trait_of_age(pheno, lambda age: 0.1)],
+        "degenerate response"),
+    "phenotype inside the covariate span": (lambda t, geno, pheno: _SCAN + [
+        "--geno", geno, "--pheno", _trait_of_age(pheno, lambda age: 0.1 * age + 0.3),
+        "--covar", "age"], "degenerate response"),
     "b out of range": (lambda t, geno, pheno: _SCAN + [
         "--geno", geno, "--pheno", pheno, "--b", "5"], "b must lie in"),
     "zero noise": (lambda t, geno, pheno: _SIM + ["--noise-sd", "0"], "noise_sd"),

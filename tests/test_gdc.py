@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gdcscan.gdc import Sample, dcov_fast, standardized_statistic
+from gdcscan.premetric import GenotypeColumn
 
 from oracles import PopulationModel, dcov_kernel_form, dcov_oracle, population_dcov
 
@@ -100,6 +101,29 @@ def test_degenerate_response_error():
     s = Sample.from_arrays([0, 1, 2, 1], [1.0, 1.0, 1.0, 1.0])
     with pytest.raises(ValueError, match="degenerate response"):
         standardized_statistic(2.0, s)
+
+
+def test_constant_phenotype_with_round_off_spread_is_degenerate():
+    """Six copies of 0.1 centre to a sum of squares of 1.2e-33, not 0:
+    the phenotype is still constant, and refused as such."""
+    y = np.full(6, 0.1)
+    assert float((y - y.mean()) @ (y - y.mean())) > 0.0
+    with pytest.raises(ValueError, match="degenerate response"):
+        standardized_statistic(3.0, Sample.from_arrays([0, 1, 2, 1, 0, 2], y))
+
+
+def test_sample_minimum_counts_the_feature_slots_of_allele_counts():
+    """A three-allele column has six feature slots, so a sample needs
+    eight complete cases, where a biallelic column needs four."""
+    counts = np.array([[2, 0, 0], [1, 1, 0], [0, 1, 1], [1, 0, 1]] * 2, dtype=float)
+    col = GenotypeColumn("rs1", "1", 1, counts, m=3, kind="allele_counts")
+    y = np.arange(8.0)
+    assert Sample.from_column(col, y).n == 8
+    counts[7] = np.nan
+    col = GenotypeColumn("rs1", "1", 1, counts, m=3, kind="allele_counts")
+    with pytest.raises(ValueError, match="need at least 8 complete cases, got 7"):
+        Sample.from_column(col, y)
+    assert Sample.from_arrays([0, 1, 2, 1], [0.3, 1.0, 2.0, 0.5]).n == 4
 
 
 def test_sigma2_uses_one_over_n():

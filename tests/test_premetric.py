@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from gdcscan.premetric import FeatureMap, GenotypeColumn, Premetric
+from gdcscan.premetric import FeatureMap, GenotypeColumn, Premetric, feature_scales
+from gdcscan.scan import ScanConfig
+from gdcscan.simbench import SimScenario
 
 from oracles import (
     distance,
@@ -231,3 +233,17 @@ def test_genotype_column_allele_counts():
         GenotypeColumn("rs2", "1", 1, np.array([[1.0, 0.5, 0.0]]), m=3,
                        kind="allele_counts")
 
+
+@pytest.mark.parametrize("b", [-0.5, 4.5, float("nan"), float("inf")])
+def test_every_b_check_is_the_premetric_one(b):
+    for build in (Premetric, lambda b: ScanConfig(b=b), lambda b: SimScenario(b_values=(3.0, b))):
+        with pytest.raises(ValueError, match=r"b must lie in \[0, 4\], got"):
+            build(b)
+
+
+@pytest.mark.parametrize("b", [0.0, 1.3, 3.0, 4.0])
+def test_feature_maps_use_the_feature_scales(b):
+    sqb, sqh = feature_scales(b)
+    fm = Premetric(b).canonical_feature_map().matrix
+    assert fm[0, 2] == sqb and fm[1, 1] == sqh
+    assert Premetric(b).dosage_features(0.5) == (sqb * 0.5, sqh * 0.5)

@@ -206,6 +206,49 @@ def test_too_few_samples_error_record():
     assert recs[0].method != recs[1].method  # scan continued
 
 
+def test_three_allele_sample_minimum_counts_every_feature_slot():
+    """A three-allele column has six feature slots, so without covariates
+    it needs n - 1 - 6 >= 1, eight complete cases: six and seven are too
+    few samples, not an invalid column, and eight are evaluated."""
+    rng = np.random.default_rng(11)
+    n = 12
+    y = rng.standard_normal(n)
+    alleles = np.array([[2, 0, 0], [1, 1, 0], [0, 1, 1], [1, 0, 1], [0, 2, 0], [0, 0, 2]])
+    counts = alleles[np.arange(n) % 6].astype(np.float64)
+    for n_used, method in ((6, "error:too_few_samples"), (7, "error:too_few_samples"),
+                           (8, None)):
+        col_counts = counts.copy()
+        col_counts[n_used:] = np.nan
+        col = GenotypeColumn("rs3", "1", 3, col_counts, m=3, kind="allele_counts")
+        rec = run_multiallelic(ScanConfig(b=3.0, no_screen=True), col, y)
+        assert rec.n_used == n_used
+        if method is None:
+            assert not rec.method.startswith("error:") and 0.0 < rec.p_value <= 1.0
+        else:
+            assert rec.method == method
+
+
+def test_phenotype_is_refused_when_the_scan_is_called():
+    """A constant phenotype, one inside the covariate span up to
+    round-off, or one of fewer samples than any row needs, is refused by
+    the call to ``run_scan``, before any block is read; a noisy phenotype
+    is not."""
+    rng = np.random.default_rng(19)
+    n = 60
+    age = rng.integers(20, 60, n).astype(np.float64)
+    cov = CovariateMatrix.build({"intercept": np.ones(n), "age": age})
+    g = draw_genotypes(rng, n, 0.3, 4)
+    cases = [(np.full(n, 0.1), None, "degenerate response"),
+             (np.full(n, 0.1), cov, "degenerate response"),
+             (0.1 * age + 0.3, cov, "degenerate response"),
+             (rng.standard_normal(3), None, "too few samples: need at least 4, got 3")]
+    for y, covariates, message in cases:
+        with pytest.raises(ValueError, match=message):
+            run_scan(ScanConfig(), ArraySource(g[:, : len(y)]), y, covariates)
+    y = 0.1 * age + 0.3 + 1e-3 * rng.standard_normal(n)
+    assert len(list(run_scan(ScanConfig(), ArraySource(g), y, cov))) == 4
+
+
 def test_missing_entries_slow_path_matches_library():
     rng = np.random.default_rng(6)
     g = draw_genotypes(rng, 200, 0.25, 4)
@@ -822,10 +865,11 @@ def test_single_thread_scan_holds_one_block(tmp_path):
 def test_routed_missing_call_rows_keep_per_snp_error_codes(caplog):
     """Missing-call rows the block algebra cannot settle get exactly the
     per-SNP path's record: too few samples, complete cases of one sex
-    (collinear covariates), a phenotype inside the covariate span of a
-    row's complete cases (degenerate response), and a badly scaled but
-    full-rank design whose complete cases fail the rank test although
-    their share of the orthonormal basis is well conditioned."""
+    (collinear covariates), a phenotype constant on a row's complete
+    cases, with and without covariates (degenerate response), and a
+    badly scaled but full-rank design whose complete cases fail the rank
+    test although their share of the orthonormal basis is well
+    conditioned."""
     rng = np.random.default_rng(17)
     n = 80
     sex = (np.arange(n) % 2).astype(float)
@@ -847,6 +891,7 @@ def test_routed_missing_call_rows_keep_per_snp_error_codes(caplog):
         (cov, 0, "error:too_few_samples"),
         (cov, 1, "error:collinear_covariates"),
         (None, 2, "error:degenerate_response"),
+        (cov, 2, "error:degenerate_response"),
         (scaled, 3, "error:collinear_covariates"),
     ]
     cfg = ScanConfig(b=3.0)
@@ -861,11 +906,3 @@ def test_routed_missing_call_rows_keep_per_snp_error_codes(caplog):
             assert ref.method == method
             assert record_row(recs[row]) == record_row(ref)
             assert not recs[4].method.startswith("error:")
-    # with covariates the constant phenotype is in the span of the
-    # intercept: whatever the per-SNP path makes of it, the scan agrees
-    ctx = scan_module.prepare_context(y, cov)
-    for values, kind in ((g, "hard"), (x, "dosage")):
-        col = GenotypeColumn("snp2", ".", 2, values[2], kind=kind)
-        ref = scan_module._test_single_column(cfg, ctx, col)
-        rec = list(run_scan(cfg, ArraySource(values, kind=kind), y, cov))[2]
-        assert record_row(rec) == record_row(ref)
