@@ -22,9 +22,11 @@ route or mask that covers every entry takes the whole arrays (no index
 arrays, gathers or scatters), nu = inf is classified once per call, and
 Gauss-Legendre orders 64 and 128, which every entry needs, are summed in
 one pass over one node grid.  Also provided: cheap lower/upper p-value
-bounds used for two-stage screening and a characteristic-function
-inversion for weighted sums of chi-square variables (the fallback, and the
-multiallelic path with more than two eigenvalues).
+bounds, used for the scan's two-stage screening and, through their F-tail
+terms (:func:`_f_bounds`), for the simulation's rejection decisions, and a
+characteristic-function inversion for weighted sums of chi-square
+variables (the fallback, and the multiallelic path with more than two
+eigenvalues).
 
 The only SciPy module imported with this one is ``scipy.special`` (the F
 and chi-square tails).  ``scipy.integrate``, which brings
@@ -678,6 +680,16 @@ def pvalue_bounds(spec: NullSpectrum, k: float) -> tuple:
     return float(p_star), float(p_star2)
 
 
+def _f_bounds(l1, l2, k, n, nu) -> tuple:
+    """The F-tail terms of the bounds on spectra with lam1 >= lam2 > k/n:
+    max(t2, t3), the two F lower bounds (NaN only where both are), and
+    p**, unfloored.  ``nu`` is n - df_sub - 2."""
+    t2 = special.fdtrc(1.0, nu, k * nu / (l1 * n - k))
+    t3 = special.fdtrc(2.0, nu, k * nu / np.sqrt((l1 * n - k) * (l2 * n - k)))
+    p_upper = 5.0 * special.fdtrc(1.0, nu + 1, k * (nu + 1) / ((l1 + l2) * n - 2.0 * k))
+    return np.fmax(t2, t3), p_upper
+
+
 def pvalue_bounds_batch(lam1, lam2, k, n, df_sub=1) -> tuple:
     """Vectorized (p*, p**) over arrays of spectra and statistics, shaped
     like their broadcast.
@@ -702,12 +714,8 @@ def pvalue_bounds_batch(lam1, lam2, k, n, df_sub=1) -> tuple:
         l1, l2, kk, nn, vv = (v[i] for v in (lam1, lam2, k, n, nu))
         t = kk * vv / nn
         t1 = _tail(l1 - kk / nn, l2 - kk / nn, t, np.full(t.shape, np.inf))
-        t2 = special.fdtrc(1.0, vv, kk * vv / (l1 * nn - kk))
-        t3 = special.fdtrc(2.0, vv, kk * vv / np.sqrt((l1 * nn - kk) * (l2 * nn - kk)))
-        p_star[i] = np.fmax(np.fmax(t1, t2), t3)
-        p_star2[i] = 5.0 * special.fdtrc(
-            1.0, vv + 1, kk * (vv + 1) / ((l1 + l2) * nn - 2.0 * kk)
-        )
+        t23, p_star2[i] = _f_bounds(l1, l2, kk, nn, vv)
+        p_star[i] = np.fmax(t1, t23)
 
     lower = (~degenerate) & ~upper
     if lower.any():

@@ -73,6 +73,12 @@ log = logging.getLogger("gdcscan")
 # of squares is not above MIN_RSS_SHARE of the residuals' own, take the
 # per-SNP path
 _MIN_GRAM_RATIO = 1e-6
+# with covariates, so do those whose complete-case residual sum of squares
+# is not above this many times MIN_RSS_SHARE of the centred sum of squares
+# of y_S (without covariates the two sums are one): the margin covers the
+# block algebra's round-off, so that only the per-SNP path's
+# degenerate_response decides whether such a row is refused
+_RESPONSE_MARGIN = 1e3
 
 METHOD_SCREEN_HIGH = "screened_out_high"
 METHOD_SCREEN_LOW = "screened_out_low"
@@ -153,7 +159,8 @@ class ScanContext:
     basis (``r`` alone without covariates), the columns of every block's
     first sweep, hard calls and dosages alike.  ``miss_weights`` is ``[r^2,
     Q*r, upper triangle of Q Q^T]`` (Q the column ``1/sqrt(n)`` without
-    covariates), summed over the rows with missing entries.  ``gram_floor``
+    covariates), and with covariates also ``[yc, yc^2]``, yc the centred
+    phenotype, summed over the rows with missing entries.  ``gram_floor``
     is the smallest eigenvalue ratio of a row's ``Q'Q`` that the block
     algebra accepts.
     """
@@ -187,6 +194,7 @@ def prepare_context(phenotype, covariates: CovariateMatrix | None = None,
         q = np.full((n, 1), 1.0 / math.sqrt(n))
         weights = resid[:, None]
         gram_floor = _MIN_GRAM_RATIO
+        response = np.empty((n, 0))  # r is yc, so r^2 and Q*r hold its sums
     else:
         resid = residualize(y, covariates).residuals  # checks that the rows align
         q = covariates.orthonormal_basis()
@@ -197,12 +205,15 @@ def prepare_context(phenotype, covariates: CovariateMatrix | None = None,
         # with a factor 10 to spare
         sv = covariates.svd[1]
         gram_floor = max(_MIN_GRAM_RATIO, (1e-9 * sv[0] / sv[-1]) ** 2)
+        yc = y - y.mean()
+        response = np.column_stack([yc, yc * yc])
     rss = float(resid @ resid)
     if degenerate_response(y, rss):
         raise ValueError("degenerate response: the phenotype is constant or "
                          "inside the covariate span")
     iu, ju = np.triu_indices(q.shape[1])
-    miss_weights = np.column_stack([resid * resid, q * resid[:, None], q[:, iu] * q[:, ju]])
+    miss_weights = np.column_stack(
+        [resid * resid, q * resid[:, None], q[:, iu] * q[:, ju], response])
     return ScanContext(
         y=y, covariates=covariates, rss=rss,
         df_sub=df_sub, n=n, kernels=backend.kernels if kernels is None else kernels,
@@ -294,19 +305,21 @@ def _projected_terms(ctx: ScanContext, n_used: np.ndarray, utu: np.ndarray,
     (``miss`` None) has G = I, h = 0 and rss = ``ctx.rss``: no solve.
     Rows with missing entries pass int8 calls in ``miss``, -1 where
     missing, and their row of it in ``at``; one sweep of
-    ``ctx.miss_weights`` over those rows gives r_S'r_S, h and G.  Every
-    reduction runs row by row.
+    ``ctx.miss_weights`` over those rows gives r_S'r_S, h, G and, with
+    covariates, the centred sum of squares of y_S (without them it is
+    ``rss`` itself).  Every reduction runs row by row.
 
     Returns ``(rows, n_used, rss, terms)``: the indices of the rows
     settled here and their sample counts, residual sums of squares and
     (v1, v2, k00, k11, k01), the scaled cross sums and the 2x2 spectral
     matrix.  The per-SNP path takes the other rows: too few samples, a
-    near-singular G, a phenotype (almost) in the covariate span of S, or
-    non-finite terms.
+    near-singular G, a phenotype (almost) in the covariate span of S or
+    (within ``_RESPONSE_MARGIN``) degenerate on S, or non-finite terms.
     """
     rows = np.arange(len(n_used))
     if miss is None:
         srr = rss = ctx.rss
+        css = 0.0  # prepare_context refused a degenerate y on all n samples
         ga = uq  # the rows of G^-1 A'
     else:
         k = ctx.df_sub  # the width of the covariate basis Q
@@ -315,15 +328,17 @@ def _projected_terms(ctx: ScanContext, n_used: np.ndarray, utu: np.ndarray,
         tot = s[:, 0] + s[:, 1] + s[:, 2]
         iu, ju = np.triu_indices(k)
         gram = np.empty((rows.size, k, k))
-        gram[:, iu, ju] = gram[:, ju, iu] = tot[:, 1 + k :]
+        gram[:, iu, ju] = gram[:, ju, iu] = tot[:, 1 + k : 1 + k + iu.size]
         eig = np.linalg.eigvalsh(gram)
         well = eig[:, 0] >= ctx.gram_floor * eig[:, -1]
         rows, srr, h, gram = rows[well], tot[well, 0], tot[well, 1 : 1 + k], gram[well]
+        ysums = tot[well, 1 + k + iu.size :]
         n_used, utu, ur, uq = n_used[rows], utu[rows], ur[rows], uq[rows]
         sol = np.linalg.solve(gram, np.concatenate([h[:, :, None], uq.transpose(0, 2, 1)], axis=2))
         beta, ga = sol[:, :, 0], sol[:, :, 1:].transpose(0, 2, 1)
         rss = srr - (h * beta).sum(axis=1)
         ur = ur - (uq * beta[:, None, :]).sum(axis=2)
+        css = ysums[:, 1] - ysums[:, 0] ** 2 / n_used if ctx.covariates is not None else 0.0
     a0, a1 = uq[:, 0], uq[:, 1]
     terms = (
         ur[:, 0], ur[:, 1],
@@ -331,7 +346,8 @@ def _projected_terms(ctx: ScanContext, n_used: np.ndarray, utu: np.ndarray,
         (utu[:, 1] - (a1 * ga[:, 1]).sum(axis=1)) / n_used,
         (utu[:, 2] - (a0 * ga[:, 1]).sum(axis=1)) / n_used,
     )
-    good = (rss > MIN_RSS_SHARE * srr) & np.isfinite(rss) & np.isfinite(terms).all(axis=0)
+    good = ((rss > MIN_RSS_SHARE * srr) & (rss > _RESPONSE_MARGIN * MIN_RSS_SHARE * css)
+            & np.isfinite(rss) & np.isfinite(terms).all(axis=0))
     rss = np.broadcast_to(rss, good.shape)
     return rows[good], n_used[good], rss[good], tuple(t[good] for t in terms)
 

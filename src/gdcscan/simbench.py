@@ -14,7 +14,13 @@ the response (s0, s1, s2) and the residual sum of squares.  Every method
 of a cell comes from those arrays: the b tests through the hard-call
 producer the scan uses (:func:`gdcscan.nulldist.hardcall_terms`), the
 additive F-test from sxy = s1 + 2 s2 and the allele-count variance, and
-the ANOVA F-test from sum_j s_j^2 / n_j.
+the ANOVA F-test from sum_j s_j^2 / n_j.  A cell needs only whether each
+p-value is at most alpha, so a b test takes that decision from the scan's
+screening bounds p* <= p <= p** (:func:`gdcscan.nulldist._f_bounds`)
+wherever they settle it by a margin wider than the exact path's error,
+and evaluates :func:`gdcscan.nulldist.exact_pvalues_batch` only on the
+replications they leave open: the decisions, and so the tables, are
+those of the exact p-values.
 
 Memory is bounded by the chunk's int8 calls plus one strip of about
 2**17 entries per float array: a chunk draws its calls strip by strip,
@@ -37,7 +43,7 @@ from scipy import special
 
 from .gdc import Sample
 from .io import write_lines
-from .nulldist import eig2x2, exact_pvalues_batch, hardcall_terms, min_samples
+from .nulldist import _f_bounds, eig2x2, exact_pvalues_batch, hardcall_terms, min_samples
 from .premetric import check_b, feature_scales
 
 DEFAULT_H_GRID = tuple(np.round(np.arange(0.0, 1.01, 0.1), 10))
@@ -205,6 +211,40 @@ def _method_pvalues(st: _ChunkStats, method: str) -> np.ndarray:
     return exact_pvalues_batch(lam1, lam2, stat, st.n, 1)
 
 
+# margins of a decision by the bounds: wider than the error of the exact
+# p-value it stands for (the angular tail's 1e-12 relative target, the
+# inversion fallback's 1e-10 absolute one)
+_BOUND_REL, _BOUND_ABS = 1e-6, 1e-9
+
+
+def _rejected(st: _ChunkStats, method: str, alpha: float) -> np.ndarray:
+    """Whether each replication's p-value of one method is at most ``alpha``.
+
+    A b method decides a replication with lam1 >= lam2 > k/n by the
+    paper's bounds p* <= p <= p** where they leave no doubt: not rejected
+    when the F lower bound max(t2, t3) is at least alpha (1 + 1e-6) + 1e-9,
+    rejected when p** is at most alpha (1 - 1e-6) - 1e-9.  The margins
+    exceed the exact path's own error, so every decision equals
+    ``exact_pvalues_batch(...) <= alpha``; only the other replications
+    are evaluated exactly."""
+    if method in ("additive_F", "anova_F"):
+        return _method_pvalues(st, method) <= alpha
+    stat, lam1, lam2 = _gdc_stats(st, float(method))
+    n = st.n
+    i = ((lam1 > 0.0) & (lam2 - stat / n > 0.0)).nonzero()[0]
+    # nu = n - df_sub - 2, the intercept the only covariate
+    lower, upper = _f_bounds(lam1[i], lam2[i], stat[i], n, n - 3.0)
+    reject = upper <= alpha * (1.0 - _BOUND_REL) - _BOUND_ABS
+    settled = reject | (lower >= alpha * (1.0 + _BOUND_REL) + _BOUND_ABS)
+    out = np.zeros(stat.shape, dtype=bool)
+    out[i] = reject
+    todo = np.ones(stat.shape, dtype=bool)
+    todo[i[settled]] = False
+    rest = todo.nonzero()[0]
+    out[rest] = exact_pvalues_batch(lam1[rest], lam2[rest], stat[rest], n, 1) <= alpha
+    return out
+
+
 def competitor_tests(sample: Sample) -> dict:
     """Additive-regression and ANOVA F-test p-values for one sample."""
     st = _chunk_stats(sample.genotypes.values.astype(np.int8)[None, :],
@@ -242,7 +282,7 @@ def _rejection_cell(scenario, maf, h, beta, methods, seed_seq) -> dict:
             counts[rows], sums[rows], rss[rows], _ = _chunk_stats(gs, y)
         st = _ChunkStats(counts, sums, rss, n)
         for m in methods:
-            hits[m] += int((_method_pvalues(st, m) <= scenario.alpha).sum())
+            hits[m] += int(_rejected(st, m, scenario.alpha).sum())
         done += reps
     return {m: hits[m] / total for m in methods}
 

@@ -1,12 +1,15 @@
-"""The output battery: 48 scans of one 400-sample x 300-SNP panel.
+"""The output battery: 48 scans of one 400-sample x 300-SNP panel and
+4 simulation tables.
 
     PYTHONPATH=src python tests/battery.py [--threads N] [--workdir DIR]
 
 writes the panel from fixed seeds and prints one line per cell, its name
-and the SHA-256 of its results TSV. The cells cross packed calls and a
-dosage TSV (every 7th SNP integer-valued), complete and 1% missing
-entries, no covariates and ``--covar age,sex``, b = 0, 3 and 4, and
-screened and ``--no-screen`` scans. ``GDCSCAN_BACKEND`` picks the kernel
+and the SHA-256 of its results TSV or table. The scan cells cross packed
+calls and a dosage TSV (every 7th SNP integer-valued), complete and 1%
+missing entries, no covariates and ``--covar age,sex``, b = 0, 3 and 4,
+and screened and ``--no-screen`` scans. The simulation cells are
+``gdcscan simulate`` null and power tables (b = 0, 2, 3 and 4 with the
+competitors) at alpha 0.05 and 1e-6. ``GDCSCAN_BACKEND`` picks the kernel
 module, as for the ``gdcscan`` command. Two source trees give the same
 bytes when the outputs of this script, run with each tree's ``src`` on
 ``PYTHONPATH``, are identical.
@@ -37,6 +40,8 @@ N_SAMPLES, N_SNPS = 400, 300
 CELLS = list(itertools.product(
     ("packed", "dosage-tsv"), (0.0, 0.01), ("", "age,sex"), (0.0, 3.0, 4.0), (False, True),
 ))
+
+SIM_CELLS = list(itertools.product(("null", "power"), (0.05, 1e-6)))
 
 
 def cell_name(cell) -> str:
@@ -101,6 +106,27 @@ def cell_digests(cell, inputs, out, runs=((None, 1, None),)) -> list:
     return digests
 
 
+def sim_cell_name(cell) -> str:
+    mode, alpha = cell
+    return f"simulate-{mode}-alpha{alpha:g}"
+
+
+def sim_cell_argv(cell) -> list:
+    """The ``gdcscan simulate`` arguments of one cell, without ``--out``."""
+    mode, alpha = cell
+    argv = ["simulate", "--mode", mode, "--n", "200", "--maf", "0.1,0.3", "--b", "0,2,3,4",
+            "--alpha", f"{alpha:g}", "--replications", "2000", "--seed", "7"]
+    if mode == "power":
+        argv += ["--beta", "3", "--h-grid", "0,0.5,1"]
+    return argv
+
+
+def sim_cell_digest(cell, out) -> str:
+    """SHA-256 of the table of one simulation cell, written to ``out``."""
+    assert cli.main(sim_cell_argv(cell) + ["--out", str(out)]) == 0
+    return hashlib.sha256(pathlib.Path(out).read_bytes()).hexdigest()
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--threads", type=int, default=1)
@@ -114,6 +140,8 @@ def main(argv=None) -> None:
         for cell in CELLS:
             (digest,) = cell_digests(cell, inputs, work / "out.tsv", [(None, args.threads, None)])
             print(f"{cell_name(cell)}\t{digest}")
+        for cell in SIM_CELLS:
+            print(f"{sim_cell_name(cell)}\t{sim_cell_digest(cell, work / 'table.tsv')}")
 
 
 if __name__ == "__main__":

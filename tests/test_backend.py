@@ -491,3 +491,36 @@ def test_missing_call_scan_matches_across_backends(ckernels, tmp_path):
             write_results(run_scan(ScanConfig(b=2.5), src, y, cov, kernels=kernels), str(path))
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("compiled", [False, True], ids=["twin", "C"])
+def test_missing_rows_with_a_degenerate_response_take_the_per_snp_code(compiled, request):
+    """A row whose complete cases carry a response the covariates explain
+    to round-off, while the full sample does not, is refused as
+    ``degenerate_response`` by ``run_scan`` exactly as by the per-SNP
+    path, for hard calls (-1) and for dosages (NaN, integer-valued or
+    not), on either kernel module."""
+    from gdcscan.adjust import CovariateMatrix
+    from gdcscan.io import ArraySource
+    from gdcscan.premetric import GenotypeColumn
+    from gdcscan.scan import ScanConfig, _test_single_column, prepare_context, run_scan
+    from gdcscan.simbench import draw_genotypes
+
+    if compiled and CC is None:
+        pytest.skip("no C compiler on PATH")
+    kernels = request.getfixturevalue("ckernels") if compiled else _kernels_py
+    rng = np.random.default_rng(5)
+    n = 80
+    age = rng.normal(50.0, 10.0, n)
+    cov = CovariateMatrix.build({"intercept": np.ones(n), "age": age})
+    g = draw_genotypes(rng, n, 0.3, 2)
+    g[0, 40:] = -1
+    y = age + np.where(np.arange(n) < 40, rng.normal(0.0, 1e-7, n), rng.normal(0.0, 0.3, n))
+    cfg = ScanConfig(b=3.0)
+    ctx = prepare_context(y, cov)
+    hard_dosages = np.where(g < 0, np.nan, g.astype(float))
+    for values, kind in ((g, "hard"), (hard_dosages, "dosage"), (_dosages_of(g), "dosage")):
+        recs = list(run_scan(cfg, ArraySource(values, kind=kind), y, cov, kernels=kernels))
+        ref = _test_single_column(cfg, ctx, GenotypeColumn("snp0", ".", 0, values[0], kind=kind))
+        assert ref.method == recs[0].method == "error:degenerate_response", kind
+        assert not recs[1].method.startswith("error:")

@@ -4,12 +4,16 @@ Every name ``gdcscan/__init__.py`` exports must be used somewhere besides
 its own definition: by the package's code (``src/gdcscan``, leaving out
 ``__init__.py``), by the benchmark harness (``perfbench/``) or in the
 README's "Library entry points". A name only the tests use belongs in
-``tests/``, next to the oracles there.
+``tests/``, next to the oracles there. The README's entry-point block
+itself runs, so it cannot go stale.
 """
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gdcscan"
@@ -104,3 +108,15 @@ def test_every_export_has_a_caller():
     )
     # a listed exception that gained a caller, or lost its export, leaves the list
     assert set(KNOWN_EXCEPTIONS) - unused == set()
+
+
+def test_readme_entry_points_run():
+    """The README's "Library entry points" code block runs as written, in
+    a fresh interpreter with only ``src`` on the path."""
+    blocks = re.findall(r"```python\n(.*?)```", _readme_entry_points(), re.DOTALL)
+    assert len(blocks) == 1
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", blocks[0]], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "ScanRecord(" in done.stdout  # the block's last line prints a record

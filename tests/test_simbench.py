@@ -12,13 +12,14 @@ from scipy import stats
 from gdcscan import simbench
 from gdcscan.gdc import Sample, standardized_statistic
 from gdcscan.io import ArraySource
-from gdcscan.nulldist import exact_pvalue, spectrum_unadjusted
+from gdcscan.nulldist import exact_pvalue, exact_pvalues_batch, spectrum_unadjusted
 from gdcscan.scan import ScanConfig, run_scan
 from gdcscan.simbench import (
     SimScenario,
     _chunk_stats,
     _gdc_stats,
     _method_pvalues,
+    _rejected,
     _rejection_cell,
     competitor_tests,
     draw_genotypes,
@@ -199,7 +200,6 @@ def test_rejection_cell_shares_draws_across_methods():
 
 def test_b4_and_additive_identical_decisions_replicatewise():
     rng = np.random.default_rng(23)
-    from gdcscan.nulldist import exact_pvalues_batch
     from gdcscan.simbench import _additive_pvalues, _chunk_stats, _gdc_stats
 
     n, reps = 300, 2000
@@ -257,6 +257,61 @@ def test_degenerate_replications():
     for i in range(3, len(g)):
         ref = stats.linregress((g[i] == 1).astype(float), y[i]).pvalue
         assert p["0.0"][i] == pytest.approx(ref, abs=1e-10)
+
+
+def test_bounds_decide_as_the_exact_pvalue(monkeypatch):
+    """Deciding by the bounds p* <= p <= p** where their margins allow
+    gives every replication the decision ``exact p <= alpha`` would, over
+    small to large n, rare to common alleles, every kind of b, alphas from
+    0 to 1, and null responses as well as ones with effects of random
+    size; the bounds both accept and reject on this grid."""
+    exact = []  # the p-values of what each call sent to the exact path
+
+    def spy(*args):
+        exact.append(exact_pvalues_batch(*args))
+        return exact[-1]
+
+    monkeypatch.setattr(simbench, "exact_pvalues_batch", spy)
+    rng = np.random.default_rng(43)
+    reps = 150
+    alphas = (0.0, 1e-300, 1e-12, 1e-6, 1e-3, 0.05, 0.5, 1.0)
+    by_bounds = {True: 0, False: 0}
+    seen = set()
+    for n in (8, 20, 300, 2000):
+        for maf in (0.01, 0.1, 0.3, 0.5):
+            g = draw_genotypes(rng, n, maf, reps)
+            for effect in (0.0, 6.0 * np.sqrt(300 / n)):
+                y = rng.standard_normal(g.shape)
+                y += rng.uniform(0.0, effect, (reps, 1)) * (0.5 * (g == 1) + (g == 2))
+                st = _chunk_stats(g, y)
+                for b in (0.0, 0.5, 2.0, 3.0, 3.9, 4.0):
+                    stat, lam1, lam2 = _gdc_stats(st, b)
+                    p = exact_pvalues_batch(lam1, lam2, stat, n, 1)
+                    for alpha in alphas:
+                        exact.clear()
+                        got = _rejected(st, str(b), alpha)
+                        np.testing.assert_array_equal(got, p <= alpha, err_msg=f"{n, maf, b, alpha}")
+                        seen.update((alpha, bool(v)) for v in got)
+                        (q,) = exact
+                        by_bounds[True] += int(got.sum() - (q <= alpha).sum())
+                        by_bounds[False] += int((~got).sum() - (q > alpha).sum())
+    # every alpha strictly inside (0, 1) saw both decisions
+    assert all((a, v) in seen for a in alphas[2:-1] for v in (False, True))
+    assert min(by_bounds.values()) > 0, by_bounds
+
+
+def test_few_null_replications_reach_the_exact_path(monkeypatch):
+    """At alpha = 0.05 under the null, the bounds leave at most 15% of
+    the b = 3 replications to the exact p-value."""
+    calls = []
+    monkeypatch.setattr(simbench, "exact_pvalues_batch",
+                        lambda l1, *a: calls.append(l1.size) or exact_pvalues_batch(l1, *a))
+    reps = 2000
+    for maf in (0.1, 0.25, 0.4):
+        calls.clear()
+        _rejection_cell(SimScenario(n=300, replications=reps), maf, h=0.0, beta=0.0,
+                        methods=["3.0"], seed_seq=np.random.SeedSequence(47))
+        assert 0 < sum(calls) <= 0.15 * reps
 
 
 @pytest.mark.parametrize("mode", ["null", "power"])
