@@ -2,8 +2,8 @@
 
 Same functions, signatures and bits as the NumPy twin ``_kernels_py``:
 the packed decode and two sweeps of any number of weight columns: class
-counts and per-class sums of hard calls (or of a presence pattern: 0
-present, -1 missing), and feature moments and feature sums of dosages.
+counts and per-class sums of hard calls, and feature moments and feature
+sums of dosages.
 The library is built next to this module by ``python setup.py build_ext
 --inplace``; importing raises ImportError when it is missing, so the
 backend falls back to the twin.  Inputs are converted as the twin

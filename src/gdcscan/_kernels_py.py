@@ -67,12 +67,10 @@ def hardcall_stats(g: np.ndarray, w: np.ndarray):
     Parameters
     ----------
     g:
-        (n_snps, n) int8 calls, -1 for missing; a presence pattern (0
-        where an entry is present) gives class 0 the present-entry sums.
+        (n_snps, n) int8 calls, -1 for missing.
     w:
         (n, k) float64 weights, one column per summed quantity (the
-        scan's residuals and covariate basis, or the terms of the
-        complete-case projection).
+        scan's residuals and covariate basis).
 
     Returns
     -------

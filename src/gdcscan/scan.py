@@ -16,12 +16,13 @@ sweep, of class counts and the per-class sums of the residuals and the
 covariate basis; dosage rows make one of their feature moments.  Both
 become sums of the scaled features over each row's present samples, and
 one complete-case projection, :func:`_projected_terms`, turns those into
-the statistic's cross sums and the 2x2 spectral matrix; rows with
-missing entries make one more sweep, over those rows only, that sums the
-projection's terms over their present samples.  One screening tail turns
-the terms into records: it makes the screening decision for the whole
-block at once, as masks over the bounds; only in-window rows are
-evaluated, one SNP at a time.  A per-SNP path, which redoes the
+the statistic's cross sums and the 2x2 spectral matrix.  A row with
+missing entries takes the projection's terms over its present samples as
+the scan's totals less their sums over its few missing samples, read
+from the block, so every block makes one kernel sweep.  One screening
+tail turns the terms into records: it makes the screening decision for
+the whole block at once, as masks over the bounds; only in-window rows
+are evaluated, one SNP at a time.  A per-SNP path, which redoes the
 covariate projection on the complete-case subsample and then goes
 through the same tail as a one-row block, is left for columns of more
 than two alleles and the rows the projection refuses (too few samples, a
@@ -157,12 +158,14 @@ class ScanContext:
 
     ``weights`` is ``[r | Q]``, the residuals and the orthonormal covariate
     basis (``r`` alone without covariates), the columns of every block's
-    first sweep, hard calls and dosages alike.  ``miss_weights`` is ``[r^2,
-    Q*r, upper triangle of Q Q^T]`` (Q the column ``1/sqrt(n)`` without
-    covariates), and with covariates also ``[yc, yc^2]``, yc the centred
-    phenotype, summed over the rows with missing entries.  ``gram_floor``
-    is the smallest eigenvalue ratio of a row's ``Q'Q`` that the block
-    algebra accepts.
+    sweep, hard calls and dosages alike.  ``basis`` is Q (the column
+    ``1/sqrt(n)`` without covariates) and ``yc``, with covariates, the
+    centred phenotype (None without them).  ``totals`` holds the sums over
+    all n samples of the complete-case projection's terms: ``[r'r, Q'r,
+    upper triangle of Q'Q]`` and, with covariates, ``[sum yc, yc'yc]``; a
+    row with missing entries takes them less the sums over its missing
+    samples.  ``gram_floor`` is the smallest eigenvalue ratio of a row's
+    ``Q'Q`` that the block algebra accepts.
     """
 
     y: np.ndarray
@@ -172,7 +175,9 @@ class ScanContext:
     n: int
     kernels: object
     weights: np.ndarray
-    miss_weights: np.ndarray
+    basis: np.ndarray
+    yc: np.ndarray | None
+    totals: np.ndarray
     gram_floor: float
 
 
@@ -194,7 +199,8 @@ def prepare_context(phenotype, covariates: CovariateMatrix | None = None,
         q = np.full((n, 1), 1.0 / math.sqrt(n))
         weights = resid[:, None]
         gram_floor = _MIN_GRAM_RATIO
-        response = np.empty((n, 0))  # r is yc, so r^2 and Q*r hold its sums
+        yc = None  # r is yc, so r'r and Q'r hold its sums
+        ysums = []
     else:
         resid = residualize(y, covariates).residuals  # checks that the rows align
         q = covariates.orthonormal_basis()
@@ -206,18 +212,17 @@ def prepare_context(phenotype, covariates: CovariateMatrix | None = None,
         sv = covariates.svd[1]
         gram_floor = max(_MIN_GRAM_RATIO, (1e-9 * sv[0] / sv[-1]) ** 2)
         yc = y - y.mean()
-        response = np.column_stack([yc, yc * yc])
+        ysums = [yc.sum(), yc @ yc]
     rss = float(resid @ resid)
     if degenerate_response(y, rss):
         raise ValueError("degenerate response: the phenotype is constant or "
                          "inside the covariate span")
     iu, ju = np.triu_indices(q.shape[1])
-    miss_weights = np.column_stack(
-        [resid * resid, q * resid[:, None], q[:, iu] * q[:, ju], response])
+    totals = np.concatenate([[rss], q.T @ resid, (q.T @ q)[iu, ju], ysums])
     return ScanContext(
         y=y, covariates=covariates, rss=rss,
         df_sub=df_sub, n=n, kernels=backend.kernels if kernels is None else kernels,
-        weights=weights, miss_weights=miss_weights, gram_floor=gram_floor,
+        weights=weights, basis=q, yc=yc, totals=totals, gram_floor=gram_floor,
     )
 
 
@@ -303,11 +308,13 @@ def _projected_terms(ctx: ScanContext, n_used: np.ndarray, utu: np.ndarray,
     ``rss = r_S'r_S - h'beta``, the cross sums are ``U'r - U'Q beta`` and
     ``n_used * K = U'U - A G^-1 A'`` with ``A = U'Q``.  A complete row
     (``miss`` None) has G = I, h = 0 and rss = ``ctx.rss``: no solve.
-    Rows with missing entries pass int8 calls in ``miss``, -1 where
-    missing, and their row of it in ``at``; one sweep of
-    ``ctx.miss_weights`` over those rows gives r_S'r_S, h, G and, with
-    covariates, the centred sum of squares of y_S (without them it is
-    ``rss`` itself).  Every reduction runs row by row.
+    Rows with missing entries pass their block rows in ``miss``, hard
+    calls (-1 where missing) or dosages (NaN where missing), and their
+    row of it in ``at``.  Q is orthonormal over all n samples, so their
+    r_S'r_S, h, G and, with covariates, the centred sum of squares of y_S
+    (without them it is ``rss`` itself) are ``ctx.totals`` less the sums
+    over each row's missing samples M, such as ``G = Q'Q - Q_M'Q_M``.
+    Every reduction runs row by row.
 
     Returns ``(rows, n_used, rss, terms)``: the indices of the rows
     settled here and their sample counts, residual sums of squares and
@@ -324,8 +331,7 @@ def _projected_terms(ctx: ScanContext, n_used: np.ndarray, utu: np.ndarray,
     else:
         k = ctx.df_sub  # the width of the covariate basis Q
         rows = rows[n_used >= min_samples(k, 2)]
-        s = _miss_sums(ctx, miss, at[rows])
-        tot = s[:, 0] + s[:, 1] + s[:, 2]
+        tot = ctx.totals - _missing_sums(ctx, miss, at[rows])
         iu, ju = np.triu_indices(k)
         gram = np.empty((rows.size, k, k))
         gram[:, iu, ju] = gram[:, ju, iu] = tot[:, 1 + k : 1 + k + iu.size]
@@ -352,20 +358,36 @@ def _projected_terms(ctx: ScanContext, n_used: np.ndarray, utu: np.ndarray,
     return rows[good], n_used[good], rss[good], tuple(t[good] for t in terms)
 
 
-# calls per chunk of the missing-entry sweep
+# calls per row chunk of the sums over missing samples
 _MISS_CHUNK_CALLS = 1 << 18
 
 
-def _miss_sums(ctx: ScanContext, miss: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The class sums of ``ctx.miss_weights`` over the rows ``miss[rows]``.
-    They are copied and swept in chunks of about ``_MISS_CHUNK_CALLS``
-    calls, so no copy of a block outlives its chunk; the sweep runs row
-    by row, so the chunks move no bit."""
-    sums = np.empty((rows.size, 3, ctx.miss_weights.shape[1]))
-    step = max(1, _MISS_CHUNK_CALLS // max(miss.shape[1], 1))
+def _missing_sums(ctx: ScanContext, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The sums of the terms of ``ctx.totals`` over the missing samples M
+    of each row ``x[rows]``: ``[r_M'r_M, Q_M'r_M, upper triangle of
+    Q_M'Q_M]`` and, with covariates, ``[sum yc_M, yc_M'yc_M]``.  The rows
+    are copied in chunks of about ``_MISS_CHUNK_CALLS`` calls, so no copy
+    of a block outlives its chunk.  Each term is summed by ``np.bincount``
+    over the chunk's missing entries in row-major order, so every row adds
+    its own terms in sample order, starting from 0.0, and the chunks move
+    no bit.  The other scratch holds one value per missing entry and term
+    or basis column."""
+    k = ctx.df_sub
+    iu, ju = np.triu_indices(k)
+    sums = np.empty((rows.size, ctx.totals.size))
+    step = max(1, _MISS_CHUNK_CALLS // max(x.shape[1], 1))
     for i in range(0, rows.size, step):
-        sums[i : i + step] = ctx.kernels.hardcall_stats(
-            miss[rows[i : i + step]], ctx.miss_weights)[1]
+        chunk = x[rows[i : i + step]]
+        # the flat index is 8x faster than np.nonzero of the 2-D mask
+        row, m = np.divmod(np.flatnonzero(
+            np.isnan(chunk) if chunk.dtype.kind == "f" else chunk < 0), x.shape[1])
+        r, q = ctx.weights[m, 0], ctx.basis[m]
+        yc = [] if ctx.yc is None else [ctx.yc[m]]
+        terms = itertools.chain(
+            [r * r], (q[:, a] * r for a in range(k)),
+            (q[:, a] * q[:, b] for a, b in zip(iu, ju)), yc, (t * t for t in yc))
+        for j, t in enumerate(terms):
+            sums[i : i + len(chunk), j] = np.bincount(row, weights=t, minlength=len(chunk))
     return sums
 
 
@@ -496,7 +518,7 @@ def process_block(cfg: ScanConfig, ctx: ScanContext, block: Block) -> list:
     of ``ctx.weights``; the other dosage rows one sweep of feature moments
     and the feature sums of the same columns.  Both become the feature
     sums of :func:`_projected_terms`, which settles complete rows at once
-    and rows with missing entries after one more sweep over them.
+    and rows with missing entries from their missing samples' sums.
     Complete hard-call rows without covariates take the paper's
     closed-form frequency matrix.  The rows the projection refuses take
     the per-SNP path.
@@ -519,7 +541,7 @@ def process_block(cfg: ScanConfig, ctx: ScanContext, block: Block) -> list:
         for i, rec in zip(rows, recs):
             records[i] = rec
 
-    def settle(sel, rows, values, kind, sums, miss=None):
+    def settle(sel, rows, values, kind, sums, complete=True):
         """Records of the rows ``rows[sel]`` that the projection settles;
         ``sums`` is (n_used, allele sum, monomorphic, utu, ur, uq) per row.
         The other rows are queued for the per-SNP path."""
@@ -527,7 +549,8 @@ def process_block(cfg: ScanConfig, ctx: ScanContext, block: Block) -> list:
         if not idx.size:
             return
         n_used, dose, mono, *feats = (t[idx] for t in sums)
-        done, n_used, rss, terms = _projected_terms(ctx, n_used, *feats, miss=miss, at=idx)
+        done, n_used, rss, terms = _projected_terms(
+            ctx, n_used, *feats, miss=None if complete else values, at=idx)
         if done.size:
             emit(rows[idx[done]], n_used, rss, _maf(dose[done], n_used), mono[done], *terms)
         refused.extend((rows[j], values[j], kind) for j in np.setdiff1d(idx, idx[done]))
@@ -548,7 +571,7 @@ def process_block(cfg: ScanConfig, ctx: ScanContext, block: Block) -> list:
             c1, c2, *k = hardcall_terms(cfg.b, counts[clean], csums[clean, :, 0], ctx.n)
             emit(hard[clean], ctx.n, ctx.rss, _maf(dose[clean], ctx.n), mono[clean],
                  sqb * c1, sqh * c2, *k)
-        settle(~clean, hard, g, "hard", sums, g)
+        settle(~clean, hard, g, "hard", sums, complete=False)
     if soft.size:
         xs = x[soft]
         s, fsums = ctx.kernels.dosage_stats(xs, ctx.weights)
@@ -557,7 +580,7 @@ def process_block(cfg: ScanConfig, ctx: ScanContext, block: Block) -> list:
             cfg.b, ctx, s, fsums)
         clean = s[:, 0] == 0
         settle(clean, soft, xs, "dosage", sums)
-        settle(~clean, soft, xs, "dosage", sums, -(~present[soft]).astype(np.int8))
+        settle(~clean, soft, xs, "dosage", sums, complete=False)
     for i, v, kind in refused:
         var = block.variants[i]
         col = GenotypeColumn(snp_id=var.snp_id, chrom=var.chrom, pos=var.pos, values=v, kind=kind)

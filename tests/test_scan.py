@@ -573,21 +573,29 @@ def test_bound_sandwich_on_adjusted_spectra():
     n=st.integers(30, 200),
     n_snps=st.integers(1, 8),
     b=st.floats(0.0, 4.0),
-    with_covariates=st.booleans(),
+    n_covariates=st.sampled_from([0, 2, 12]),
     no_screen=st.booleans(),
-    missing=st.floats(0.0, 0.1),
+    missing=st.floats(0.0, 0.9),
+    degenerate=st.booleans(),
 )
-def test_block_engine_matches_per_snp_path(seed, kind, n, n_snps, b,
-                                           with_covariates, no_screen, missing):
+def test_block_engine_matches_per_snp_path(seed, kind, n, n_snps, b, n_covariates,
+                                           no_screen, missing, degenerate):
     """Every SNP the block engine settles, complete rows and rows with
-    0-10% missing entries, hard calls and dosages alike, gets the record
+    0-90% missing entries, hard calls and dosages alike, gets the record
     of the per-SNP path: the same method, sample count and MAF, stat and
-    spectrum to rel 1e-9, p-values to rel 1e-8."""
+    spectrum to rel 1e-9, p-values to rel 1e-8.  The designs have 0, 2
+    or 12 covariates besides the intercept, on scales 10^-2 to 10^2 with
+    offsets up to 50, and MAF goes down to 0.01.  With ``degenerate`` the
+    phenotype lies in the covariate span (or is constant) on the present
+    samples of the first SNP, which misses the other half, and not on all
+    samples."""
     rng = np.random.default_rng(seed)
-    maf = rng.uniform(0.05, 0.5, size=(n_snps, 1))
+    maf = rng.uniform(0.01, 0.5, size=(n_snps, 1))
     g = (rng.random((n_snps, n)) < maf).astype(np.int8) + (rng.random((n_snps, n)) < maf)
     g[:, :3] = [0, 1, 2]  # every class present: no degenerate spectrum
     drop = rng.random((n_snps, n)) < missing
+    if degenerate:
+        drop[0] = np.arange(n) >= n // 2
     drop[:, :3] = False
     if kind == "hard":
         values = g.astype(np.int8)
@@ -597,12 +605,18 @@ def test_block_engine_matches_per_snp_path(seed, kind, n, n_snps, b,
     y = rng.standard_normal(n) + 0.5 * values[0]
     if kind == "dosage":
         values[drop] = np.nan
-    cov = None
-    if with_covariates:
-        cov = CovariateMatrix.build({
-            "intercept": np.ones(n), "age": rng.standard_normal(n),
-            "sex": rng.integers(0, 2, n).astype(float),
-        })
+    columns = {"intercept": np.ones(n)}
+    for j in range(n_covariates):
+        scale, offset = 10.0 ** rng.uniform(-2.0, 2.0), rng.uniform(-50.0, 50.0)
+        columns[f"c{j}"] = offset + scale * rng.standard_normal(n)
+    cov = CovariateMatrix.build(columns) if n_covariates else None
+    if degenerate:
+        z = np.column_stack(list(columns.values()))
+        fit = z @ rng.standard_normal(z.shape[1])
+        y[~drop[0]] = fit[~drop[0]] + 1e-8 * fit[~drop[0]].std() * rng.standard_normal(
+            np.count_nonzero(~drop[0]))
+        if cov is None:
+            y[~drop[0]] = 1.0
     cfg = ScanConfig(b=b, no_screen=no_screen)
     ctx = scan_module.prepare_context(y, cov)
     variants = [VariantInfo(f"rs{i}", "1", i) for i in range(n_snps)]
@@ -613,13 +627,15 @@ def test_block_engine_matches_per_snp_path(seed, kind, n, n_snps, b,
         col = GenotypeColumn(snp_id=f"rs{i}", chrom="1", pos=i, values=values[i], kind=kind)
         ref = scan_module._test_single_column(cfg, ctx, col)
         assert (rec.method, rec.n_used) == (ref.method, ref.n_used)
+        if degenerate and i == 0 and rec.n_used >= scan_module.min_samples(ctx.df_sub, 2):
+            assert rec.method in ("error:degenerate_response", "error:collinear_covariates")
         if kind == "hard":
-            assert rec.maf == ref.maf
+            assert rec.maf == ref.maf or math.isnan(rec.maf) and math.isnan(ref.maf)
         else:  # a sequential sum of dosages against a pairwise mean
-            assert rec.maf == pytest.approx(ref.maf, rel=1e-12)
+            assert rec.maf == pytest.approx(ref.maf, rel=1e-12, nan_ok=True)
         for field in ("stat", "lambda1", "lambda2"):
             assert getattr(rec, field) == pytest.approx(
-                getattr(ref, field), rel=1e-9, abs=1e-12
+                getattr(ref, field), rel=1e-9, abs=1e-12, nan_ok=True
             ), field
         if rec.p_value is not None and ref.p_value is not None:
             assert rec.p_value == pytest.approx(ref.p_value, rel=1e-8)
@@ -817,19 +833,29 @@ def test_missing_calls_byte_identical_across_blocks_and_threads(tmp_path, monkey
         assert sum(r.n_used < y.size for r in recs) > 100
 
 
-def test_missing_entry_sweep_chunks_move_no_bit(tmp_path, monkeypatch):
-    """The rows with missing entries are swept in chunks of whole rows;
-    chunks of one row, of a few rows and of the whole block give the same
-    bytes."""
+def test_missing_sample_sums_move_no_bit_across_chunks(tmp_path, monkeypatch):
+    """The sums over each row's missing samples are taken in row chunks
+    of about ``_MISS_CHUNK_CALLS`` calls; chunks of one row, of seven rows
+    and of the whole block give the same bits, of the sums and of the
+    scan's TSV.  Hard calls and dosages missing the same entries give the
+    same sums, and a row without missing entries sums to zero."""
     g, y, cov = _missing_call_panel()
-    blobs = []
-    for calls in (1, 7 * g.shape[1], scan_module._MISS_CHUNK_CALLS):
+    g[1, g[1] < 0] = 0
+    ctx = scan_module.prepare_context(y, cov)
+    rows = np.arange(g.shape[0])
+    outputs = []
+    for calls in (1, 7 * g.shape[1], g.size):
         monkeypatch.setattr(scan_module, "_MISS_CHUNK_CALLS", calls)
+        sums = [scan_module._missing_sums(ctx, x, rows) for x in (g, _dosages_of(g))]
+        assert sums[0].tobytes() == sums[1].tobytes()
+        assert not sums[0][1].any() and np.count_nonzero(sums[0].any(axis=1)) > 100
+        out = [sums[0].tobytes()]
         for src in (ArraySource(g, kind="hard"), ArraySource(_dosages_of(g), kind="dosage")):
             path = tmp_path / "out.tsv"
             write_results(run_scan(ScanConfig(b=3.0), src, y, cov), str(path))
-            blobs.append(path.read_bytes())
-    assert blobs[0::2] == [blobs[0]] * 3 and blobs[1::2] == [blobs[1]] * 3
+            out.append(path.read_bytes())
+        outputs.append(out)
+    assert outputs[1:] == [outputs[0]] * 2
 
 
 def test_single_thread_scan_holds_one_block(tmp_path):
