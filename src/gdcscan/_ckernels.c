@@ -32,11 +32,10 @@ void decode_packed(const uint8_t *raw, int64_t n_snps, int64_t nbytes,
     }
 }
 
-/* g (n_snps, n) int8 calls (or presence patterns, 0 present and -1
- * missing), w (n, k) weights -> counts (n_snps, 3) of the calls 0/1/2 and
- * sums (n_snps, 3, k) of every weight column over each class.  Any other
- * call value (-1 for missing, or an invalid one) is skipped, so no input
- * reaches outside the buffers. */
+/* g (n_snps, n) int8 calls, w (n, k) weights -> counts (n_snps, 3) of the
+ * calls 0/1/2 and sums (n_snps, 3, k) of every weight column over each
+ * class.  Any other call value (-1 for missing, or an invalid one) is
+ * skipped, so no input reaches outside the buffers. */
 void hardcall_sweep(const int8_t *g, int64_t n_snps, int64_t n, const double *w,
                     int64_t k, int64_t *restrict counts, double *restrict sums)
 {

@@ -131,24 +131,24 @@ def _simulate_inputs(args) -> SimScenario:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand.  An input that cannot be read, checked or built
-    ends the run before any output is written, with one ``error:`` line on
-    stderr and exit code 2, as argparse ends a bad command line."""
+    """Run one subcommand.  An input that cannot be read, checked or built,
+    or a genotype file that changes while the scan reads it, ends the run
+    with no output written, one ``error:`` line on stderr and exit code 2,
+    as argparse ends a bad command line."""
     parser = build_parser()
     args = parser.parse_args(argv)
     build = _scan_inputs if args.command == "scan" else _simulate_inputs
     try:
         inputs = build(args)
+        # the blocks are read while the results are written
         if args.command == "scan":
-            records = run_scan(*inputs)
+            write_results(run_scan(*inputs), args.out)
+        elif args.mode == "null":
+            write_table(simulate_null(inputs), args.out)
+        else:
+            write_table(simulate_power(inputs), args.out)
     except (ValueError, OSError) as exc:
         parser.exit(2, f"{parser.prog} {args.command}: error: {exc}\n")
-    if args.command == "scan":
-        write_results(records, args.out)
-    elif args.mode == "null":
-        write_table(simulate_null(inputs), args.out)
-    else:
-        write_table(simulate_power(inputs), args.out)
     return 0
 
 

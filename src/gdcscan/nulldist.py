@@ -44,6 +44,8 @@ from functools import lru_cache
 import numpy as np
 from scipy import special
 
+from .premetric import feature_scales
+
 EIGEN_SNAP_REL = 1e-12
 PVALUE_FLOOR = 1e-300
 
@@ -138,12 +140,15 @@ def spectrum_matrix(b: float, freqs) -> np.ndarray:
 
 
 def hardcall_terms(b: float, counts: np.ndarray, ysums: np.ndarray, n: int) -> tuple:
-    """(c1, c2, k00, k11, k01) of complete hard-call rows without
+    """(v1, v2, k00, k11, k01) of complete hard-call rows without
     covariates, from class counts and centred per-class response sums,
-    both shaped (rows, 3): c1/c2 are the response cross sums of the
-    unscaled features, k the 2x2 spectral matrix."""
+    both shaped (rows, 3): v1/v2 are the response cross sums of the scaled
+    features sqrt(b/2) (x - 1) and sqrt((4-b)/2) [x = 1], k the paper's
+    closed-form 2x2 spectral matrix."""
+    sqb, sqh = feature_scales(b)
     k = spectrum_matrix(b, counts / float(n))
-    return ysums[:, 2] - ysums[:, 0], ysums[:, 1], k[:, 0, 0], k[:, 1, 1], k[:, 0, 1]
+    return (sqb * (ysums[:, 2] - ysums[:, 0]), sqh * ysums[:, 1],
+            k[:, 0, 0], k[:, 1, 1], k[:, 0, 1])
 
 
 def eig2x2(k00, k11, k01) -> tuple:
@@ -680,10 +685,11 @@ def pvalue_bounds(spec: NullSpectrum, k: float) -> tuple:
     return float(p_star), float(p_star2)
 
 
-def _f_bounds(l1, l2, k, n, nu) -> tuple:
+def _f_bounds(l1, l2, k, n, df_sub) -> tuple:
     """The F-tail terms of the bounds on spectra with lam1 >= lam2 > k/n:
     max(t2, t3), the two F lower bounds (NaN only where both are), and
-    p**, unfloored.  ``nu`` is n - df_sub - 2."""
+    p**, unfloored."""
+    nu = n - df_sub - 2.0
     t2 = special.fdtrc(1.0, nu, k * nu / (l1 * n - k))
     t3 = special.fdtrc(2.0, nu, k * nu / np.sqrt((l1 * n - k) * (l2 * n - k)))
     p_upper = 5.0 * special.fdtrc(1.0, nu + 1, k * (nu + 1) / ((l1 + l2) * n - 2.0 * k))
@@ -711,10 +717,10 @@ def pvalue_bounds_batch(lam1, lam2, k, n, df_sub=1) -> tuple:
     upper = (~degenerate) & (lam2 - k / n > 0.0)
     if upper.any():
         i = _select(upper)
-        l1, l2, kk, nn, vv = (v[i] for v in (lam1, lam2, k, n, nu))
+        l1, l2, kk, nn, dd, vv = (v[i] for v in (lam1, lam2, k, n, df_sub, nu))
         t = kk * vv / nn
         t1 = _tail(l1 - kk / nn, l2 - kk / nn, t, np.full(t.shape, np.inf))
-        t23, p_star2[i] = _f_bounds(l1, l2, kk, nn, vv)
+        t23, p_star2[i] = _f_bounds(l1, l2, kk, nn, dd)
         p_star[i] = np.fmax(t1, t23)
 
     lower = (~degenerate) & ~upper

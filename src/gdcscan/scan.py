@@ -20,17 +20,17 @@ the statistic's cross sums and the 2x2 spectral matrix.  A row with
 missing entries takes the projection's terms over its present samples as
 the scan's totals less their sums over its few missing samples, read
 from the block, so every block makes one kernel sweep.  One screening
-tail turns the terms into records: it makes the screening decision for
-the whole block at once, as masks over the bounds; only in-window rows
-are evaluated, one SNP at a time.  A per-SNP path, which redoes the
-covariate projection on the complete-case subsample and then goes
-through the same tail as a one-row block, is left for columns of more
-than two alleles and the rows the projection refuses (too few samples, a
-near-singular complete-case design, a phenotype in its span); it gives
-those rows their error codes.  The kernel module is the scan context's
-``kernels`` field, passed to :func:`run_scan` or read from
-``backend.kernels`` when the scan starts; it also decodes packed
-sources.
+tail, :func:`_records`, turns every row's statistic and eigenvalues into
+records: it makes the screening decision for all its rows at once, as
+masks over the bounds; only in-window rows are evaluated, one SNP at a
+time.  A per-SNP path, which redoes the covariate projection on the
+complete-case subsample and then goes through the same tail as a one-row
+block, is left for columns of more than two alleles and the rows the
+projection refuses (too few samples, a near-singular complete-case
+design, a phenotype in its span); it gives those rows their error codes.
+The kernel module is the scan context's ``kernels`` field, passed to
+:func:`run_scan` or read from ``backend.kernels`` when the scan starts;
+it also decodes packed sources.
 Each row of the results file is one ``%.17g`` template.  Output order
 always equals input order, and every per-SNP sum is reduced row by row,
 so the output bytes do not depend on the worker count, the block size or
@@ -62,7 +62,7 @@ from .nulldist import (
     exact_pvalue_with_method,
     hardcall_terms,
     min_samples,
-    pvalue_bounds,
+    pvalue_bounds,  # noqa: F401 - not called here; perfbench/layers.py wraps it by name
     pvalue_bounds_batch,
 )
 from .premetric import GenotypeColumn, check_b, feature_scales
@@ -231,21 +231,21 @@ def prepare_context(phenotype, covariates: CovariateMatrix | None = None,
 # ---------------------------------------------------------------------------
 
 
-def _evaluated_record(cfg: ScanConfig, variant: VariantInfo, maf: float,
-                      n_used: int, df_sub: int, stat: float, lam1: float,
-                      lam2: float, p_lo: float, p_hi: float) -> ScanRecord:
-    """Record of an in-window SNP, with its exact p-value."""
+def _evaluated_record(cfg: ScanConfig, variant: VariantInfo, maf: float, stat: float,
+                      spec: NullSpectrum, p_lo: float, p_hi: float) -> ScanRecord:
+    """Record of an in-window SNP, with its exact p-value; an
+    ``error:numerics`` row keeps its other fields.  A spectrum of more than
+    two nonzero eigenvalues has no bounds: its p-value stands for them."""
     try:
-        spec = NullSpectrum(lambdas=(lam1, lam2), n=n_used, df_sub=df_sub)
         p_value, method = exact_pvalue_with_method(spec, stat)
     except NumericsError as exc:
         log.warning("%s: error:numerics: %s", variant.snp_id, exc)
         p_value, method = None, "error:numerics"
-    return ScanRecord(
-        snp_id=variant.snp_id, chrom=variant.chrom, pos=variant.pos,
-        maf=maf, n_used=n_used, b=cfg.b, stat=stat, lambda1=lam1, lambda2=lam2,
-        p_lower=p_lo, p_upper=p_hi, p_value=p_value, method=method,
-    )
+    if len(spec.nonzero) > 2:
+        p_lo = p_hi = math.nan if p_value is None else p_value
+    lam = spec.lambdas
+    return ScanRecord(variant.snp_id, variant.chrom, variant.pos, maf, spec.n, cfg.b, stat,
+                      lam[0], lam[1], p_lo, p_hi, p_value, method)
 
 
 def _error_record(cfg, variant, n_used, code, exc=None) -> ScanRecord:
@@ -391,36 +391,27 @@ def _missing_sums(ctx: ScanContext, x: np.ndarray, rows: np.ndarray) -> np.ndarr
     return sums
 
 
-def _records(cfg: ScanConfig, df_sub: int, variants, n_used, rss, maf, mono,
-             v1, v2, k00, k11, k01) -> list:
-    """Records from per-SNP terms: v1/v2 the scaled cross sums, k the 2x2
-    spectral matrix; ``n_used`` and ``rss`` (the residual sum of squares)
-    are scalars or one entry per row.  A row with one value on all its
-    present samples (``mono``) has a statistic of zero and a spectrum of
-    round-off, so its lambda1 is set to 0: the tail reads it as
-    degenerate."""
-    stat = (v1 * v1 + v2 * v2) / rss
-    lam1, lam2 = eig2x2(k00, k11, k01)
-    lam1 = np.where(mono, 0.0, lam1)
-    p_lo, p_hi = pvalue_bounds_batch(lam1, lam2, stat, n_used, df_sub)
-    return _screened_records(cfg, n_used, df_sub, variants, maf, stat,
-                             lam1, lam2, p_lo, p_hi)
+def _records(cfg: ScanConfig, df_sub: int, variants, n_used, maf, stat, lams,
+             mono) -> list:
+    """Records of rows that share a covariate degree count, from each
+    row's statistic, its eigenvalues ``lams`` (rows, slots >= 2),
+    descending, and ``mono``, whether it has one value on all its present
+    samples.  ``n_used`` is one sample count for all rows or one per row.
 
-
-def _screened_records(cfg: ScanConfig, n_used, df_sub: int, variants,
-                      maf, stat, lam1, lam2, p_lo, p_hi) -> list:
-    """Apply the screening decision to rows that share a covariate degree
-    count, and evaluate the in-window rows.  ``n_used`` is one sample
-    count for all rows or one per row.
-
-    The decision is made once for all rows, as masks: degenerate
-    (``lambda1 <= 0``; the statistic is identically zero there and any
-    residual value is round-off), then high (``p_lower`` at or above the
-    screen threshold), then low (``p_upper`` at or below the floor, which
-    becomes the p-value).  A NaN compares false, so a NaN bound decides
-    nothing and its row is evaluated.  Only in-window rows are evaluated,
-    one SNP at a time; the others are built straight from the columns.
+    A monomorphic row has a statistic of zero and a spectrum of round-off,
+    so its lambda1 is set to 0.  The screening decision is made once for
+    all rows, as masks over the bounds: degenerate (``lambda1 <= 0``; the
+    statistic is identically zero there and any residual value is
+    round-off), then high (``p_lower`` at or above the screen threshold),
+    then low (``p_upper`` at or below the floor, which becomes the
+    p-value).  A NaN compares false, so a NaN bound decides nothing and
+    its row is evaluated, as is a row of more than two nonzero
+    eigenvalues, which the bounds do not cover.  Only in-window rows are
+    evaluated, one SNP at a time; the others are built straight from the
+    columns.
     """
+    lam1, lam2 = np.where(mono, 0.0, lams[:, 0]), lams[:, 1]
+    p_lo, p_hi = pvalue_bounds_batch(lam1, lam2, stat, n_used, df_sub)
     degen = lam1 <= 0.0
     live = ~degen
     # each row's index into _SCREENED, or 3 for an in-window row; nested
@@ -431,6 +422,8 @@ def _screened_records(cfg: ScanConfig, n_used, df_sub: int, variants,
     else:
         low = np.where(p_hi <= cfg.screen_floor, 2, 3)
         code = np.where(degen, 0, np.where(p_lo >= cfg.screen_threshold, 1, low))
+    if lams.shape[1] > 2:
+        code = np.where(live & (lams[:, 2] > 0.0), 3, code)
     b = cfg.b
     columns = zip(
         variants, code.tolist(), np.broadcast_to(n_used, code.shape).tolist(), maf.tolist(),
@@ -440,11 +433,11 @@ def _screened_records(cfg: ScanConfig, n_used, df_sub: int, variants,
     )
     # positional fields: keywords cost twice the time of this loop
     return [
-        _evaluated_record(cfg, var, m, nu, df_sub, s, l1, l2, lo, hi)
+        _evaluated_record(cfg, var, m, s, NullSpectrum(lams[j].tolist(), nu, df_sub), lo, hi)
         if c == 3 else
         ScanRecord(var.snp_id, var.chrom, var.pos, m, nu, b, s, l1, l2,
                    lo, hi, None if c == 1 else hi, _SCREENED[c])
-        for var, c, nu, m, s, l1, l2, lo, hi in columns
+        for j, (var, c, nu, m, s, l1, l2, lo, hi) in enumerate(columns)
     ]
 
 
@@ -453,7 +446,8 @@ def _test_single_column(cfg: ScanConfig, ctx: ScanContext,
     """Per-SNP path: the multiallelic entry point and the block rows that
     :func:`_projected_terms` refuses.  Redoes the covariate projection on
     the complete-case subsample, so the conditional null law stays exact,
-    and gives each row's error code."""
+    and gives each row's error code; the other rows go through
+    :func:`_records` as one-row blocks."""
     variant = VariantInfo(column.snp_id, column.chrom, column.pos)
     mask = column.present_mask()
     n_used = int(mask.sum())
@@ -483,31 +477,9 @@ def _test_single_column(cfg: ScanConfig, ctx: ScanContext,
         stat = float(v @ v) / rss
     except ValueError as exc:
         return _error_record(cfg, variant, n_used, "invalid_column", exc)
-    if np.all(values == values[0]):  # one value on every present sample:
-        lam, p_lo, p_hi = (), 1.0, 1.0  # a zero statistic, a round-off spectrum
-    elif len(spec.nonzero) > 2:
-        return _multi_eigen_record(cfg, variant, sub, spec, stat, n_used)
-    else:
-        lam = spec.lambdas
-        p_lo, p_hi = pvalue_bounds(spec, stat)
-    lam1, lam2 = (*lam, 0.0, 0.0)[:2]
-    row = (np.array([v]) for v in (sub.maf(), stat, lam1, lam2, p_lo, p_hi))
-    return _screened_records(cfg, n_used, ctx.df_sub, [variant], *row)[0]
-
-
-def _multi_eigen_record(cfg, variant, sub, spec, stat, n_used) -> ScanRecord:
-    """Multiallelic record: exact tail by inversion of the holdout law."""
-    try:
-        p, method = exact_pvalue_with_method(spec, stat)
-    except NumericsError as exc:
-        return _error_record(cfg, variant, n_used, "numerics", exc)
-    lam = spec.lambdas
-    return ScanRecord(
-        snp_id=variant.snp_id, chrom=variant.chrom, pos=variant.pos,
-        maf=sub.maf(), n_used=n_used, b=cfg.b, stat=stat,
-        lambda1=lam[0], lambda2=lam[1] if len(lam) > 1 else 0.0,
-        p_lower=p, p_upper=p, p_value=p, method=method,
-    )
+    mono = np.all(values == values[0])
+    row = (np.array([v]) for v in (sub.maf(), stat, spec.lambdas, mono))
+    return _records(cfg, ctx.df_sub, [variant], n_used, *row)[0]
 
 
 def process_block(cfg: ScanConfig, ctx: ScanContext, block: Block) -> list:
@@ -520,8 +492,9 @@ def process_block(cfg: ScanConfig, ctx: ScanContext, block: Block) -> list:
     sums of :func:`_projected_terms`, which settles complete rows at once
     and rows with missing entries from their missing samples' sums.
     Complete hard-call rows without covariates take the paper's
-    closed-form frequency matrix.  The rows the projection refuses take
-    the per-SNP path.
+    closed-form frequency matrix, in the same (v1, v2, k00, k11, k01)
+    shape.  Every row's terms go through :func:`_records`; the rows the
+    projection refuses take the per-SNP path.
     """
     x = block.values
     if block.kind == "hard":
@@ -536,8 +509,11 @@ def process_block(cfg: ScanConfig, ctx: ScanContext, block: Block) -> list:
     records: list = [None] * len(block.variants)
     refused = []
 
-    def emit(rows, *columns):
-        recs = _records(cfg, ctx.df_sub, [block.variants[i] for i in rows], *columns)
+    def emit(rows, n_used, rss, maf, mono, v1, v2, *k):
+        stat = (v1 * v1 + v2 * v2) / rss
+        lams = np.stack(eig2x2(*k), axis=1)
+        recs = _records(cfg, ctx.df_sub, [block.variants[i] for i in rows], n_used, maf,
+                        stat, lams, mono)
         for i, rec in zip(rows, recs):
             records[i] = rec
 
@@ -566,11 +542,11 @@ def process_block(cfg: ScanConfig, ctx: ScanContext, block: Block) -> list:
         sums = (n_used, dose, mono) + _hard_sums(cfg.b, counts, csums[:, :, 0], qsums)
         if ctx.covariates is not None:
             settle(clean, hard, g, "hard", sums)
-        elif clean.any():  # the paper's closed-form frequency matrix
-            sqb, sqh = feature_scales(cfg.b)
-            c1, c2, *k = hardcall_terms(cfg.b, counts[clean], csums[clean, :, 0], ctx.n)
+        elif clean.any():
+            # the paper's closed-form frequency matrix: its spectrum keeps
+            # more digits than the projection's U'U - A A', which cancels
             emit(hard[clean], ctx.n, ctx.rss, _maf(dose[clean], ctx.n), mono[clean],
-                 sqb * c1, sqh * c2, *k)
+                 *hardcall_terms(cfg.b, counts[clean], csums[clean, :, 0], ctx.n))
         settle(~clean, hard, g, "hard", sums, complete=False)
     if soft.size:
         xs = x[soft]

@@ -44,7 +44,7 @@ from scipy import special
 from .gdc import Sample
 from .io import write_lines
 from .nulldist import _f_bounds, eig2x2, exact_pvalues_batch, hardcall_terms, min_samples
-from .premetric import check_b, feature_scales
+from .premetric import check_b
 
 DEFAULT_H_GRID = tuple(np.round(np.arange(0.0, 1.01, 0.1), 10))
 CHUNK_ROWS = 20_000
@@ -163,9 +163,7 @@ def _gdc_stats(st: _ChunkStats, b: float) -> tuple:
     lam2) at ``b``.  As in the scan, a zero spectrum (a monomorphic draw,
     or no heterozygote at b = 0) has statistic zero: any nonzero class sum
     there is round-off of the centred response's zero total."""
-    c1, c2, k00, k11, k01 = hardcall_terms(b, st.counts, st.sums, st.n)
-    sqb, sqh = feature_scales(b)
-    v1, v2 = sqb * c1, sqh * c2
+    v1, v2, k00, k11, k01 = hardcall_terms(b, st.counts, st.sums, st.n)
     lam1, lam2 = eig2x2(k00, k11, k01)
     return np.where(lam1 > 0.0, (v1 * v1 + v2 * v2) / st.rss, 0.0), lam1, lam2
 
@@ -232,8 +230,7 @@ def _rejected(st: _ChunkStats, method: str, alpha: float) -> np.ndarray:
     stat, lam1, lam2 = _gdc_stats(st, float(method))
     n = st.n
     i = ((lam1 > 0.0) & (lam2 - stat / n > 0.0)).nonzero()[0]
-    # nu = n - df_sub - 2, the intercept the only covariate
-    lower, upper = _f_bounds(lam1[i], lam2[i], stat[i], n, n - 3.0)
+    lower, upper = _f_bounds(lam1[i], lam2[i], stat[i], n, 1)
     reject = upper <= alpha * (1.0 - _BOUND_REL) - _BOUND_ABS
     settled = reject | (lower >= alpha * (1.0 + _BOUND_REL) + _BOUND_ABS)
     out = np.zeros(stat.shape, dtype=bool)

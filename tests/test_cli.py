@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import gdcscan
+from gdcscan import cli
 from gdcscan.cli import main
 from gdcscan.io import write_packed, write_dosage_tsv
 from gdcscan.simbench import draw_genotypes
@@ -222,6 +223,30 @@ def test_input_errors_exit_2_with_one_line(panel, capsys, case):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"gdcscan {argv[0]}: error: ")
     assert re.search(message, lines[0]), lines[0]
+    assert not out.exists() and not (tmp_path / "out.tsv.partial").exists()
+
+
+def test_panel_changed_during_scan_exits_2_with_one_line(panel, capsys, monkeypatch):
+    """A packed file that changes after it was opened fails when its blocks
+    are read, inside the results write, and ends as an input error does."""
+    geno, pheno, g, y, tmp_path = panel
+    opened = cli.open_genotypes
+
+    def open_then_append(path, fmt):
+        source = opened(path, fmt)
+        with open(path, "ab") as fh:
+            fh.write(b"13 more bytes")
+        return source
+
+    monkeypatch.setattr(cli, "open_genotypes", open_then_append)
+    out = tmp_path / "out.tsv"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["scan", "--geno", geno, "--pheno", pheno, "--pheno-col", "trait",
+              "--out", str(out)])
+    assert exit_info.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("gdcscan scan: error: ")
+    assert lines[0].endswith("changed since it was opened"), lines[0]
     assert not out.exists() and not (tmp_path / "out.tsv.partial").exists()
 
 

@@ -412,6 +412,8 @@ def test_multiallelic_three_alleles_matches_conditional_mc():
     cfg = ScanConfig(b=2.0)
     rec = run_multiallelic(cfg, col, y)
     assert rec.method == "weighted_chisq_inversion"
+    # no bounds cover more than two eigenvalues: the p-value stands for them
+    assert rec.p_lower == rec.p_upper == rec.p_value
     # with m alleles there are at most (m+1 choose 2) - 1 nonzero eigenvalues
     from gdcscan.premetric import Premetric
 
@@ -525,6 +527,11 @@ def test_numerics_error_code(small_panel, monkeypatch, caplog):
         )
     assert [r.method for r in recs] == ["error:numerics"] * 3
     assert multi.method == "error:numerics"
+    # the row keeps its maf, statistic and eigenvalues on every path
+    for rec in recs + [multi]:
+        assert rec.p_value is None
+        assert all(math.isfinite(v) for v in (rec.stat, rec.lambda1, rec.maf))
+    assert math.isnan(multi.p_lower) and math.isnan(multi.p_upper)
     assert "snp0" in caplog.text and "rs3" in caplog.text
     assert "quadrature failed on purpose" in caplog.text
 
@@ -703,8 +710,9 @@ def test_results_tsv_matches_oracle(tmp_path, kind, missing):
 
 
 def test_block_tail_screening_boundaries(monkeypatch):
-    """The screening tail decides every boundary case per row, and only
-    in-window rows are evaluated."""
+    """The screening tail decides every boundary case per row from the
+    bounds it is given (here injected), and only in-window rows are
+    evaluated."""
     thr, floor = ScanConfig().screen_threshold, ScanConfig().screen_floor
     nan = math.nan
     rows = [  # (lambda1, p_lower, p_upper, screened method or None)
@@ -736,11 +744,11 @@ def test_block_tail_screening_boundaries(monkeypatch):
         return exact(spec, k)
 
     monkeypatch.setattr(scan_module, "exact_pvalue_with_method", counting_exact)
+    monkeypatch.setattr(scan_module, "pvalue_bounds_batch", lambda *args: (p_lo, p_hi))
+    lams, mono = np.column_stack([lam1, lam2]), np.zeros(m, dtype=bool)
     for cfg in (ScanConfig(), ScanConfig(no_screen=True)):
         evaluated.clear()
-        recs = scan_module._screened_records(
-            cfg, n, df_sub, variants, maf, stat, lam1, lam2, p_lo, p_hi,
-        )
+        recs = scan_module._records(cfg, df_sub, variants, n, maf, stat, lams, mono)
         in_window = 0
         for i, (rec, (_, lo, hi, meth)) in enumerate(zip(recs, rows)):
             if cfg.no_screen and meth != "degenerate spectrum":
@@ -763,6 +771,32 @@ def test_block_tail_screening_boundaries(monkeypatch):
                 assert rec.method == meth
                 assert rec.p_value == (hi if meth == "screened_out_low" else None)
         assert len(evaluated) == in_window
+
+
+def test_closed_form_spectrum_of_complete_hard_calls_is_accurate():
+    """Complete hard-call rows without covariates keep the paper's closed
+    form of K in the class frequencies for its accuracy: at b = 3 its
+    lambda1 is within 3e-13 (relative) of a 50-digit evaluation of the
+    same closed form on MAF 0.0005-0.5, where the projection's
+    U'U - A A' reaches 6e-13.  lambda2 is compared as an absolute error
+    over lambda1, since eig2x2 snaps a lambda2 below 1e-12 lambda1 to 0."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    rng = np.random.default_rng(2000)
+    n, b = 2000, 3
+    g = np.stack([draw_genotypes(rng, n, q, 1)[0] for q in np.geomspace(0.0005, 0.5, 600)])
+    mono = (g == g[:, :1]).all(axis=1)
+    g[mono, 0] = (g[mono, 0] + 1) % 3
+    recs = list(run_scan(ScanConfig(b=b), ArraySource(g, kind="hard"), rng.standard_normal(n)))
+    for rec, row in zip(recs, g):
+        p0, p1, p2 = (mp.mpf(int((row == j).sum())) / n for j in range(3))
+        k00 = mp.mpf(b) / 2 * (p0 + p2 - (p0 - p2) ** 2)
+        k11 = mp.mpf(4 - b) / 2 * (p1 - p1 * p1)
+        k01 = mp.sqrt(b * (4 - b)) / 2 * p1 * (p0 - p2)
+        disc = mp.sqrt((k00 - k11) ** 2 + 4 * k01 ** 2)
+        lam1, lam2 = (k00 + k11 + disc) / 2, (k00 + k11 - disc) / 2
+        assert abs(rec.lambda1 - lam1) <= 3e-13 * lam1
+        assert abs(rec.lambda2 - lam2) <= 1e-14 * lam1
 
 
 def _missing_call_panel(seed=31, n_snps=150, n=240):
