@@ -20,7 +20,7 @@ from .nulldist import (
 from .adjust import CovariateMatrix, ResidualizedPhenotype, residualize
 from .backend import BACKEND_NAME, get_backend
 from .gdc import Sample, dcov_fast, standardized_statistic
-from .premetric import FeatureMap, GenotypeColumn, Premetric
+from .premetric import GenotypeColumn
 from .scan import ScanConfig, ScanRecord, run_multiallelic, run_scan, write_results
 from .simbench import (
     SimScenario,

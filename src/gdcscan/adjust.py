@@ -8,7 +8,9 @@ projector and the noise degree count shrinks by the number of covariate
 columns.
 
 The covariate basis is orthonormalized once per phenotype; per-SNP work is
-inner products against that basis.
+inner products against that basis.  ``column_features`` gives the dense
+feature matrix of one column, of any genotype kind, from the two feature
+scales of ``b``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .nulldist import min_samples
-from .premetric import GenotypeColumn, Premetric
+from .premetric import GenotypeColumn, check_b, feature_scales
 
 RANK_TOL = 1e-10
 # a response whose residual sum of squares is at most this share of its
@@ -148,15 +150,18 @@ def residualize(y: np.ndarray, z: CovariateMatrix) -> ResidualizedPhenotype:
 
 
 def column_features(b: float, geno: GenotypeColumn) -> np.ndarray:
-    """Feature matrix of a complete-case column: the canonical map of hard
-    calls, the interpolated features of dosages, or the concatenated
-    features of allele counts."""
+    """Feature matrix of a complete-case column, its two unscaled features
+    weighted by ``feature_scales(b)``: x - 1 and [x = 1] of hard calls,
+    x and |x - 1| of dosages, and each allele's dosage pair times
+    1/sqrt(2) for allele counts.  Squared feature distances are twice the
+    premetric distance."""
     if not geno.present_mask().all():
         raise ValueError("expected a complete-case column; filter first")
-    pm = Premetric(b)
+    sqb, sqh = feature_scales(check_b(b))
+    x = geno.values
     if geno.kind == "hard":
-        return pm.canonical_feature_map().evaluate(geno.values.astype(np.intp))
+        return np.column_stack([sqb * (x - 1.0), sqh * (x == 1.0)])
+    pairs = np.stack([sqb * x, sqh * np.abs(x - 1.0)], axis=-1)
     if geno.kind == "dosage":
-        f1, f2 = pm.dosage_features(geno.values)
-        return np.column_stack([f1, f2])
-    return pm.multiallelic_features(geno.values)
+        return pairs
+    return (1.0 / np.sqrt(2.0)) * pairs.reshape(x.shape[0], -1)

@@ -4,13 +4,13 @@ The family fixes both heterozygous-homozygous distances at 1 and leaves the
 distance between the two homozygous states as a free parameter ``b``.  The
 square root of the premetric satisfies the triangle inequality exactly when
 ``0 <= b <= 4``, which is the condition for a well-defined distance
-covariance.  The statistic and its null spectra see the geometry only
-through feature maps: the canonical map of hard calls, the interpolated
-features of dosages and the concatenated features of allele counts, all
-defined here together with ``GenotypeColumn`` and ``check_genotypes``, the
-one test of which hard-call and dosage values are valid.  The distances
-and kernels themselves are verification oracles and live with the tests,
-in ``tests/oracles.py``.
+covariance; ``check_b`` is the one test of that range.  The statistic and
+its null spectra see the geometry only through a Euclidean feature
+embedding with two weights, ``feature_scales``; ``adjust.column_features``
+builds a column's features from them.  ``GenotypeColumn`` holds one SNP,
+and ``check_genotypes`` is the one test of which hard-call, dosage and
+allele-count values are valid.  The distances and kernels themselves are
+verification oracles and live with the tests, in ``tests/oracles.py``.
 
 All objects here are immutable after construction and safe to share across
 threads.
@@ -46,11 +46,12 @@ def check_genotypes(values, kind: str, snp_ids, where: str = "") -> np.ndarray:
     int8 -1 (missing), 0, 1 or 2; "dosage" values become float64 in
     [0, 2], NaN marking missing.
 
-    ``values`` is one SNP's array, named by the string ``snp_ids``, or an
-    (n_snps, n_samples) array with one ID per row.  Hard calls are checked
-    before the int8 cast, so 258 or 1.5 cannot wrap or truncate into a
-    valid call.  The error names the first bad value's SNP, after
-    ``where`` (a file name) when one is given.
+    ``values`` is one SNP's array (an allele-count matrix is checked as
+    dosages), named by the string ``snp_ids``, or an (n_snps, n_samples)
+    array with one ID per row.  Hard calls are checked before the int8
+    cast, so 258 or 1.5 cannot wrap or truncate into a valid call.  The
+    error names the first bad value's SNP, after ``where`` (a file name)
+    when one is given.
     """
     v = np.asarray(values)
     if kind == "hard":
@@ -73,98 +74,14 @@ def check_genotypes(values, kind: str, snp_ids, where: str = "") -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class FeatureMap:
-    """Euclidean embedding of the genotype states.
-
-    ``matrix`` has one row per feature and one column per state (0, 1, 2).
-    Pairwise squared Euclidean distances between state columns equal twice
-    the premetric distance.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
-        if m.ndim != 2 or m.shape[1] != 3 or m.shape[0] < 1:
-            raise ValueError("feature matrix must be r x 3 with r >= 1")
-        object.__setattr__(self, "matrix", m)
-
-    def evaluate(self, states: np.ndarray) -> np.ndarray:
-        """Map an array of hard calls to the (len, r) feature values."""
-        s = np.asarray(states)
-        return self.matrix[:, s].T
-
-
-@dataclass(frozen=True)
-class Premetric:
-    """Premetric on genotype states with unit het-hom distances.
-
-    Parameters
-    ----------
-    b:
-        Distance between the two homozygous states.  Must lie in [0, 4]
-        (negative-type constraint); validated once here, assumed valid
-        everywhere downstream.
-    """
-
-    b: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "b", check_b(self.b))
-
-    # -- feature maps -------------------------------------------------------
-
-    def canonical_feature_map(self) -> FeatureMap:
-        """Two-feature map: a signed homozygote contrast and a heterozygote
-        indicator, scaled so squared feature distances equal 2 d(x, y)."""
-        sqb, sqh = feature_scales(self.b)
-        return FeatureMap(np.array([[-sqb, 0.0, sqb], [0.0, sqh, 0.0]]))
-
-    # -- dosage and multiallelic extensions -----------------------------------
-
-    def dosage_features(self, x) -> tuple:
-        """Linearly interpolated features for an expected allele count in
-        [0, 2]: (sqrt(b/2) x, sqrt((4-b)/2) |x - 1|).
-
-        At integer dosages these agree with the canonical map up to a
-        per-feature translation/sign, so all centered statistics coincide.
-        """
-        x = check_genotypes(x, "dosage", "x")
-        sqb, sqh = feature_scales(self.b)
-        f1 = sqb * x
-        f2 = sqh * np.abs(x - 1.0)
-        if f1.ndim == 0:
-            return (float(f1), float(f2))
-        return (f1, f2)
-
-    def multiallelic_features(self, counts: np.ndarray) -> np.ndarray:
-        """Feature matrix for an (n, m) allele-count matrix.
-
-        Concatenates per-allele dosage features scaled by 1/sqrt(2); the
-        squared feature distance then equals twice the multiallelic
-        distance, matching the biallelic convention.
-        """
-        counts = np.asarray(counts, dtype=np.float64)
-        if counts.ndim != 2:
-            raise ValueError("allele-count matrix must be (n, m)")
-        n, m = counts.shape
-        out = np.empty((n, 2 * m))
-        s = 1.0 / np.sqrt(2.0)
-        for j in range(m):
-            f1, f2 = self.dosage_features(counts[:, j])
-            out[:, 2 * j] = s * f1
-            out[:, 2 * j + 1] = s * f2
-        return out
-
-
-@dataclass(frozen=True)
 class GenotypeColumn:
     """One SNP's worth of genotype observations.
 
     ``values`` is one of:
       - int8 hard calls in {0, 1, 2} with -1 marking missing,
       - float64 dosages in [0, 2] with NaN marking missing,
-      - float64 (n, m) allele-count matrix with rows summing to 2.
+      - float64 (n, m) allele-count matrix, each count in [0, 2] and rows
+        summing to 2, a row with a NaN marking missing.
 
     Missing entries are excluded per SNP (complete case) before any
     frequency or statistic computation.
@@ -179,7 +96,7 @@ class GenotypeColumn:
 
     def __post_init__(self):
         if self.kind == "allele_counts":
-            v = np.asarray(self.values, dtype=np.float64)
+            v = check_genotypes(self.values, "dosage", self.snp_id)
             if v.ndim != 2 or v.shape[1] != self.m:
                 raise ValueError(f"{self.snp_id}: allele-count matrix must be (n, m)")
             rowsum = v.sum(axis=1)

@@ -198,15 +198,8 @@ def _anova_pvalues(st: _ChunkStats) -> np.ndarray:
     return out
 
 
-def _method_pvalues(st: _ChunkStats, method: str) -> np.ndarray:
-    """Per-replication p-values of one method: a b value, "additive_F" or
-    "anova_F"."""
-    if method == "additive_F":
-        return _additive_pvalues(st)
-    if method == "anova_F":
-        return _anova_pvalues(st)
-    stat, lam1, lam2 = _gdc_stats(st, float(method))
-    return exact_pvalues_batch(lam1, lam2, stat, st.n, 1)
+# the classical competitors' p-values per replication, by method name
+_F_PVALUES = {"additive_F": _additive_pvalues, "anova_F": _anova_pvalues}
 
 
 # margins of a decision by the bounds: wider than the error of the exact
@@ -225,8 +218,8 @@ def _rejected(st: _ChunkStats, method: str, alpha: float) -> np.ndarray:
     exceed the exact path's own error, so every decision equals
     ``exact_pvalues_batch(...) <= alpha``; only the other replications
     are evaluated exactly."""
-    if method in ("additive_F", "anova_F"):
-        return _method_pvalues(st, method) <= alpha
+    if method in _F_PVALUES:
+        return _F_PVALUES[method](st) <= alpha
     stat, lam1, lam2 = _gdc_stats(st, float(method))
     n = st.n
     i = ((lam1 > 0.0) & (lam2 - stat / n > 0.0)).nonzero()[0]
@@ -246,7 +239,7 @@ def competitor_tests(sample: Sample) -> dict:
     """Additive-regression and ANOVA F-test p-values for one sample."""
     st = _chunk_stats(sample.genotypes.values.astype(np.int8)[None, :],
                       sample.phenotype[None, :])
-    return {m: float(_method_pvalues(st, m)[0]) for m in ("additive_F", "anova_F")}
+    return {m: float(pvalues(st)[0]) for m, pvalues in _F_PVALUES.items()}
 
 
 def _rejection_cell(scenario, maf, h, beta, methods, seed_seq) -> dict:

@@ -5,8 +5,8 @@ The paper defines the statistic three ways: the double-centring
 definition, the feature form and the kernel (HSIC) form. The scan
 computes only the feature form (``gdcscan.gdc.dcov_fast``); the tests
 prove the identities against the other two, against the premetric's
-distances and kernels, and against population forms for the three-class
-mean model. Every function of the premetric takes its parameter ``b``
+distances, kernels and canonical feature table, and against population
+forms for the three-class mean model. Every function of the premetric takes its parameter ``b``
 first.
 """
 
@@ -19,7 +19,7 @@ import numpy as np
 from gdcscan.adjust import ResidualizedPhenotype, column_features
 from gdcscan.gdc import Sample, dcov_fast
 from gdcscan.nulldist import NullSpectrum, snap_eigenvalues, spectrum_from_features
-from gdcscan.premetric import FeatureMap, GenotypeColumn, Premetric
+from gdcscan.premetric import GenotypeColumn, check_b, feature_scales
 
 ORACLE_N_CAP = 2000
 NEG_ROUNDOFF_TOL = 1e-14
@@ -83,16 +83,26 @@ def induced_kernel(b: float, x: int, y: int, base_point: int = 1) -> float:
     return distance(b, x, base_point) + distance(b, y, base_point) - distance(b, x, y)
 
 
-def pairwise_sq_dist(fm: FeatureMap, x: int, y: int) -> float:
+def canonical_feature_table(b: float) -> np.ndarray:
+    """The canonical map of hard calls as a 2 x 3 table, one column per
+    state 0, 1, 2: a signed homozygote contrast and a heterozygote
+    indicator, scaled so squared feature distances equal 2 d(x, y)."""
+    sqb, sqh = feature_scales(check_b(b))
+    return np.array([[-sqb, 0.0, sqb], [0.0, sqh, 0.0]])
+
+
+def pairwise_sq_dist(fm: np.ndarray, x: int, y: int) -> float:
     """Squared Euclidean distance between the feature columns of two
-    states."""
-    d = fm.matrix[:, x] - fm.matrix[:, y]
+    states in a feature table ``fm`` (one row per feature, one column per
+    state)."""
+    d = fm[:, x] - fm[:, y]
     return float(d @ d)
 
 
-def regime_feature_map(b: float) -> FeatureMap:
-    """Three-feature map whose components correspond to dominant,
-    recessive and additive (resp. purely heterozygous) patterns.
+def regime_feature_map(b: float) -> np.ndarray:
+    """Three-feature table, one column per state, whose rows correspond
+    to dominant, recessive and additive (resp. purely heterozygous)
+    patterns.
 
     For b in [2, 4] the third feature is the additive ramp; for b in
     [0, 2] it is the heterozygote indicator.  Both regimes coincide at
@@ -106,7 +116,7 @@ def regime_feature_map(b: float) -> FeatureMap:
         phi1 = np.sqrt(b) * np.array([0.0, 0.0, 1.0])
         phi2 = np.sqrt(b) * np.array([0.0, 1.0, 1.0])
         phi3 = np.sqrt(2.0 - b) * np.array([0.0, 1.0, 0.0])
-    return FeatureMap(np.vstack([phi1, phi2, phi3]))
+    return np.vstack([phi1, phi2, phi3])
 
 
 def dosage_distance(b: float, x: float, y: float) -> float:
@@ -165,7 +175,7 @@ class PopulationModel:
 
 def dcov_oracle(b: float, sample: Sample) -> float:
     """Reference double-centering evaluation, O(n^2)."""
-    pm = Premetric(b)
+    b = check_b(b)
     if sample.genotypes.kind != "hard":
         raise ValueError("the oracle path is defined for hard calls")
     n = sample.n
@@ -173,7 +183,7 @@ def dcov_oracle(b: float, sample: Sample) -> float:
         raise ValueError(f"oracle path capped at n <= {ORACLE_N_CAP}")
     x = sample.genotypes.values.astype(np.intp)
     y = sample.phenotype
-    dx = distance_matrix(pm.b)[np.ix_(x, x)]
+    dx = distance_matrix(b)[np.ix_(x, x)]
     dy = 0.5 * np.subtract.outer(y, y) ** 2
     h = np.eye(n) - np.full((n, n), 1.0 / n)
     dxt = h @ dx @ h
@@ -189,7 +199,7 @@ def dcov_kernel_form(b: float, sample: Sample) -> float:
     that convention the kernel form coincides exactly with the
     double-centering definition.
     """
-    pm = Premetric(b)
+    b = check_b(b)
     if sample.genotypes.kind != "hard":
         raise ValueError("the kernel form is defined for hard calls")
     n = sample.n
@@ -198,7 +208,7 @@ def dcov_kernel_form(b: float, sample: Sample) -> float:
     yc = y - y.mean()
     states = np.array([0, 1, 2])
     kmat = np.array(
-        [[2.0 * induced_kernel(pm.b, int(a), int(c)) for c in states] for a in states]
+        [[2.0 * induced_kernel(b, int(a), int(c)) for c in states] for a in states]
     )
     gram = kmat[np.ix_(x, x)]
     return _clamp_nonneg(float(yc @ gram @ yc) / (2.0 * n**2))
@@ -206,7 +216,7 @@ def dcov_kernel_form(b: float, sample: Sample) -> float:
 
 def population_dcov(b: float, model: PopulationModel) -> float:
     """Population distance covariance for a three-class mean model."""
-    Premetric(b)
+    check_b(b)
     p0, p1, p2 = model.p
     m0, m1, m2 = model.mu
     my = model.mu_y
@@ -258,7 +268,7 @@ def adjusted_asymptotic_spectrum(b: float, moments: JointMoments, n: int = 4,
     The eigenvalues come from E[Phi Phi'] minus the cross-moment correction
     through (E[Z Z'])^{-1}.
     """
-    Premetric(b)
+    check_b(b)
     a = np.asarray(moments.e_phi_phi, dtype=np.float64)
     cz = np.asarray(moments.e_phi_z, dtype=np.float64)
     zz = np.asarray(moments.e_zz, dtype=np.float64)
@@ -276,7 +286,6 @@ def adjusted_asymptotic_spectrum(b: float, moments: JointMoments, n: int = 4,
 
 def population_feature_moments(b: float, p) -> np.ndarray:
     """E[Phi Phi'] for the canonical features under class probabilities p."""
-    pm = Premetric(b)
-    fm = pm.canonical_feature_map().matrix
+    fm = canonical_feature_table(b)
     p = np.asarray(p, dtype=np.float64)
     return (fm * p) @ fm.T

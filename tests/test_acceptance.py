@@ -22,11 +22,11 @@ from gdcscan.nulldist import (
     spectrum_unadjusted,
     weighted_chisq_tail,
 )
-from gdcscan.premetric import GenotypeColumn, Premetric
+from gdcscan.premetric import GenotypeColumn
 from gdcscan.scan import ScanConfig, run_multiallelic, run_scan, record_row
 from gdcscan.simbench import SimScenario, draw_genotypes, hwe_probs
 
-from oracles import dcov_kernel_form, dcov_oracle
+from oracles import canonical_feature_table, dcov_kernel_form, dcov_oracle
 
 RESULTS = []
 
@@ -56,7 +56,7 @@ def _null_pvalues_fixed_x(x, b, reps, seed):
     """Exact p-values for Gaussian responses on a fixed genotype column."""
     n = x.size
     rng = np.random.default_rng(seed)
-    u = Premetric(b).canonical_feature_map().evaluate(x.astype(np.intp))
+    u = canonical_feature_table(b)[:, x.astype(np.intp)].T
     uc = u - u.mean(axis=0)
     spec = spectrum_from_features(u)
     out = np.empty(reps)

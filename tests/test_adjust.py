@@ -19,6 +19,7 @@ from oracles import (
     adjusted_asymptotic_spectrum,
     adjusted_spectrum,
     adjusted_statistic,
+    canonical_feature_table,
     population_feature_moments,
 )
 
@@ -219,9 +220,7 @@ def test_adjusted_asymptotic_independent_covariate_matches_unadjusted():
     p = _hwe(0.3)
     b = 2.4
     e_phi_phi = population_feature_moments(b, p)
-    from gdcscan.premetric import Premetric
-
-    fm = Premetric(b).canonical_feature_map().matrix
+    fm = canonical_feature_table(b)
     e_phi = (fm * p).sum(axis=1)
     # Z = (1, W) with W independent of X, E[W]=0.3, E[W^2]=1.3
     e_phi_z = np.column_stack([e_phi, 0.3 * e_phi])
@@ -247,9 +246,7 @@ def test_adjusted_asymptotic_lln_consistency():
         matrix=np.column_stack([np.ones(n), w]), names=("intercept", "w")
     )
     emp = adjusted_spectrum(b, col, z)
-    from gdcscan.premetric import Premetric
-
-    fm = Premetric(b).canonical_feature_map().matrix
+    fm = canonical_feature_table(b)
     e_phi = (fm * p).sum(axis=1)
     e_phi_z = np.column_stack([e_phi, 0.5 * e_phi])
     e_zz = np.array([[1.0, 0.5], [0.5, 1.25]])

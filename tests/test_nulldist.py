@@ -28,13 +28,12 @@ from gdcscan.nulldist import (
     spectrum_unadjusted,
     weighted_chisq_tail,
 )
-from gdcscan.premetric import Premetric
-
 from appell_oracle import appell_f1
+from oracles import canonical_feature_table
 
 
 def _features(b, x):
-    return Premetric(b).canonical_feature_map().evaluate(np.asarray(x))
+    return canonical_feature_table(b)[:, np.asarray(x)].T
 
 
 def _hwe(maf):

@@ -415,15 +415,10 @@ def test_multiallelic_three_alleles_matches_conditional_mc():
     # no bounds cover more than two eigenvalues: the p-value stands for them
     assert rec.p_lower == rec.p_upper == rec.p_value
     # with m alleles there are at most (m+1 choose 2) - 1 nonzero eigenvalues
-    from gdcscan.premetric import Premetric
-
-    u3 = Premetric(2.0).multiallelic_features(counts)
-    spec3 = spectrum_from_features(u3)
+    u = column_features(2.0, col)
+    spec3 = spectrum_from_features(u)
     assert len(spec3.nonzero) <= 5
     # conditional null Monte Carlo on the fixed genotype configuration
-    from gdcscan.premetric import Premetric
-
-    u = Premetric(2.0).multiallelic_features(counts)
     uc = u - u.mean(axis=0)
     reps = 200_000
     ys = rng.standard_normal((reps, n))

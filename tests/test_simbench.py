@@ -15,10 +15,10 @@ from gdcscan.io import ArraySource
 from gdcscan.nulldist import exact_pvalue, exact_pvalues_batch, spectrum_unadjusted
 from gdcscan.scan import ScanConfig, run_scan
 from gdcscan.simbench import (
+    _F_PVALUES,
     SimScenario,
     _chunk_stats,
     _gdc_stats,
-    _method_pvalues,
     _rejected,
     _rejection_cell,
     competitor_tests,
@@ -29,6 +29,15 @@ from gdcscan.simbench import (
     simulate_power,
     write_table,
 )
+
+
+def _method_pvalues(st, method):
+    """Per-replication p-values of one method: a b value, through the
+    exact law of its statistic, or a classical competitor."""
+    if method in _F_PVALUES:
+        return _F_PVALUES[method](st)
+    stat, lam1, lam2 = _gdc_stats(st, float(method))
+    return exact_pvalues_batch(lam1, lam2, stat, st.n, 1)
 
 
 def test_hwe_probs():
