@@ -9,7 +9,7 @@ evaluates every two-weight tail the module needs through the Euler-type
 integral of that closed form over the angle of (Q1, Q2), carried in log
 space so that tails far below double-precision underflow of the raw
 prefactor remain accurate: the generalized F law, its chi-square limit
-(the screening bound and the asymptotic tail) and the holdout law whose
+(the screening bound and the asymptotic p-value) and the holdout law whose
 second weight is negative.
 
 One batched router, behind :func:`exact_pvalues_batch` and
@@ -23,10 +23,11 @@ arrays, gathers or scatters), nu = inf is classified once per call, and
 Gauss-Legendre orders 64 and 128, which every entry needs, are summed in
 one pass over one node grid.  Also provided: cheap lower/upper p-value
 bounds, used for the scan's two-stage screening and, through their F-tail
-terms (:func:`_f_bounds`), for the simulation's rejection decisions, and a
-characteristic-function inversion for weighted sums of chi-square
-variables (the fallback, and the multiallelic path with more than two
-eigenvalues).
+terms (:func:`_f_bounds`), for the simulation's rejection decisions; one
+F(1, nu) tail, :func:`_f1_tail`, for the classical F route and every
+F(1, .) term of the bounds; and a characteristic-function inversion of the
+holdout form P(sum_r w_r chi2_{h_r} >= 0) (the fallback, and the
+multiallelic path with more than two eigenvalues).
 
 The only SciPy module imported with this one is ``scipy.special`` (the F
 and chi-square tails).  ``scipy.integrate``, which brings
@@ -416,7 +417,7 @@ def genF_sf(alpha1: float, alpha2: float, nu: float, x: float) -> float:
     Evaluates the Appell-F1 closed form of the CDF through its Euler
     integral (:func:`angular_tail`), so extreme tails stay accurate.
     """
-    if not (alpha1 >= alpha2 > 0.0) or nu < 1 or x < 0.0:
+    if not (alpha1 >= alpha2 > 0.0) or not nu >= 1 or not x >= 0.0:
         raise ValueError("need alpha1 >= alpha2 > 0, nu >= 1, x >= 0")
     p = float(angular_tail(alpha1 / 2.0, alpha2 / 2.0, x, nu))
     if math.isnan(p):
@@ -434,31 +435,11 @@ def genF_cdf(alpha1: float, alpha2: float, nu: float, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _oscillatory_tail(f, start: float, half_period: float, eps: float,
-                      max_terms: int = 600) -> tuple:
-    """Sum an alternating, decaying oscillatory tail integral by
-    half-periods with repeated Euler averaging of the partial sums."""
-    terms = []
-    u = start
-    prev_est = None
-    for _ in range(max_terms):
-        val, _ = _quad(f, u, u + half_period, epsabs=eps / 100.0, limit=200)
-        terms.append(val)
-        u += half_period
-        if len(terms) >= 8:
-            row = np.cumsum(terms)
-            for _ in range(min(len(terms) - 1, 24)):
-                row = 0.5 * (row[:-1] + row[1:])
-            est = float(row[-1])
-            if prev_est is not None and abs(est - prev_est) < eps / 8.0:
-                return est, abs(est - prev_est) + eps / 50.0
-            prev_est = est
-    raise NumericsError("oscillatory tail did not converge", partial=prev_est)
-
-
-def weighted_chisq_tail(weights, threshold: float, dfs=None, eps: float = 1e-10):
-    """P(sum_r w_r chi2_{h_r} >= threshold) by numerical inversion of the
-    characteristic function.  Mixed-sign weights allowed.
+def weighted_chisq_tail(weights, dfs=None, eps: float = 1e-10):
+    """P(sum_r w_r chi2_{h_r} >= 0), the tail of the holdout form, by
+    numerical inversion of the characteristic function.  Mixed-sign
+    weights allowed; with one weight, or all weights equal, the tail is 1
+    for a positive weight and 0 for a negative one.
 
     Target absolute accuracy ``eps``; raises :class:`NumericsError` with the
     best-effort value when the quadrature cannot certify it.
@@ -471,26 +452,16 @@ def weighted_chisq_tail(weights, threshold: float, dfs=None, eps: float = 1e-10)
     w, h = w[keep], h[keep]
     if w.size == 0:
         raise ValueError("at least one nonzero weight is required")
-    t = float(threshold)
     if w.size == 1 or np.all(w == w[0]):
-        ww = float(w[0])
-        hh = float(h.sum())
-        if ww > 0.0:
-            p = 1.0 if t <= 0.0 else float(special.chdtrc(hh, t / ww))
-        else:
-            p = 0.0 if t >= 0.0 else float(special.chdtr(hh, t / ww))
-        return p
-
-    def theta(u):
-        return 0.5 * np.sum(h * np.arctan(w * u)) - 0.5 * t * u
+        return 1.0 if w[0] > 0.0 else 0.0
 
     def integrand(u):
         if u == 0.0:
-            return 0.5 * np.sum(h * w) - 0.5 * t
+            return 0.5 * np.sum(h * w)
         log_mag = -math.log(u) - 0.25 * float(np.sum(h * np.log1p((w * u) ** 2)))
         if log_mag < -745.0:
             return 0.0
-        return math.sin(theta(u)) * math.exp(log_mag)
+        return math.sin(0.5 * np.sum(h * np.arctan(w * u))) * math.exp(log_mag)
 
     k_total = float(h.sum())
     log_prod = 0.5 * float(np.sum(h * np.log(np.abs(w))))
@@ -505,16 +476,12 @@ def weighted_chisq_tail(weights, threshold: float, dfs=None, eps: float = 1e-10)
 
     # integrate piecewise; segment widths grow geometrically but are capped
     # so that no segment holds more than ~30 oscillations of the phase
-    scale = 1.0 / max(float(np.max(np.abs(w))), abs(t) / 2.0, 1e-12)
+    scale = 1.0 / max(float(np.max(np.abs(w))), 1e-12)
     sum_hw = float(np.sum(h * np.abs(w)))
     min_w = float(np.min(np.abs(w)))
-    u_saturated = 30.0 / min_w
-    total = 0.0
-    err_acc = 0.0
-    lo = 0.0
-    converged = False
+    total = err_acc = lo = 0.0
     for _ in range(3000):
-        rate = 0.5 * sum_hw / (1.0 + (min_w * lo) ** 2) + 0.5 * abs(t)
+        rate = 0.5 * sum_hw / (1.0 + (min_w * lo) ** 2)
         width = min(3.0 * max(lo, scale), 60.0 * math.pi / max(rate, 1e-12))
         hi = lo + max(width, scale * 1e-3)
         val, seg_err = _quad(
@@ -523,20 +490,9 @@ def weighted_chisq_tail(weights, threshold: float, dfs=None, eps: float = 1e-10)
         total += val
         err_acc += seg_err
         if log_tail_bound(hi) < math.log(eps / 2.0):
-            converged = True
             break
         lo = hi
-        if abs(t) > 0.0 and lo >= u_saturated:
-            # slowly decaying oscillatory remainder: sum half-periods of the
-            # linear phase with Euler averaging
-            tail_val, tail_err = _oscillatory_tail(
-                integrand, lo, 2.0 * math.pi / abs(t), eps
-            )
-            total += tail_val
-            err_acc += tail_err
-            converged = True
-            break
-    if not converged:
+    else:
         raise NumericsError(
             "characteristic-function inversion did not reach its truncation point",
             partial=0.5 + total / math.pi,
@@ -553,16 +509,27 @@ def weighted_chisq_tail(weights, threshold: float, dfs=None, eps: float = 1e-10)
     return p
 
 
+def _tail_tn_inversion(nonzero, k, n, noise_df):
+    """Tail of the holdout form: sum_i (l_i - k/n) Q_i^2 - (k/n) chi2_noise >= 0."""
+    weights = [li - k / n for li in nonzero] + [-k / n]
+    dfs = [1.0] * len(nonzero) + [float(noise_df)]
+    return weighted_chisq_tail(np.array(weights), dfs=np.array(dfs))
+
+
 # ---------------------------------------------------------------------------
 # exact p-values, bounds, asymptotics
 # ---------------------------------------------------------------------------
 
 
-def _tail_tn_inversion(nonzero, k, n, noise_df):
-    """Tail of the holdout form: sum_i (l_i - k/n) Q_i^2 - (k/n) chi2_noise >= 0."""
-    weights = [li - k / n for li in nonzero] + [-k / n]
-    dfs = [1.0] * len(nonzero) + [float(noise_df)]
-    return weighted_chisq_tail(np.array(weights), 0.0, dfs=np.array(dfs))
+def _f1_tail(nu, k, denom):
+    """P(F(1, nu) >= k nu / denom) over the broadcast of the arguments, 0
+    where ``denom <= 0``: the classical F law of a single-eigenvalue
+    spectrum, and the F(1, .) terms of the bounds."""
+    nu, k, denom = np.broadcast_arrays(nu, k, denom)
+    out = np.zeros(denom.shape)
+    ok = denom > 0.0
+    out[ok] = special.fdtrc(1.0, nu[ok], k[ok] * nu[ok] / denom[ok])
+    return out
 
 
 # evaluation routes of a spectrum with at most two nonzero eigenvalues, by
@@ -595,12 +562,8 @@ def _route_two(lam1, lam2, k, n, df_sub) -> tuple:
         p[degenerate & (k <= 0.0)] = 1.0
         single = (~degenerate & (lam2 <= 0.0)).nonzero()[0]
         if single.size:
-            nu1 = n[single] - df_sub[single] - 1.0
-            denom = lam1[single] * n[single] - k[single]
-            ok = denom > 0.0
-            ps = np.zeros(single.size)
-            ps[ok] = special.fdtrc(1.0, nu1[ok], k[single][ok] * nu1[ok] / denom[ok])
-            p[single] = ps
+            nn, kk = n[single], k[single]
+            p[single] = _f1_tail(nn - df_sub[single] - 1.0, kk, lam1[single] * nn - kk)
             code[single] = _CLASSICAL_F
         i = two.nonzero()[0]
         if i.size:
@@ -640,8 +603,8 @@ def exact_pvalue_with_method(spec: NullSpectrum, k: float) -> tuple:
     :func:`exact_pvalues_batch`'s bit for bit; more eigenvalues go to
     inversion of the holdout law.
     """
-    if k < 0.0:
-        raise ValueError("the standardized statistic is nonnegative")
+    if not k >= 0.0:
+        raise ValueError("the standardized statistic must be a nonnegative number")
     nonzero = spec.nonzero
     if len(nonzero) > 2:
         p = _tail_tn_inversion(nonzero, k, spec.n, spec.n - spec.df_sub - len(nonzero))
@@ -678,8 +641,8 @@ def pvalue_bounds(spec: NullSpectrum, k: float) -> tuple:
 
     The upper bound may exceed 1 and is returned unclamped.
     """
-    if k < 0.0:
-        raise ValueError("the standardized statistic is nonnegative")
+    if not k >= 0.0:
+        raise ValueError("the standardized statistic must be a nonnegative number")
     lam = spec.lambdas + (0.0,)
     p_star, p_star2 = pvalue_bounds_batch(lam[0], lam[1], k, spec.n, spec.df_sub)
     return float(p_star), float(p_star2)
@@ -687,12 +650,12 @@ def pvalue_bounds(spec: NullSpectrum, k: float) -> tuple:
 
 def _f_bounds(l1, l2, k, n, df_sub) -> tuple:
     """The F-tail terms of the bounds on spectra with lam1 >= lam2 > k/n:
-    max(t2, t3), the two F lower bounds (NaN only where both are), and
-    p**, unfloored."""
+    max(t2, t3), the F(1, nu) and F(2, nu) lower bounds, and p**, five
+    times a F(1, nu + 1) tail, unfloored; both F(1, .) tails by :func:`_f1_tail`."""
     nu = n - df_sub - 2.0
-    t2 = special.fdtrc(1.0, nu, k * nu / (l1 * n - k))
+    t2 = _f1_tail(nu, k, l1 * n - k)
     t3 = special.fdtrc(2.0, nu, k * nu / np.sqrt((l1 * n - k) * (l2 * n - k)))
-    p_upper = 5.0 * special.fdtrc(1.0, nu + 1, k * (nu + 1) / ((l1 + l2) * n - 2.0 * k))
+    p_upper = 5.0 * _f1_tail(nu + 1, k, (l1 + l2) * n - 2.0 * k)
     return np.fmax(t2, t3), p_upper
 
 
@@ -728,21 +691,30 @@ def pvalue_bounds_batch(lam1, lam2, k, n, df_sub=1) -> tuple:
         i = _select(lower)
         l1, kk, nn, vv = (v[i] for v in (lam1, k, n, nu))
         denom = l1 * nn - kk
-        safe = denom > 0.0
-        ps = np.zeros(denom.shape)
-        ps2 = np.zeros(denom.shape)
-        ps[safe] = special.fdtrc(1.0, vv[safe] + 1, kk[safe] * (vv[safe] + 1) / denom[safe])
-        ps2[safe] = special.fdtrc(1.0, vv[safe], kk[safe] * vv[safe] / denom[safe])
-        p_star[i] = ps
-        p_star2[i] = ps2
+        p_star[i] = _f1_tail(vv + 1, kk, denom)
+        p_star2[i] = _f1_tail(vv, kk, denom)
     return _floor_prob(p_star).reshape(shape), _floor_prob(p_star2).reshape(shape)
 
 
-def asymptotic_tail(lam1: float, lam2: float, t: float) -> float:
-    """P(lam1 Q1^2 + lam2 Q2^2 >= t): the large-sample law of the
-    standardized statistic for population eigenvalues lam1 >= lam2 >= 0."""
+def asymptotic_pvalue(b: float, freqs, sigma2: float, n: int, stat: float) -> float:
+    """Large-sample tail: P(lam1 Q1^2 + lam2 Q2^2 >= stat / sigma2), the
+    law of the standardized statistic for the two population eigenvalues
+    lam1 >= lam2 >= 0 computed from plug-in frequencies: a chi-square tail
+    when lam2 = 0, else :func:`angular_tail` with nu = inf.
+
+    ``stat`` is n times the distance covariance (unstandardized).
+    """
+    if n < min_samples(1, 2):
+        raise ValueError(f"need n >= {min_samples(1, 2)}")
+    if not sigma2 > 0.0:
+        raise ValueError("sigma2 must be positive")
+    if math.isnan(stat):
+        raise ValueError("the statistic must not be NaN")
+    t = stat / sigma2
     if t <= 0.0:
         return 1.0
+    k = spectrum_matrix(b, freqs)
+    lam1, lam2 = (float(v) for v in eig2x2(k[0, 0], k[1, 1], k[0, 1]))
     if lam1 <= 0.0:
         return 0.0
     if lam2 <= 0.0:
@@ -751,20 +723,3 @@ def asymptotic_tail(lam1: float, lam2: float, t: float) -> float:
     if math.isnan(p):
         raise NumericsError("two-weight chi-square quadrature failed")
     return p
-
-
-def asymptotic_pvalue(b: float, freqs, sigma2: float, n: int, stat: float) -> float:
-    """Large-sample tail: P(sigma2 (l1 Q1^2 + l2 Q2^2) >= stat) with the
-    two population eigenvalues computed from plug-in frequencies.
-
-    ``stat`` is n times the distance covariance (unstandardized).
-    """
-    if n < min_samples(1, 2):
-        raise ValueError(f"need n >= {min_samples(1, 2)}")
-    if sigma2 <= 0.0:
-        raise ValueError("sigma2 must be positive")
-    if stat <= 0.0:
-        return 1.0
-    k = spectrum_matrix(b, freqs)
-    l1, l2 = eig2x2(k[0, 0], k[1, 1], k[0, 1])
-    return asymptotic_tail(float(l1), float(l2), stat / sigma2)

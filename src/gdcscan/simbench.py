@@ -74,8 +74,13 @@ class SimScenario:
             raise ValueError("need at least one MAF and one b value")
         for maf in self.maf:
             hwe_probs(maf)  # raises on a MAF outside (0, 0.5]
-        for b in self.b_values:
-            check_b(b)
+        b_values = [check_b(b) for b in self.b_values]
+        for b in b_values:
+            if b_values.count(b) > 1:
+                raise ValueError(f"b = {b:g} is given more than once")
+        for h in self.h_grid:
+            if not np.isfinite(h):
+                raise ValueError(f"h must be finite, got {h!r}")
         if not (0.0 <= self.alpha <= 1.0):
             raise ValueError("alpha must lie in [0, 1]")
         if not (0.0 < self.noise_sd < np.inf) or not np.isfinite(self.beta):

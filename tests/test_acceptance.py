@@ -225,8 +225,7 @@ def test_criterion_06_genF_cross_validation():
         x = rng.uniform(0.0, 20.0)
         direct = genF_sf(a1, a2, nu, x)
         inv = weighted_chisq_tail(
-            np.array([a1 / 2.0, a2 / 2.0, -x / nu]), 0.0,
-            dfs=np.array([1.0, 1.0, float(nu)]),
+            np.array([a1 / 2.0, a2 / 2.0, -x / nu]), dfs=np.array([1.0, 1.0, float(nu)]),
         )
         worst = max(worst, abs(direct - inv))
     grid_ok = worst <= 1e-9

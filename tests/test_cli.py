@@ -204,6 +204,14 @@ _INPUT_ERRORS = {
     "no h in power mode": (lambda t, geno, pheno: [
         "simulate", "--mode", "power", "--n", "40", "--replications", "20", "--b", "3",
         "--h-grid", ""], "at least one h value"),
+    "repeated b": (lambda t, geno, pheno: _SIM[:-2] + ["--b", "2,3,3.0"],
+                   "b = 3 is given more than once"),
+    "NaN h in power mode": (lambda t, geno, pheno: [
+        "simulate", "--mode", "power", "--n", "40", "--replications", "20", "--b", "3",
+        "--h-grid", "0.5,nan"], "h must be finite, got nan"),
+    "infinite h in power mode": (lambda t, geno, pheno: [
+        "simulate", "--mode", "power", "--n", "40", "--replications", "20", "--b", "3",
+        "--h-grid", "inf"], "h must be finite, got inf"),
 }
 
 

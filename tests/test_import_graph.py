@@ -43,7 +43,7 @@ def test_quadrature_imports_on_first_use():
         "import sys\n"
         "from gdcscan.nulldist import weighted_chisq_tail\n"
         "assert 'scipy.integrate' not in sys.modules\n"
-        "print(repr(weighted_chisq_tail([0.5, 0.2, -0.1], 0.0)))\n"
+        "print(repr(weighted_chisq_tail([0.5, 0.2, -0.1])))\n"
         "assert 'scipy.integrate' in sys.modules\n"
     )
     assert float(out) == 0.8735999781365797

@@ -268,8 +268,7 @@ def test_genf_matches_inversion():
         x = rng.uniform(0.01, 15.0)
         direct = genF_sf(a1, a2, nu, x)
         inv = weighted_chisq_tail(
-            np.array([a1 / 2, a2 / 2, -x / nu]), 0.0,
-            dfs=np.array([1.0, 1.0, float(nu)]),
+            np.array([a1 / 2, a2 / 2, -x / nu]), dfs=np.array([1.0, 1.0, float(nu)]),
         )
         assert direct == pytest.approx(inv, abs=1e-9)
 
@@ -364,43 +363,38 @@ def test_adaptive_fallback_keeps_integration_warnings_inside(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_inversion_single_weight():
-    assert weighted_chisq_tail([2.0], 5.0) == pytest.approx(
-        float(stats.chi2.sf(2.5, 1)), abs=1e-12
-    )
-    assert weighted_chisq_tail([1.0, 1.0], 3.0) == pytest.approx(
-        math.exp(-1.5), abs=1e-12
-    )
-    assert weighted_chisq_tail([-2.0], -1.0) == pytest.approx(
-        float(stats.chi2.cdf(0.5, 1)), abs=1e-12
-    )
-    assert weighted_chisq_tail([-2.0], 0.5) == 0.0
+def test_inversion_one_sign_and_equal_weights():
+    """One weight, or all weights equal (zero weights dropped), takes the
+    shortcut: the form is nonnegative for a positive weight and
+    nonpositive for a negative one.  Unequal weights of one sign go
+    through the inversion and land on the same 1 or 0."""
+    assert weighted_chisq_tail([2.0]) == 1.0
+    assert weighted_chisq_tail([-2.0]) == 0.0
+    assert weighted_chisq_tail([1.0, 1.0], dfs=[1.0, 3.0]) == 1.0
+    assert weighted_chisq_tail([-0.5, 0.0, -0.5]) == 0.0
+    assert weighted_chisq_tail([0.6, 0.3, 0.1]) == pytest.approx(1.0, abs=1e-9)
+    assert weighted_chisq_tail([-0.6, -0.3], dfs=[1.0, 40.0]) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_inversion_requires_nonzero_weight():
     with pytest.raises(ValueError):
-        weighted_chisq_tail([0.0, 0.0], 1.0)
+        weighted_chisq_tail([0.0, 0.0])
 
 
 def test_inversion_mixed_weights_frozen_mc():
     # 1e7-draw Monte Carlo gave 0.81101 with standard error 1.2e-4
-    p = weighted_chisq_tail([0.6, 0.3, -0.1, -0.1], 0.0)
+    p = weighted_chisq_tail([0.6, 0.3, -0.1, -0.1])
     assert p == pytest.approx(0.8110129, abs=5e-4)
 
 
 def test_inversion_matches_mc_small():
     rng = np.random.default_rng(31)
-    w = np.array([0.5, -0.2, 0.1])
-    t = 0.4
+    w = np.array([0.5, -0.2, 0.1, -0.15])
     n = 2_000_000
-    draws = (
-        w[0] * rng.standard_normal(n) ** 2
-        + w[1] * rng.standard_normal(n) ** 2
-        + w[2] * rng.standard_normal(n) ** 2
-    )
-    mc = float((draws >= t).mean())
+    draws = sum(wr * rng.standard_normal(n) ** 2 for wr in w)
+    mc = float((draws >= 0.0).mean())
     se = math.sqrt(mc * (1 - mc) / n)
-    assert weighted_chisq_tail(w, t) == pytest.approx(mc, abs=4 * se)
+    assert weighted_chisq_tail(w) == pytest.approx(mc, abs=4 * se)
 
 
 def test_holdout_tail_two_matches_inversion():
@@ -411,9 +405,7 @@ def test_holdout_tail_two_matches_inversion():
         kn = rng.uniform(0.001, 0.2)
         nu = int(rng.integers(10, 500))
         a = angular_tail(w1, w2, kn * nu, nu)
-        i = weighted_chisq_tail(
-            np.array([w1, w2, -kn]), 0.0, dfs=np.array([1.0, 1.0, float(nu)])
-        )
+        i = weighted_chisq_tail(np.array([w1, w2, -kn]), dfs=np.array([1.0, 1.0, float(nu)]))
         assert a == pytest.approx(i, abs=2e-9)
 
 
@@ -576,6 +568,46 @@ def test_bounds_rank_one_branch():
         float(stats.f.sf(5.0 * (nu + 1) / (l1 * 100 - 5.0), 1, nu + 1))
     )
     assert hi == pytest.approx(float(stats.f.sf(5.0 * nu / (l1 * 100 - 5.0), 1, nu)))
+
+
+def test_single_eigenvalue_exact_equals_lower_bound():
+    """With lam2 = 0 the exact law is the classical F(1, n - df_sub - 1)
+    tail, the very tail p* takes: the two agree bit for bit, and both are
+    0 once k >= lam1 n, where the statistic cannot be reached."""
+    for n in (5, 8, 40, 333, 5000):
+        for df_sub in (1, 2, 3):
+            if n < df_sub + 3:
+                continue
+            for l1 in (0.037, 0.5, 1.9):
+                spec = NullSpectrum(lambdas=(l1, 0.0), n=n, df_sub=df_sub)
+                for frac in (0.0, 1e-6, 0.01, 0.2, 0.5, 0.9, 0.999, 1.0, 1.0 + 1e-12, 3.0):
+                    k = l1 * n * frac
+                    p, method = exact_pvalue_with_method(spec, k)
+                    lo = pvalue_bounds(spec, k)[0]
+                    assert np.float64(p).tobytes() == np.float64(lo).tobytes(), (n, df_sub, l1, k)
+                    if frac >= 1.0:
+                        assert p == lo == 0.0
+                    elif method != "underflow":
+                        assert method == "classical_F"
+
+
+def test_nan_statistic_is_refused():
+    """A NaN statistic, argument or variance gets no p-value: every entry's
+    range check fails on NaN instead of letting it through as the most
+    significant value."""
+    spec = spectrum_unadjusted(2.0, _hwe(0.3), 200)
+    for entry in (exact_pvalue, exact_pvalue_with_method, pvalue_bounds):
+        with pytest.raises(ValueError, match="nonnegative"):
+            entry(spec, math.nan)
+    for entry in (genF_sf, genF_cdf):
+        with pytest.raises(ValueError):
+            entry(0.7, 0.2, 10, math.nan)
+        with pytest.raises(ValueError):
+            entry(0.7, 0.2, math.nan, 1.0)
+    with pytest.raises(ValueError, match="NaN"):
+        asymptotic_pvalue(2.0, _hwe(0.3), 1.0, 1000, math.nan)
+    with pytest.raises(ValueError, match="sigma2"):
+        asymptotic_pvalue(2.0, _hwe(0.3), math.nan, 1000, 5.0)
 
 
 def test_bounds_batch_matches_scalar():

@@ -1,13 +1,16 @@
-"""The declared dependencies cover what the tests import.
+"""The declared dependencies cover what the tests import, and CI installs
+them from the declaration.
 
 The README installs the test requirements with ``pip install -e .[test]``,
 so every third-party module a file in ``tests/`` imports must be named in
-``pyproject.toml``, under ``dependencies`` or the ``test`` extra.
+``pyproject.toml``, under ``dependencies`` or the ``test`` extra, and the
+CI workflow installs the same way instead of keeping its own list.
 """
 
 import ast
 import pathlib
 import re
+import shlex
 import sys
 
 import pytest
@@ -46,14 +49,32 @@ def _top_level_imports(path: pathlib.Path) -> set:
     return out
 
 
-def test_every_third_party_test_import_is_declared():
+def _declared() -> set:
+    """Import names of the runtime dependencies and the ``test`` extra."""
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
-    declared = _requirement_names(
-        project["dependencies"] + project["optional-dependencies"]["test"])
-    known = declared | set(sys.stdlib_module_names) | _local_modules()
+    return _requirement_names(project["dependencies"] + project["optional-dependencies"]["test"])
+
+
+def test_every_third_party_test_import_is_declared():
+    known = _declared() | set(sys.stdlib_module_names) | _local_modules()
     imports = {path.name: _top_level_imports(path)
                for path in sorted((ROOT / "tests").glob("*.py"))}
     undeclared = {name: sorted(mods - known) for name, mods in imports.items()}
     assert {name: mods for name, mods in undeclared.items() if mods} == {}
     # the walk finds the third-party imports it guards
     assert {"numpy", "scipy", "mpmath", "hypothesis"} <= set().union(*imports.values())
+
+
+def test_ci_installs_what_pyproject_declares():
+    """Each ``pip install`` of the CI workflow installs the package with its
+    ``test`` extra and names no declared dependency by hand, so a package
+    missing from ``pyproject.toml`` fails CI as it fails the README's
+    install.  A build tool the declaration leaves out, such as
+    ``setuptools`` for the in-place build, may still be named."""
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    installs = [shlex.split(args) for args in re.findall(r"pip install ([^\n&;|]+)", workflow)]
+    assert installs
+    for args in installs:
+        by_hand = _requirement_names(a for a in args if not a.startswith(("-", ".")))
+        assert not by_hand & _declared(), args
+        assert ".[test]" in args, args

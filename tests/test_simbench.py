@@ -382,6 +382,14 @@ def test_scenario_validation():
     for empty in ({"maf": ()}, {"b_values": ()}):
         with pytest.raises(ValueError, match="at least one MAF and one b value"):
             SimScenario(**empty)
+    # a repeated b would add its rejections twice into one table entry
+    for b_values in ((3.0, 3.0), (2.0, 3, 3.0), (0.0, -0.0)):
+        with pytest.raises(ValueError, match=r"b = [03] is given more than once"):
+            SimScenario(b_values=b_values)
+    # a non-finite h would draw NaN or infinite phenotypes
+    for h in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="h must be finite"):
+            SimScenario(h_grid=(0.0, h))
     # zero noise would give every replication a zero residual sum of
     # squares and a table of 0/0 statistics
     for bad in ({"noise_sd": 0.0}, {"noise_sd": -1.0}, {"noise_sd": np.inf},
