@@ -40,16 +40,14 @@ def decode_packed(raw: np.ndarray, n: int) -> np.ndarray:
 
     ``raw`` is (n_snps, ceil(n/4)) uint8; bit pairs are little-endian
     within each byte.  Code map: 00 -> 0, 01 -> missing (-1), 10 -> 1,
-    11 -> 2.  When n is a multiple of 4 the gather fills the result;
-    otherwise row chunks are gathered into one chunk of scratch and
-    copied, without their pad calls, into the (n_snps, n) result.
+    11 -> 2.  Row chunks are gathered into one chunk of scratch and
+    copied, without their pad calls, into the (n_snps, n) result: a
+    whole-block gather copies every uint8 index to intp, and takes longer.
     """
     raw = np.ascontiguousarray(raw, dtype=np.uint8)
     count, width = raw.shape
     if n < 0 or width * 4 < n:
         raise ValueError("packed rows too short for the declared sample count")
-    if width * 4 == n:
-        return _DECODE_LUT[raw].view(np.int8)
     out = np.empty((count, n), dtype=np.int8)
     rows = max(1, min(count, _CHUNK_CALLS // max(width * 4, 1)))
     scratch = np.empty((rows, width), dtype=np.uint32)

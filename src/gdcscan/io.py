@@ -122,8 +122,8 @@ def write_lines(path: str, lines: Iterable[str]) -> None:
     tmp = path + ".partial"
     try:
         with open(tmp, "w") as fh:
-            for line in lines:
-                fh.write(line + "\n")
+            # writelines drops each line before it asks for the next
+            fh.writelines(map("{}\n".format, lines))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -617,17 +617,25 @@ def exact_pvalue_with_method(spec: NullSpectrum, k: float) -> tuple:
 
 def _flat(*arrays) -> tuple:
     """The arrays broadcast against each other, as float64 and raveled,
-    and the broadcast shape."""
+    the broadcast shape, and whether any of them is NaN at each entry."""
     args = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in arrays))
-    return [v.ravel() for v in args], args[0].shape
+    flat = [v.ravel() for v in args]
+    nan = np.isnan(flat[0])
+    for v in flat[1:]:
+        nan |= np.isnan(v)
+    return flat, args[0].shape, nan
 
 
 def exact_pvalues_batch(lam1, lam2, k, n, df_sub=1) -> np.ndarray:
     """Vectorized exact p-values over arrays of two-eigenvalue spectra
     (the routes of :func:`exact_pvalue_with_method`), shaped like their
-    broadcast."""
-    args, shape = _flat(lam1, lam2, k, n, df_sub)
-    return _route_two(*args)[0].reshape(shape)
+    broadcast; NaN where any argument is NaN."""
+    args, shape, nan = _flat(lam1, lam2, k, n, df_sub)
+    if not nan.any():
+        return _route_two(*args)[0].reshape(shape)
+    p = np.full(nan.shape, math.nan)
+    p[~nan] = _route_two(*(v[~nan] for v in args))[0]
+    return p.reshape(shape)
 
 
 def _floor_prob(x):
@@ -664,20 +672,22 @@ def pvalue_bounds_batch(lam1, lam2, k, n, df_sub=1) -> tuple:
     like their broadcast.
 
     p* is the largest of three lower bounds; one whose quadrature fails
-    is left out.
+    is left out.  Both bounds are NaN where any argument is NaN.
     """
-    (lam1, lam2, k, n, df_sub), shape = _flat(lam1, lam2, k, n, df_sub)
+    (lam1, lam2, k, n, df_sub), shape, nan = _flat(lam1, lam2, k, n, df_sub)
     nu = n - df_sub - 2.0
-    p_star = np.zeros(lam1.shape)
-    p_star2 = np.zeros(lam1.shape)
+    ok = ~nan
+    p_star = np.where(ok, 0.0, math.nan)
+    p_star2 = p_star.copy()
 
-    degenerate = lam1 <= 0.0
+    degenerate = ok & (lam1 <= 0.0)
     if degenerate.any():
         p_deg = np.where(k <= 0.0, 1.0, 0.0)
         p_star[degenerate] = p_deg[degenerate]
         p_star2[degenerate] = p_deg[degenerate]
 
-    upper = (~degenerate) & (lam2 - k / n > 0.0)
+    live = ok & (lam1 > 0.0)
+    upper = live & (lam2 - k / n > 0.0)
     if upper.any():
         i = _select(upper)
         l1, l2, kk, nn, dd, vv = (v[i] for v in (lam1, lam2, k, n, df_sub, nu))
@@ -686,7 +696,7 @@ def pvalue_bounds_batch(lam1, lam2, k, n, df_sub=1) -> tuple:
         t23, p_star2[i] = _f_bounds(l1, l2, kk, nn, dd)
         p_star[i] = np.fmax(t1, t23)
 
-    lower = (~degenerate) & ~upper
+    lower = live & ~upper
     if lower.any():
         i = _select(lower)
         l1, kk, nn, vv = (v[i] for v in (lam1, k, n, nu))

@@ -9,7 +9,8 @@ screen threshold, upper bound above the floor).
 
 Genotypes arrive as blocks: :func:`run_scan` reads a block source of
 ``gdcscan.io``, and :func:`run_multiallelic` makes a one-row dosage block
-of a two-allele column.
+of a two-allele column.  Each block gives one :class:`BlockResult`, of
+per-row columns, which reaches the results file with no per-SNP object.
 
 SNPs take a vectorized block path.  A hard-call block makes one kernel
 sweep, of class counts and the per-class sums of the residuals and the
@@ -20,10 +21,10 @@ the statistic's cross sums and the 2x2 spectral matrix.  A row with
 missing entries takes the projection's terms over its present samples as
 the scan's totals less their sums over its few missing samples, read
 from the block, so every block makes one kernel sweep.  One screening
-tail, :func:`_records`, turns every row's statistic and eigenvalues into
-records: it makes the screening decision for all its rows at once, as
-masks over the bounds; only in-window rows are evaluated, one SNP at a
-time.  A per-SNP path, which redoes the covariate projection on the
+tail, :func:`_records`, writes every row's statistic and eigenvalues
+into the block's columns: it makes the screening decision for all its
+rows at once, as masks over the bounds; only in-window rows are
+evaluated, one SNP at a time.  A per-SNP path, which redoes the covariate projection on the
 complete-case subsample and then goes through the same tail as a one-row
 block, is left for columns of more than two alleles and the rows the
 projection refuses (too few samples, a near-singular complete-case
@@ -31,7 +32,8 @@ design, a phenotype in its span); it gives those rows their error codes.
 The kernel module is the scan context's ``kernels`` field, passed to
 :func:`run_scan` or read from ``backend.kernels`` when the scan starts;
 it also decodes packed sources.
-Each row of the results file is one ``%.17g`` template.  Output order
+:func:`record_row` formats a block into one string, each
+screened-out-high row through one ``%.17g`` template.  Output order
 always equals input order, and every per-SNP sum is reduced row by row,
 so the output bytes do not depend on the worker count, the block size or
 the kernel module.
@@ -57,6 +59,7 @@ from .nulldist import (
     METHOD_DEGENERATE,
     NullSpectrum,
     NumericsError,
+    _ROUTES,
     _projected_spectrum,
     eig2x2,
     exact_pvalue_with_method,
@@ -83,8 +86,13 @@ _RESPONSE_MARGIN = 1e3
 
 METHOD_SCREEN_HIGH = "screened_out_high"
 METHOD_SCREEN_LOW = "screened_out_low"
-# methods of the rows the block tail settles without evaluation
-_SCREENED = (METHOD_DEGENERATE, METHOD_SCREEN_HIGH, METHOD_SCREEN_LOW)
+# every method a row can have, by its int8 code in a block result: the
+# three the screening tail settles without evaluation (degenerate first),
+# the other exact routes, then the error codes
+METHODS = (METHOD_DEGENERATE, METHOD_SCREEN_HIGH, METHOD_SCREEN_LOW, *_ROUTES[1:], *(
+    f"error:{code}" for code in ("too_few_samples", "collinear_covariates",
+                                 "degenerate_response", "invalid_column", "numerics")))
+_CODE = {method: np.int8(c) for c, method in enumerate(METHODS)}
 
 OUTPUT_COLUMNS = (
     "snp_id",
@@ -148,6 +156,45 @@ class ScanRecord:
             return math.inf
         # 0.0 - log10(1) is +0.0, where -log10(1) would print as -0
         return 0.0 - math.log10(self.p_value)
+
+
+@dataclass(eq=False)
+class BlockResult:
+    """The results of one block as columns, one row per variant in input
+    order: float64 ``maf``, ``stat``, ``lambda1``, ``lambda2``,
+    ``p_lower``, ``p_upper`` (unclamped) and ``p_value`` (NaN where a row
+    has none), int64 ``n_used``, and ``method``, each row's int8 code into
+    :data:`METHODS`.  ``b`` is the scan's, the same for every row."""
+
+    variants: list
+    b: float
+    n_used: np.ndarray
+    maf: np.ndarray
+    stat: np.ndarray
+    lambda1: np.ndarray
+    lambda2: np.ndarray
+    p_lower: np.ndarray
+    p_upper: np.ndarray
+    p_value: np.ndarray
+    method: np.ndarray
+
+    @classmethod
+    def blank(cls, b: float, variants: list) -> BlockResult:
+        """Rows to be filled: NaN floats, as an error row keeps them."""
+        m = len(variants)
+        return cls(variants, b, np.zeros(m, dtype=np.int64),
+                   *(np.full(m, math.nan) for _ in range(7)), np.zeros(m, dtype=np.int8))
+
+    def records(self) -> list:
+        """The rows as :class:`ScanRecord` objects; a NaN p-value is None."""
+        floats = (self.maf, self.stat, self.lambda1, self.lambda2, self.p_lower, self.p_upper)
+        return [
+            ScanRecord(v.snp_id, v.chrom, v.pos, maf, nu, self.b, stat, l1, l2, lo, hi,
+                       None if math.isnan(p) else p, METHODS[c])
+            for v, nu, maf, stat, l1, l2, lo, hi, p, c in zip(
+                self.variants, self.n_used.tolist(), *(f.tolist() for f in floats),
+                self.p_value.tolist(), self.method.tolist())
+        ]
 
 
 @dataclass
@@ -231,34 +278,29 @@ def prepare_context(phenotype, covariates: CovariateMatrix | None = None,
 # ---------------------------------------------------------------------------
 
 
-def _evaluated_record(cfg: ScanConfig, variant: VariantInfo, maf: float, stat: float,
-                      spec: NullSpectrum, p_lo: float, p_hi: float) -> ScanRecord:
-    """Record of an in-window SNP, with its exact p-value; an
-    ``error:numerics`` row keeps its other fields.  A spectrum of more than
-    two nonzero eigenvalues has no bounds: its p-value stands for them."""
+def _evaluated_record(out: BlockResult, i: int, spec: NullSpectrum, stat: float) -> None:
+    """Writes the exact p-value and method of the in-window row ``i`` of
+    ``out``; an ``error:numerics`` row keeps its other fields.  A spectrum
+    of more than two nonzero eigenvalues has no bounds: its p-value stands
+    for them."""
     try:
         p_value, method = exact_pvalue_with_method(spec, stat)
     except NumericsError as exc:
-        log.warning("%s: error:numerics: %s", variant.snp_id, exc)
-        p_value, method = None, "error:numerics"
+        log.warning("%s: error:numerics: %s", out.variants[i].snp_id, exc)
+        p_value, method = math.nan, "error:numerics"
+    out.p_value[i], out.method[i] = p_value, _CODE[method]
     if len(spec.nonzero) > 2:
-        p_lo = p_hi = math.nan if p_value is None else p_value
-    lam = spec.lambdas
-    return ScanRecord(variant.snp_id, variant.chrom, variant.pos, maf, spec.n, cfg.b, stat,
-                      lam[0], lam[1], p_lo, p_hi, p_value, method)
+        out.p_lower[i] = out.p_upper[i] = p_value
 
 
-def _error_record(cfg, variant, n_used, code, exc=None) -> ScanRecord:
-    """A record with the fixed error code ``error:{code}``; the message of
-    ``exc``, when given, goes to the ``gdcscan`` log."""
+def _error_record(out: BlockResult, i: int, n_used: int, code: str, exc=None) -> BlockResult:
+    """Writes the fixed error code ``error:{code}`` into row ``i`` of
+    ``out``, whose other fields stay NaN; the message of ``exc``, when
+    given, goes to the ``gdcscan`` log."""
     if exc is not None:
-        log.warning("%s: error:%s: %s", variant.snp_id, code, exc)
-    return ScanRecord(
-        snp_id=variant.snp_id, chrom=variant.chrom, pos=variant.pos,
-        maf=math.nan, n_used=n_used, b=cfg.b, stat=math.nan,
-        lambda1=math.nan, lambda2=math.nan, p_lower=math.nan, p_upper=math.nan,
-        p_value=None, method=f"error:{code}",
-    )
+        log.warning("%s: error:%s: %s", out.variants[i].snp_id, code, exc)
+    out.n_used[i], out.method[i] = n_used, _CODE[f"error:{code}"]
+    return out
 
 
 def _maf(dose: np.ndarray, n_used) -> np.ndarray:
@@ -391,12 +433,13 @@ def _missing_sums(ctx: ScanContext, x: np.ndarray, rows: np.ndarray) -> np.ndarr
     return sums
 
 
-def _records(cfg: ScanConfig, df_sub: int, variants, n_used, maf, stat, lams,
-             mono) -> list:
-    """Records of rows that share a covariate degree count, from each
-    row's statistic, its eigenvalues ``lams`` (rows, slots >= 2),
-    descending, and ``mono``, whether it has one value on all its present
-    samples.  ``n_used`` is one sample count for all rows or one per row.
+def _records(cfg: ScanConfig, df_sub: int, out: BlockResult, rows: np.ndarray, n_used, maf,
+             stat, lams, mono) -> None:
+    """Writes the rows ``rows`` of ``out``, which share a covariate degree
+    count, from each row's statistic, its eigenvalues ``lams`` (rows,
+    slots >= 2), descending, and ``mono``, whether it has one value on all
+    its present samples.  ``n_used`` is one sample count for all rows or
+    one per row.
 
     A monomorphic row has a statistic of zero and a spectrum of round-off,
     so its lambda1 is set to 0.  The screening decision is made once for
@@ -406,53 +449,54 @@ def _records(cfg: ScanConfig, df_sub: int, variants, n_used, maf, stat, lams,
     then low (``p_upper`` at or below the floor, which becomes the
     p-value).  A NaN compares false, so a NaN bound decides nothing and
     its row is evaluated, as is a row of more than two nonzero
-    eigenvalues, which the bounds do not cover.  Only in-window rows are
-    evaluated, one SNP at a time; the others are built straight from the
-    columns.
+    eigenvalues, which the bounds do not cover.  The columns are written
+    with array operations; only in-window rows are evaluated, one SNP at a
+    time.
     """
     lam1, lam2 = np.where(mono, 0.0, lams[:, 0]), lams[:, 1]
     p_lo, p_hi = pvalue_bounds_batch(lam1, lam2, stat, n_used, df_sub)
     degen = lam1 <= 0.0
     live = ~degen
-    # each row's index into _SCREENED, or 3 for an in-window row; nested
-    # np.where, not np.select, which costs 20 us on the per-SNP path's
-    # one-row calls
+    # each row's method code (degenerate, high or low), or -1 for an
+    # in-window row; nested np.where, not np.select, which costs 20 us on
+    # the per-SNP path's one-row calls
     if cfg.no_screen:
-        code = np.where(degen, 0, 3)
+        code = np.where(degen, 0, -1)
     else:
-        low = np.where(p_hi <= cfg.screen_floor, 2, 3)
+        low = np.where(p_hi <= cfg.screen_floor, 2, -1)
         code = np.where(degen, 0, np.where(p_lo >= cfg.screen_threshold, 1, low))
     if lams.shape[1] > 2:
-        code = np.where(live & (lams[:, 2] > 0.0), 3, code)
-    b = cfg.b
-    columns = zip(
-        variants, code.tolist(), np.broadcast_to(n_used, code.shape).tolist(), maf.tolist(),
-        np.where(live, stat, 0.0).tolist(), np.where(live, lam1, 0.0).tolist(),
-        np.where(live, lam2, 0.0).tolist(), np.where(live, p_lo, 1.0).tolist(),
-        np.where(live, p_hi, 1.0).tolist(),
-    )
-    # positional fields: keywords cost twice the time of this loop
-    return [
-        _evaluated_record(cfg, var, m, s, NullSpectrum(lams[j].tolist(), nu, df_sub), lo, hi)
-        if c == 3 else
-        ScanRecord(var.snp_id, var.chrom, var.pos, m, nu, b, s, l1, l2,
-                   lo, hi, None if c == 1 else hi, _SCREENED[c])
-        for j, (var, c, nu, m, s, l1, l2, lo, hi) in enumerate(columns)
-    ]
+        code = np.where(live & (lams[:, 2] > 0.0), -1, code)
+    p_hi = np.where(live, p_hi, 1.0)
+    out.n_used[rows] = n_used
+    out.maf[rows] = maf
+    out.stat[rows] = np.where(live, stat, 0.0)
+    out.lambda1[rows] = np.where(live, lam1, 0.0)
+    out.lambda2[rows] = np.where(live, lam2, 0.0)
+    out.p_lower[rows] = np.where(live, p_lo, 1.0)
+    out.p_upper[rows] = p_hi
+    out.p_value[rows] = np.where(code == 1, math.nan, p_hi)
+    out.method[rows] = code
+    nus = np.broadcast_to(n_used, code.shape)
+    for j in np.flatnonzero(code < 0).tolist():
+        spec = NullSpectrum(lams[j].tolist(), int(nus[j]), df_sub)
+        _evaluated_record(out, int(rows[j]), spec, float(stat[j]))
 
 
-def _test_single_column(cfg: ScanConfig, ctx: ScanContext,
-                        column: GenotypeColumn) -> ScanRecord:
+def _test_single_column(cfg: ScanConfig, ctx: ScanContext, column: GenotypeColumn,
+                        out: BlockResult | None = None, i: int = 0) -> BlockResult:
     """Per-SNP path: the multiallelic entry point and the block rows that
     :func:`_projected_terms` refuses.  Redoes the covariate projection on
     the complete-case subsample, so the conditional null law stays exact,
     and gives each row's error code; the other rows go through
-    :func:`_records` as one-row blocks."""
-    variant = VariantInfo(column.snp_id, column.chrom, column.pos)
+    :func:`_records` as one-row blocks.  Writes row ``i`` of ``out`` and
+    returns ``out``, by default a new one-row result."""
+    if out is None:
+        out = BlockResult.blank(cfg.b, [VariantInfo(column.snp_id, column.chrom, column.pos)])
     mask = column.present_mask()
     n_used = int(mask.sum())
     if n_used < min_samples(ctx.df_sub, column.n_features):
-        return _error_record(cfg, variant, n_used, "too_few_samples")
+        return _error_record(out, i, n_used, "too_few_samples")
     values, y = column.values[mask], ctx.y[mask]
     sub = replace(column, values=values)
     try:
@@ -465,25 +509,26 @@ def _test_single_column(cfg: ScanConfig, ctx: ScanContext,
                     matrix=ctx.covariates.matrix[mask], names=ctx.covariates.names
                 )
             except ValueError as exc:
-                return _error_record(cfg, variant, n_used, "collinear_covariates", exc)
+                return _error_record(out, i, n_used, "collinear_covariates", exc)
             resid = residualize(y, zsub).residuals
             basis = zsub.orthonormal_basis()
         rss = float(resid @ resid)
         if degenerate_response(y, rss):
-            return _error_record(cfg, variant, n_used, "degenerate_response")
+            return _error_record(out, i, n_used, "degenerate_response")
         u = column_features(cfg.b, sub)
         spec = _projected_spectrum(u, basis)
         v = u.T @ resid
         stat = float(v @ v) / rss
     except ValueError as exc:
-        return _error_record(cfg, variant, n_used, "invalid_column", exc)
+        return _error_record(out, i, n_used, "invalid_column", exc)
     mono = np.all(values == values[0])
     row = (np.array([v]) for v in (sub.maf(), stat, spec.lambdas, mono))
-    return _records(cfg, ctx.df_sub, [variant], n_used, *row)[0]
+    _records(cfg, ctx.df_sub, out, np.array([i]), n_used, *row)
+    return out
 
 
-def process_block(cfg: ScanConfig, ctx: ScanContext, block: Block) -> list:
-    """Records for one block, input order preserved.
+def process_block(cfg: ScanConfig, ctx: ScanContext, block: Block) -> BlockResult:
+    """The results of one block, input order preserved.
 
     Hard calls, and dosage rows whose present entries are all 0/1/2 (as
     int8 calls), take one kernel sweep of class counts and the class sums
@@ -506,19 +551,16 @@ def process_block(cfg: ScanConfig, ctx: ScanContext, block: Block) -> list:
         g = np.where(present[hard], x[hard], -1.0).astype(np.int8)
     else:
         raise ValueError(f"blocks must be hard or dosage, got {block.kind!r}")
-    records: list = [None] * len(block.variants)
+    result = BlockResult.blank(cfg.b, block.variants)
     refused = []
 
     def emit(rows, n_used, rss, maf, mono, v1, v2, *k):
         stat = (v1 * v1 + v2 * v2) / rss
         lams = np.stack(eig2x2(*k), axis=1)
-        recs = _records(cfg, ctx.df_sub, [block.variants[i] for i in rows], n_used, maf,
-                        stat, lams, mono)
-        for i, rec in zip(rows, recs):
-            records[i] = rec
+        _records(cfg, ctx.df_sub, result, rows, n_used, maf, stat, lams, mono)
 
     def settle(sel, rows, values, kind, sums, complete=True):
-        """Records of the rows ``rows[sel]`` that the projection settles;
+        """Results of the rows ``rows[sel]`` that the projection settles;
         ``sums`` is (n_used, allele sum, monomorphic, utu, ur, uq) per row.
         The other rows are queued for the per-SNP path."""
         idx = np.nonzero(sel)[0]
@@ -560,8 +602,8 @@ def process_block(cfg: ScanConfig, ctx: ScanContext, block: Block) -> list:
     for i, v, kind in refused:
         var = block.variants[i]
         col = GenotypeColumn(snp_id=var.snp_id, chrom=var.chrom, pos=var.pos, values=v, kind=kind)
-        records[i] = _test_single_column(cfg, ctx, col)
-    return records
+        _test_single_column(cfg, ctx, col, result, i)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -588,8 +630,11 @@ def _bounded_map(fn, items: Iterator, workers: int) -> Iterator:
 
 def run_scan(config: ScanConfig, genotypes, phenotype,
              covariates: CovariateMatrix | None = None,
-             kernels=None) -> Iterator[ScanRecord]:
-    """The stream of scan records for every SNP, in input order.
+             kernels=None) -> Iterator[BlockResult]:
+    """The stream of block results, one per block of the source, in input
+    order; ``BlockResult.records()`` gives a block's rows as
+    :class:`ScanRecord` objects, and :func:`write_results` writes the
+    stream.
 
     ``genotypes`` is a block source of ``gdcscan.io`` (``PackedSource``,
     ``DosageSource``, ``ArraySource`` or a ``SubsetSource`` of one): it
@@ -599,8 +644,7 @@ def run_scan(config: ScanConfig, genotypes, phenotype,
     the covariates and the sample count are checked by this call, before
     any block is read, so an input the scan refuses raises here; the
     returned iterator reads the blocks.  With one thread the scan holds
-    one block and its records at a time: both are released before the
-    next block is read.
+    one block at a time, released before the next block is read.
     """
     ctx = prepare_context(phenotype, covariates, kernels)
     if genotypes.n_samples != ctx.n:
@@ -610,11 +654,10 @@ def run_scan(config: ScanConfig, genotypes, phenotype,
         )
     blocks = genotypes.iter_blocks(config.block_size, kernels=ctx.kernels)
 
-    def work(block: Block) -> list:
+    def work(block: Block) -> BlockResult:
         return process_block(config, ctx, block)
 
-    # chain drops a block's record list before it asks for the next one
-    return itertools.chain.from_iterable(_bounded_map(work, blocks, config.threads))
+    return _bounded_map(work, blocks, config.threads)
 
 
 def run_multiallelic(config: ScanConfig, genotype: GenotypeColumn, phenotype,
@@ -631,7 +674,7 @@ def run_multiallelic(config: ScanConfig, genotype: GenotypeColumn, phenotype,
         raise ValueError("need at least two alleles")
     ctx = prepare_context(phenotype, covariates)
     if genotype.m > 2:
-        return _test_single_column(config, ctx, genotype)
+        return _test_single_column(config, ctx, genotype).records()[0]
     col = GenotypeColumn(
         snp_id=genotype.snp_id, chrom=genotype.chrom, pos=genotype.pos,
         values=genotype.values[:, 1], kind="dosage",
@@ -640,7 +683,7 @@ def run_multiallelic(config: ScanConfig, genotype: GenotypeColumn, phenotype,
         variants=[VariantInfo(col.snp_id, col.chrom, col.pos)],
         values=col.values[None, :], kind="dosage",
     )
-    return process_block(config, ctx, block)[0]
+    return process_block(config, ctx, block).records()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +705,7 @@ def _fmt(v) -> str:
 _ROW = "%s\t%s\t%s\t%.17g\t%s" + "\t%.17g" * 6 + "\t%s\t%s\t%s"
 
 
-def record_row(rec: ScanRecord) -> str:
+def _line(rec: ScanRecord) -> str:
     """One TSV line: floats as ``%.17g``, NaN and missing values as NA,
     ``p_upper`` clamped to 1."""
     head = (
@@ -680,9 +723,29 @@ def record_row(rec: ScanRecord) -> str:
     return row
 
 
-def write_results(records: Iterable[ScanRecord], path: str) -> None:
-    """Write the output TSV atomically; a failed write leaves no partial
-    file behind."""
-    write_lines(path, itertools.chain(
-        ["\t".join(OUTPUT_COLUMNS)], (record_row(rec) for rec in records)
-    ))
+def record_row(result: BlockResult) -> str:
+    """The TSV lines of a block, newline-separated, as :func:`_line`
+    prints each row.  A screened-out-high row with no NaN field takes one
+    template, with the block's ``b``, its missing p-value and its method
+    built in; the other rows go through :func:`_line` as records."""
+    v, b = result.variants, result.b
+    floats = [result.maf, result.stat, result.lambda1, result.lambda2, result.p_lower,
+              np.minimum(result.p_upper, 1.0)]
+    plain = (result.method == _CODE[METHOD_SCREEN_HIGH]) & ~np.isnan(floats).any(axis=0)
+    template = ("%s\t%s\t%s\t%.17g\t%s\t" + "%.17g" % b + "\t%.17g" * 5
+                + "\tNA\t" + METHOD_SCREEN_HIGH + "\tNA")
+    fields = zip([x.snp_id for x in v], [x.chrom for x in v], [x.pos for x in v],
+                 floats[0].tolist(), result.n_used.tolist(), *(f.tolist() for f in floats[1:]))
+    return "\n".join([
+        template % f if ok else
+        _line(ScanRecord(*f[:5], b, *f[5:], None if math.isnan(p) else p, METHODS[c]))
+        for f, ok, p, c in zip(fields, plain.tolist(), result.p_value.tolist(),
+                               result.method.tolist())
+    ])
+
+
+def write_results(results: Iterable[BlockResult], path: str) -> None:
+    """Write the output TSV atomically, one :func:`record_row` string per
+    block; a failed write leaves no partial file behind."""
+    # map, unlike a generator, holds no block once its string is made
+    write_lines(path, itertools.chain(["\t".join(OUTPUT_COLUMNS)], map(record_row, results)))

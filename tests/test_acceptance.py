@@ -23,10 +23,11 @@ from gdcscan.nulldist import (
     weighted_chisq_tail,
 )
 from gdcscan.premetric import GenotypeColumn
-from gdcscan.scan import ScanConfig, run_multiallelic, run_scan, record_row
+from gdcscan.scan import ScanConfig, record_row, run_multiallelic, run_scan
 from gdcscan.simbench import SimScenario, draw_genotypes, hwe_probs
 
 from oracles import canonical_feature_table, dcov_kernel_form, dcov_oracle
+from tsv_oracle import block_result, scan_records
 
 RESULTS = []
 
@@ -303,6 +304,7 @@ def test_criterion_08_screening_equivalence():
     naive = list(run_scan(ScanConfig(b=3.0, no_screen=True), src, y))
     t_naive = time.perf_counter() - t0
 
+    fast, naive = scan_records(fast), scan_records(naive)
     m_thresh = ScanConfig().screen_threshold
     mismatches = 0
     below = 0
@@ -332,7 +334,7 @@ def test_criterion_09_throughput():
     y = rng.standard_normal(n)
     src = ArraySource(g, kind="hard")
     t0 = time.perf_counter()
-    count = sum(1 for _ in run_scan(ScanConfig(b=3.0, threads=4), src, y))
+    count = sum(len(result.variants) for result in run_scan(ScanConfig(b=3.0, threads=4), src, y))
     elapsed = time.perf_counter() - t0
     note = "" if elapsed < 120.0 else " (over soft target; investigate)"
     _report(
@@ -409,8 +411,8 @@ def test_criterion_11_dosage_multiallelic_reductions():
     g = draw_genotypes(rng, n, 0.25, n_snps)
     y = rng.standard_normal(n)
     cfg = ScanConfig(b=2.5)
-    hard = list(run_scan(cfg, ArraySource(g, kind="hard"), y))
-    dosage = list(run_scan(cfg, ArraySource(g.astype(np.float64), kind="dosage"), y))
+    hard = scan_records(run_scan(cfg, ArraySource(g, kind="hard"), y))
+    dosage = scan_records(run_scan(cfg, ArraySource(g.astype(np.float64), kind="dosage"), y))
     bitwise = all(
         a.stat == b.stat and a.lambda1 == b.lambda1 and a.lambda2 == b.lambda2
         and a.p_value == b.p_value and a.p_lower == b.p_lower
@@ -423,7 +425,8 @@ def test_criterion_11_dosage_multiallelic_reductions():
     col = GenotypeColumn("snp0", ".", 0, counts, m=2, kind="allele_counts")
     rec_multi = run_multiallelic(cfg, col, y)
     rec_bi = hard[0]
-    byte_identical = record_row(rec_multi) == record_row(rec_bi)
+    byte_identical = (record_row(block_result([rec_multi], cfg.b))
+                      == record_row(block_result([rec_bi], cfg.b)))
 
     # the dosage Gram spectrum at integer values equals the closed-form
     # frequency spectrum

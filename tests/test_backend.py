@@ -20,6 +20,7 @@ import gdcscan
 from gdcscan import _kernels_py, backend
 from gdcscan.backend import get_backend
 from test_scan import _dosages_of, _missing_call_panel
+from tsv_oracle import scan_records
 
 try:
     from gdcscan import _kernels as _installed
@@ -54,6 +55,13 @@ def ckernels(tmp_path_factory):
         check=True,
     )
     return _load_binding(directory)
+
+
+def _rows(results) -> list:
+    """The TSV lines the program writes for a scan's block results."""
+    from gdcscan.scan import record_row
+
+    return "\n".join(map(record_row, results)).split("\n")
 
 
 def _random_block(rng, n_snps=64, n=257, missing=True):
@@ -380,7 +388,7 @@ def test_scans_with_different_kernels_run_side_by_side():
     every block through the module passed in, the default left alone."""
     from gdcscan.adjust import CovariateMatrix
     from gdcscan.io import ArraySource
-    from gdcscan.scan import ScanConfig, record_row, run_scan
+    from gdcscan.scan import ScanConfig, run_scan
 
     rng = np.random.default_rng(11)
     g = rng.integers(0, 3, size=(90, 250)).astype(np.int8)
@@ -395,7 +403,7 @@ def test_scans_with_different_kernels_run_side_by_side():
     default = backend.kernels
 
     def scan(kernels):
-        return [record_row(r) for r in run_scan(cfg, src, y, cov, kernels=kernels)]
+        return _rows(run_scan(cfg, src, y, cov, kernels=kernels))
 
     with ThreadPoolExecutor(max_workers=2) as pool:
         plain = pool.submit(scan, _kernels_py)
@@ -412,7 +420,7 @@ def test_scan_results_match_across_backends(ckernels):
     with and without covariates."""
     from gdcscan.adjust import CovariateMatrix
     from gdcscan.io import ArraySource
-    from gdcscan.scan import ScanConfig, record_row, run_scan
+    from gdcscan.scan import ScanConfig, run_scan
 
     rng = np.random.default_rng(5)
     g = rng.integers(0, 3, size=(200, 300)).astype(np.int8)
@@ -423,11 +431,10 @@ def test_scan_results_match_across_backends(ckernels):
     src = ArraySource(g, kind="hard")
     cfg = ScanConfig(b=3.0)
     for c in (None, cov):
-        rec_c = list(run_scan(cfg, src, y, c, kernels=ckernels))
-        rec_p = list(run_scan(cfg, src, y, c, kernels=_kernels_py))
-        assert len(rec_c) == len(rec_p) == 200
-        for a, b in zip(rec_c, rec_p):
-            assert record_row(a) == record_row(b)
+        rows_c = _rows(run_scan(cfg, src, y, c, kernels=ckernels))
+        rows_p = _rows(run_scan(cfg, src, y, c, kernels=_kernels_py))
+        assert len(rows_c) == len(rows_p) == 200
+        assert rows_c == rows_p
 
 
 def test_dosage_scan_results_match_across_backends(ckernels):
@@ -435,7 +442,7 @@ def test_dosage_scan_results_match_across_backends(ckernels):
     records, with and without covariates."""
     from gdcscan.adjust import CovariateMatrix
     from gdcscan.io import ArraySource
-    from gdcscan.scan import ScanConfig, record_row, run_scan
+    from gdcscan.scan import ScanConfig, run_scan
 
     rng = np.random.default_rng(6)
     x = rng.uniform(0, 2, size=(120, 300))
@@ -446,19 +453,18 @@ def test_dosage_scan_results_match_across_backends(ckernels):
     )
     src = ArraySource(x, kind="dosage")
     cfg = ScanConfig(b=2.5)
-    rec_c = [list(run_scan(cfg, src, y, c, kernels=ckernels)) for c in (None, cov)]
-    rec_p = [list(run_scan(cfg, src, y, c, kernels=_kernels_py)) for c in (None, cov)]
-    for rc, rp in zip(rec_c, rec_p):
+    rows_c = [_rows(run_scan(cfg, src, y, c, kernels=ckernels)) for c in (None, cov)]
+    rows_p = [_rows(run_scan(cfg, src, y, c, kernels=_kernels_py)) for c in (None, cov)]
+    for rc, rp in zip(rows_c, rows_p):
         assert len(rc) == len(rp) == 120
-        for a, b in zip(rc, rp):
-            assert record_row(a) == record_row(b)
+        assert rc == rp
 
 
 def test_packed_scan_decodes_through_passed_kernels(tmp_path, monkeypatch):
     """Every decode of a packed scan goes to the kernel module passed to
     ``run_scan``, none to ``backend.kernels``; subset views forward it."""
     from gdcscan.io import ArraySource, PackedSource, SubsetSource, write_packed
-    from gdcscan.scan import ScanConfig, record_row, run_scan
+    from gdcscan.scan import ScanConfig, run_scan
 
     g, y, cov = _missing_call_panel(n_snps=90)
     path = str(tmp_path / "panel.geno")
@@ -467,12 +473,12 @@ def test_packed_scan_decodes_through_passed_kernels(tmp_path, monkeypatch):
     default, passed = _CountingKernels(), _CountingKernels()
     monkeypatch.setattr(backend, "kernels", default)
     cfg = ScanConfig(b=3.0, block_size=16)
-    packed = [record_row(r) for r in run_scan(cfg, PackedSource(path), y, cov, kernels=passed)]
+    packed = _rows(run_scan(cfg, PackedSource(path), y, cov, kernels=passed))
     assert (passed.decodes, default.decodes) == (6, 0)
     half = np.arange(0, g.shape[1], 2)
     list(run_scan(cfg, SubsetSource(PackedSource(path), half), y[half], kernels=passed))
     assert (passed.decodes, default.decodes) == (12, 0)
-    arrays = [record_row(r) for r in run_scan(cfg, ArraySource(g), y, cov, kernels=passed)]
+    arrays = _rows(run_scan(cfg, ArraySource(g), y, cov, kernels=passed))
     assert [row.split("\t", 3)[3] for row in packed] == [row.split("\t", 3)[3] for row in arrays]
 
 
@@ -520,8 +526,9 @@ def test_missing_rows_with_a_degenerate_response_take_the_per_snp_code(compiled,
     ctx = prepare_context(y, cov)
     hard_dosages = np.where(g < 0, np.nan, g.astype(float))
     for values, kind in ((g, "hard"), (hard_dosages, "dosage"), (_dosages_of(g), "dosage")):
-        recs = list(run_scan(cfg, ArraySource(values, kind=kind), y, cov, kernels=kernels))
-        ref = _test_single_column(cfg, ctx, GenotypeColumn("snp0", ".", 0, values[0], kind=kind))
+        recs = scan_records(run_scan(cfg, ArraySource(values, kind=kind), y, cov, kernels=kernels))
+        col = GenotypeColumn("snp0", ".", 0, values[0], kind=kind)
+        ref = _test_single_column(cfg, ctx, col).records()[0]
         assert ref.method == recs[0].method == "error:degenerate_response", kind
         assert not recs[1].method.startswith("error:")
 
@@ -551,10 +558,11 @@ def test_missing_call_rows_with_many_covariates_take_little_scratch(compiled, re
     source = ArraySource(g, kind="hard")
     tracemalloc.start()
     try:
-        recs = list(run_scan(ScanConfig(block_size=n_snps), source, y, cov, kernels=kernels))
+        results = list(run_scan(ScanConfig(block_size=n_snps), source, y, cov, kernels=kernels))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    recs = scan_records(results)
     assert len(recs) == n_snps and all(r.n_used < n for r in recs)
     assert not any(r.method.startswith("error:") for r in recs)
     assert peak < 25e6, peak / 1e6

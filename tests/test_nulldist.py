@@ -608,6 +608,24 @@ def test_nan_statistic_is_refused():
         asymptotic_pvalue(2.0, _hwe(0.3), 1.0, 1000, math.nan)
     with pytest.raises(ValueError, match="sigma2"):
         asymptotic_pvalue(2.0, _hwe(0.3), math.nan, 1000, 5.0)
+    # the batch entries give NaN to an entry with a NaN argument, on every
+    # route, and leave the finite entries' bits alone
+    nan = math.nan
+    finite = ([0.5, 0.5, 0.0], [0.0, 0.2, 0.0], [0.05, 0.05, 0.0], [100.0] * 3, [1.0] * 3)
+    for slot in range(5):
+        args = [np.array(v + [v[1]]) for v in finite]
+        args[slot][-1] = nan
+        p = exact_pvalues_batch(*args)
+        bounds = pvalue_bounds_batch(*args)
+        for got, want in ((p, exact_pvalues_batch(*finite)),
+                          *zip(bounds, pvalue_bounds_batch(*finite))):
+            assert np.isnan(got[-1]), slot
+            assert got[:-1].tobytes() == want.tobytes(), slot
+    for entry in (exact_pvalues_batch, pvalue_bounds_batch):
+        out = np.array(entry([0.5, 0.5], [0.0, 0.2], [nan, nan], 100))
+        assert np.isnan(out).all(), entry
+        out = np.array(entry([0.5, 0.5], [0.0, 0.2], [1.0, 1.0], nan))
+        assert np.isnan(out).all(), entry
 
 
 def test_bounds_batch_matches_scalar():

@@ -1,5 +1,6 @@
 """Scan pipeline: screening, determinism, degenerate cases, persistence."""
 
+import dataclasses
 import logging
 import math
 import os
@@ -38,7 +39,7 @@ from gdcscan.scan import (
     write_results,
 )
 from gdcscan.simbench import draw_genotypes
-from tsv_oracle import read_results, record_row as oracle_row
+from tsv_oracle import block_result, read_results, record_row as oracle_row, scan_records
 
 
 @pytest.fixture
@@ -63,7 +64,7 @@ def test_config_validation():
 def test_scan_matches_direct_library_computation(small_panel):
     g, y = small_panel
     cfg = ScanConfig(b=2.5, no_screen=True)
-    recs = list(run_scan(cfg, ArraySource(g, kind="hard"), y))
+    recs = scan_records(run_scan(cfg, ArraySource(g, kind="hard"), y))
     rng = np.random.default_rng(0)
     for i in rng.choice(len(recs), 8, replace=False):
         s = Sample.from_arrays(g[i], y)
@@ -81,8 +82,8 @@ def test_screening_consistency(small_panel):
     through, and screened-out SNPs really are above the threshold."""
     g, y = small_panel
     src = ArraySource(g, kind="hard")
-    fast = list(run_scan(ScanConfig(b=3.0), src, y))
-    full = list(run_scan(ScanConfig(b=3.0, no_screen=True), src, y))
+    fast = scan_records(run_scan(ScanConfig(b=3.0), src, y))
+    full = scan_records(run_scan(ScanConfig(b=3.0, no_screen=True), src, y))
     m_thresh = ScanConfig().screen_threshold
     for a, b in zip(fast, full):
         assert a.p_lower == b.p_lower
@@ -100,8 +101,8 @@ def test_screening_consistency(small_panel):
 def test_no_snp_below_threshold_screened_out(small_panel):
     g, y = small_panel
     src = ArraySource(g, kind="hard")
-    full = list(run_scan(ScanConfig(b=3.0, no_screen=True), src, y))
-    fast = list(run_scan(ScanConfig(b=3.0), src, y))
+    full = scan_records(run_scan(ScanConfig(b=3.0, no_screen=True), src, y))
+    fast = scan_records(run_scan(ScanConfig(b=3.0), src, y))
     for a, b in zip(fast, full):
         if b.p_value is not None and b.p_value < 1e-3:
             assert a.method not in ("screened_out_high",)
@@ -153,7 +154,7 @@ def test_monomorphic_snp(small_panel):
     g, y = small_panel
     g = g.copy()
     g[5] = 2
-    recs = list(run_scan(ScanConfig(), ArraySource(g, kind="hard"), y))
+    recs = scan_records(run_scan(ScanConfig(), ArraySource(g, kind="hard"), y))
     r = recs[5]
     assert r.stat == 0.0
     assert r.p_value == 1.0
@@ -183,15 +184,15 @@ def test_monomorphic_rows_on_present_samples_are_degenerate(with_covariates):
     cfg = ScanConfig(b=3.0)
     ctx = scan_module.prepare_context(y, cov)
     for values, kind in ((g, "hard"), (x, "dosage")):
-        recs = list(run_scan(cfg, ArraySource(values, kind=kind), y, cov))
+        recs = scan_records(run_scan(cfg, ArraySource(values, kind=kind), y, cov))
         for i in range(3):
             col = GenotypeColumn(f"snp{i}", ".", i, values[i], kind=kind)
-            for rec in (recs[i], scan_module._test_single_column(cfg, ctx, col)):
+            for rec in (recs[i], scan_module._test_single_column(cfg, ctx, col).records()[0]):
                 assert rec.method == "degenerate spectrum", (kind, i)
                 assert (rec.stat, rec.lambda1, rec.lambda2) == (0.0, 0.0, 0.0)
                 assert (rec.p_lower, rec.p_upper, rec.p_value) == (1.0, 1.0, 1.0)
                 assert rec.n_used == int(np.sum(col.present_mask()))
-                assert record_row(rec).endswith("\t1\tdegenerate spectrum\t0")
+                assert record_row(block_result([rec])).endswith("\t1\tdegenerate spectrum\t0")
         assert all(r.method != "degenerate spectrum" for r in recs[3:])
 
 
@@ -200,7 +201,7 @@ def test_too_few_samples_error_record():
     g = rng.integers(0, 3, size=(2, 10)).astype(np.int8)
     g[1, :8] = -1  # only 2 usable samples
     y = rng.standard_normal(10)
-    recs = list(run_scan(ScanConfig(), ArraySource(g, kind="hard"), y))
+    recs = scan_records(run_scan(ScanConfig(), ArraySource(g, kind="hard"), y))
     assert recs[1].method == "error:too_few_samples"
     assert recs[1].p_value is None
     assert recs[0].method != recs[1].method  # scan continued
@@ -246,7 +247,7 @@ def test_phenotype_is_refused_when_the_scan_is_called():
         with pytest.raises(ValueError, match=message):
             run_scan(ScanConfig(), ArraySource(g[:, : len(y)]), y, covariates)
     y = 0.1 * age + 0.3 + 1e-3 * rng.standard_normal(n)
-    assert len(list(run_scan(ScanConfig(), ArraySource(g), y, cov))) == 4
+    assert len(scan_records(run_scan(ScanConfig(), ArraySource(g), y, cov))) == 4
 
 
 def test_missing_entries_slow_path_matches_library():
@@ -254,7 +255,7 @@ def test_missing_entries_slow_path_matches_library():
     g = draw_genotypes(rng, 200, 0.25, 4)
     g[2, rng.choice(200, 30, replace=False)] = -1
     y = rng.standard_normal(200)
-    recs = list(run_scan(ScanConfig(b=2.0, no_screen=True),
+    recs = scan_records(run_scan(ScanConfig(b=2.0, no_screen=True),
                          ArraySource(g, kind="hard"), y))
     mask = g[2] >= 0
     s = Sample.from_arrays(g[2][mask], y[mask])
@@ -274,7 +275,7 @@ def test_covariate_scan_matches_direct(small_panel):
         matrix=np.column_stack([np.ones(n), rng.normal(size=n), rng.normal(size=n)]),
         names=("intercept", "z1", "z2"),
     )
-    recs = list(run_scan(ScanConfig(b=2.0, no_screen=True),
+    recs = scan_records(run_scan(ScanConfig(b=2.0, no_screen=True),
                          ArraySource(g, kind="hard"), y, z))
     rp = residualize(y, z)
     for i in (0, 11, 30):
@@ -290,8 +291,8 @@ def test_covariate_scan_matches_direct(small_panel):
 
 def test_dosage_integer_routing_bitwise(small_panel):
     g, y = small_panel
-    hard = list(run_scan(ScanConfig(b=3.0), ArraySource(g, kind="hard"), y))
-    dosage = list(
+    hard = scan_records(run_scan(ScanConfig(b=3.0), ArraySource(g, kind="hard"), y))
+    dosage = scan_records(
         run_scan(ScanConfig(b=3.0), ArraySource(g.astype(np.float64), kind="dosage"), y)
     )
     for a, b in zip(hard, dosage):
@@ -305,7 +306,7 @@ def test_true_dosage_scan_matches_library():
     n = 300
     x = np.clip(rng.normal(0.8, 0.5, size=(3, n)), 0, 2)
     y = rng.standard_normal(n)
-    recs = list(run_scan(ScanConfig(b=2.5, no_screen=True),
+    recs = scan_records(run_scan(ScanConfig(b=2.5, no_screen=True),
                          ArraySource(x, kind="dosage"), y))
     for i in range(3):
         s = Sample.from_arrays(x[i], y, kind="dosage")
@@ -326,7 +327,7 @@ def test_dosage_scan_with_covariates_matches_library():
         matrix=np.column_stack([np.ones(n), rng.normal(size=(n, 2))]),
         names=("intercept", "z1", "z2"),
     )
-    recs = list(run_scan(ScanConfig(b=2.2, no_screen=True),
+    recs = scan_records(run_scan(ScanConfig(b=2.2, no_screen=True),
                          ArraySource(x, kind="dosage"), y, z))
     for i in range(4):
         mask = ~np.isnan(x[i])
@@ -358,7 +359,7 @@ def test_exact_law_at_large_n():
     src = ArraySource(g, kind="hard")
     for no_screen in (False, True):
         for b in (0.0, 2.0, 3.0, 4.0):
-            recs = list(run_scan(ScanConfig(b=b, no_screen=no_screen), src, y))
+            recs = scan_records(run_scan(ScanConfig(b=b, no_screen=no_screen), src, y))
             assert not any(r.method == "asymptotic" for r in recs)
             rows = [(i, r) for i, r in enumerate(recs) if r.method in evaluated]
             assert len(rows) == m if no_screen else 0 < len(rows) < m
@@ -377,7 +378,7 @@ def test_multiallelic_m2_byte_identical(small_panel):
     counts = np.column_stack([2 - x, x]).astype(np.float64)
     col = GenotypeColumn("rs0", "1", 5, counts, m=2, kind="allele_counts")
     rec_multi = run_multiallelic(ScanConfig(b=2.5), col, y)
-    rec_bi = list(run_scan(ScanConfig(b=2.5), ArraySource(x[None, :], kind="hard"), y))[0]
+    rec_bi = scan_records(run_scan(ScanConfig(b=2.5), ArraySource(x[None, :], kind="hard"), y))[0]
     assert rec_multi.stat == rec_bi.stat
     assert rec_multi.lambda1 == rec_bi.lambda1
     assert rec_multi.lambda2 == rec_bi.lambda2
@@ -393,7 +394,7 @@ def test_multiallelic_absent_allele_reduces_to_biallelic(small_panel):
     counts[:, 1] = x  # third allele never observed
     col = GenotypeColumn("rs1", "1", 6, counts, m=3, kind="allele_counts")
     rec3 = run_multiallelic(ScanConfig(b=2.0, no_screen=True), col, y)
-    rec2 = list(
+    rec2 = scan_records(
         run_scan(ScanConfig(b=2.0, no_screen=True), ArraySource(x[None, :], kind="hard"), y)
     )[0]
     assert rec3.stat == pytest.approx(rec2.stat, rel=1e-12)
@@ -432,9 +433,10 @@ def test_multiallelic_three_alleles_matches_conditional_mc():
 
 def test_write_results_fields(tmp_path, small_panel):
     g, y = small_panel
-    recs = list(run_scan(ScanConfig(b=3.0), ArraySource(g[:6], kind="hard"), y))
+    results = list(run_scan(ScanConfig(b=3.0), ArraySource(g[:6], kind="hard"), y))
+    recs = scan_records(results)
     path = str(tmp_path / "res.tsv")
-    write_results(recs, path)
+    write_results(results, path)
     lines = pathlib.Path(path).read_text().splitlines()
     header = lines[0].split("\t")
     assert header == [
@@ -466,7 +468,8 @@ def test_write_results_removes_partial_on_error(tmp_path):
     path = str(tmp_path / "fail.tsv")
 
     def boom():
-        yield ScanRecord("a", "1", 1, 0.1, 10, 3.0, 0.0, 0.1, 0.0, 1.0, 1.0, 1.0, "x")
+        yield block_result([ScanRecord("a", "1", 1, 0.1, 10, 3.0, 0.0, 0.1, 0.0, 1.0, 1.0, 1.0,
+                                       "degenerate spectrum")])
         raise RuntimeError("stream died")
 
     with pytest.raises(RuntimeError):
@@ -476,8 +479,8 @@ def test_write_results_removes_partial_on_error(tmp_path):
 
 
 def test_record_row_clamps_upper():
-    rec = ScanRecord("a", "1", 1, 0.1, 10, 3.0, 0.0, 0.1, 0.0, 0.9, 4.7, None, "m")
-    fields = record_row(rec).split("\t")
+    rec = ScanRecord("a", "1", 1, 0.1, 10, 3.0, 0.0, 0.1, 0.0, 0.9, 4.7, None, "screened_out_high")
+    fields = record_row(block_result([rec])).split("\t")
     assert float(fields[10]) == 1.0  # reported p_upper clamped
     assert fields[11] == "NA"
     assert fields[13] == "NA"
@@ -498,7 +501,7 @@ def test_collinear_complete_case_design_error_code(caplog):
     g[1, sex == 1] = -1  # the complete cases all have sex 0
     y = rng.standard_normal(n)
     with caplog.at_level(logging.WARNING, logger="gdcscan"):
-        recs = list(run_scan(ScanConfig(), ArraySource(g, kind="hard"), y, z))
+        recs = scan_records(run_scan(ScanConfig(), ArraySource(g, kind="hard"), y, z))
     assert recs[1].method == "error:collinear_covariates"
     assert recs[1].p_value is None
     assert not recs[0].method.startswith("error:")
@@ -514,7 +517,8 @@ def test_numerics_error_code(small_panel, monkeypatch, caplog):
 
     monkeypatch.setattr(scan_module, "exact_pvalue_with_method", failing)
     with caplog.at_level(logging.WARNING, logger="gdcscan"):
-        recs = list(run_scan(ScanConfig(no_screen=True), ArraySource(g[:3], kind="hard"), y))
+        recs = scan_records(
+            run_scan(ScanConfig(no_screen=True), ArraySource(g[:3], kind="hard"), y))
         alleles = np.random.default_rng(3).choice(3, size=(y.size, 2), p=[0.5, 0.3, 0.2])
         counts = np.stack([(alleles == j).sum(axis=1) for j in range(3)], axis=1)
         multi = run_multiallelic(
@@ -561,7 +565,7 @@ def test_bound_sandwich_on_adjusted_spectra():
     cfg = ScanConfig(b=2.5, no_screen=True)
     rows = 0
     for src in (ArraySource(g, kind="hard"), ArraySource(x, kind="dosage")):
-        for rec in run_scan(cfg, src, y, z):
+        for rec in scan_records(run_scan(cfg, src, y, z)):
             assert rec.method in exact
             assert rec.p_lower <= rec.p_value <= min(rec.p_upper, 1.0), rec
             rows += 1
@@ -625,9 +629,9 @@ def test_block_engine_matches_per_snp_path(seed, kind, n, n_snps, b, n_covariate
     block = scan_module.process_block(
         cfg, ctx, Block(variants=variants, values=values, kind=kind)
     )
-    for i, rec in enumerate(block):
+    for i, rec in enumerate(block.records()):
         col = GenotypeColumn(snp_id=f"rs{i}", chrom="1", pos=i, values=values[i], kind=kind)
-        ref = scan_module._test_single_column(cfg, ctx, col)
+        ref = scan_module._test_single_column(cfg, ctx, col).records()[0]
         assert (rec.method, rec.n_used) == (ref.method, ref.n_used)
         if degenerate and i == 0 and rec.n_used >= scan_module.min_samples(ctx.df_sub, 2):
             assert rec.method in ("error:degenerate_response", "error:collinear_covariates")
@@ -669,8 +673,13 @@ def _oracle_panel(kind, missing):
 @pytest.mark.parametrize("kind", ["hard", "dosage"])
 @pytest.mark.parametrize("missing", [False, True])
 def test_results_tsv_matches_oracle(tmp_path, kind, missing):
-    """write_results prints every record as the field-by-field reference
-    formatter does, line for line."""
+    """write_results prints every row of the block results as the
+    field-by-field reference formatter does, line for line, and the
+    file reads back as ``BlockResult.records()`` with ``p_upper``
+    clamped.  Scans give most row kinds; one hand-made block adds every
+    error code, the inversion route, a clamped ``p_upper``, "nan" inside
+    an id or chrom, inf, -0.0 and 5e-324, on screened-out-high rows (one
+    template) and on the others (field by field)."""
     x, signal, y = _oracle_panel(kind, missing)
     n = y.shape[0]
     rng = np.random.default_rng(3)
@@ -678,30 +687,47 @@ def test_results_tsv_matches_oracle(tmp_path, kind, missing):
         matrix=np.column_stack([np.ones(n), rng.normal(50.0, 10.0, n), rng.random(n) < 0.5]),
         names=("intercept", "age", "sex"),
     )
-    records = []
+    results = []
     for b in (0.0, 3.0, 4.0):
         for no_screen in (False, True):
             for cov in (None, covariates):
                 cfg = ScanConfig(b=b, no_screen=no_screen)
                 for pheno in (y, signal):
-                    records += run_scan(cfg, ArraySource(x, kind=kind), pheno, cov)
-    records += [
+                    results += run_scan(cfg, ArraySource(x, kind=kind), pheno, cov)
+    nan, high = math.nan, "screened_out_high"
+    results.append(block_result([
         ScanRecord("clamped", "1", 7, 0.25, 150, 3.0, 2.5, 0.7, 0.3, 0.2, 4.7, 0.5, "exact_appell"),
-        ScanRecord("nan_id", "nanchrom", 8, 0.25, 150, 3.0, -0.0, 5e-324, 0.0, 0.0, 1.0, 1.0, "x"),
-        ScanRecord("rs_inf", "1", 9, 0.25, 150, 3.0, math.inf, 1.0, 0.0, 0.0, 0.0, math.nan, "x"),
-    ]
-    methods = {r.method for r in records}
-    assert {"screened_out_high", "screened_out_low", "degenerate spectrum", "underflow",
-            "exact_appell", "classical_F", "error:too_few_samples"} <= methods
+        ScanRecord("nan_id", "nanchrom", 8, 0.25, 150, 3.0, -0.0, 5e-324, 0.0, 0.0, 1.0, 1.0,
+                   "weighted_chisq_inversion"),
+        ScanRecord("rs_inf", "1", 9, 0.25, 150, 3.0, math.inf, 1.0, 0.0, 0.5, 4.7, None, high),
+        ScanRecord("rs_nan", "nan", 10, 0.25, 150, 3.0, -0.0, 5e-324, 0.0, 0.5, 1.0, None, high),
+        ScanRecord("rs_nan_bound", "1", 11, 0.25, 150, 3.0, 0.1, 0.6, 0.2, 0.5, nan, None, high),
+        ScanRecord("rs_numerics", "1", 12, 0.25, 150, 3.0, 0.1, 0.6, 0.2, 1e-5, 0.01, None,
+                   "error:numerics"),
+        *(ScanRecord(f"rs_{code}", "1", 13, nan, 9, 3.0, nan, nan, nan, nan, nan, None,
+                     f"error:{code}")
+          for code in ("too_few_samples", "collinear_covariates", "degenerate_response",
+                       "invalid_column", "numerics")),
+    ]))
+    records = scan_records(results)
+    assert {r.method for r in records} == set(scan_module.METHODS)
     assert any(r.p_value == 0.0 and r.neg_log10_p == math.inf for r in records)
     assert any(r.p_upper > 1.0 for r in records)
 
     path = tmp_path / "res.tsv"
-    write_results(records, str(path))
+    write_results(results, str(path))
     lines = path.read_text().split("\n")
     assert lines[0] == "\t".join(scan_module.OUTPUT_COLUMNS)
     assert lines[-1] == ""
     assert lines[1:-1] == [oracle_row(r) for r in records]
+
+    def fields(rec):
+        return tuple("NA" if isinstance(v, float) and math.isnan(v) else v
+                     for v in dataclasses.astuple(rec))
+
+    back = read_results(str(path))
+    assert [fields(r) for r in back] == [
+        fields(dataclasses.replace(r, p_upper=min(r.p_upper, 1.0))) for r in records]
 
 
 def test_block_tail_screening_boundaries(monkeypatch):
@@ -743,7 +769,9 @@ def test_block_tail_screening_boundaries(monkeypatch):
     lams, mono = np.column_stack([lam1, lam2]), np.zeros(m, dtype=bool)
     for cfg in (ScanConfig(), ScanConfig(no_screen=True)):
         evaluated.clear()
-        recs = scan_module._records(cfg, df_sub, variants, n, maf, stat, lams, mono)
+        out = scan_module.BlockResult.blank(cfg.b, variants)
+        scan_module._records(cfg, df_sub, out, np.arange(m), n, maf, stat, lams, mono)
+        recs = out.records()
         in_window = 0
         for i, (rec, (_, lo, hi, meth)) in enumerate(zip(recs, rows)):
             if cfg.no_screen and meth != "degenerate spectrum":
@@ -759,7 +787,7 @@ def test_block_tail_screening_boundaries(monkeypatch):
             np.testing.assert_array_equal([rec.p_lower, rec.p_upper], [lo, hi])
             if meth is None:
                 in_window += 1
-                assert rec.method not in scan_module._SCREENED
+                assert rec.method not in scan_module.METHODS[:3]
                 assert (rec.p_value, rec.method) == exact(
                     NullSpectrum(lambdas=(0.6, 0.2), n=n, df_sub=df_sub), stat[i])
             else:
@@ -782,7 +810,8 @@ def test_closed_form_spectrum_of_complete_hard_calls_is_accurate():
     g = np.stack([draw_genotypes(rng, n, q, 1)[0] for q in np.geomspace(0.0005, 0.5, 600)])
     mono = (g == g[:, :1]).all(axis=1)
     g[mono, 0] = (g[mono, 0] + 1) % 3
-    recs = list(run_scan(ScanConfig(b=b), ArraySource(g, kind="hard"), rng.standard_normal(n)))
+    recs = scan_records(
+        run_scan(ScanConfig(b=b), ArraySource(g, kind="hard"), rng.standard_normal(n)))
     for rec, row in zip(recs, g):
         p0, p1, p2 = (mp.mpf(int((row == j).sum())) / n for j in range(3))
         k00 = mp.mpf(b) / 2 * (p0 + p2 - (p0 - p2) ** 2)
@@ -823,8 +852,8 @@ def test_in_window_pvalues_equal_the_batched_router(cfg):
     or not; each p-value equals, bit for bit, the batched router's on the
     row's (lambda1, lambda2, stat, n_used, df_sub)."""
     g, y, cov = _missing_call_panel()
-    recs = list(run_scan(cfg, ArraySource(g, kind="hard"), y, cov))
-    rows = [r for r in recs if r.method not in scan_module._SCREENED]
+    recs = scan_records(run_scan(cfg, ArraySource(g, kind="hard"), y, cov))
+    rows = [r for r in recs if r.method not in scan_module.METHODS[:3]]
     assert len(rows) >= 30 and sum(r.n_used < len(y) for r in rows) >= 20
     lam1, lam2, stat, n_used = (
         np.array([getattr(r, f) for r in rows]) for f in ("lambda1", "lambda2", "stat", "n_used")
@@ -843,9 +872,9 @@ def test_missing_calls_byte_identical_across_blocks_and_threads(tmp_path, monkey
     single = scan_module._test_single_column
     routed = []
 
-    def counting_single(cfg, ctx, column):
+    def counting_single(cfg, ctx, column, *row):
         routed.append(column.snp_id)
-        return single(cfg, ctx, column)
+        return single(cfg, ctx, column, *row)
 
     monkeypatch.setattr(scan_module, "_test_single_column", counting_single)
     for src in (ArraySource(g, kind="hard"), ArraySource(_dosages_of(g), kind="dosage")):
@@ -909,7 +938,8 @@ def test_single_thread_scan_holds_one_block(tmp_path):
     y = rng.standard_normal(n)
     tracemalloc.start()
     try:
-        rows = sum(1 for _ in run_scan(ScanConfig(block_size=block_size), source, y))
+        results = run_scan(ScanConfig(block_size=block_size), source, y)
+        rows = sum(len(result.variants) for result in results)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -955,9 +985,9 @@ def test_routed_missing_call_rows_keep_per_snp_error_codes(caplog):
         ctx = scan_module.prepare_context(y, covariates)
         for values, kind in ((g, "hard"), (x, "dosage")):
             with caplog.at_level(logging.WARNING, logger="gdcscan"):
-                recs = list(run_scan(cfg, ArraySource(values, kind=kind), y, covariates))
+                recs = scan_records(run_scan(cfg, ArraySource(values, kind=kind), y, covariates))
             col = GenotypeColumn(f"snp{row}", ".", row, values[row], kind=kind)
-            ref = scan_module._test_single_column(cfg, ctx, col)
+            ref = scan_module._test_single_column(cfg, ctx, col).records()[0]
             assert ref.method == method
-            assert record_row(recs[row]) == record_row(ref)
+            assert oracle_row(recs[row]) == oracle_row(ref)
             assert not recs[4].method.startswith("error:")

@@ -29,6 +29,7 @@ from gdcscan.simbench import (
     simulate_power,
     write_table,
 )
+from tsv_oracle import scan_records
 
 
 def _method_pvalues(st, method):
@@ -233,8 +234,8 @@ def test_replication_stats_match_the_scan(b):
     y = rng.standard_normal((reps, n))
     stat, lam1, lam2 = _gdc_stats(_chunk_stats(g, y), b)
     for i in range(reps):
-        (rec,) = run_scan(ScanConfig(b=b, no_screen=True),
-                          ArraySource(g[i:i + 1], kind="hard"), y[i])
+        (rec,) = scan_records(run_scan(ScanConfig(b=b, no_screen=True),
+                                       ArraySource(g[i:i + 1], kind="hard"), y[i]))
         assert stat[i] == pytest.approx(rec.stat, rel=1e-12)
         assert lam1[i] == pytest.approx(rec.lambda1, rel=1e-12)
         assert lam2[i] == pytest.approx(rec.lambda2, rel=1e-12)

@@ -3,12 +3,40 @@
 
 Each float goes through ``format(v, ".17g")``, NaN and None print as NA,
 everything else through ``str``, and ``p_upper`` is clamped to 1.
-:func:`read_results` parses a results TSV back into records.
+:func:`read_results` parses a results TSV back into records,
+:func:`scan_records` flattens ``run_scan``'s block results into records
+and :func:`block_result` makes a block result of hand-made records.
 """
 
 import math
 
-from gdcscan.scan import OUTPUT_COLUMNS, ScanRecord
+import numpy as np
+
+from gdcscan.io import VariantInfo
+from gdcscan.scan import METHODS, OUTPUT_COLUMNS, BlockResult, ScanRecord
+
+
+def scan_records(results) -> list:
+    """The records of a stream of block results, in order."""
+    return [rec for result in results for rec in result.records()]
+
+
+def block_result(records, b=3.0) -> BlockResult:
+    """The block result whose rows are ``records``, which share ``b``;
+    a None p-value becomes NaN."""
+    assert all(rec.b == b for rec in records)
+
+    def column(field, dtype=np.float64):
+        return np.array([getattr(rec, field) for rec in records], dtype=dtype)
+
+    return BlockResult(
+        variants=[VariantInfo(rec.snp_id, rec.chrom, rec.pos) for rec in records], b=b,
+        n_used=column("n_used", np.int64), maf=column("maf"), stat=column("stat"),
+        lambda1=column("lambda1"), lambda2=column("lambda2"), p_lower=column("p_lower"),
+        p_upper=column("p_upper"),
+        p_value=np.array([math.nan if rec.p_value is None else rec.p_value for rec in records]),
+        method=np.array([METHODS.index(rec.method) for rec in records], dtype=np.int8),
+    )
 
 
 def _fmt(v) -> str:
