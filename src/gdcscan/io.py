@@ -23,6 +23,7 @@ numeric columns, joined to the genotype samples by ID.
 from __future__ import annotations
 
 import locale
+import math
 import os
 import zlib
 from contextlib import contextmanager
@@ -402,8 +403,9 @@ def read_phenotype_table(path: str):
 def _table_rows(fh, header: list, id_col: int, path: str) -> Iterator[tuple]:
     """The sample ID and the other fields as floats, NA as NaN, of each
     line after the header of a TSV table that is not blank.  A line whose
-    field count is not the header's, or a field that is no number, is an
-    error naming ``<path>:<line>``, and for a field its column."""
+    field count is not the header's, or a field other than NA that is no
+    finite number or holds ``_``, is an error naming ``<path>:<line>``, and
+    for a field its column."""
     names = header[:id_col] + header[id_col + 1:]
     for lineno, line in enumerate(fh, 2):
         line = line.rstrip("\n")
@@ -416,9 +418,13 @@ def _table_rows(fh, header: list, id_col: int, path: str) -> Iterator[tuple]:
         sample_id, values = fields.pop(id_col), []
         for name, field in zip(names, fields):
             try:
-                values.append(np.nan if field == "NA" else float(field))
+                value = np.nan if field == "NA" else float(field)
+                # float() also reads inf, nan and digit groups such as 1_0
+                if "_" in field or not (math.isfinite(value) or field == "NA"):
+                    raise ValueError(f"not NA or a finite number: {field!r}")
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: column {name}: {exc}") from None
+            values.append(value)
         yield sample_id, values
 
 

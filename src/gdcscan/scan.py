@@ -32,8 +32,8 @@ design, a phenotype in its span); it gives those rows their error codes.
 The kernel module is the scan context's ``kernels`` field, passed to
 :func:`run_scan` or read from ``backend.kernels`` when the scan starts;
 it also decodes packed sources.
-:func:`record_row` formats a block into one string, each
-screened-out-high row through one ``%.17g`` template.  Output order
+:func:`record_row` formats a block into one string, every row through
+one ``%`` template made from the block's columns.  Output order
 always equals input order, and every per-SNP sum is reduced row by row,
 so the output bytes do not depend on the worker count, the block size or
 the kernel module.
@@ -84,12 +84,10 @@ _MIN_GRAM_RATIO = 1e-6
 # degenerate_response decides whether such a row is refused
 _RESPONSE_MARGIN = 1e3
 
-METHOD_SCREEN_HIGH = "screened_out_high"
-METHOD_SCREEN_LOW = "screened_out_low"
 # every method a row can have, by its int8 code in a block result: the
 # three the screening tail settles without evaluation (degenerate first),
 # the other exact routes, then the error codes
-METHODS = (METHOD_DEGENERATE, METHOD_SCREEN_HIGH, METHOD_SCREEN_LOW, *_ROUTES[1:], *(
+METHODS = (METHOD_DEGENERATE, "screened_out_high", "screened_out_low", *_ROUTES[1:], *(
     f"error:{code}" for code in ("too_few_samples", "collinear_covariates",
                                  "degenerate_response", "invalid_column", "numerics")))
 _CODE = {method: np.int8(c) for c, method in enumerate(METHODS)}
@@ -150,12 +148,7 @@ class ScanRecord:
 
     @property
     def neg_log10_p(self) -> float | None:
-        if self.p_value is None:
-            return None
-        if self.p_value <= 0.0:
-            return math.inf
-        # 0.0 - log10(1) is +0.0, where -log10(1) would print as -0
-        return 0.0 - math.log10(self.p_value)
+        return None if self.p_value is None else _neg_log10(self.p_value)
 
 
 @dataclass(eq=False)
@@ -691,57 +684,47 @@ def run_multiallelic(config: ScanConfig, genotype: GenotypeColumn, phenotype,
 # ---------------------------------------------------------------------------
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return "NA"
-    if isinstance(v, float):
-        if math.isnan(v):
-            return "NA"
-        return format(v, ".17g")
-    return str(v)
+def _neg_log10(p: float) -> float:
+    """-log10 p, inf for p <= 0; 0.0 - log10(1) is +0.0, where -log10(1)
+    would print as -0.  Always ``math.log10``, never ``np.log10``, whose
+    SIMD rounding can differ."""
+    return math.inf if p <= 0.0 else 0.0 - math.log10(p)
 
 
-# %.17g prints a float as format(v, ".17g") does, except NaN as "nan"
-_ROW = "%s\t%s\t%s\t%.17g\t%s" + "\t%.17g" * 6 + "\t%s\t%s\t%s"
+_METHOD_NAMES = np.array(METHODS, dtype=object)
 
 
-def _line(rec: ScanRecord) -> str:
-    """One TSV line: floats as ``%.17g``, NaN and missing values as NA,
-    ``p_upper`` clamped to 1."""
-    head = (
-        rec.snp_id, rec.chrom, rec.pos, rec.maf, rec.n_used, rec.b, rec.stat,
-        rec.lambda1, rec.lambda2, rec.p_lower, min(rec.p_upper, 1.0),
-    )
-    p = rec.p_value
-    if p is None:
-        row = _ROW % (*head, "NA", rec.method, "NA")
-    else:
-        row = _ROW % (*head, "%.17g" % p, rec.method, "%.17g" % rec.neg_log10_p)
-    if "nan" in row:
-        # a NaN field, or "nan" inside an id, chrom or method: field by field
-        row = "\t".join(map(_fmt, (*head, p, rec.method, rec.neg_log10_p)))
-    return row
+def _float_column(values: np.ndarray) -> tuple:
+    """A float column's template field and its arguments: the floats
+    under ``%.17g`` when none is NaN, else each value's ``%.17g`` or NA
+    under ``%s``."""
+    found = ~np.isnan(values)
+    if found.all():
+        return "%.17g", values.tolist()
+    fields = ["NA"] * len(values)
+    for i, v in zip(np.flatnonzero(found).tolist(), values[found].tolist()):
+        fields[i] = "%.17g" % v
+    return "%s", fields
 
 
 def record_row(result: BlockResult) -> str:
-    """The TSV lines of a block, newline-separated, as :func:`_line`
-    prints each row.  A screened-out-high row with no NaN field takes one
-    template, with the block's ``b``, its missing p-value and its method
-    built in; the other rows go through :func:`_line` as records."""
-    v, b = result.variants, result.b
-    floats = [result.maf, result.stat, result.lambda1, result.lambda2, result.p_lower,
-              np.minimum(result.p_upper, 1.0)]
-    plain = (result.method == _CODE[METHOD_SCREEN_HIGH]) & ~np.isnan(floats).any(axis=0)
-    template = ("%s\t%s\t%s\t%.17g\t%s\t" + "%.17g" % b + "\t%.17g" * 5
-                + "\tNA\t" + METHOD_SCREEN_HIGH + "\tNA")
-    fields = zip([x.snp_id for x in v], [x.chrom for x in v], [x.pos for x in v],
-                 floats[0].tolist(), result.n_used.tolist(), *(f.tolist() for f in floats[1:]))
-    return "\n".join([
-        template % f if ok else
-        _line(ScanRecord(*f[:5], b, *f[5:], None if math.isnan(p) else p, METHODS[c]))
-        for f, ok, p, c in zip(fields, plain.tolist(), result.p_value.tolist(),
-                               result.method.tolist())
-    ])
+    """The TSV lines of a block, newline-separated, every row through one
+    ``%`` template made from the block's columns: floats as ``%.17g``,
+    NaN as NA, ``p_upper`` clamped to 1 and ``b`` built in."""
+    p = result.p_value
+    found = ~np.isnan(p)
+    neg = np.full(len(p), math.nan)
+    neg[found] = [_neg_log10(v) for v in p[found].tolist()]
+    maf, stat, l1, l2, lo, hi, pv, ng = map(_float_column, (
+        result.maf, result.stat, result.lambda1, result.lambda2, result.p_lower,
+        np.minimum(result.p_upper, 1.0), p, neg))
+    template = "\t".join(("%s\t%s\t%s", maf[0], "%s", "%.17g" % result.b, stat[0], l1[0],
+                          l2[0], lo[0], hi[0], pv[0], "%s", ng[0]))
+    v = result.variants
+    return "\n".join([template % row for row in zip(
+        [x.snp_id for x in v], [x.chrom for x in v], [x.pos for x in v], maf[1],
+        result.n_used.tolist(), stat[1], l1[1], l2[1], lo[1], hi[1], pv[1],
+        _METHOD_NAMES[result.method].tolist(), ng[1])])
 
 
 def write_results(results: Iterable[BlockResult], path: str) -> None:

@@ -184,6 +184,20 @@ _INPUT_ERRORS = {
         "--geno", _unparsable_field(_dosage_file(t), 7, "rs1", "1..5"),
         "--geno-format", "dosage-tsv", "--pheno", pheno],
         r"unparsable-dosage\.tsv:7: column rs1: could not convert string to float: '1\.\.5'$"),
+    "infinite phenotype field": (lambda t, geno, pheno: _SCAN + [
+        "--geno", geno, "--pheno", _unparsable_field(pheno, 5, "trait", "inf")],
+        r"unparsable-pheno\.tsv:5: column trait: not NA or a finite number: 'inf'$"),
+    "NaN phenotype field": (lambda t, geno, pheno: _SCAN + [
+        "--geno", geno, "--pheno", _unparsable_field(pheno, 6, "trait", "nan")],
+        r"unparsable-pheno\.tsv:6: column trait: not NA or a finite number: 'nan'$"),
+    "NaN dosage field": (lambda t, geno, pheno: _SCAN + [
+        "--geno", _unparsable_field(_dosage_file(t), 8, "rs0", "NaN"),
+        "--geno-format", "dosage-tsv", "--pheno", pheno],
+        r"unparsable-dosage\.tsv:8: column rs0: not NA or a finite number: 'NaN'$"),
+    "digit group in a covariate field": (lambda t, geno, pheno: _SCAN + [
+        "--geno", geno, "--pheno", _unparsable_field(pheno, 4, "age", "4_0"),
+        "--covar", "age"],
+        r"unparsable-pheno\.tsv:4: column age: not NA or a finite number: '4_0'$"),
     "bad sidecar position": (lambda t, geno, pheno: _SCAN + [
         "--geno", _bad_position(geno), "--pheno", pheno],
         r"panel\.geno\.variants\.tsv:3: position 'x20' is not an integer"),
@@ -277,9 +291,11 @@ def test_input_error_in_a_fresh_process_prints_no_traceback(tmp_path):
 
 def test_packed_scan_memory_does_not_grow_with_snp_count(tmp_path):
     """A packed scan keeps no per-SNP table: the traced peak of ``main``
-    at 20 000 SNPs exceeds the one at 2 000 SNPs by at most 6 bytes per
-    extra SNP (n = 64).  Even one 8-byte sidecar offset per SNP does not
-    fit, nor does one ``VariantInfo`` per SNP (about 190 bytes)."""
+    at 20 480 SNPs exceeds the one at 2 048 SNPs by at most 6 bytes per
+    extra SNP (n = 64).  Both counts are whole 1 024-row blocks, so a
+    cost per row of a block in flight reads the same at both.  Even one
+    8-byte sidecar offset per SNP does not fit, nor does one
+    ``VariantInfo`` per SNP (about 190 bytes)."""
     rng = np.random.default_rng(3)
     n = 64
     ids = [f"ind{j}" for j in range(n)]
@@ -299,9 +315,9 @@ def test_packed_scan_memory_does_not_grow_with_snp_count(tmp_path):
         finally:
             tracemalloc.stop()
 
-    peak(2000)  # first calls fill caches of their own
-    small, large = peak(2000), peak(20_000)
-    assert large - small <= 6 * 18_000, (small, large)
+    peak(2048)  # first calls fill caches of their own
+    small, large = peak(2048), peak(20_480)
+    assert large - small <= 6 * 18_432, (small, large)
 
 
 def test_simulate_command(tmp_path):

@@ -268,6 +268,25 @@ def test_phenotype_table_round_trip(tmp_path):
     assert cols["age"][1] == 41.0
 
 
+@pytest.mark.parametrize("field", ["inf", "-Infinity", "nan", "NaN", "1_0", "0.2_5"])
+def test_tables_refuse_fields_float_reads_but_that_are_no_finite_number(tmp_path, field):
+    """NA is the only missing mark: a non-finite field, or one with digit
+    groups, in a phenotype or a dosage table is an error naming its line
+    and column, not a missing value or a silent number."""
+    pheno = str(tmp_path / "pheno.tsv")
+    with open(pheno, "w") as fh:
+        fh.write(f"sample_id\theight\tage\na\t1.75\t30\nb\tNA\t{field}\n")
+    message = rf"^{re.escape(pheno)}:3: column age: not NA or a finite number: '{re.escape(field)}'$"
+    with pytest.raises(ValueError, match=message):
+        read_phenotype_table(pheno)
+    dosage = str(tmp_path / "d.tsv")
+    with open(dosage, "w") as fh:
+        fh.write(f"sample_id\tsnp1\tsnp2\nind0\t1.0\tNA\nind1\t{field}\t0.5\n")
+    message = rf"^{re.escape(dosage)}:3: column snp1: not NA or a finite number: '{re.escape(field)}'$"
+    with pytest.raises(ValueError, match=message):
+        DosageSource(dosage)
+
+
 @pytest.mark.parametrize(
     "header", ["sample_id\ty\ty", "y\tsample_id\tsample_id"], ids=["trait", "sample_id"]
 )
@@ -355,7 +374,10 @@ def test_array_source_rejects_bad_hard_calls(tmp_path, kind, value, accepted):
     rule = "hard calls must be 0/1/2 or -1" if kind == "hard" else r"dosage out of \[0, 2\]"
     for name, build in builders.items():
         if not accepted:
-            with pytest.raises(ValueError, match=rf"snp1: {rule}") as err:
+            # the table reader refuses an infinite field before the value check
+            refusal = ("not NA or a finite number: '-?inf'"
+                       if name == "DosageSource" and np.isinf(value) else rule)
+            with pytest.raises(ValueError, match=rf"snp1: {refusal}") as err:
                 build()
             assert name != "DosageSource" or str(err.value).startswith(path)
             assert name != "write_packed" or not os.path.exists(geno)

@@ -678,8 +678,8 @@ def test_results_tsv_matches_oracle(tmp_path, kind, missing):
     file reads back as ``BlockResult.records()`` with ``p_upper``
     clamped.  Scans give most row kinds; one hand-made block adds every
     error code, the inversion route, a clamped ``p_upper``, "nan" inside
-    an id or chrom, inf, -0.0 and 5e-324, on screened-out-high rows (one
-    template) and on the others (field by field)."""
+    an id or chrom, inf, -0.0 and 5e-324, on screened-out-high rows and
+    on the others."""
     x, signal, y = _oracle_panel(kind, missing)
     n = y.shape[0]
     rng = np.random.default_rng(3)
@@ -728,6 +728,34 @@ def test_results_tsv_matches_oracle(tmp_path, kind, missing):
     back = read_results(str(path))
     assert [fields(r) for r in back] == [
         fields(dataclasses.replace(r, p_upper=min(r.p_upper, 1.0))) for r in records]
+
+
+_ODD_FLOAT = st.one_of(st.floats(), st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e-310, 1.0]))
+_NAME = st.one_of(st.sampled_from(["nan", "NA", "%s", "%.17g", "inf", "rs1"]),
+                  st.text(st.characters(exclude_characters="\n"), max_size=4))
+_ROW = st.tuples(
+    _NAME, _NAME, st.integers(0, 2**40), _ODD_FLOAT, st.integers(0, 10**6),
+    *[_ODD_FLOAT] * 5,
+    st.one_of(st.sampled_from([0.0, math.nan]), st.floats(0.0, 1.0, exclude_min=True)),
+    st.integers(0, len(scan_module.METHODS) - 1),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(rows=st.lists(_ROW, min_size=1, max_size=12), b=st.floats(0.0, 4.0))
+def test_record_row_matches_oracle_on_any_block(rows, b):
+    """record_row picks each column's template field from the whole
+    block; any mix of NaN, +-inf, -0.0, subnormal and plain values in any
+    column, p-values of 0, NaN or in (0, 1], every method, and ids and
+    chroms such as "nan", "NA" or "%s" give the reference formatter's
+    rows."""
+    records = [
+        ScanRecord(snp_id, chrom, pos, maf, n_used, b, stat, l1, l2, lo, hi,
+                   None if math.isnan(p) else p, scan_module.METHODS[code])
+        for snp_id, chrom, pos, maf, n_used, stat, l1, l2, lo, hi, p, code in rows
+    ]
+    assert record_row(block_result(records, b)).split("\n") == [oracle_row(r) for r in records]
 
 
 def test_block_tail_screening_boundaries(monkeypatch):
