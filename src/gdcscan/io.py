@@ -28,7 +28,7 @@ import os
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice, starmap
+from itertools import islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -44,15 +44,9 @@ _ENCODING = locale.getpreferredencoding(False)
 
 
 @dataclass
-class VariantInfo:
-    snp_id: str
-    chrom: str
-    pos: int
-
-
-@dataclass
 class Block:
-    """A contiguous run of SNP columns with shared representation."""
+    """A contiguous run of SNP columns with shared representation;
+    ``variants`` holds each SNP's ``[snp_id, chrom, pos]``."""
 
     variants: list
     values: np.ndarray  # (n_snps, n_samples); int8 for "hard", float64 for "dosage"
@@ -96,21 +90,20 @@ def encode_packed(calls: np.ndarray, snp_ids=None) -> np.ndarray:
 
 def write_packed(path: str, calls: np.ndarray, variants, sample_ids) -> None:
     """Write the packed payload and its two sidecar files.  ``variants``
-    holds a ``VariantInfo`` or an (snp_id, chrom, pos) tuple per row."""
+    holds an (snp_id, chrom, pos) sequence per row."""
     calls = np.asarray(calls)
     n_snps, n = calls.shape
     if len(variants) != n_snps:
         raise ValueError("one variant record per SNP row required")
     if len(sample_ids) != n:
         raise ValueError("one sample ID per column required")
-    variants = [v if isinstance(v, VariantInfo) else VariantInfo(*v) for v in variants]
-    payload = encode_packed(calls, [v.snp_id for v in variants])
+    payload = encode_packed(calls, [v[0] for v in variants])
     with open(path, "wb") as fh:
         fh.write(PACKED_MAGIC + PACKED_MODE_SNP_MAJOR)
         fh.write(payload.tobytes())
     with open(variants_path(path), "w") as fh:
-        for v in variants:
-            fh.write(f"{v.snp_id}\t{v.chrom}\t{v.pos}\n")
+        for snp_id, chrom, pos in variants:
+            fh.write(f"{snp_id}\t{chrom}\t{pos}\n")
     with open(samples_path(path), "w") as fh:
         for sid in sample_ids:
             fh.write(f"{sid}\n")
@@ -132,35 +125,41 @@ def write_lines(path: str, lines: Iterable[str]) -> None:
         raise
 
 
-def _variant_rows(lines: list, path: str, at: tuple) -> tuple:
-    """Check and parse the next ``lines`` of a variant sidecar read forward,
-    bytes that end in LF or CRLF; ``at`` holds the CRC-32 of the lines
-    before them and the number of the first.  Returns the [snp_id, chrom,
-    pos] of each line that is not blank, and ``at`` after them.  A line
-    that is not snp_id, chrom and an integer position, tab-separated, is
-    an error naming ``<path>:<line>``."""
-    raw = b"".join(lines)
-    crc, first = at
-    try:
-        text = raw.decode(_ENCODING)
-    except UnicodeDecodeError as exc:
-        newlines = raw.count(b"\n", 0, exc.start)
-        raise ValueError(f"{path}:{first + newlines}: {exc}") from None
-    rows = []
-    for lineno, line in enumerate(text.split("\n"), first):
-        line = line.removesuffix("\r")
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise ValueError(f"{path}:{lineno}: expected snp_id<TAB>chrom<TAB>pos")
+def _variant_rows(fh, path: str, crc: list) -> Iterator[list]:
+    """The [snp_id, chrom, pos] of each line of the variant sidecar ``fh``,
+    opened in binary, that is not blank, read forward ``DEFAULT_BLOCK_SIZE``
+    lines at a time.  ``crc[0]`` holds the running CRC-32 of the lines read
+    so far, which runs ahead of the rows yielded.  A line that is not
+    snp_id, chrom and an integer position, tab-separated and ending in LF
+    or CRLF, is an error naming ``<path>:<line>``; a position with digit
+    groups or padding is no integer."""
+    first = 1
+    while lines := list(islice(fh, DEFAULT_BLOCK_SIZE)):
+        raw = b"".join(lines)
+        crc[0] = zlib.crc32(raw, crc[0])
         try:
-            fields[2] = int(fields[2])
-        except ValueError:
-            raise ValueError(
-                f"{path}:{lineno}: position {fields[2]!r} is not an integer") from None
-        rows.append(fields)
-    return rows, (zlib.crc32(raw, crc), first + len(lines))
+            text = raw.decode(_ENCODING)
+        except UnicodeDecodeError as exc:
+            newlines = raw.count(b"\n", 0, exc.start)
+            raise ValueError(f"{path}:{first + newlines}: {exc}") from None
+        for lineno, line in enumerate(text.split("\n"), first):
+            line = line.removesuffix("\r")
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise ValueError(f"{path}:{lineno}: expected snp_id<TAB>chrom<TAB>pos")
+            pos = fields[2]
+            try:
+                # int() also reads digit groups such as 1_0 and strips padding
+                if "_" in pos or pos != pos.strip():
+                    raise ValueError
+                fields[2] = int(pos)
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: position {pos!r} is not an integer") from None
+            yield fields
+        first += len(lines)
 
 
 def _stamp(fh) -> tuple:
@@ -173,10 +172,10 @@ class _BlockSource:
 
     A source sets ``kind`` and ``n_snps``.  Each pass over the blocks
     enters ``_open(kernels)``, a context giving ``read(start, stop)``: the
-    ``VariantInfo`` list and the rows of SNPs ``start:stop``, asked for in
-    order.  An in-memory source slices its ``variants`` list and its
-    (n_snps, n_samples) ``_matrix``; a streamed one reads forward through
-    files that belong to the pass.
+    ``[snp_id, chrom, pos]`` rows and the genotype rows of SNPs
+    ``start:stop``, asked for in order.  An in-memory source slices its
+    ``variants`` list and its (n_snps, n_samples) ``_matrix``; a streamed
+    one reads forward through files that belong to the pass.
     """
 
     def iter_blocks(self, block_size: int = DEFAULT_BLOCK_SIZE,
@@ -230,13 +229,11 @@ class PackedSource(_BlockSource):
             raise ValueError(f"{path}: bad magic bytes {head[:2]!r}")
         if head[2:3] != PACKED_MODE_SNP_MAJOR:
             raise ValueError(f"{path}: unsupported mode byte {head[2:3]!r}")
-        sidecar, count, at = variants_path(path), 0, (0, 1)
+        sidecar, crc = variants_path(path), [0]
         with open(sidecar, "rb") as fh:
-            while lines := list(islice(fh, DEFAULT_BLOCK_SIZE)):
-                rows, at = _variant_rows(lines, sidecar, at)
-                count += len(rows)
+            count = sum(1 for _ in _variant_rows(fh, sidecar, crc))
             self._sidecar_stamp = _stamp(fh)
-        self._sidecar_crc = at[0]
+        self._sidecar_crc = crc[0]
         if self.n_snps != count:
             raise ValueError(
                 f"{path}: payload holds {self.n_snps} SNPs but the variant "
@@ -249,10 +246,10 @@ class PackedSource(_BlockSource):
         width = self._bytes_per_snp
         with open(self.path, "rb") as payload, open(sidecar, "rb") as lines:
             payload.seek(3)
-            at = (0, 1)
+            crc = [0]
+            rows = _variant_rows(lines, sidecar, crc)
 
             def read(start: int, stop: int) -> tuple:
-                nonlocal at
                 count, last = stop - start, stop == self.n_snps
                 raw = payload.read(count * width)
                 if _stamp(payload) != self._stamp or len(raw) != count * width:
@@ -260,14 +257,10 @@ class PackedSource(_BlockSource):
                 try:
                     if _stamp(lines) != self._sidecar_stamp:
                         raise ValueError("its size or mtime changed")
-                    out = []
-                    while len(out) < count and (got := list(islice(lines, count - len(out)))):
-                        rows, at = _variant_rows(got, sidecar, at)
-                        out += starmap(VariantInfo, rows)
+                    out = list(islice(rows, count))
                     if last:  # the rest holds blank lines at most: a row breaks the count
-                        rows, at = _variant_rows(lines.readlines(), sidecar, at)
                         out += rows
-                    if len(out) != count or last and at[0] != self._sidecar_crc:
+                    if len(out) != count or last and crc[0] != self._sidecar_crc:
                         raise ValueError("its lines or CRC-32 changed")
                 except ValueError as exc:
                     raise ValueError(f"{sidecar}: changed since it was opened") from exc
@@ -283,11 +276,14 @@ class PackedSource(_BlockSource):
 
 
 def write_dosage_tsv(path: str, dosages: np.ndarray, snp_ids, sample_ids) -> None:
-    """Write a sample-major dosage table (rows = samples)."""
+    """Write a sample-major dosage table (rows = samples).  Dosages are
+    checked as :class:`DosageSource` reads them, before the file is
+    opened, so a matrix it would refuse writes no file."""
     dosages = np.asarray(dosages, dtype=np.float64)
     n, n_snps = dosages.shape
     if len(sample_ids) != n or len(snp_ids) != n_snps:
         raise ValueError("dosage matrix must be (n_samples, n_snps)")
+    check_genotypes(dosages.T, "dosage", snp_ids)
     with open(path, "w") as fh:
         fh.write("sample_id\t" + "\t".join(snp_ids) + "\n")
         for i, sid in enumerate(sample_ids):
@@ -325,7 +321,7 @@ class DosageSource(_BlockSource):
         del rows  # a second copy of the matrix
         # SNP-major view of the sample-major matrix; blocks copy their rows
         self._matrix = check_genotypes(matrix.T, "dosage", self.snp_ids, path)
-        self.variants = [VariantInfo(s, ".", 0) for s in self.snp_ids]
+        self.variants = [[s, ".", 0] for s in self.snp_ids]
 
 
 class ArraySource(_BlockSource):
@@ -339,7 +335,7 @@ class ArraySource(_BlockSource):
         self._matrix = check_genotypes(values, kind, self.snp_ids)
         self.kind = kind
         self.sample_ids = sample_ids or [f"s{i}" for i in range(self.n_samples)]
-        self.variants = [VariantInfo(s, ".", i) for i, s in enumerate(self.snp_ids)]
+        self.variants = [[s, ".", i] for i, s in enumerate(self.snp_ids)]
 
 
 class SubsetSource:
@@ -404,8 +400,8 @@ def _table_rows(fh, header: list, id_col: int, path: str) -> Iterator[tuple]:
     """The sample ID and the other fields as floats, NA as NaN, of each
     line after the header of a TSV table that is not blank.  A line whose
     field count is not the header's, or a field other than NA that is no
-    finite number or holds ``_``, is an error naming ``<path>:<line>``, and
-    for a field its column."""
+    finite number, holds ``_`` or is padded with whitespace, is an error
+    naming ``<path>:<line>``, and for a field its column."""
     names = header[:id_col] + header[id_col + 1:]
     for lineno, line in enumerate(fh, 2):
         line = line.rstrip("\n")
@@ -419,8 +415,10 @@ def _table_rows(fh, header: list, id_col: int, path: str) -> Iterator[tuple]:
         for name, field in zip(names, fields):
             try:
                 value = np.nan if field == "NA" else float(field)
-                # float() also reads inf, nan and digit groups such as 1_0
-                if "_" in field or not (math.isfinite(value) or field == "NA"):
+                # float() also reads inf, nan and digit groups such as 1_0,
+                # and strips padding
+                if "_" in field or field != field.strip() or not (
+                        math.isfinite(value) or field == "NA"):
                     raise ValueError(f"not NA or a finite number: {field!r}")
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: column {name}: {exc}") from None

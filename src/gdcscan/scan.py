@@ -54,7 +54,7 @@ import numpy as np
 from .adjust import (MIN_RSS_SHARE, CovariateMatrix, column_features, degenerate_response,
                      residualize)
 from . import backend
-from .io import DEFAULT_BLOCK_SIZE, Block, VariantInfo, write_lines
+from .io import DEFAULT_BLOCK_SIZE, Block, write_lines
 from .nulldist import (
     METHOD_DEGENERATE,
     NullSpectrum,
@@ -154,7 +154,8 @@ class ScanRecord:
 @dataclass(eq=False)
 class BlockResult:
     """The results of one block as columns, one row per variant in input
-    order: float64 ``maf``, ``stat``, ``lambda1``, ``lambda2``,
+    order: ``variants``, each row's ``[snp_id, chrom, pos]`` as the block
+    gives it, float64 ``maf``, ``stat``, ``lambda1``, ``lambda2``,
     ``p_lower``, ``p_upper`` (unclamped) and ``p_value`` (NaN where a row
     has none), int64 ``n_used``, and ``method``, each row's int8 code into
     :data:`METHODS`.  ``b`` is the scan's, the same for every row."""
@@ -182,7 +183,7 @@ class BlockResult:
         """The rows as :class:`ScanRecord` objects; a NaN p-value is None."""
         floats = (self.maf, self.stat, self.lambda1, self.lambda2, self.p_lower, self.p_upper)
         return [
-            ScanRecord(v.snp_id, v.chrom, v.pos, maf, nu, self.b, stat, l1, l2, lo, hi,
+            ScanRecord(*v, maf, nu, self.b, stat, l1, l2, lo, hi,
                        None if math.isnan(p) else p, METHODS[c])
             for v, nu, maf, stat, l1, l2, lo, hi, p, c in zip(
                 self.variants, self.n_used.tolist(), *(f.tolist() for f in floats),
@@ -279,7 +280,7 @@ def _evaluated_record(out: BlockResult, i: int, spec: NullSpectrum, stat: float)
     try:
         p_value, method = exact_pvalue_with_method(spec, stat)
     except NumericsError as exc:
-        log.warning("%s: error:numerics: %s", out.variants[i].snp_id, exc)
+        log.warning("%s: error:numerics: %s", out.variants[i][0], exc)
         p_value, method = math.nan, "error:numerics"
     out.p_value[i], out.method[i] = p_value, _CODE[method]
     if len(spec.nonzero) > 2:
@@ -291,7 +292,7 @@ def _error_record(out: BlockResult, i: int, n_used: int, code: str, exc=None) ->
     ``out``, whose other fields stay NaN; the message of ``exc``, when
     given, goes to the ``gdcscan`` log."""
     if exc is not None:
-        log.warning("%s: error:%s: %s", out.variants[i].snp_id, code, exc)
+        log.warning("%s: error:%s: %s", out.variants[i][0], code, exc)
     out.n_used[i], out.method[i] = n_used, _CODE[f"error:{code}"]
     return out
 
@@ -485,7 +486,7 @@ def _test_single_column(cfg: ScanConfig, ctx: ScanContext, column: GenotypeColum
     :func:`_records` as one-row blocks.  Writes row ``i`` of ``out`` and
     returns ``out``, by default a new one-row result."""
     if out is None:
-        out = BlockResult.blank(cfg.b, [VariantInfo(column.snp_id, column.chrom, column.pos)])
+        out = BlockResult.blank(cfg.b, [[column.snp_id, column.chrom, column.pos]])
     mask = column.present_mask()
     n_used = int(mask.sum())
     if n_used < min_samples(ctx.df_sub, column.n_features):
@@ -593,8 +594,7 @@ def process_block(cfg: ScanConfig, ctx: ScanContext, block: Block) -> BlockResul
         settle(clean, soft, xs, "dosage", sums)
         settle(~clean, soft, xs, "dosage", sums, complete=False)
     for i, v, kind in refused:
-        var = block.variants[i]
-        col = GenotypeColumn(snp_id=var.snp_id, chrom=var.chrom, pos=var.pos, values=v, kind=kind)
+        col = GenotypeColumn(*block.variants[i], values=v, kind=kind)
         _test_single_column(cfg, ctx, col, result, i)
     return result
 
@@ -673,7 +673,7 @@ def run_multiallelic(config: ScanConfig, genotype: GenotypeColumn, phenotype,
         values=genotype.values[:, 1], kind="dosage",
     )
     block = Block(
-        variants=[VariantInfo(col.snp_id, col.chrom, col.pos)],
+        variants=[[col.snp_id, col.chrom, col.pos]],
         values=col.values[None, :], kind="dosage",
     )
     return process_block(config, ctx, block).records()[0]
@@ -720,11 +720,10 @@ def record_row(result: BlockResult) -> str:
         np.minimum(result.p_upper, 1.0), p, neg))
     template = "\t".join(("%s\t%s\t%s", maf[0], "%s", "%.17g" % result.b, stat[0], l1[0],
                           l2[0], lo[0], hi[0], pv[0], "%s", ng[0]))
-    v = result.variants
+    # the snp_id, chrom and pos columns, then the others
     return "\n".join([template % row for row in zip(
-        [x.snp_id for x in v], [x.chrom for x in v], [x.pos for x in v], maf[1],
-        result.n_used.tolist(), stat[1], l1[1], l2[1], lo[1], hi[1], pv[1],
-        _METHOD_NAMES[result.method].tolist(), ng[1])])
+        *zip(*result.variants), maf[1], result.n_used.tolist(), stat[1], l1[1], l2[1],
+        lo[1], hi[1], pv[1], _METHOD_NAMES[result.method].tolist(), ng[1])])
 
 
 def write_results(results: Iterable[BlockResult], path: str) -> None:

@@ -146,9 +146,9 @@ def _dosage_file(tmp_path):
     return path
 
 
-def _bad_position(geno):
+def _bad_position(geno, pos):
     sidecar = pathlib.Path(geno + ".variants.tsv")
-    sidecar.write_text(sidecar.read_text().replace("rs2\t1\t20\n", "rs2\t1\tx20\n"))
+    sidecar.write_text(sidecar.read_text().replace("rs2\t1\t20\n", f"rs2\t1\t{pos}\n"))
     return geno
 
 
@@ -198,9 +198,19 @@ _INPUT_ERRORS = {
         "--geno", geno, "--pheno", _unparsable_field(pheno, 4, "age", "4_0"),
         "--covar", "age"],
         r"unparsable-pheno\.tsv:4: column age: not NA or a finite number: '4_0'$"),
+    "padded covariate field": (lambda t, geno, pheno: _SCAN + [
+        "--geno", geno, "--pheno", _unparsable_field(pheno, 4, "age", " 40"),
+        "--covar", "age"],
+        r"unparsable-pheno\.tsv:4: column age: not NA or a finite number: ' 40'$"),
     "bad sidecar position": (lambda t, geno, pheno: _SCAN + [
-        "--geno", _bad_position(geno), "--pheno", pheno],
+        "--geno", _bad_position(geno, "x20"), "--pheno", pheno],
         r"panel\.geno\.variants\.tsv:3: position 'x20' is not an integer"),
+    "digit group in a sidecar position": (lambda t, geno, pheno: _SCAN + [
+        "--geno", _bad_position(geno, "2_0"), "--pheno", pheno],
+        r"panel\.geno\.variants\.tsv:3: position '2_0' is not an integer"),
+    "padded sidecar position": (lambda t, geno, pheno: _SCAN + [
+        "--geno", _bad_position(geno, " 20 "), "--pheno", pheno],
+        r"panel\.geno\.variants\.tsv:3: position ' 20 ' is not an integer"),
     "constant phenotype": (lambda t, geno, pheno: _SCAN + [
         "--geno", geno, "--pheno", _trait_of_age(pheno, lambda age: 0.1)],
         "degenerate response"),
@@ -295,7 +305,7 @@ def test_packed_scan_memory_does_not_grow_with_snp_count(tmp_path):
     extra SNP (n = 64).  Both counts are whole 1 024-row blocks, so a
     cost per row of a block in flight reads the same at both.  Even one
     8-byte sidecar offset per SNP does not fit, nor does one
-    ``VariantInfo`` per SNP (about 190 bytes)."""
+    ``[snp_id, chrom, pos]`` row per SNP (about 175 bytes)."""
     rng = np.random.default_rng(3)
     n = 64
     ids = [f"ind{j}" for j in range(n)]

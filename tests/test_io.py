@@ -1,5 +1,6 @@
 """Codecs: packed 2-bit genotypes, dosage TSV, phenotype tables."""
 
+import math
 import os
 import pathlib
 import re
@@ -15,7 +16,6 @@ from gdcscan.io import (
     DosageSource,
     PackedSource,
     SubsetSource,
-    VariantInfo,
     align_samples,
     encode_packed,
     read_phenotype_table,
@@ -149,20 +149,44 @@ def test_sidecar_blank_lines_and_crlf_give_the_same_blocks(tmp_path):
     for size in (1, 3, n_snps + 5):
         for a, b in zip(plain.iter_blocks(size), crlf.iter_blocks(size), strict=True):
             assert a.variants == b.variants and np.array_equal(a.values, b.values)
-    assert [v.snp_id for b in crlf.iter_blocks(3) for v in b.variants] == [
+    assert [v[0] for b in crlf.iter_blocks(3) for v in b.variants] == [
         f"rs{i}" for i in range(n_snps)]
 
 
 def test_sidecar_non_ascii_ids_and_signed_positions(tmp_path):
     """Non-ASCII IDs and signed or zero positions pass the check at open
     and are read back by each block."""
-    variants = [VariantInfo("rs0\u00e9", "1", -5), VariantInfo("rs1", "X", 0),
-                VariantInfo("rs2", "1", 7)]
+    variants = [["rs0\u00e9", "1", -5], ["rs1", "X", 0], ["rs2", "1", 7]]
     path = str(tmp_path / "p.geno")
     write_packed(path, np.zeros((3, 4), dtype=np.int8), variants, list("abcd"))
     _rewrite_sidecar(path, lambda text: text.replace(b"\t7\n", b"\t+7\n"))
     for size in (1, 2, 3):
         assert [v for b in PackedSource(path).iter_blocks(size) for v in b.variants] == variants
+
+
+def test_sidecar_rows_around_a_run_of_blank_lines_longer_than_a_chunk(tmp_path):
+    """The sidecar is read 1 024 lines at a time: rows on both sides of
+    1 500 blank lines, at block sizes on both sides of a chunk, give the
+    blocks of an in-memory source of the same calls, the count at open
+    holds, and a bad line after the run is named by its own line."""
+    rng = np.random.default_rng(11)
+    n_snps, before, blank = 2100, 1000, 1500
+    calls = rng.integers(-1, 3, size=(n_snps, 6)).astype(np.int8)
+    reference = ArraySource(calls)
+    path = str(tmp_path / "gaps.geno")
+    write_packed(path, calls, reference.variants, reference.sample_ids)
+    lines = pathlib.Path(path + ".variants.tsv").read_bytes().splitlines(keepends=True)
+    _rewrite_sidecar(path, lambda text: b"".join(
+        lines[:before] + [b"\n", b"\r\n"] * (blank // 2) + lines[before:]))
+    source = PackedSource(path)
+    assert source.n_snps == n_snps
+    for size in (1, 1023, 1024, 1025, 5000):
+        got, want = source.iter_blocks(size), reference.iter_blocks(size)
+        for a, b in zip(got, want, strict=True):
+            assert a.variants == b.variants and np.array_equal(a.values, b.values)
+    sidecar = _rewrite_sidecar(path, lambda text: text.replace(b"\t2099\n", b"\t2o99\n"))
+    with pytest.raises(ValueError, match=rf"^{re.escape(sidecar)}:{n_snps + blank}: position"):
+        PackedSource(path)
 
 
 @pytest.mark.parametrize("edit", [
@@ -268,11 +292,12 @@ def test_phenotype_table_round_trip(tmp_path):
     assert cols["age"][1] == 41.0
 
 
-@pytest.mark.parametrize("field", ["inf", "-Infinity", "nan", "NaN", "1_0", "0.2_5"])
+@pytest.mark.parametrize(
+    "field", ["inf", "-Infinity", "nan", "NaN", "1_0", "0.2_5", " 1.5", "2 "])
 def test_tables_refuse_fields_float_reads_but_that_are_no_finite_number(tmp_path, field):
     """NA is the only missing mark: a non-finite field, or one with digit
-    groups, in a phenotype or a dosage table is an error naming its line
-    and column, not a missing value or a silent number."""
+    groups or padding, in a phenotype or a dosage table is an error naming
+    its line and column, not a missing value or a silent number."""
     pheno = str(tmp_path / "pheno.tsv")
     with open(pheno, "w") as fh:
         fh.write(f"sample_id\theight\tage\na\t1.75\t30\nb\tNA\t{field}\n")
@@ -337,17 +362,18 @@ _VALUE_TABLE = (
     + [pytest.param("dosage", v, True, id=f"dosage-ok-{v}")
        for v in (np.nan, 0.0, -0.0, 2.0)]
     + [pytest.param("dosage", v, False, id=f"dosage-{v}")
-       for v in (-0.5, 2.0000001, np.inf, -np.inf)]
+       for v in (-0.5, 2.0000001, 3.0, np.inf, -np.inf)]
 )
 
 
 @pytest.mark.parametrize("kind, value, accepted", _VALUE_TABLE)
 def test_array_source_rejects_bad_hard_calls(tmp_path, kind, value, accepted):
-    """One verdict per genotype value, whichever way it comes in.  A hard
-    call outside -1/0/1/2 would index past the kernels' class counts (3),
-    or wrap (258) or truncate (1.5) in the int8 cast; a dosage outside
-    [0, 2] would give a silent p-value, and an infinite one would abort
-    the scan inside a block."""
+    """One verdict per genotype value, whichever way it comes in, and a
+    writer refuses a value before it makes a file.  A hard call outside
+    -1/0/1/2 would index past the kernels' class counts (3), or wrap (258)
+    or truncate (1.5) in the int8 cast; a dosage outside [0, 2] would give
+    a silent p-value, and an infinite one would abort the scan inside a
+    block."""
     values = np.zeros((3, 5))
     values[1, 4] = value
     if kind == "hard" and float(value).is_integer():
@@ -362,15 +388,25 @@ def test_array_source_rejects_bad_hard_calls(tmp_path, kind, value, accepted):
     snp_ids, sample_ids = [f"snp{i}" for i in range(3)], [f"ind{j}" for j in range(5)]
     if kind == "dosage":
         path = str(tmp_path / "d.tsv")
-        write_dosage_tsv(path, values.T, snp_ids, sample_ids)
+        with open(path, "w") as fh:  # by hand, since the writer refuses what the reader does
+            fh.write("\t".join(["sample_id"] + snp_ids) + "\n" + "".join(
+                "\t".join([sid] + ["NA" if math.isnan(v) else repr(v) for v in row]) + "\n"
+                for sid, row in zip(sample_ids, values.T.tolist())))
         builders["DosageSource"] = lambda: next(DosageSource(path).iter_blocks()).values[1]
-    else:
-        def packed():
-            write_packed(geno, values, [(sid, "1", 0) for sid in snp_ids], sample_ids)
-            return next(PackedSource(geno).iter_blocks()).values[1]
 
-        geno = str(tmp_path / "p.geno")
-        builders["write_packed"] = packed
+        def written():
+            write_dosage_tsv(out, values.T, snp_ids, sample_ids)
+            return next(DosageSource(out).iter_blocks()).values[1]
+
+        out = str(tmp_path / "w.tsv")
+        builders["write_dosage_tsv"] = written
+    else:
+        def written():
+            write_packed(out, values, [(sid, "1", 0) for sid in snp_ids], sample_ids)
+            return next(PackedSource(out).iter_blocks()).values[1]
+
+        out = str(tmp_path / "p.geno")
+        builders["write_packed"] = written
     rule = "hard calls must be 0/1/2 or -1" if kind == "hard" else r"dosage out of \[0, 2\]"
     for name, build in builders.items():
         if not accepted:
@@ -380,7 +416,7 @@ def test_array_source_rejects_bad_hard_calls(tmp_path, kind, value, accepted):
             with pytest.raises(ValueError, match=rf"snp1: {refusal}") as err:
                 build()
             assert name != "DosageSource" or str(err.value).startswith(path)
-            assert name != "write_packed" or not os.path.exists(geno)
+            assert not name.startswith("write_") or not os.path.exists(out)
             continue
         got = build()
         assert got.dtype == (np.int8 if kind == "hard" else np.float64), name
@@ -421,9 +457,9 @@ def test_every_source_gives_the_same_rows_for_any_block_size(tmp_path):
     write_dosage_tsv(dosage_path, dosages.T, [f"rs{i}" for i in range(n_snps)],
                      [f"ind{j}" for j in range(n)])
     keep = np.array([8, 0, 3])
-    written = [VariantInfo(f"rs{i}", "1", 1000 + i) for i in range(n_snps)]
-    in_memory = [VariantInfo(f"snp{i}", ".", i) for i in range(n_snps)]
-    from_tsv = [VariantInfo(f"rs{i}", ".", 0) for i in range(n_snps)]
+    written = [[f"rs{i}", "1", 1000 + i] for i in range(n_snps)]
+    in_memory = [[f"snp{i}", ".", i] for i in range(n_snps)]
+    from_tsv = [[f"rs{i}", ".", 0] for i in range(n_snps)]
     sources = [  # (source, its rows, its variants, whether the kernels decode them)
         (PackedSource(packed), calls, written, True),
         (ArraySource(calls), calls, in_memory, False),
@@ -532,7 +568,7 @@ def test_packed_pass_ended_by_a_threaded_scan_error_closes_its_files(tmp_path, m
     process_block = scan_module.process_block
 
     def fail_on_the_second_block(cfg, ctx, block):
-        if block.variants[0].snp_id == "rs3":
+        if block.variants[0][0] == "rs3":
             raise RuntimeError("worker failed")
         return process_block(cfg, ctx, block)
 

@@ -21,7 +21,6 @@ from gdcscan.io import (
     ArraySource,
     Block,
     PackedSource,
-    VariantInfo,
     samples_path,
     variants_path,
 )
@@ -625,7 +624,7 @@ def test_block_engine_matches_per_snp_path(seed, kind, n, n_snps, b, n_covariate
             y[~drop[0]] = 1.0
     cfg = ScanConfig(b=b, no_screen=no_screen)
     ctx = scan_module.prepare_context(y, cov)
-    variants = [VariantInfo(f"rs{i}", "1", i) for i in range(n_snps)]
+    variants = [[f"rs{i}", "1", i] for i in range(n_snps)]
     block = scan_module.process_block(
         cfg, ctx, Block(variants=variants, values=values, kind=kind)
     )
@@ -784,7 +783,7 @@ def test_block_tail_screening_boundaries(monkeypatch):
     stat = np.linspace(0.01, 0.05, m)
     maf = np.linspace(0.1, 0.4, m)
     n, df_sub = 200, 1
-    variants = [VariantInfo(f"rs{i}", "1", i) for i in range(m)]
+    variants = [[f"rs{i}", "1", i] for i in range(m)]
     evaluated = []
     exact = scan_module.exact_pvalue_with_method
 

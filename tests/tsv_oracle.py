@@ -12,7 +12,6 @@ import math
 
 import numpy as np
 
-from gdcscan.io import VariantInfo
 from gdcscan.scan import METHODS, OUTPUT_COLUMNS, BlockResult, ScanRecord
 
 
@@ -30,7 +29,7 @@ def block_result(records, b=3.0) -> BlockResult:
         return np.array([getattr(rec, field) for rec in records], dtype=dtype)
 
     return BlockResult(
-        variants=[VariantInfo(rec.snp_id, rec.chrom, rec.pos) for rec in records], b=b,
+        variants=[[rec.snp_id, rec.chrom, rec.pos] for rec in records], b=b,
         n_used=column("n_used", np.int64), maf=column("maf"), stat=column("stat"),
         lambda1=column("lambda1"), lambda2=column("lambda2"), p_lower=column("p_lower"),
         p_upper=column("p_upper"),
