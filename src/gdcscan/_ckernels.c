@@ -2,7 +2,9 @@
  *
  * No Python or NumPy API: every array is a C-contiguous buffer whose
  * dtype and shape the binding checks before the call.  Both sweeps sum
- * (n, k) weight columns.  Each sum adds a row's terms in sample order, as
+ * (n, k) weight columns.  The hard-call sweep sums them as int64 words on
+ * a fixed-point grid, so its sums are exact and their bits depend on no
+ * order.  The dosage sweep adds a row's float terms in sample order, as
  * the NumPy twin in _kernels_py.py does, so both give the same bits (build
  * without floating-point contraction).
  */
@@ -32,26 +34,43 @@ void decode_packed(const uint8_t *raw, int64_t n_snps, int64_t nbytes,
     }
 }
 
-/* g (n_snps, n) int8 calls, w (n, k) weights -> counts (n_snps, 3) of the
- * calls 0/1/2 and sums (n_snps, 3, k) of every weight column over each
- * class.  Any other call value (-1 for missing, or an invalid one) is
- * skipped, so no input reaches outside the buffers. */
-void hardcall_sweep(const int8_t *g, int64_t n_snps, int64_t n, const double *w,
-                    int64_t k, int64_t *restrict counts, double *restrict sums)
+/* Adds one call v with the 2k words x to a row's class counts c and its
+ * (3, k, 2) word sums s; a call outside 0..2 is skipped. */
+static void add_call(int v, const int64_t *x, int64_t k2, int64_t *c, int64_t *s)
 {
+    if (v < 0 || v > 2)
+        return;
+    c[v]++;
+    for (int64_t m = 0; m < k2; m++)
+        s[v * k2 + m] += x[m];
+}
+
+/* g (n_snps, n) int8 calls, words (n, k, 2) int64 [hi, lo] words of k
+ * weight columns on the fixed-point grid of _kernels_py.fixed_point_grid
+ * -> counts (n_snps, 3) of the calls 0/1/2 and sums (n_snps, 3, k, 2) of
+ * every column's hi and lo words over each class.  Any other call value
+ * (-1 for missing, or an invalid one) is skipped, so no input reaches
+ * outside the buffers.  The grid keeps every sum of hi words below 2**62
+ * and of lo words below n * 2**26 in magnitude, so each sum is exact and
+ * the same whatever the order of its adds.  Rows are swept two at a time,
+ * so the adds of one row need not wait on those of the other. */
+void hardcall_sweep(const int8_t *g, int64_t n_snps, int64_t n, const int64_t *words,
+                    int64_t k, int64_t *restrict counts, int64_t *restrict sums)
+{
+    int64_t k2 = 2 * k;
     memset(counts, 0, (size_t)(n_snps * 3) * sizeof *counts);
-    memset(sums, 0, (size_t)(n_snps * 3 * k) * sizeof *sums);
-    for (int64_t i = 0; i < n_snps; i++) {
-        const int8_t *row = g + i * n;
-        int64_t *c = counts + 3 * i;
-        double *s = sums + 3 * k * i;
-        for (int64_t j = 0; j < n; j++) {
-            int v = row[j];
-            if (v < 0 || v > 2)
-                continue;
-            c[v]++;
-            for (int64_t m = 0; m < k; m++)
-                s[v * k + m] += w[j * k + m];
+    memset(sums, 0, (size_t)(n_snps * 3 * k2) * sizeof *sums);
+    for (int64_t i = 0; i < n_snps; i += 2) {
+        const int8_t *a = g + i * n, *b = a + n;
+        int64_t *ca = counts + 3 * i, *sa = sums + 3 * k2 * i;
+        if (i + 1 < n_snps) {
+            for (int64_t j = 0; j < n; j++) {
+                add_call(a[j], words + j * k2, k2, ca, sa);
+                add_call(b[j], words + j * k2, k2, ca + 3, sa + 3 * k2);
+            }
+        } else {
+            for (int64_t j = 0; j < n; j++)
+                add_call(a[j], words + j * k2, k2, ca, sa);
         }
     }
 }

@@ -3,7 +3,10 @@
 Same functions, signatures and bits as the NumPy twin ``_kernels_py``:
 the packed decode and two sweeps of any number of weight columns: class
 counts and per-class sums of hard calls, and feature moments and feature
-sums of dosages.
+sums of dosages.  The hard-call sums are the twin's exact sums: this
+module puts the weights on the twin's fixed-point grid
+(``fixed_point_grid``), the C loop adds their int64 words, and the twin's
+``grid_sums_to_float`` turns the word sums into floats.
 The library is built next to this module by ``python setup.py build_ext
 --inplace``; importing raises ImportError when it is missing, so the
 backend falls back to the twin.  Inputs are converted as the twin
@@ -18,6 +21,9 @@ import ctypes
 import os
 
 import numpy as np
+
+# absolute, so that a copy of this module loads beside a library built elsewhere
+from gdcscan._kernels_py import fixed_point_grid, grid_sums_to_float
 
 IS_COMPILED = True
 
@@ -34,8 +40,8 @@ def _arr(dtype, ndim):
 _i64 = ctypes.c_int64
 _lib.decode_packed.argtypes = [_arr(np.uint8, 2), _i64, _i64, _i64, _arr(np.int8, 2)]
 _lib.hardcall_sweep.argtypes = [
-    _arr(np.int8, 2), _i64, _i64, _arr(np.float64, 2), _i64,
-    _arr(np.int64, 2), _arr(np.float64, 3),
+    _arr(np.int8, 2), _i64, _i64, _arr(np.int64, 3), _i64,
+    _arr(np.int64, 2), _arr(np.int64, 4),
 ]
 _lib.dosage_sweep.argtypes = [
     _arr(np.float64, 2), _i64, _i64, _arr(np.float64, 2), _i64,
@@ -73,14 +79,15 @@ def decode_packed(raw: np.ndarray, n: int) -> np.ndarray:
 def hardcall_stats(g: np.ndarray, w: np.ndarray):
     """(counts (n_snps, 3) int64, sums (n_snps, 3, k) float64) of a
     hard-call block and every column of the weights ``w`` (n, k), in one
-    sweep; see the NumPy twin."""
+    sweep of their words on the fixed-point grid; see the NumPy twin."""
     g = _block(g, np.int8, "hard calls")
     n_snps, n = g.shape
     w = _weights(w, n)
+    words, shift = fixed_point_grid(w)
     counts = np.empty((n_snps, 3), dtype=np.int64)
-    sums = np.empty((n_snps, 3, w.shape[1]), dtype=np.float64)
-    _lib.hardcall_sweep(g, n_snps, n, w, w.shape[1], counts, sums)
-    return counts, sums
+    sums = np.empty((n_snps, 3, w.shape[1], 2), dtype=np.int64)
+    _lib.hardcall_sweep(g, n_snps, n, words, w.shape[1], counts, sums)
+    return counts, grid_sums_to_float(sums, shift)
 
 
 def dosage_stats(x: np.ndarray, w: np.ndarray):

@@ -2,15 +2,20 @@
 
 These mirror the C kernels' API exactly and are selected at import when
 the C library is not built (or when forced via ``GDCSCAN_BACKEND=python``).
-Every statistic is reduced row by row, never by a block-shaped matrix
-product, so a SNP's statistics do not depend on how many SNPs share its
-block.  Every sum adds each row's terms in sample order, the order of the
-C loops, so both backends give the same bits.  Both sweeps sum (n, k)
-weight columns over cache-sized row chunks.  A hard-call chunk is binned
-sample-major, 4*row + call + 1 over the chunk's transpose, and reduced by
-``np.bincount`` passes: consecutive adds go to different rows' bins,
-while each bin still takes its row's weights in sample order.  A dosage
-chunk is reduced by the last column of a per-row ``np.cumsum``.
+Both sweeps sum (n, k) weight columns over cache-sized row chunks, and
+every statistic belongs to its own row, so a SNP's statistics do not
+depend on how many SNPs share its block.
+
+The hard-call class sums are exact: :func:`fixed_point_grid` puts each
+weight column on a fixed-point grid of int64 words, both backends sum the
+words exactly, and :func:`grid_sums_to_float`, the one conversion, rounds
+each sum once.  So their bits depend on no summation order, BLAS, CPU or
+thread count, and equal C's.  The twin sums a chunk's class indicators
+against the words, cut into narrow limbs, with float32 matrix products
+whose every product and partial sum is an integer below 2**24.  The
+dosage sums add each row's terms in sample order, the order of the C
+loop, by the last column of a per-row ``np.cumsum``, so both backends
+give the same bits there too.
 """
 
 from __future__ import annotations
@@ -20,9 +25,9 @@ import numpy as np
 IS_COMPILED = False
 
 
-# entries per row chunk: a chunk's bins, weights and temporaries stay in
-# cache (of 2**14..2**18, 2**16 timed best or near it for both sweeps on
-# 1024 x 2000 blocks with k = 1, 4 and 10)
+# entries per row chunk: a chunk's class indicators or features and its
+# temporaries stay in cache (of 2**14..2**18, 2**16 timed best or near it
+# for both sweeps on 1024 x 2000 blocks with k = 1 and 4)
 _CHUNK_CALLS = 1 << 16
 
 
@@ -59,6 +64,86 @@ def decode_packed(raw: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+# the fixed-point grid of the hard-call sums: a weight w of a column with
+# shift s is the integer round(w * 2**(s + _LO_BITS)), held as the words
+# hi * 2**_LO_BITS + lo with 0 <= lo < 2**_LO_BITS
+_LO_BITS = 26
+# samples per float32 product of the twin's hard-call sweep; with more, its
+# limbs would be narrower
+_SEGMENT = 1 << 14
+
+
+def fixed_point_grid(w: np.ndarray):
+    """The weights ``w`` (n, k) on the hard-call sweep's fixed-point grid.
+
+    Returns ``words`` (n, k, 2) int64, each weight's [hi, lo], and
+    ``shift`` (k,), each column's s.  The shift puts a column's largest
+    |w| just below 2**(62 - ceil(log2 n)) in hi units, so no sum of n hi
+    words reaches 2**62 and the grid keeps at least 88 - ceil(log2 n) bits
+    of that largest weight.  A sum of words is exact in int64 in any order;
+    :func:`grid_sums_to_float` turns it into a float.  A weight that is not
+    finite raises ValueError.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    if not np.isfinite(w).all():
+        raise ValueError("weights must be finite")
+    n = w.shape[0]
+    top = np.abs(w).max(axis=0, initial=0.0)
+    shift = 62 - max(n - 1, 0).bit_length() - np.frexp(top)[1]
+    x = np.ldexp(w, shift)  # exact; |x| < 2**(62 - ceil(log2 n))
+    hi = np.floor(x)
+    # x - hi is exact, and so is its scaling: one rounding per weight
+    lo = np.rint(np.ldexp(np.subtract(x, hi, out=x), _LO_BITS, out=x), out=x)
+    carry = lo == 2.0**_LO_BITS
+    hi[carry] += 1.0
+    lo[carry] = 0.0
+    words = np.empty(w.shape + (2,), dtype=np.int64)
+    words[..., 0], words[..., 1] = hi, lo
+    return words, shift
+
+
+def grid_sums_to_float(sums: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Float sums of (..., k, 2) int64 [sum of hi, sum of lo] word sums of
+    columns with shifts ``shift`` (k,), the one conversion of both
+    backends: float(hi) * 2**-s + float(lo) * 2**-(s + 26), after the low
+    26 bits of hi have moved into lo.  Both terms are then exact (for n
+    below 2**26), so the addition is the only rounding and each float is
+    the correctly rounded sum of the grid's values."""
+    rest = sums[..., 0] & ((1 << _LO_BITS) - 1)
+    return (np.ldexp((sums[..., 0] - rest).astype(np.float64), -shift)
+            + np.ldexp(((rest << _LO_BITS) + sums[..., 1]).astype(np.float64),
+                       -(shift + _LO_BITS)))
+
+
+def _limb_matrix(words: np.ndarray, segment: int):
+    """(n, 1 + k * limbs) float32: a column of ones, then each weight
+    column's hi and lo words cut into limbs of 24 - ceil(log2 segment)
+    bits, low limb first; the top hi limb keeps hi's sign.  Over a segment
+    of ``segment`` samples every limb column sums to at most 2**24 in magnitude,
+    so a float32 product of class indicators and limbs is exact.  Also
+    returns the (limbs, 2) int64 weights that turn limb sums into [hi, lo]
+    sums."""
+    n, k, _ = words.shape
+    bits = 24 - max(segment - 1, 0).bit_length()
+    n_hi = -(-(62 - max(n - 1, 0).bit_length()) // bits)
+    n_lo = -(-_LO_BITS // bits)
+    word = np.repeat([0, 1], [n_hi, n_lo])
+    shifts = bits * np.concatenate([np.arange(n_hi), np.arange(n_lo)])
+    masks = np.full(n_hi + n_lo, (1 << bits) - 1)
+    masks[n_hi - 1] = -1
+    limbs = np.empty((n, 1 + k * (n_hi + n_lo)), dtype=np.float32)
+    limbs[:, 0] = 1.0
+    view = limbs[:, 1:].reshape(n, k, n_hi + n_lo)
+    for m in range(k):  # one column at a time: (n, limbs) scratch
+        part = words[:, m, word]
+        part >>= shifts
+        part &= masks
+        view[:, m] = part
+    scale = np.zeros((n_hi + n_lo, 2), dtype=np.int64)
+    scale[np.arange(n_hi + n_lo), word] = 1 << shifts
+    return limbs, scale
+
+
 def hardcall_stats(g: np.ndarray, w: np.ndarray):
     """Per-SNP sufficient statistics for a hard-call block: one sweep.
 
@@ -75,15 +160,15 @@ def hardcall_stats(g: np.ndarray, w: np.ndarray):
     counts : (n_snps, 3) int64 class counts over non-missing entries.
     sums : (n_snps, 3, k) float64 per-class sums of every column of w.
 
-    Each row chunk of height h is binned sample-major: the (n, h) bins
-    ``4*row + call + 1`` of the chunk's transpose, so adjacent entries
-    belong to h different rows and no add waits on the one before it.
-    Bin ``4*row`` takes the missing calls and, as in C, any call outside
-    0..2, and is dropped.  One unweighted ``np.bincount`` of the bins
-    gives the counts, and one weighted by ``np.repeat(w[:, j], h)`` per
-    column gives the sums.  A bin still receives its row's weights in
-    sample order, starting from 0.0, so the bits do not depend on the
-    layout or the chunk height and equal C's.
+    The sums are exact sums of the weights on the grid of
+    :func:`fixed_point_grid`, so their bits depend on no summation order
+    and equal C's.  Each row chunk's class indicators (1.0 where a call is
+    in the class) multiply the grid's limbs in one float32 ``np.matmul``
+    per segment of samples; every product and partial sum is an integer
+    below 2**24, so the result is exact on any BLAS, and the limb sums are
+    recombined in int64.  A call outside 0..2, missing or invalid, is in
+    no class.  A chunk with no such call takes only the class-1 and
+    class-2 indicators: class 0 is the column totals less those two.
     """
     g = np.ascontiguousarray(g, dtype=np.int8)
     w = np.asarray(w, dtype=np.float64)
@@ -91,28 +176,33 @@ def hardcall_stats(g: np.ndarray, w: np.ndarray):
         raise ValueError("weights must be (n, k) with n the block width")
     n_snps, n = g.shape
     k = w.shape[1]
-    if g.size and (g.min() < -1 or g.max() > 2):
-        # an invalid call would land in another class's or row's bin; as
-        # in C, it is skipped like a missing one
-        g = np.where((g >= 0) & (g <= 2), g, np.int8(-1))
+    words, shift = fixed_point_grid(w)
+    segment = max(1, min(n, _SEGMENT))
+    limbs, scale = _limb_matrix(words, segment)
+    totals = np.concatenate([[n], words.sum(axis=0).ravel()])
     rows = max(1, min(n_snps, _CHUNK_CALLS // max(n, 1)))
-    offsets = 4 * np.arange(rows, dtype=np.intp) + 1
-    buf = np.empty(rows * n, dtype=np.intp)
-    weights = [np.repeat(w[:, j], rows) for j in range(k)]
-    counts = np.empty((n_snps, 4), dtype=np.int64)
-    sums = np.empty((n_snps, 4, k), dtype=np.float64)
+    ind = np.empty((3 * rows, n), dtype=np.float32)
+    out = np.empty((n_snps, 3, 1 + 2 * k), dtype=np.int64)
     for start in range(0, n_snps, rows):
         h = min(rows, n_snps - start)
-        if h < rows:  # the last, shorter chunk
-            weights = [np.repeat(w[:, j], h) for j in range(k)]
-        bins = buf[: h * n]
-        np.add(g[start : start + h].T, offsets[:h], out=bins.reshape(n, h))
-        counts[start : start + h] = np.bincount(bins, minlength=4 * h).reshape(h, 4)
-        for j in range(k):
-            sums[start : start + h, :, j] = np.bincount(
-                bins, weights=weights[j], minlength=4 * h
-            ).reshape(h, 4)
-    return counts[:, 1:], sums[:, 1:]
+        chunk = g[start : start + h]
+        # as uint8 a missing or invalid call is above 2
+        classes = (1, 2) if chunk.view(np.uint8).max(initial=0) <= 2 else (0, 1, 2)
+        for i, v in enumerate(classes):
+            np.equal(chunk, v, out=ind[i * h : (i + 1) * h])
+        part = ind[: len(classes) * h]
+        acc = np.matmul(part[:, :segment], limbs[:segment]).astype(np.int64)
+        for s in range(segment, n, segment):
+            acc += np.matmul(part[:, s : s + segment], limbs[s : s + segment]).astype(np.int64)
+        acc = acc.reshape(len(classes), h, -1)
+        sums = out[start : start + h].transpose(1, 0, 2)
+        sums[classes, :, 0] = acc[:, :, 0]
+        sums[classes, :, 1:] = (acc[:, :, 1:].reshape(len(classes), h, k, -1) @ scale).reshape(
+            len(classes), h, 2 * k)
+        if len(classes) == 2:
+            sums[0] = totals - sums[1] - sums[2]
+    sums = grid_sums_to_float(out[:, :, 1:].reshape(n_snps, 3, k, 2), shift)
+    return out[:, :, 0].copy(), sums
 
 
 def dosage_stats(x: np.ndarray, w: np.ndarray):

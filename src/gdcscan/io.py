@@ -129,10 +129,10 @@ def _variant_rows(fh, path: str, crc: list) -> Iterator[list]:
     """The [snp_id, chrom, pos] of each line of the variant sidecar ``fh``,
     opened in binary, that is not blank, read forward ``DEFAULT_BLOCK_SIZE``
     lines at a time.  ``crc[0]`` holds the running CRC-32 of the lines read
-    so far, which runs ahead of the rows yielded.  A line that is not
-    snp_id, chrom and an integer position, tab-separated and ending in LF
-    or CRLF, is an error naming ``<path>:<line>``; a position with digit
-    groups or padding is no integer."""
+    so far, which runs ahead of the rows yielded.  A line that is not a
+    nonempty snp_id and chrom and an integer position, tab-separated and
+    ending in LF or CRLF, is an error naming ``<path>:<line>``; a position
+    with digit groups or padding is no integer."""
     first = 1
     while lines := list(islice(fh, DEFAULT_BLOCK_SIZE)):
         raw = b"".join(lines)
@@ -147,7 +147,7 @@ def _variant_rows(fh, path: str, crc: list) -> Iterator[list]:
             if not line:
                 continue
             fields = line.split("\t")
-            if len(fields) != 3:
+            if len(fields) != 3 or not fields[0] or not fields[1]:
                 raise ValueError(f"{path}:{lineno}: expected snp_id<TAB>chrom<TAB>pos")
             pos = fields[2]
             try:
@@ -209,8 +209,10 @@ class PackedSource(_BlockSource):
 
     def __init__(self, path: str):
         self.path = path
-        with open(samples_path(path)) as fh:
-            self.sample_ids = [line.strip() for line in fh if line.strip()]
+        ids = samples_path(path)
+        with open(ids) as fh:
+            self.sample_ids = [_sample_id(line.rstrip("\n"), ids, lineno)
+                               for lineno, line in enumerate(fh, 1) if line != "\n"]
         self.n_samples = len(self.sample_ids)
         self._bytes_per_snp = (self.n_samples + 3) // 4
         with open(path, "rb") as fh:
@@ -396,12 +398,22 @@ def read_phenotype_table(path: str):
     return ids, {k: np.asarray(v, dtype=np.float64) for k, v in cols.items()}
 
 
+def _sample_id(field: str, path: str, lineno: int) -> str:
+    """``field`` as a sample ID, the one rule of the samples file and the
+    tables: an ID that is empty or padded with whitespace is an error
+    naming ``<path>:<line>``, since it would match one side's IDs only."""
+    if not field or field != field.strip():
+        raise ValueError(f"{path}:{lineno}: sample ID {field!r} is empty or padded")
+    return field
+
+
 def _table_rows(fh, header: list, id_col: int, path: str) -> Iterator[tuple]:
     """The sample ID and the other fields as floats, NA as NaN, of each
     line after the header of a TSV table that is not blank.  A line whose
-    field count is not the header's, or a field other than NA that is no
-    finite number, holds ``_`` or is padded with whitespace, is an error
-    naming ``<path>:<line>``, and for a field its column."""
+    field count is not the header's, a sample ID :func:`_sample_id`
+    refuses, or a field other than NA that is no finite number, holds
+    ``_`` or is padded with whitespace, is an error naming
+    ``<path>:<line>``, and for a field its column."""
     names = header[:id_col] + header[id_col + 1:]
     for lineno, line in enumerate(fh, 2):
         line = line.rstrip("\n")
@@ -411,7 +423,7 @@ def _table_rows(fh, header: list, id_col: int, path: str) -> Iterator[tuple]:
         if len(fields) != len(header):
             raise ValueError(
                 f"{path}:{lineno}: expected {len(header)} fields, got {len(fields)}")
-        sample_id, values = fields.pop(id_col), []
+        sample_id, values = _sample_id(fields.pop(id_col), path, lineno), []
         for name, field in zip(names, fields):
             try:
                 value = np.nan if field == "NA" else float(field)

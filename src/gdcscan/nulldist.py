@@ -23,9 +23,9 @@ arrays, gathers or scatters), nu = inf is classified once per call, and
 Gauss-Legendre orders 64 and 128, which every entry needs, are summed in
 one pass over one node grid.  Also provided: cheap lower/upper p-value
 bounds, used for the scan's two-stage screening and, through their F-tail
-terms (:func:`_f_bounds`), for the simulation's rejection decisions; one
-F(1, nu) tail, :func:`_f1_tail`, for the classical F route and every
-F(1, .) term of the bounds; and a characteristic-function inversion of the
+terms (:func:`_f_lower`, :func:`_f_upper`), for the simulation's
+rejection decisions; one F(1, nu) tail, :func:`_f1_tail`, for the
+classical F route and every F(1, .) term of the bounds; and a characteristic-function inversion of the
 holdout form P(sum_r w_r chi2_{h_r} >= 0) (the fallback, and the
 multiallelic path with more than two eigenvalues).
 
@@ -656,15 +656,20 @@ def pvalue_bounds(spec: NullSpectrum, k: float) -> tuple:
     return float(p_star), float(p_star2)
 
 
-def _f_bounds(l1, l2, k, n, df_sub) -> tuple:
-    """The F-tail terms of the bounds on spectra with lam1 >= lam2 > k/n:
-    max(t2, t3), the F(1, nu) and F(2, nu) lower bounds, and p**, five
-    times a F(1, nu + 1) tail, unfloored; both F(1, .) tails by :func:`_f1_tail`."""
+def _f_lower(l1, l2, k, n, df_sub):
+    """max(t2, t3), the F(1, nu) and F(2, nu) lower bounds on spectra with
+    lam1 >= lam2 > k/n; the F(1, .) tail by :func:`_f1_tail`."""
     nu = n - df_sub - 2.0
     t2 = _f1_tail(nu, k, l1 * n - k)
     t3 = special.fdtrc(2.0, nu, k * nu / np.sqrt((l1 * n - k) * (l2 * n - k)))
-    p_upper = 5.0 * _f1_tail(nu + 1, k, (l1 + l2) * n - 2.0 * k)
-    return np.fmax(t2, t3), p_upper
+    return np.fmax(t2, t3)
+
+
+def _f_upper(l1, l2, k, n, df_sub):
+    """p**, the upper bound on spectra with lam1 >= lam2 > k/n: five times
+    a F(1, nu + 1) tail by :func:`_f1_tail`, unfloored."""
+    nu = n - df_sub - 2.0
+    return 5.0 * _f1_tail(nu + 1, k, (l1 + l2) * n - 2.0 * k)
 
 
 def pvalue_bounds_batch(lam1, lam2, k, n, df_sub=1) -> tuple:
@@ -693,8 +698,8 @@ def pvalue_bounds_batch(lam1, lam2, k, n, df_sub=1) -> tuple:
         l1, l2, kk, nn, dd, vv = (v[i] for v in (lam1, lam2, k, n, df_sub, nu))
         t = kk * vv / nn
         t1 = _tail(l1 - kk / nn, l2 - kk / nn, t, np.full(t.shape, np.inf))
-        t23, p_star2[i] = _f_bounds(l1, l2, kk, nn, dd)
-        p_star[i] = np.fmax(t1, t23)
+        p_star[i] = np.fmax(t1, _f_lower(l1, l2, kk, nn, dd))
+        p_star2[i] = _f_upper(l1, l2, kk, nn, dd)
 
     lower = live & ~upper
     if lower.any():

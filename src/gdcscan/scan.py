@@ -34,9 +34,15 @@ The kernel module is the scan context's ``kernels`` field, passed to
 it also decodes packed sources.
 :func:`record_row` formats a block into one string, every row through
 one ``%`` template made from the block's columns.  Output order
-always equals input order, and every per-SNP sum is reduced row by row,
+always equals input order, and every per-SNP sum belongs to its own row,
 so the output bytes do not depend on the worker count, the block size or
-the kernel module.
+the kernel module.  The hard-call class sums are exact sums on the
+kernels' fixed-point grid, so their bits depend on no summation order,
+BLAS, CPU or thread count; the rest of the arithmetic (the scan's totals,
+the covariate SVD, :func:`_missing_sums`, the spectra and the tail
+integral) still takes its last bits from the machine and the NumPy and
+SciPy wheels, so the bytes are promised on one machine with one set of
+wheels.
 """
 
 from __future__ import annotations

@@ -16,11 +16,13 @@ producer the scan uses (:func:`gdcscan.nulldist.hardcall_terms`), the
 additive F-test from sxy = s1 + 2 s2 and the allele-count variance, and
 the ANOVA F-test from sum_j s_j^2 / n_j.  A cell needs only whether each
 p-value is at most alpha, so a b test takes that decision from the scan's
-screening bounds p* <= p <= p** (:func:`gdcscan.nulldist._f_bounds`)
-wherever they settle it by a margin wider than the exact path's error,
-and evaluates :func:`gdcscan.nulldist.exact_pvalues_batch` only on the
-replications they leave open: the decisions, and so the tables, are
-those of the exact p-values.
+screening bounds p* <= p <= p** wherever they settle it by a margin wider
+than the exact path's error: the lower bound's F terms
+(:func:`gdcscan.nulldist._f_lower`) first, p**
+(:func:`gdcscan.nulldist._f_upper`) only where they leave doubt.  It
+evaluates :func:`gdcscan.nulldist.exact_pvalues_batch` only on the
+replications both leave open: the decisions, and so the tables, are those
+of the exact p-values.
 
 Memory is bounded by the chunk's int8 calls plus one strip of about
 2**17 entries per float array: a chunk draws its calls strip by strip,
@@ -43,7 +45,7 @@ from scipy import special
 
 from .gdc import Sample
 from .io import write_lines
-from .nulldist import _f_bounds, eig2x2, exact_pvalues_batch, hardcall_terms, min_samples
+from .nulldist import _f_lower, _f_upper, eig2x2, exact_pvalues_batch, hardcall_terms, min_samples
 from .premetric import check_b
 
 DEFAULT_H_GRID = tuple(np.round(np.arange(0.0, 1.01, 0.1), 10))
@@ -228,13 +230,14 @@ def _rejected(st: _ChunkStats, method: str, alpha: float) -> np.ndarray:
     stat, lam1, lam2 = _gdc_stats(st, float(method))
     n = st.n
     i = ((lam1 > 0.0) & (lam2 - stat / n > 0.0)).nonzero()[0]
-    lower, upper = _f_bounds(lam1[i], lam2[i], stat[i], n, 1)
-    reject = upper <= alpha * (1.0 - _BOUND_REL) - _BOUND_ABS
-    settled = reject | (lower >= alpha * (1.0 + _BOUND_REL) + _BOUND_ABS)
+    accept = _f_lower(lam1[i], lam2[i], stat[i], n, 1) >= alpha * (1.0 + _BOUND_REL) + _BOUND_ABS
+    j = i[~accept]  # p** is computed only where the lower bound leaves doubt
+    reject = _f_upper(lam1[j], lam2[j], stat[j], n, 1) <= alpha * (1.0 - _BOUND_REL) - _BOUND_ABS
     out = np.zeros(stat.shape, dtype=bool)
-    out[i] = reject
+    out[j] = reject
     todo = np.ones(stat.shape, dtype=bool)
-    todo[i[settled]] = False
+    todo[i[accept]] = False
+    todo[j[reject]] = False
     rest = todo.nonzero()[0]
     out[rest] = exact_pvalues_batch(lam1[rest], lam2[rest], stat[rest], n, 1) <= alpha
     return out

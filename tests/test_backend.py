@@ -88,7 +88,7 @@ def test_hardcall_stats_agreement(ckernels):
     a, b = ckernels.hardcall_stats(g, w), _kernels_py.hardcall_stats(g, w)
     assert len(a) == len(b) == 2
     assert a[1].shape == (g.shape[0], 3, 4)
-    # both backends add each row's weights in sample order: same bits
+    # both backends sum the weights exactly on one grid: same bits
     for part_a, part_b in zip(a, b):
         assert part_a.dtype == part_b.dtype
         np.testing.assert_array_equal(part_a, part_b)
@@ -138,9 +138,9 @@ def test_c_kernels_stay_in_bounds_on_invalid_calls(ckernels):
 
 
 def test_twin_skips_invalid_calls():
-    """The twin bins calls by their low two bits, yet a call outside -1..2
-    (4, 5, -2, -128, ...) is skipped, as in C: its counts and sums are
-    those of the block with every invalid call made missing."""
+    """A call outside -1..2 (4, 5, -2, -128, ...) is in no class of the
+    twin, as in C: its counts and sums are those of the block with every
+    invalid call made missing."""
     g = np.array([[4, 0, -2, 1, 5, 127, 3, -1]], dtype=np.int8)
     w = 10.0 ** np.arange(8)[:, None]
     counts, sums = _kernels_py.hardcall_stats(g, w)
@@ -202,34 +202,159 @@ def _assert_same_bits(a, b):
     assert a.tobytes() == b.tobytes()
 
 
-def _sequential_hardcall_stats(g, w):
-    """C's hard-call loop, one add at a time: every sum starts at +0.0,
-    takes its row's weights in sample order and skips calls outside 0..2."""
+def _exact_hardcall_stats(g, w):
+    """The hard-call contract written out: each class sum of a row is the
+    Python-int sum of its calls' hi words and of their lo words on the
+    shared fixed-point grid, turned into floats by the shared rule; calls
+    outside 0..2 are skipped."""
+    words, shift = _kernels_py.fixed_point_grid(w)
     counts = np.zeros((g.shape[0], 3), dtype=np.int64)
-    sums = np.zeros((g.shape[0], 3, w.shape[1]))
+    sums = np.zeros((g.shape[0], 3, w.shape[1], 2), dtype=np.int64)
     for i, row in enumerate(g.tolist()):
+        total = [[[0, 0] for _ in range(w.shape[1])] for _ in range(3)]
         for s, v in enumerate(row):
             if 0 <= v <= 2:
                 counts[i, v] += 1
-                for m in range(w.shape[1]):
-                    sums[i, v, m] += w[s, m]
-    return counts, sums
+                for m, (hi, lo) in enumerate(words[s].tolist()):
+                    total[v][m][0] += hi
+                    total[v][m][1] += lo
+        sums[i] = total
+    return counts, _kernels_py.grid_sums_to_float(sums, shift)
 
 
-def test_hardcall_stats_reference():
-    """NumPy kernel against a sequential per-call loop, bit for bit, on
-    blocks with missing and invalid calls, for widths of every residue
-    mod 4 and k = 1, 3 and 10 weight columns."""
+@pytest.mark.parametrize("segment", [None, 16], ids=["one-product", "16-sample-products"])
+def test_hardcall_stats_reference(request, monkeypatch, segment):
+    """Both kernels against the exact sums of the grid's words, bit for
+    bit, on blocks with missing and invalid calls, for widths of every
+    residue mod 4 and k = 1, 3 and 10 weight columns (the C one when a
+    compiler is on PATH); the twin also with its float32 products cut at
+    16 samples, so every width takes several and a short last one."""
+    modules = [_kernels_py] + ([request.getfixturevalue("ckernels")] if CC else [])
+    if segment is not None:
+        monkeypatch.setattr(_kernels_py, "_SEGMENT", segment)
     rng = np.random.default_rng(3)
     for k in (1, 3, 10):
         for n in (37, 38, 39, 40):
             g = _random_block(rng, n_snps=8, n=n)
             g[5, ::7], g[6, 1::5], g[7, 2::3] = 3, -2, 127
-            w = rng.standard_normal((n, k))
-            counts, sums = _kernels_py.hardcall_stats(g, w)
-            want_counts, want_sums = _sequential_hardcall_stats(g, w)
-            _assert_same_bits(counts, want_counts)
-            _assert_same_bits(sums, want_sums)
+            w = rng.standard_normal((n, k)) * 10.0 ** rng.integers(-3, 4, size=k)
+            want_counts, want_sums = _exact_hardcall_stats(g, w)
+            for kernels in modules:
+                counts, sums = kernels.hardcall_stats(g, w)
+                _assert_same_bits(counts, want_counts)
+                _assert_same_bits(sums, want_sums)
+            if k == 1:  # the twin's chunks that need no class-0 indicators
+                clean = np.where((g >= 0) & (g <= 2), g, np.int8(0))
+                _assert_same_bits(_kernels_py.hardcall_stats(clean, w)[1],
+                                  _exact_hardcall_stats(clean, w)[1])
+
+
+def test_fixed_point_grid_words():
+    """Each weight is round(w * 2**(s + 26)) as hi * 2**26 + lo with
+    0 <= lo < 2**26; a column's largest |w| lies in [2**(61 - L), 2**(62 -
+    L)) hi units, L = ceil(log2 n), so n hi words sum below 2**62; an
+    all-zero column gets zero words; a weight that is not finite is
+    refused."""
+    from fractions import Fraction
+
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 3, 300, 2048, 2049):
+        w = rng.standard_t(3, size=(n, 3)) * np.array([1e-200, 1.0, 1e200])
+        w[0, 1] = -np.abs(w[:, 1]).max()  # the largest |w| is a negative one
+        words, shift = _kernels_py.fixed_point_grid(w)
+        assert words.shape == (n, 3, 2) and words.dtype == np.int64
+        hi, lo = words[..., 0], words[..., 1]
+        assert ((lo >= 0) & (lo < 2**26)).all()
+        bound = 2 ** (62 - (n - 1).bit_length())
+        assert (np.abs(hi).max(axis=0) <= bound).all()
+        assert (np.abs(w).max(axis=0) * 2.0 ** shift.astype(float) >= bound / 2).all()
+        for (i, j) in ((0, 0), (n - 1, 1), (n // 2, 2)):
+            exact = Fraction(w[i, j]) * Fraction(2) ** (int(shift[j]) + 26)
+            assert int(hi[i, j]) * 2**26 + int(lo[i, j]) == round(exact)
+    words, shift = _kernels_py.fixed_point_grid(np.zeros((5, 1)))
+    assert not words.any()
+    for bad in (np.nan, np.inf, -np.inf):
+        w = np.ones((4, 2))
+        w[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            _kernels_py.fixed_point_grid(w)
+        for kernels in (_kernels_py, _installed):
+            if kernels is not None:
+                with pytest.raises(ValueError, match="finite"):
+                    kernels.hardcall_stats(np.zeros((2, 4), dtype=np.int8), w)
+
+
+@pytest.mark.parametrize("n", [300, 2000, 20_000])
+def test_hardcall_sums_at_least_as_close_to_fsum_as_a_sequential_loop(n):
+    """Against ``math.fsum`` of each class's weights, the grid's sums are
+    no further off than sums added one at a time in sample order, in the
+    largest and the median absolute error, for normal and t(3) weights and
+    k = 1 and 3."""
+    import math
+
+    rng = np.random.default_rng(n)
+    for law in ("normal", "t3"):
+        for k in (1, 3):
+            g = _random_block(rng, n_snps=6, n=n)
+            w = rng.standard_normal((n, k)) if law == "normal" else rng.standard_t(3, (n, k))
+            sums = _kernels_py.hardcall_stats(g, w)[1]
+            new, old = [], []
+            for i in range(len(g)):
+                for v in range(3):
+                    for m in range(k):
+                        terms = w[g[i] == v, m]
+                        exact = math.fsum(terms)
+                        sequential = np.cumsum(terms)[-1] if terms.size else 0.0
+                        new.append(abs(sums[i, v, m] - exact))
+                        old.append(abs(sequential - exact))
+            assert max(new) <= max(old), (law, k)
+            assert np.median(new) <= np.median(old), (law, k)
+
+
+def test_twin_sums_do_not_depend_on_the_blas(tmp_path):
+    """The twin's hard-call sums are the same bytes with OpenBLAS on one
+    thread or two, and with its kernels forced to Haswell, Sandybridge or
+    Prescott ones, each in a fresh interpreter: its float32 products are
+    exact, so no BLAS choice can move a bit."""
+    import hashlib
+    import os
+    import sys
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        pytest.skip("this NumPy does not report its BLAS build")
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        pytest.skip(f"NumPy's BLAS is {blas.get('name')!r}, not a DYNAMIC_ARCH OpenBLAS, "
+                    "so OPENBLAS_CORETYPE picks no other kernels")
+    code = (
+        "import hashlib, numpy as np\n"
+        "from gdcscan import _kernels_py as k\n"
+        "rng = np.random.default_rng(5)\n"
+        "h = hashlib.sha256()\n"
+        "for rows, n, cols in ((256, 2000, 4), (24, 17000, 3), (40, 301, 1)):\n"
+        "    g = rng.integers(0, 3, size=(rows, n)).astype(np.int8)\n"
+        "    g[::3, ::97] = -1\n"
+        "    for part in k.hardcall_stats(g, rng.standard_t(3, size=(n, cols))):\n"
+        "        h.update(part.tobytes())\n"
+        "print(h.hexdigest())\n"
+    )
+    digests = {}
+    for threads in ("1", "2"):
+        for core in (None, "Haswell", "Sandybridge", "Prescott"):
+            env = {key: value for key, value in os.environ.items()
+                   if key not in ("OPENBLAS_CORETYPE", "OPENBLAS_NUM_THREADS")}
+            env["OPENBLAS_NUM_THREADS"] = threads
+            if core is not None:
+                env["OPENBLAS_CORETYPE"] = core
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                                              env.get("PYTHONPATH")]))
+            done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True, timeout=300, cwd=tmp_path)
+            assert done.returncode == 0, done.stderr
+            digests[threads, core] = done.stdout.strip()
+    assert len(set(digests.values())) == 1, digests
+    assert hashlib.sha256().hexdigest() not in digests.values()
 
 
 def test_dosage_stats_reference():

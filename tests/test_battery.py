@@ -41,6 +41,6 @@ def test_cell_bytes_do_not_depend_on_blocks_threads_or_kernels(cell, inputs, run
 def test_simulation_cell_bytes_do_not_depend_on_the_bounds(cell, tmp_path, monkeypatch):
     base = battery.sim_cell_digest(cell, tmp_path / "table.tsv")
     # NaN bounds decide nothing: every replication takes the exact p-value
-    monkeypatch.setattr(simbench, "_f_bounds",
-                        lambda l1, *args: (np.full(l1.shape, np.nan),) * 2)
+    for bound in ("_f_lower", "_f_upper"):
+        monkeypatch.setattr(simbench, bound, lambda l1, *args: np.full(l1.shape, np.nan))
     assert battery.sim_cell_digest(cell, tmp_path / "table.tsv") == base

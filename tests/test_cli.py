@@ -152,6 +152,18 @@ def _bad_position(geno, pos):
     return geno
 
 
+def _empty_snp_id(geno):
+    sidecar = pathlib.Path(geno + ".variants.tsv")
+    sidecar.write_text(sidecar.read_text().replace("rs2\t1\t", "\t1\t"))
+    return geno
+
+
+def _padded_sample_id(geno):
+    samples = pathlib.Path(geno + ".samples.txt")
+    samples.write_text(samples.read_text().replace("\nind1\n", "\n ind1\n"))
+    return geno
+
+
 def _trait_of_age(pheno, trait):
     """A copy of the phenotype table at ``pheno`` whose trait column is
     ``trait(age)``."""
@@ -211,6 +223,12 @@ _INPUT_ERRORS = {
     "padded sidecar position": (lambda t, geno, pheno: _SCAN + [
         "--geno", _bad_position(geno, " 20 "), "--pheno", pheno],
         r"panel\.geno\.variants\.tsv:3: position ' 20 ' is not an integer"),
+    "empty SNP ID in the sidecar": (lambda t, geno, pheno: _SCAN + [
+        "--geno", _empty_snp_id(geno), "--pheno", pheno],
+        r"panel\.geno\.variants\.tsv:3: expected snp_id<TAB>chrom<TAB>pos$"),
+    "padded ID in the samples file": (lambda t, geno, pheno: _SCAN + [
+        "--geno", _padded_sample_id(geno), "--pheno", pheno],
+        r"panel\.geno\.samples\.txt:2: sample ID ' ind1' is empty or padded$"),
     "constant phenotype": (lambda t, geno, pheno: _SCAN + [
         "--geno", geno, "--pheno", _trait_of_age(pheno, lambda age: 0.1)],
         "degenerate response"),

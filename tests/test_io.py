@@ -137,6 +137,47 @@ def test_sidecar_bad_position_names_file_and_line(tmp_path):
         PackedSource(path)
 
 
+@pytest.mark.parametrize("row", [("", "", 5), ("", "1", 5), ("rs0", "", 5)],
+                         ids=["both", "snp_id", "chrom"])
+def test_sidecar_refuses_an_empty_snp_id_or_chrom(tmp_path, row):
+    """A sidecar row with no SNP ID or no chromosome would give a results
+    row that nothing can join back: it is refused at open, naming its
+    line, as every pass would refuse it."""
+    path = str(tmp_path / "p.geno")
+    write_packed(path, np.zeros((2, 4), dtype=np.int8), [row, ("rs1", "1", 6)], list("abcd"))
+    with pytest.raises(ValueError, match=rf"^{re.escape(path)}\.variants\.tsv:1: expected"):
+        list(PackedSource(path).iter_blocks())
+
+
+@pytest.mark.parametrize("sample_id, field", [(" a", " a"), ("a ", "a "), ("\ta", ""),
+                                              (" ", " ")])
+def test_samples_file_and_tables_share_one_sample_id_rule(tmp_path, sample_id, field):
+    """An empty or padded sample ID is refused, naming its file and line,
+    in the packed samples file (``sample_id``) and in the phenotype and
+    dosage tables (``field``, with no tab, which would split the row)
+    alike, so no ID is matched on one side only; blank lines are skipped
+    in both."""
+    path = _write_panel(tmp_path, np.zeros((2, 3), dtype=np.int8))
+    samples = pathlib.Path(path + ".samples.txt")
+    samples.write_text(f"\nind0\n{sample_id}\nind2\n")
+    message = rf":3: sample ID {re.escape(repr(sample_id))} is empty or padded$"
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(samples))}{message}"):
+        PackedSource(path)
+    samples.write_text("\nind0\nind1\n\nind2\n")
+    assert PackedSource(path).sample_ids == ["ind0", "ind1", "ind2"]
+    message = rf":4: sample ID {re.escape(repr(field))} is empty or padded$"
+    pheno = tmp_path / "pheno.tsv"
+    for text in (f"sample_id\ty\nind0\t1.5\n\n{field}\t2.5\n",
+                 f"y\tsample_id\n1.5\tind0\n\n2.5\t{field}\n"):
+        pheno.write_text(text)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(pheno))}{message}"):
+            read_phenotype_table(str(pheno))
+    dosage = tmp_path / "d.tsv"
+    dosage.write_text(f"sample_id\tsnp1\nind0\t1.0\n\n{field}\t0.5\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(dosage))}{message}"):
+        DosageSource(str(dosage))
+
+
 def test_sidecar_blank_lines_and_crlf_give_the_same_blocks(tmp_path):
     rng = np.random.default_rng(5)
     n_snps = 7

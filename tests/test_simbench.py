@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from gdcscan import simbench
+from gdcscan import nulldist, simbench
 from gdcscan.gdc import Sample, standardized_statistic
 from gdcscan.io import ArraySource
 from gdcscan.nulldist import exact_pvalue, exact_pvalues_batch, spectrum_unadjusted
@@ -322,6 +322,24 @@ def test_few_null_replications_reach_the_exact_path(monkeypatch):
         _rejection_cell(SimScenario(n=300, replications=reps), maf, h=0.0, beta=0.0,
                         methods=["3.0"], seed_seq=np.random.SeedSequence(47))
         assert 0 < sum(calls) <= 0.15 * reps
+
+
+def test_upper_bound_is_computed_only_where_the_lower_leaves_doubt(monkeypatch):
+    """p** is evaluated only for the replications whose lower bound
+    max(t2, t3) is below the acceptance margin: under the null at alpha =
+    0.05 that is at most a quarter of the bounded b = 3 replications."""
+    lower, upper = [], []
+    monkeypatch.setattr(simbench, "_f_lower", lambda *a: lower.append(
+        nulldist._f_lower(*a)) or lower[-1])
+    monkeypatch.setattr(simbench, "_f_upper", lambda l1, *a: upper.append(
+        l1.size) or nulldist._f_upper(l1, *a))
+    rng = np.random.default_rng(53)
+    g = draw_genotypes(rng, 300, 0.25, 2000)
+    st = _chunk_stats(g, rng.standard_normal(g.shape))
+    _rejected(st, "3.0", 0.05)
+    ((bound,), (evaluated,)) = lower, upper
+    assert evaluated == (~(bound >= 0.05 * (1.0 + 1e-6) + 1e-9)).sum()
+    assert 0 < evaluated <= 0.25 * bound.size
 
 
 @pytest.mark.parametrize("mode", ["null", "power"])
