@@ -135,14 +135,14 @@ class GenotypeColumn:
         return counts / counts.sum()
 
     def maf(self) -> float:
-        """Minor allele frequency over non-missing entries."""
+        """Minor allele frequency over non-missing entries: the smaller
+        allele sum over 2n (for allele counts, 2n less the largest allele
+        sum), so that a column and its allele flip give the same value."""
         mask = self.present_mask()
         if not mask.any():
             raise ValueError(f"{self.snp_id}: no non-missing genotypes")
+        alleles = 2.0 * int(mask.sum())
         if self.kind == "allele_counts":
-            mean_counts = self.values[mask].mean(axis=0) / 2.0
-            major = float(mean_counts.max())
-            return 1.0 - major
-        vals = self.values[mask].astype(np.float64)
-        q = float(vals.mean()) / 2.0
-        return min(q, 1.0 - q)
+            return float(alleles - self.values[mask].sum(axis=0).max()) / alleles
+        dose = float(self.values[mask].astype(np.float64).sum())
+        return min(dose, alleles - dose) / alleles

@@ -304,9 +304,11 @@ def _error_record(out: BlockResult, i: int, n_used: int, code: str, exc=None) ->
 
 
 def _maf(dose: np.ndarray, n_used) -> np.ndarray:
-    """Minor allele frequency from the allele sum over present entries."""
-    q = dose / (2.0 * n_used)
-    return np.minimum(q, 1.0 - q)
+    """Minor allele frequency from the allele sum over present entries:
+    the smaller allele sum over 2 n_used, so that a row and its allele
+    flip 2 - x give the same value."""
+    alleles = 2.0 * n_used
+    return np.minimum(dose, alleles - dose) / alleles
 
 
 def _hard_sums(b: float, counts: np.ndarray, rsums: np.ndarray,

@@ -24,9 +24,14 @@ evaluates :func:`gdcscan.nulldist.exact_pvalues_batch` only on the
 replications both leave open: the decisions, and so the tables, are those
 of the exact p-values.
 
-Memory is bounded by the chunk's int8 calls plus one strip of about
-2**17 entries per float array: a chunk draws its calls strip by strip,
-then draws and reduces each strip's responses before the next.  The
+A run makes its buffers once (:func:`_strip_buffers`): the int8 calls
+of one chunk, and strips of about 2**17 entries of float64 and of int64.
+Every cell and chunk fills them again in place: a chunk draws its calls
+strip by strip, each strip's uniforms in the float strip, then draws
+each strip's responses into that strip and reduces them, bins in the
+int64 strip, before the next; power mode builds the effect term in one
+more float strip.  So memory is bounded by those buffers whatever the
+number of replications and cells, and no strip takes fresh pages.  The
 strip height moves no bit, so ``CHUNK_ROWS`` is only the seeding unit:
 each chunk of replications draws from its own child seed.
 
@@ -77,12 +82,14 @@ class SimScenario:
         for maf in self.maf:
             hwe_probs(maf)  # raises on a MAF outside (0, 0.5]
         b_values = [check_b(b) for b in self.b_values]
-        for b in b_values:
-            if b_values.count(b) > 1:
-                raise ValueError(f"b = {b:g} is given more than once")
         for h in self.h_grid:
             if not np.isfinite(h):
                 raise ValueError(f"h must be finite, got {h!r}")
+        # a repeated value would run its cell, or add its rejections, twice
+        for name, values in (("maf", list(self.maf)), ("b", b_values), ("h", list(self.h_grid))):
+            for v in values:
+                if values.count(v) > 1:
+                    raise ValueError(f"{name} = {v:g} is given more than once")
         if not (0.0 <= self.alpha <= 1.0):
             raise ValueError("alpha must lie in [0, 1]")
         if not (0.0 < self.noise_sd < np.inf) or not np.isfinite(self.beta):
@@ -97,11 +104,18 @@ def hwe_probs(maf: float) -> np.ndarray:
     return np.array([(1.0 - q) ** 2, 2.0 * q * (1.0 - q), q * q])
 
 
-def draw_genotypes(rng: np.random.Generator, n: int, maf: float, size: int) -> np.ndarray:
-    """(size, n) int8 hard calls under Hardy-Weinberg proportions."""
+def draw_genotypes(rng: np.random.Generator, n: int, maf: float, size: int,
+                   out: np.ndarray | None = None,
+                   uniforms: np.ndarray | None = None) -> np.ndarray:
+    """(size, n) int8 hard calls under Hardy-Weinberg proportions.
+
+    The calls are written into ``out`` when it is given, and the uniforms
+    they come from are drawn into ``uniforms``, a (size, n) float64
+    scratch array; both forms take the same draws."""
     p = hwe_probs(maf)
-    u = rng.random((size, n))
-    g = (u > p[0]).astype(np.int8) + (u > p[0] + p[1]).astype(np.int8)
+    u = rng.random((size, n), out=uniforms)
+    g = np.greater(u, p[0], out=np.empty((size, n), np.int8) if out is None else out)
+    g += u > p[0] + p[1]
     return g
 
 
@@ -154,15 +168,18 @@ class _ChunkStats(NamedTuple):
     n: int
 
 
-def _chunk_stats(g: np.ndarray, y: np.ndarray) -> _ChunkStats:
+def _chunk_stats(g: np.ndarray, y: np.ndarray, bins: np.ndarray | None = None) -> _ChunkStats:
     """One pass over (reps, n) hard calls and responses: a bincount over
-    ``row * 3 + g``, unweighted and weighted by the centred response."""
+    ``row * 3 + g``, unweighted and weighted by the centred response.
+
+    ``y`` is centred and then squared in place; ``bins``, an int64 array
+    of the calls' shape, takes the bin indices when it is given."""
     reps, n = g.shape
-    yc = y - y.mean(axis=1)[:, None]
-    bins = (g + np.arange(0, 3 * reps, 3)[:, None]).ravel()
+    y -= y.mean(axis=1)[:, None]
+    bins = np.add(g, np.arange(0, 3 * reps, 3)[:, None], out=bins).ravel()
     counts = np.bincount(bins, minlength=3 * reps).reshape(reps, 3).astype(np.float64)
-    sums = np.bincount(bins, weights=yc.ravel(), minlength=3 * reps).reshape(reps, 3)
-    return _ChunkStats(counts, sums, (yc * yc).sum(axis=1), n)
+    sums = np.bincount(bins, weights=y.ravel(), minlength=3 * reps).reshape(reps, 3)
+    return _ChunkStats(counts, sums, np.multiply(y, y, out=y).sum(axis=1), n)
 
 
 def _gdc_stats(st: _ChunkStats, b: float) -> tuple:
@@ -246,38 +263,68 @@ def _rejected(st: _ChunkStats, method: str, alpha: float) -> np.ndarray:
 def competitor_tests(sample: Sample) -> dict:
     """Additive-regression and ANOVA F-test p-values for one sample."""
     st = _chunk_stats(sample.genotypes.values.astype(np.int8)[None, :],
-                      sample.phenotype[None, :])
+                      sample.phenotype[None, :].astype(np.float64))
     return {m: float(pvalues(st)[0]) for m, pvalues in _F_PVALUES.items()}
 
 
-def _rejection_cell(scenario, maf, h, beta, methods, seed_seq) -> dict:
+class _Strips(NamedTuple):
+    """The arrays one simulation run fills again for every cell, chunk and
+    strip: a chunk's int8 calls, one strip of float64 (a strip's uniforms,
+    then its responses) and one of int64 bincount bins, and in power mode
+    one more float64 strip for the effect term."""
+
+    calls: np.ndarray
+    floats: np.ndarray
+    bins: np.ndarray
+    effect: np.ndarray | None
+
+
+def _strip_buffers(scenario: SimScenario, effect: bool) -> _Strips:
+    """The buffers of one run: ``min(CHUNK_ROWS, replications)`` rows of
+    calls and strips of ``_STRIP_CALLS // n`` rows (at least one, at most
+    a chunk)."""
+    n = scenario.n
+    rows = min(CHUNK_ROWS, scenario.replications)
+    strip = (min(max(1, _STRIP_CALLS // n), rows), n)
+    return _Strips(np.empty((rows, n), np.int8), np.empty(strip), np.empty(strip, np.int64),
+                   np.empty(strip) if effect else None)
+
+
+def _rejection_cell(scenario, maf, h, beta, methods, seed_seq, buf: _Strips) -> dict:
     """Empirical rejection rates for one (maf, h, beta) cell, all methods
     sharing the same replicated data and one evaluation per chunk.
 
-    A chunk draws its calls strip by strip into one int8 array, then each
-    strip's responses, reduced by :func:`_chunk_stats` before the next
-    strip is drawn.  Both draws fill in stream order and every statistic
-    is per replication, so the strip height moves no bit."""
+    A chunk draws its calls strip by strip into the int8 array of ``buf``,
+    then each strip's responses, reduced by :func:`_chunk_stats` before
+    the next strip is drawn.  Both draws fill in stream order and every
+    statistic is per replication, so the strip height moves no bit."""
     n = scenario.n
     total = scenario.replications
-    strip = max(1, _STRIP_CALLS // n)
+    height = len(buf.floats)
+    # the effect term beta * (h * [x = 1] + [x = 2]) of each class x, by the
+    # same operations, so a lookup gives each entry the expression's bits
+    levels = beta * (h * np.array([0.0, 1.0, 0.0]) + np.array([0.0, 0.0, 1.0]))
     hits = {m: 0 for m in methods}
     chunk_seeds = seed_seq.spawn((total + CHUNK_ROWS - 1) // CHUNK_ROWS)
     done = 0
     for child in chunk_seeds:
         reps = min(CHUNK_ROWS, total - done)
         rng = np.random.default_rng(child)
-        strips = [slice(s, s + strip) for s in range(0, reps, strip)]
-        g = np.empty((reps, n), dtype=np.int8)
+        strips = [slice(s, s + height) for s in range(0, reps, height)]
+        g = buf.calls[:reps]
         for rows in strips:
-            g[rows] = draw_genotypes(rng, n, maf, len(g[rows]))
+            gs = g[rows]
+            draw_genotypes(rng, n, maf, len(gs), out=gs, uniforms=buf.floats[:len(gs)])
         counts, sums, rss = np.empty((reps, 3)), np.empty((reps, 3)), np.empty(reps)
         for rows in strips:
             gs = g[rows]
-            y = rng.normal(0.0, scenario.noise_sd, size=gs.shape)
-            if beta != 0.0:
-                y += beta * (h * (gs == 1) + (gs == 2))
-            counts[rows], sums[rows], rss[rows], _ = _chunk_stats(gs, y)
+            # rng.normal(0.0, noise_sd): loc + scale * z, on the same z
+            y = rng.standard_normal(out=buf.floats[:len(gs)])
+            y *= scenario.noise_sd
+            y += 0.0  # loc, which turns a -0.0 into +0.0 as loc + scale * z does
+            if beta != 0.0:  # "clip": with ``out``, "raise" would copy into a buffer
+                y += np.take(levels, gs, out=buf.effect[:len(gs)], mode="clip")
+            counts[rows], sums[rows], rss[rows], _ = _chunk_stats(gs, y, buf.bins[:len(gs)])
         st = _ChunkStats(counts, sums, rss, n)
         for m in methods:
             hits[m] += int(_rejected(st, m, scenario.alpha).sum())
@@ -303,10 +350,12 @@ def _simulate(scenario: SimScenario, mode: str) -> list:
     beta = 0.0 if null else scenario.beta
     cells = [(maf, h) for maf in scenario.maf for h in h_grid]
     seeds = np.random.SeedSequence(scenario.seed).spawn(len(cells))
+    buf = _strip_buffers(scenario, beta != 0.0)
     rows = []
     for (maf, h), seed_seq in zip(cells, seeds):
         rates = _rejection_cell(
             scenario, maf, h=h, beta=beta, methods=methods, seed_seq=seed_seq,
+            buf=buf,
         )
         for m in methods:
             lo, hi = _ci(rates[m], scenario.replications)

@@ -248,6 +248,11 @@ _INPUT_ERRORS = {
         "--h-grid", ""], "at least one h value"),
     "repeated b": (lambda t, geno, pheno: _SIM[:-2] + ["--b", "2,3,3.0"],
                    "b = 3 is given more than once"),
+    "repeated MAF": (lambda t, geno, pheno: _SIM + ["--maf", "0.3,0.3"],
+                     r"maf = 0.3 is given more than once"),
+    "repeated h in power mode": (lambda t, geno, pheno: [
+        "simulate", "--mode", "power", "--n", "40", "--replications", "20", "--b", "3",
+        "--h-grid", "0.5,0.2,0.50"], r"h = 0.5 is given more than once"),
     "NaN h in power mode": (lambda t, geno, pheno: [
         "simulate", "--mode", "power", "--n", "40", "--replications", "20", "--b", "3",
         "--h-grid", "0.5,nan"], "h must be finite, got nan"),

@@ -195,6 +195,35 @@ def test_monomorphic_rows_on_present_samples_are_degenerate(with_covariates):
         assert all(r.method != "degenerate spectrum" for r in recs[3:])
 
 
+@pytest.mark.parametrize("kind", ["hard", "dosage"])
+def test_allele_flip_prints_the_same_maf(kind):
+    """A row and its allele flip 2 - x print the same ``maf``, on the
+    block path and on the per-SNP path, complete or with missing entries:
+    the smaller allele sum over twice the present samples.  An allele dose
+    of 600 on 700 samples and its flip's 800 both print 600 / 1400."""
+    rng = np.random.default_rng(61)
+    n, m = 700, 24
+    g = np.vstack([np.repeat([2, 1, 0], [200, 200, 300]), rng.binomial(2, 0.5, (m - 1, n))])
+    # quarter steps keep every allele sum, and its flip's, exact; the
+    # first row keeps its calls
+    x = g if kind == "hard" else np.clip(g + 0.25 * rng.integers(-1, 2, g.shape) * (
+        np.arange(m) > 0)[:, None], 0.0, 2.0)
+    x = np.vstack([x, 2 - x]).astype(np.int8 if kind == "hard" else np.float64)
+    drop = np.tile(rng.random((m, n)) < np.linspace(0.0, 0.3, m)[:, None], (2, 1))
+    x[drop] = -1 if kind == "hard" else np.nan
+    y = rng.standard_normal(n)
+    cfg = ScanConfig(b=3.0)
+    ctx = scan_module.prepare_context(y)
+    block = scan_module.process_block(
+        cfg, ctx, Block(variants=[[f"rs{i}", "1", i] for i in range(2 * m)], values=x, kind=kind))
+    per_snp = [scan_module._test_single_column(
+        cfg, ctx, GenotypeColumn(f"rs{i}", "1", i, x[i], kind=kind)).records()[0].maf
+        for i in range(2 * m)]
+    for mafs in ([r.maf for r in block.records()], per_snp):
+        assert mafs[0] == 600 / 1400
+        assert mafs[:m] == mafs[m:]
+
+
 def test_too_few_samples_error_record():
     rng = np.random.default_rng(5)
     g = rng.integers(0, 3, size=(2, 10)).astype(np.int8)

@@ -21,6 +21,7 @@ from gdcscan.simbench import (
     _gdc_stats,
     _rejected,
     _rejection_cell,
+    _strip_buffers,
     competitor_tests,
     draw_genotypes,
     draw_heterozygous_effect,
@@ -54,6 +55,25 @@ def test_draw_genotypes_frequencies():
     g = draw_genotypes(rng, 200, 0.25, 500)
     freqs = np.bincount(g.ravel(), minlength=3) / g.size
     np.testing.assert_allclose(freqs, hwe_probs(0.25), atol=0.01)
+
+
+def test_draw_genotypes_into_buffers_takes_the_same_draws():
+    """Drawn into an int8 ``out`` (and a float64 ``uniforms`` scratch), the
+    calls are those of the returning form, which are the Hardy-Weinberg
+    class of each uniform, and the generator ends in the same state."""
+    n, size, maf = 300, 37, 0.25
+    rng = np.random.default_rng(59)
+    ref = draw_genotypes(rng, n, maf, size)
+    p = hwe_probs(maf)
+    u = np.random.default_rng(59).random((size, n))
+    np.testing.assert_array_equal(ref, (u > p[0]).astype(np.int8) + (u > p[0] + p[1]))
+    assert ref.dtype == np.int8
+    for uniforms in (None, np.empty((size, n))):
+        again = np.random.default_rng(59)
+        out = np.full((size, n), 9, np.int8)
+        assert draw_genotypes(again, n, maf, size, out=out, uniforms=uniforms) is out
+        np.testing.assert_array_equal(out, ref)
+        assert again.bit_generator.state == rng.bit_generator.state
 
 
 def test_heterozygous_effect_uniform_at_b3():
@@ -201,8 +221,8 @@ def test_rejection_cell_shares_draws_across_methods():
     scenario = SimScenario(n=60, maf=(0.3,), b_values=(4.0,), replications=300,
                            seed=19)
     rates = _rejection_cell(
-        scenario, 0.3, h=0.5, beta=0.0,
-        methods=["4.0", "additive_F"], seed_seq=np.random.SeedSequence(19),
+        scenario, 0.3, h=0.5, beta=0.0, methods=["4.0", "additive_F"],
+        seed_seq=np.random.SeedSequence(19), buf=_strip_buffers(scenario, False),
     )
     # b = 4 and the additive F-test are the same test; identical decisions
     assert rates["4.0"] == rates["additive_F"]
@@ -232,7 +252,7 @@ def test_replication_stats_match_the_scan(b):
     g = draw_genotypes(rng, n, 0.3, reps)
     g[0] = np.where(rng.random(n) < 0.5, 0, 2)  # two classes, no heterozygote
     y = rng.standard_normal((reps, n))
-    stat, lam1, lam2 = _gdc_stats(_chunk_stats(g, y), b)
+    stat, lam1, lam2 = _gdc_stats(_chunk_stats(g, y.copy()), b)  # y stays the scan's response
     for i in range(reps):
         (rec,) = scan_records(run_scan(ScanConfig(b=b, no_screen=True),
                                        ArraySource(g[i:i + 1], kind="hard"), y[i]))
@@ -256,7 +276,7 @@ def test_degenerate_replications():
     ]).astype(np.int8)
     y = rng.standard_normal((len(g), n))
     methods = ["0.0", "2.0", "3.0", "4.0", "additive_F", "anova_F"]
-    st = _chunk_stats(g, y)
+    st = _chunk_stats(g, y.copy())  # centres its copy in place
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         p = {m: _method_pvalues(st, m) for m in methods}
@@ -319,8 +339,9 @@ def test_few_null_replications_reach_the_exact_path(monkeypatch):
     reps = 2000
     for maf in (0.1, 0.25, 0.4):
         calls.clear()
-        _rejection_cell(SimScenario(n=300, replications=reps), maf, h=0.0, beta=0.0,
-                        methods=["3.0"], seed_seq=np.random.SeedSequence(47))
+        scenario = SimScenario(n=300, replications=reps)
+        _rejection_cell(scenario, maf, h=0.0, beta=0.0, methods=["3.0"],
+                        seed_seq=np.random.SeedSequence(47), buf=_strip_buffers(scenario, False))
         assert 0 < sum(calls) <= 0.15 * reps
 
 
@@ -358,6 +379,43 @@ def test_strip_height_moves_no_bit(monkeypatch, mode):
         tables.append(simulate(scenario))
     assert tables[0] == tables[1] == tables[2]
     assert len({r["estimate"] for r in tables[0]}) > 1
+
+
+@pytest.mark.parametrize("mode", ["null", "power"])
+def test_buffers_are_made_once_per_run(monkeypatch, mode):
+    """One simulate call makes its buffers once, whatever the number of
+    cells, chunks and strips, and every chunk reduces the statistics the
+    fresh-array draws give: the calls of ``draw_genotypes``, the responses
+    of ``rng.normal(0, noise_sd)`` plus ``beta * (h * [x = 1] + [x = 2])``,
+    bit for bit."""
+    scenario = SimScenario(n=40, maf=(0.2, 0.45), b_values=(3.0,), replications=130,
+                           h_grid=(-0.5, 0.0, 1.5), beta=-2.0, noise_sd=1.5, seed=67)
+    monkeypatch.setattr(simbench, "CHUNK_ROWS", 50)
+    monkeypatch.setattr(simbench, "_STRIP_CALLS", 7 * scenario.n)
+    made, seen = [], []
+    make = simbench._strip_buffers
+    monkeypatch.setattr(simbench, "_strip_buffers", lambda *a: made.append(a) or make(*a))
+    monkeypatch.setattr(simbench, "_rejected", lambda st, m, alpha: seen.append(
+        [a.copy() for a in st[:3]]) or np.zeros(len(st.rss), dtype=bool))
+    null = mode == "null"
+    (simulate_null if null else simulate_power)(scenario)
+    assert len(made) == 1
+    cells = [(q, h) for q in scenario.maf for h in ((0.0,) if null else scenario.h_grid)]
+    beta = 0.0 if null else scenario.beta
+    seeds = np.random.SeedSequence(scenario.seed).spawn(len(cells))
+    ref = []
+    for (q, h), seed in zip(cells, seeds):
+        for reps, child in zip((50, 50, 30), seed.spawn(3)):
+            rng = np.random.default_rng(child)
+            g = draw_genotypes(rng, scenario.n, q, reps)
+            y = rng.normal(0.0, scenario.noise_sd, size=g.shape)
+            if beta != 0.0:
+                y += beta * (h * (g == 1) + (g == 2))
+            ref += [list(_chunk_stats(g, y)[:3])] * 3  # one per method: b = 3, two F-tests
+    assert len(seen) == len(ref)
+    for got, want in zip(seen, ref):
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
 
 
 def test_simulation_memory_is_bounded():
@@ -405,6 +463,14 @@ def test_scenario_validation():
     for b_values in ((3.0, 3.0), (2.0, 3, 3.0), (0.0, -0.0)):
         with pytest.raises(ValueError, match=r"b = [03] is given more than once"):
             SimScenario(b_values=b_values)
+    # a repeated MAF or h would run its cell twice, each copy with its own
+    # child seed, and print two rows for one cell
+    for maf in ((0.3, 0.3), (0.1, 0.3, 0.30)):
+        with pytest.raises(ValueError, match=r"maf = 0.3 is given more than once"):
+            SimScenario(maf=maf)
+    for h_grid in ((0.5, 0.5), (0.0, 0.5, -0.0)):
+        with pytest.raises(ValueError, match=r"h = -?0(.5)? is given more than once"):
+            SimScenario(h_grid=h_grid)
     # a non-finite h would draw NaN or infinite phenotypes
     for h in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="h must be finite"):
