@@ -8,35 +8,36 @@ the heterozygous effect ``h`` is fixed on a grid.
 given ``b`` is locally most powerful, as a library call; no simulation
 here uses it.
 
-Each chunk of replications is reduced once, in one pass, to its
-sufficient statistics: class counts (n0, n1, n2), centred class sums of
-the response (s0, s1, s2) and the residual sum of squares.  Every method
-of a cell comes from those arrays: the b tests through the hard-call
-producer the scan uses (:func:`gdcscan.nulldist.hardcall_terms`), the
-additive F-test from sxy = s1 + 2 s2 and the allele-count variance, and
-the ANOVA F-test from sum_j s_j^2 / n_j.  A cell needs only whether each
-p-value is at most alpha, so a b test takes that decision from the scan's
-screening bounds p* <= p <= p** wherever they settle it by a margin wider
-than the exact path's error: the lower bound's F terms
+A replication enters every method only through its sufficient
+statistics: class counts (n0, n1, n2), centred class sums of the response
+(s0, s1, s2) and the residual sum of squares.  Under the Gaussian model
+those have a closed law, so each chunk of replications draws them
+directly (:func:`_draw_chunk_stats`) and never draws a sample: the counts
+are Multinomial(n, Hardy-Weinberg probabilities); given the counts, the
+class totals T_c are independent N(n_c mu_c, n_c noise_sd^2); the
+within-class sum of squares is independent of them and is noise_sd^2
+times a chi-square with n minus the number of non-empty classes degrees
+of freedom (Cochran's theorem).  Then s_c = T_c - n_c mean(y) and the
+residual sum of squares is the within-class one plus sum_c s_c^2 / n_c.
+A replication costs one multinomial, three normals and one chi-square
+whatever n is, and memory does not grow with n.
+
+Every method of a cell comes from those arrays: the b tests through the
+hard-call producer the scan uses (:func:`gdcscan.nulldist.hardcall_terms`),
+the additive F-test from sxy = s1 + 2 s2 and the allele-count variance,
+and the ANOVA F-test from sum_j s_j^2 / n_j.  A cell needs only whether
+each p-value is at most alpha, so a b test takes that decision from the
+scan's screening bounds p* <= p <= p** wherever they settle it by a
+margin wider than the exact path's error: the lower bound's F terms
 (:func:`gdcscan.nulldist._f_lower`) first, p**
 (:func:`gdcscan.nulldist._f_upper`) only where they leave doubt.  It
 evaluates :func:`gdcscan.nulldist.exact_pvalues_batch` only on the
 replications both leave open: the decisions, and so the tables, are those
-of the exact p-values.
+of the exact p-values.  :func:`_chunk_stats` reduces observed calls and
+responses to the same statistics, for :func:`competitor_tests`.
 
-A run makes its buffers once (:func:`_strip_buffers`): the int8 calls
-of one chunk, and strips of about 2**17 entries of float64 and of int64.
-Every cell and chunk fills them again in place: a chunk draws its calls
-strip by strip, each strip's uniforms in the float strip, then draws
-each strip's responses into that strip and reduces them, bins in the
-int64 strip, before the next; power mode builds the effect term in one
-more float strip.  So memory is bounded by those buffers whatever the
-number of replications and cells, and no strip takes fresh pages.  The
-strip height moves no bit, so ``CHUNK_ROWS`` is only the seeding unit:
-each chunk of replications draws from its own child seed.
-
-Everything runs on counter-based seed sequences, so tables are bit
-reproducible for any worker count.
+Each chunk of ``CHUNK_ROWS`` replications draws from its own child seed,
+on counter-based seed sequences, so tables are bit reproducible.
 """
 
 from __future__ import annotations
@@ -55,8 +56,6 @@ from .premetric import check_b
 
 DEFAULT_H_GRID = tuple(np.round(np.arange(0.0, 1.01, 0.1), 10))
 CHUNK_ROWS = 20_000
-# entries per strip of a chunk: one strip's float temporaries stay in cache
-_STRIP_CALLS = 1 << 17
 
 
 @dataclass
@@ -104,17 +103,12 @@ def hwe_probs(maf: float) -> np.ndarray:
     return np.array([(1.0 - q) ** 2, 2.0 * q * (1.0 - q), q * q])
 
 
-def draw_genotypes(rng: np.random.Generator, n: int, maf: float, size: int,
-                   out: np.ndarray | None = None,
-                   uniforms: np.ndarray | None = None) -> np.ndarray:
-    """(size, n) int8 hard calls under Hardy-Weinberg proportions.
-
-    The calls are written into ``out`` when it is given, and the uniforms
-    they come from are drawn into ``uniforms``, a (size, n) float64
-    scratch array; both forms take the same draws."""
+def draw_genotypes(rng: np.random.Generator, n: int, maf: float, size: int) -> np.ndarray:
+    """(size, n) int8 hard calls under Hardy-Weinberg proportions: the
+    class of each of (size, n) uniforms."""
     p = hwe_probs(maf)
-    u = rng.random((size, n), out=uniforms)
-    g = np.greater(u, p[0], out=np.empty((size, n), np.int8) if out is None else out)
+    u = rng.random((size, n))
+    g = (u > p[0]).astype(np.int8)
     g += u > p[0] + p[1]
     return g
 
@@ -168,15 +162,13 @@ class _ChunkStats(NamedTuple):
     n: int
 
 
-def _chunk_stats(g: np.ndarray, y: np.ndarray, bins: np.ndarray | None = None) -> _ChunkStats:
+def _chunk_stats(g: np.ndarray, y: np.ndarray) -> _ChunkStats:
     """One pass over (reps, n) hard calls and responses: a bincount over
     ``row * 3 + g``, unweighted and weighted by the centred response.
-
-    ``y`` is centred and then squared in place; ``bins``, an int64 array
-    of the calls' shape, takes the bin indices when it is given."""
+    ``y`` is centred and then squared in place."""
     reps, n = g.shape
     y -= y.mean(axis=1)[:, None]
-    bins = np.add(g, np.arange(0, 3 * reps, 3)[:, None], out=bins).ravel()
+    bins = (g + np.arange(0, 3 * reps, 3)[:, None]).ravel()
     counts = np.bincount(bins, minlength=3 * reps).reshape(reps, 3).astype(np.float64)
     sums = np.bincount(bins, weights=y.ravel(), minlength=3 * reps).reshape(reps, 3)
     return _ChunkStats(counts, sums, np.multiply(y, y, out=y).sum(axis=1), n)
@@ -267,68 +259,49 @@ def competitor_tests(sample: Sample) -> dict:
     return {m: float(pvalues(st)[0]) for m, pvalues in _F_PVALUES.items()}
 
 
-class _Strips(NamedTuple):
-    """The arrays one simulation run fills again for every cell, chunk and
-    strip: a chunk's int8 calls, one strip of float64 (a strip's uniforms,
-    then its responses) and one of int64 bincount bins, and in power mode
-    one more float64 strip for the effect term."""
-
-    calls: np.ndarray
-    floats: np.ndarray
-    bins: np.ndarray
-    effect: np.ndarray | None
+def _stats_from_totals(counts: np.ndarray, totals: np.ndarray, within: np.ndarray,
+                       n: int) -> _ChunkStats:
+    """The statistics of replications given by their (reps, 3) class
+    counts and class totals of the response and their within-class sums
+    of squares: s_c = T_c - n_c mean(y) and rss = within + sum_c s_c^2 /
+    n_c, an empty class adding nothing."""
+    sums = totals - counts * (totals.sum(axis=1) / n)[:, None]
+    return _ChunkStats(counts, sums, within + (sums * sums / np.maximum(counts, 1.0)).sum(axis=1), n)
 
 
-def _strip_buffers(scenario: SimScenario, effect: bool) -> _Strips:
-    """The buffers of one run: ``min(CHUNK_ROWS, replications)`` rows of
-    calls and strips of ``_STRIP_CALLS // n`` rows (at least one, at most
-    a chunk)."""
-    n = scenario.n
-    rows = min(CHUNK_ROWS, scenario.replications)
-    strip = (min(max(1, _STRIP_CALLS // n), rows), n)
-    return _Strips(np.empty((rows, n), np.int8), np.empty(strip), np.empty(strip, np.int64),
-                   np.empty(strip) if effect else None)
+def _draw_chunk_stats(rng: np.random.Generator, n: int, probs: np.ndarray, levels: np.ndarray,
+                      noise_sd: float, reps: int) -> _ChunkStats:
+    """The statistics of ``reps`` replications of n samples with class
+    probabilities ``probs``, class means ``levels`` and N(0, noise_sd^2)
+    noise, drawn from their joint law: counts, then the class totals
+    n_c mu_c + noise_sd sqrt(n_c) Z_c, then the within-class sum of squares
+    noise_sd^2 chi2(n - non-empty classes).  An empty class has a zero
+    total, so its centred sum is exactly zero."""
+    counts = rng.multinomial(n, probs, size=reps).astype(np.float64)
+    totals = rng.standard_normal((reps, 3))
+    totals *= np.sqrt(counts)
+    totals *= noise_sd
+    totals += counts * levels
+    within = rng.chisquare(n - np.count_nonzero(counts, axis=1))
+    within *= noise_sd * noise_sd
+    return _stats_from_totals(counts, totals, within, n)
 
 
-def _rejection_cell(scenario, maf, h, beta, methods, seed_seq, buf: _Strips) -> dict:
+def _rejection_cell(scenario, maf, h, beta, methods, seed_seq) -> dict:
     """Empirical rejection rates for one (maf, h, beta) cell, all methods
-    sharing the same replicated data and one evaluation per chunk.
-
-    A chunk draws its calls strip by strip into the int8 array of ``buf``,
-    then each strip's responses, reduced by :func:`_chunk_stats` before
-    the next strip is drawn.  Both draws fill in stream order and every
-    statistic is per replication, so the strip height moves no bit."""
-    n = scenario.n
-    total = scenario.replications
-    height = len(buf.floats)
-    # the effect term beta * (h * [x = 1] + [x = 2]) of each class x, by the
-    # same operations, so a lookup gives each entry the expression's bits
+    deciding on the same drawn statistics, one evaluation per chunk."""
+    n, total = scenario.n, scenario.replications
+    probs = hwe_probs(maf)
+    # class means beta * (h * [x = 1] + [x = 2]) of the classes x = 0, 1, 2
     levels = beta * (h * np.array([0.0, 1.0, 0.0]) + np.array([0.0, 0.0, 1.0]))
-    hits = {m: 0 for m in methods}
+    hits = dict.fromkeys(methods, 0)
     chunk_seeds = seed_seq.spawn((total + CHUNK_ROWS - 1) // CHUNK_ROWS)
-    done = 0
-    for child in chunk_seeds:
-        reps = min(CHUNK_ROWS, total - done)
-        rng = np.random.default_rng(child)
-        strips = [slice(s, s + height) for s in range(0, reps, height)]
-        g = buf.calls[:reps]
-        for rows in strips:
-            gs = g[rows]
-            draw_genotypes(rng, n, maf, len(gs), out=gs, uniforms=buf.floats[:len(gs)])
-        counts, sums, rss = np.empty((reps, 3)), np.empty((reps, 3)), np.empty(reps)
-        for rows in strips:
-            gs = g[rows]
-            # rng.normal(0.0, noise_sd): loc + scale * z, on the same z
-            y = rng.standard_normal(out=buf.floats[:len(gs)])
-            y *= scenario.noise_sd
-            y += 0.0  # loc, which turns a -0.0 into +0.0 as loc + scale * z does
-            if beta != 0.0:  # "clip": with ``out``, "raise" would copy into a buffer
-                y += np.take(levels, gs, out=buf.effect[:len(gs)], mode="clip")
-            counts[rows], sums[rows], rss[rows], _ = _chunk_stats(gs, y, buf.bins[:len(gs)])
-        st = _ChunkStats(counts, sums, rss, n)
+    for i, child in enumerate(chunk_seeds):
+        reps = min(CHUNK_ROWS, total - i * CHUNK_ROWS)
+        st = _draw_chunk_stats(np.random.default_rng(child), n, probs, levels,
+                               scenario.noise_sd, reps)
         for m in methods:
             hits[m] += int(_rejected(st, m, scenario.alpha).sum())
-        done += reps
     return {m: hits[m] / total for m in methods}
 
 
@@ -350,12 +323,10 @@ def _simulate(scenario: SimScenario, mode: str) -> list:
     beta = 0.0 if null else scenario.beta
     cells = [(maf, h) for maf in scenario.maf for h in h_grid]
     seeds = np.random.SeedSequence(scenario.seed).spawn(len(cells))
-    buf = _strip_buffers(scenario, beta != 0.0)
     rows = []
     for (maf, h), seed_seq in zip(cells, seeds):
         rates = _rejection_cell(
             scenario, maf, h=h, beta=beta, methods=methods, seed_seq=seed_seq,
-            buf=buf,
         )
         for m in methods:
             lo, hi = _ci(rates[m], scenario.replications)

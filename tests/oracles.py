@@ -7,7 +7,9 @@ computes only the feature form (``gdcscan.gdc.dcov_fast``); the tests
 prove the identities against the other two, against the premetric's
 distances, kernels and canonical feature table, and against population
 forms for the three-class mean model. Every function of the premetric takes its parameter ``b``
-first.
+first. The simulation draws each replication's sufficient statistics from
+their law; :func:`per_sample_stats` draws the samples themselves and
+reduces them, the generator that law is checked against.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from gdcscan.adjust import ResidualizedPhenotype, column_features
 from gdcscan.gdc import Sample, dcov_fast
 from gdcscan.nulldist import NullSpectrum, snap_eigenvalues, spectrum_from_features
 from gdcscan.premetric import GenotypeColumn, check_b, feature_scales
+from gdcscan.simbench import _chunk_stats, _ChunkStats, draw_genotypes
 
 ORACLE_N_CAP = 2000
 NEG_ROUNDOFF_TOL = 1e-14
@@ -289,3 +292,20 @@ def population_feature_moments(b: float, p) -> np.ndarray:
     fm = canonical_feature_table(b)
     p = np.asarray(p, dtype=np.float64)
     return (fm * p) @ fm.T
+
+
+# ---------------------------------------------------------------------------
+# simulation
+# ---------------------------------------------------------------------------
+
+
+def per_sample_stats(rng: np.random.Generator, n: int, maf: float, reps: int, h: float = 0.0,
+                     beta: float = 0.0, noise_sd: float = 1.0) -> _ChunkStats:
+    """Sufficient statistics of ``reps`` replications drawn sample by
+    sample: Hardy-Weinberg calls, responses N(0, noise_sd^2) plus the
+    effect ``beta * (h * [x = 1] + [x = 2])``, reduced in one pass."""
+    g = draw_genotypes(rng, n, maf, reps)
+    y = rng.normal(0.0, noise_sd, size=g.shape)
+    if beta != 0.0:
+        y += beta * (h * (g == 1) + (g == 2))
+    return _chunk_stats(g, y)

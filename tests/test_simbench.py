@@ -20,8 +20,9 @@ from gdcscan.simbench import (
     _chunk_stats,
     _gdc_stats,
     _rejected,
+    _draw_chunk_stats,
     _rejection_cell,
-    _strip_buffers,
+    _stats_from_totals,
     competitor_tests,
     draw_genotypes,
     draw_heterozygous_effect,
@@ -30,6 +31,7 @@ from gdcscan.simbench import (
     simulate_power,
     write_table,
 )
+from oracles import per_sample_stats
 from tsv_oracle import scan_records
 
 
@@ -55,25 +57,6 @@ def test_draw_genotypes_frequencies():
     g = draw_genotypes(rng, 200, 0.25, 500)
     freqs = np.bincount(g.ravel(), minlength=3) / g.size
     np.testing.assert_allclose(freqs, hwe_probs(0.25), atol=0.01)
-
-
-def test_draw_genotypes_into_buffers_takes_the_same_draws():
-    """Drawn into an int8 ``out`` (and a float64 ``uniforms`` scratch), the
-    calls are those of the returning form, which are the Hardy-Weinberg
-    class of each uniform, and the generator ends in the same state."""
-    n, size, maf = 300, 37, 0.25
-    rng = np.random.default_rng(59)
-    ref = draw_genotypes(rng, n, maf, size)
-    p = hwe_probs(maf)
-    u = np.random.default_rng(59).random((size, n))
-    np.testing.assert_array_equal(ref, (u > p[0]).astype(np.int8) + (u > p[0] + p[1]))
-    assert ref.dtype == np.int8
-    for uniforms in (None, np.empty((size, n))):
-        again = np.random.default_rng(59)
-        out = np.full((size, n), 9, np.int8)
-        assert draw_genotypes(again, n, maf, size, out=out, uniforms=uniforms) is out
-        np.testing.assert_array_equal(out, ref)
-        assert again.bit_generator.state == rng.bit_generator.state
 
 
 def test_heterozygous_effect_uniform_at_b3():
@@ -222,7 +205,7 @@ def test_rejection_cell_shares_draws_across_methods():
                            seed=19)
     rates = _rejection_cell(
         scenario, 0.3, h=0.5, beta=0.0, methods=["4.0", "additive_F"],
-        seed_seq=np.random.SeedSequence(19), buf=_strip_buffers(scenario, False),
+        seed_seq=np.random.SeedSequence(19),
     )
     # b = 4 and the additive F-test are the same test; identical decisions
     assert rates["4.0"] == rates["additive_F"]
@@ -341,7 +324,7 @@ def test_few_null_replications_reach_the_exact_path(monkeypatch):
         calls.clear()
         scenario = SimScenario(n=300, replications=reps)
         _rejection_cell(scenario, maf, h=0.0, beta=0.0, methods=["3.0"],
-                        seed_seq=np.random.SeedSequence(47), buf=_strip_buffers(scenario, False))
+                        seed_seq=np.random.SeedSequence(47))
         assert 0 < sum(calls) <= 0.15 * reps
 
 
@@ -363,59 +346,102 @@ def test_upper_bound_is_computed_only_where_the_lower_leaves_doubt(monkeypatch):
     assert 0 < evaluated <= 0.25 * bound.size
 
 
+def test_statistics_from_class_totals_match_the_one_pass_reduction():
+    """Class counts, class totals and the within-class sum of squares give
+    the statistics the one-pass reduction of the samples gives: s_c = T_c -
+    n_c mean(y) and rss = within + sum_c s_c^2 / n_c, with an empty class's
+    centred sum exactly zero."""
+    rng = np.random.default_rng(71)
+    n, reps = 50, 40
+    g = draw_genotypes(rng, n, 0.15, reps)
+    g[0] = 0
+    g[1] = np.repeat([0, 2], n // 2)
+    y = rng.normal(3.0, 2.0, g.shape)
+    onehot = g[..., None] == np.arange(3)
+    counts = onehot.sum(axis=1).astype(np.float64)
+    totals = (onehot * y[..., None]).sum(axis=1)
+    means = totals / np.maximum(counts, 1.0)
+    within = ((y - np.take_along_axis(means, g.astype(np.intp), axis=1)) ** 2).sum(axis=1)
+    got = _stats_from_totals(counts, totals, within, n)
+    want = _chunk_stats(g, y.copy())
+    np.testing.assert_array_equal(got.counts, want.counts)
+    np.testing.assert_allclose(got.sums, want.sums, rtol=0.0, atol=1e-11)
+    np.testing.assert_array_equal(got.sums[want.counts == 0], 0.0)
+    np.testing.assert_allclose(got.rss, want.rss, rtol=1e-12)
+    assert got.n == n
+
+
+@pytest.mark.parametrize("maf", [0.05, 0.3])
 @pytest.mark.parametrize("mode", ["null", "power"])
-def test_strip_height_moves_no_bit(monkeypatch, mode):
-    """A chunk's rows are drawn and reduced in strips of any height with
-    the same draws and the same statistics: strips of one row, of seven
-    (none of which divides a chunk) and of a whole chunk give the same
-    table, over several chunks and a short last one."""
-    scenario = SimScenario(n=50, maf=(0.2, 0.4), b_values=(0.0, 3.0), replications=230,
-                           h_grid=(0.5,), beta=2.0, seed=37)
-    simulate = simulate_null if mode == "null" else simulate_power
-    monkeypatch.setattr(simbench, "CHUNK_ROWS", 100)
-    tables = []
-    for rows in (1, 7, scenario.replications):
-        monkeypatch.setattr(simbench, "_STRIP_CALLS", rows * scenario.n)
-        tables.append(simulate(scenario))
-    assert tables[0] == tables[1] == tables[2]
-    assert len({r["estimate"] for r in tables[0]}) > 1
+def test_statistic_draw_matches_the_per_sample_law(mode, maf):
+    """The statistics drawn from their law and those of per-sample draws
+    agree in law: a two-sample KS test per statistic and per method's
+    p-values accepts at 1e-3, on 2e4 replications of each, rare and common
+    alleles, with and without an effect; under the null the exact b = 3
+    p-values are U(0, 1)."""
+    n, reps, noise_sd = 300, 20_000, 1.5
+    beta, h = (0.0, 0.0) if mode == "null" else (0.6, 0.3)
+    levels = beta * (h * np.array([0.0, 1.0, 0.0]) + np.array([0.0, 0.0, 1.0]))
+    seed = 73 + 10 * int(maf * 100) + (mode == "power")
+    drawn = _draw_chunk_stats(np.random.default_rng(seed), n, hwe_probs(maf), levels, noise_sd, reps)
+    oracle = per_sample_stats(np.random.default_rng(seed + 1), n, maf, reps, h, beta, noise_sd)
+
+    def columns(st):
+        cols = {"n1": st.counts[:, 1], "n2": st.counts[:, 2], "s1": st.sums[:, 1],
+                "s2": st.sums[:, 2], "rss": st.rss}
+        for m in ("0.0", "2.0", "3.0", "4.0", "additive_F", "anova_F"):
+            cols[m] = _method_pvalues(st, m)
+        return cols
+
+    got, want = columns(drawn), columns(oracle)
+    for name in got:
+        assert stats.ks_2samp(got[name], want[name]).pvalue > 1e-3, name
+    if mode == "null":
+        assert stats.kstest(got["3.0"], "uniform").pvalue > 1e-3
 
 
 @pytest.mark.parametrize("mode", ["null", "power"])
-def test_buffers_are_made_once_per_run(monkeypatch, mode):
-    """One simulate call makes its buffers once, whatever the number of
-    cells, chunks and strips, and every chunk reduces the statistics the
-    fresh-array draws give: the calls of ``draw_genotypes``, the responses
-    of ``rng.normal(0, noise_sd)`` plus ``beta * (h * [x = 1] + [x = 2])``,
-    bit for bit."""
+def test_chunks_draw_from_their_child_seeds(monkeypatch, mode):
+    """Every method of a cell decides on the statistics each chunk draws
+    from its own child of the cell's seed, with the cell's class means
+    beta * (h * [x = 1] + [x = 2]) and noise, over several chunks and a
+    short last one."""
     scenario = SimScenario(n=40, maf=(0.2, 0.45), b_values=(3.0,), replications=130,
                            h_grid=(-0.5, 0.0, 1.5), beta=-2.0, noise_sd=1.5, seed=67)
     monkeypatch.setattr(simbench, "CHUNK_ROWS", 50)
-    monkeypatch.setattr(simbench, "_STRIP_CALLS", 7 * scenario.n)
-    made, seen = [], []
-    make = simbench._strip_buffers
-    monkeypatch.setattr(simbench, "_strip_buffers", lambda *a: made.append(a) or make(*a))
-    monkeypatch.setattr(simbench, "_rejected", lambda st, m, alpha: seen.append(
-        [a.copy() for a in st[:3]]) or np.zeros(len(st.rss), dtype=bool))
+    seen = []
+    monkeypatch.setattr(simbench, "_rejected", lambda st, m, alpha: seen.append(st) or np.zeros(
+        len(st.rss), dtype=bool))
     null = mode == "null"
     (simulate_null if null else simulate_power)(scenario)
-    assert len(made) == 1
     cells = [(q, h) for q in scenario.maf for h in ((0.0,) if null else scenario.h_grid)]
     beta = 0.0 if null else scenario.beta
     seeds = np.random.SeedSequence(scenario.seed).spawn(len(cells))
     ref = []
     for (q, h), seed in zip(cells, seeds):
+        levels = np.array([0.0, beta * h, beta])
         for reps, child in zip((50, 50, 30), seed.spawn(3)):
-            rng = np.random.default_rng(child)
-            g = draw_genotypes(rng, scenario.n, q, reps)
-            y = rng.normal(0.0, scenario.noise_sd, size=g.shape)
-            if beta != 0.0:
-                y += beta * (h * (g == 1) + (g == 2))
-            ref += [list(_chunk_stats(g, y)[:3])] * 3  # one per method: b = 3, two F-tests
+            st = _draw_chunk_stats(np.random.default_rng(child), scenario.n, hwe_probs(q),
+                                   levels, scenario.noise_sd, reps)
+            ref += [st] * 3  # one per method: b = 3, two F-tests
     assert len(seen) == len(ref)
     for got, want in zip(seen, ref):
-        for a, b in zip(got, want):
+        assert got.n == want.n
+        for a, b in zip(got[:3], want[:3]):
             np.testing.assert_array_equal(a, b)
+
+
+def test_tail_calibration_at_alpha_1e4():
+    """1e6 null replications at alpha = 1e-4 (n = 300, MAF 0.3): every b
+    rejects within 5 binomial SE of alpha."""
+    alpha, reps = 1e-4, 1_000_000
+    scenario = SimScenario(n=300, maf=(0.3,), b_values=(0.0, 2.0, 3.0, 4.0), alpha=alpha,
+                           replications=reps, seed=83, competitors=False)
+    rows = simulate_null(scenario)
+    se = np.sqrt(alpha * (1.0 - alpha) / reps)
+    assert [r["method"] for r in rows] == ["0.0", "2.0", "3.0", "4.0"]
+    for r in rows:
+        assert abs(r["estimate"] - alpha) <= 5.0 * se, r
 
 
 def test_simulation_memory_is_bounded():
