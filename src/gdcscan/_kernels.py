@@ -3,10 +3,10 @@
 Same functions, signatures and bits as the NumPy twin ``_kernels_py``:
 the packed decode and two sweeps of any number of weight columns: class
 counts and per-class sums of hard calls, and feature moments and feature
-sums of dosages.  The hard-call sums are the twin's exact sums: this
-module puts the weights on the twin's fixed-point grid
-(``fixed_point_grid``), the C loop adds their int64 words, and the twin's
-``grid_sums_to_float`` turns the word sums into floats.
+sums of dosages.  The hard-call sums are the twin's exact sums: a scan's
+grid, ``hardcall_grid``, is the twin's ``fixed_point_grid`` (no limbs),
+the C loop adds its int64 words, and the twin's ``grid_sums_to_float``
+turns the word sums into floats.
 The library is built next to this module by ``python setup.py build_ext
 --inplace``; importing raises ImportError when it is missing, so the
 backend falls back to the twin.  Inputs are converted as the twin
@@ -23,7 +23,7 @@ import os
 import numpy as np
 
 # absolute, so that a copy of this module loads beside a library built elsewhere
-from gdcscan._kernels_py import fixed_point_grid, grid_sums_to_float
+from gdcscan._kernels_py import fixed_point_grid as hardcall_grid, grid_sums_to_float
 
 IS_COMPILED = True
 
@@ -58,13 +58,6 @@ def _block(a, dtype, what: str) -> np.ndarray:
     return a
 
 
-def _weights(w, n: int) -> np.ndarray:
-    w = np.ascontiguousarray(w, dtype=np.float64)
-    if w.ndim != 2 or w.shape[0] != n:
-        raise ValueError("weights must be (n, k) with n the block width")
-    return w
-
-
 def decode_packed(raw: np.ndarray, n: int) -> np.ndarray:
     """Unpack 2-bit genotype codes into int8 calls; see the NumPy twin."""
     raw = _block(raw, np.uint8, "packed rows")
@@ -76,17 +69,18 @@ def decode_packed(raw: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def hardcall_stats(g: np.ndarray, w: np.ndarray):
+def hardcall_stats(g: np.ndarray, grid: tuple):
     """(counts (n_snps, 3) int64, sums (n_snps, 3, k) float64) of a
-    hard-call block and every column of the weights ``w`` (n, k), in one
-    sweep of their words on the fixed-point grid; see the NumPy twin."""
+    hard-call block and every weight column of the scan's ``grid``, in one
+    sweep of its words; see the NumPy twin."""
     g = _block(g, np.int8, "hard calls")
+    words, shift = grid
     n_snps, n = g.shape
-    w = _weights(w, n)
-    words, shift = fixed_point_grid(w)
+    if np.shape(words) != (n, len(shift), 2):
+        raise ValueError("the grid must be (n, k, 2) words and k shifts, n the calls' width")
     counts = np.empty((n_snps, 3), dtype=np.int64)
-    sums = np.empty((n_snps, 3, w.shape[1], 2), dtype=np.int64)
-    _lib.hardcall_sweep(g, n_snps, n, words, w.shape[1], counts, sums)
+    sums = np.empty((n_snps, 3, len(shift), 2), dtype=np.int64)
+    _lib.hardcall_sweep(g, n_snps, n, words, len(shift), counts, sums)
     return counts, grid_sums_to_float(sums, shift)
 
 
@@ -95,7 +89,9 @@ def dosage_stats(x: np.ndarray, w: np.ndarray):
     and every column of the weights ``w`` (n, k), in one sweep; see the twin."""
     x = _block(x, np.float64, "dosages")
     n_snps, n = x.shape
-    w = _weights(w, n)
+    w = np.ascontiguousarray(w, dtype=np.float64)
+    if w.ndim != 2 or w.shape[0] != n:
+        raise ValueError("weights must be (n, k) with n the block width")
     moments = np.empty((n_snps, 6), dtype=np.float64)
     sums = np.empty((n_snps, 2, w.shape[1]), dtype=np.float64)
     _lib.dosage_sweep(x, n_snps, n, w, w.shape[1], moments, sums)

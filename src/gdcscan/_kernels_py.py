@@ -10,9 +10,10 @@ The hard-call class sums are exact: :func:`fixed_point_grid` puts each
 weight column on a fixed-point grid of int64 words, both backends sum the
 words exactly, and :func:`grid_sums_to_float`, the one conversion, rounds
 each sum once.  So their bits depend on no summation order, BLAS, CPU or
-thread count, and equal C's.  The twin sums a chunk's class indicators
-against the words, cut into narrow limbs, with float32 matrix products
-whose every product and partial sum is an integer below 2**24.  The
+thread count, and equal C's.  A scan makes its grid once, by
+:func:`hardcall_grid`, which here also cuts the words into narrow limbs;
+the twin sums a chunk's class indicators against them with float32 matrix
+products whose every product and partial sum is an integer below 2**24.  The
 dosage sums add each row's terms in sample order, the order of the C
 loop, by the last column of a per-row ``np.cumsum``, so both backends
 give the same bits there too.
@@ -81,12 +82,12 @@ def fixed_point_grid(w: np.ndarray):
     |w| just below 2**(62 - ceil(log2 n)) in hi units, so no sum of n hi
     words reaches 2**62 and the grid keeps at least 88 - ceil(log2 n) bits
     of that largest weight.  A sum of words is exact in int64 in any order;
-    :func:`grid_sums_to_float` turns it into a float.  A weight that is not
-    finite raises ValueError.
+    :func:`grid_sums_to_float` turns it into a float.  Weights that are not
+    (n, k), or not finite, raise ValueError.
     """
     w = np.asarray(w, dtype=np.float64)
-    if not np.isfinite(w).all():
-        raise ValueError("weights must be finite")
+    if w.ndim != 2 or not np.isfinite(w).all():
+        raise ValueError("weights must be (n, k) and finite")
     n = w.shape[0]
     top = np.abs(w).max(axis=0, initial=0.0)
     shift = 62 - max(n - 1, 0).bit_length() - np.frexp(top)[1]
@@ -144,42 +145,39 @@ def _limb_matrix(words: np.ndarray, segment: int):
     return limbs, scale
 
 
-def hardcall_stats(g: np.ndarray, w: np.ndarray):
-    """Per-SNP sufficient statistics for a hard-call block: one sweep.
+def hardcall_grid(w: np.ndarray) -> tuple:
+    """The scan's grid ``(shift, limbs, scale, totals, segment)`` of its weights
+    ``w`` (n, k), read by every block and thread: the :func:`fixed_point_grid`
+    shifts, the :func:`_limb_matrix` limbs and limb weights for products of
+    ``segment`` samples, and the (1 + 2k,) int64 [n, each column's word totals]."""
+    words, shift = fixed_point_grid(w)
+    segment = max(1, min(len(words), _SEGMENT))
+    limbs, scale = _limb_matrix(words, segment)
+    return shift, limbs, scale, np.concatenate([[len(words)], words.sum(axis=0).ravel()]), segment
 
-    Parameters
-    ----------
-    g:
-        (n_snps, n) int8 calls, -1 for missing.
-    w:
-        (n, k) float64 weights, one column per summed quantity (the
-        scan's residuals and covariate basis).
 
-    Returns
-    -------
-    counts : (n_snps, 3) int64 class counts over non-missing entries.
-    sums : (n_snps, 3, k) float64 per-class sums of every column of w.
+def hardcall_stats(g: np.ndarray, grid: tuple):
+    """Per-SNP sufficient statistics of a hard-call block ``g`` (n_snps, n)
+    of int8 calls, -1 for missing, in one sweep of the scan's ``grid`` of
+    :func:`hardcall_grid`: (n_snps, 3) int64 class counts over
+    non-missing entries and (n_snps, 3, k) float64 per-class sums of every
+    weight column, exact sums on the fixed-point grid, so their bits
+    depend on no summation order and equal C's.
 
-    The sums are exact sums of the weights on the grid of
-    :func:`fixed_point_grid`, so their bits depend on no summation order
-    and equal C's.  Each row chunk's class indicators (1.0 where a call is
-    in the class) multiply the grid's limbs in one float32 ``np.matmul``
-    per segment of samples; every product and partial sum is an integer
-    below 2**24, so the result is exact on any BLAS, and the limb sums are
-    recombined in int64.  A call outside 0..2, missing or invalid, is in
-    no class.  A chunk with no such call takes only the class-1 and
-    class-2 indicators: class 0 is the column totals less those two.
+    Each row chunk's class indicators (1.0 where a call is in the class)
+    multiply the grid's limbs in one float32 ``np.matmul`` per segment of
+    samples; every product and partial sum is an integer below 2**24, so
+    the result is exact on any BLAS, and the limb sums are recombined in
+    int64.  A call outside 0..2, missing or invalid, is in no class.  A
+    chunk with no such call takes only the class-1 and class-2
+    indicators: class 0 is the grid's totals less those two.
     """
     g = np.ascontiguousarray(g, dtype=np.int8)
-    w = np.asarray(w, dtype=np.float64)
-    if g.ndim != 2 or w.ndim != 2 or w.shape[0] != g.shape[1]:
-        raise ValueError("weights must be (n, k) with n the block width")
+    shift, limbs, scale, totals, segment = grid
+    if g.ndim != 2 or g.shape[1] != len(limbs):
+        raise ValueError("calls must be (n_snps, n) with n the grid's sample count")
     n_snps, n = g.shape
-    k = w.shape[1]
-    words, shift = fixed_point_grid(w)
-    segment = max(1, min(n, _SEGMENT))
-    limbs, scale = _limb_matrix(words, segment)
-    totals = np.concatenate([[n], words.sum(axis=0).ravel()])
+    k = len(shift)
     rows = max(1, min(n_snps, _CHUNK_CALLS // max(n, 1)))
     ind = np.empty((3 * rows, n), dtype=np.float32)
     out = np.empty((n_snps, 3, 1 + 2 * k), dtype=np.int64)
@@ -207,7 +205,7 @@ def hardcall_stats(g: np.ndarray, w: np.ndarray):
 
 def dosage_stats(x: np.ndarray, w: np.ndarray):
     """Per-SNP sufficient statistics for a dosage block ``x`` (n_snps, n),
-    NaN for missing, and the weights ``w`` of :func:`hardcall_stats`.
+    NaN for missing, and the scan's weights ``w`` (n, k).
 
     Returns ``moments`` (n_snps, 6) [nmiss, s1, s2, s11, s22, s12] and
     ``sums`` (n_snps, 2, k) of the features f1 = x and f2 = |x - 1|

@@ -90,14 +90,15 @@ def encode_packed(calls: np.ndarray, snp_ids=None) -> np.ndarray:
 
 def write_packed(path: str, calls: np.ndarray, variants, sample_ids) -> None:
     """Write the packed payload and its two sidecar files.  ``variants``
-    holds an (snp_id, chrom, pos) sequence per row."""
+    holds each row's (snp_id, chrom, pos); calls and IDs are checked first."""
     calls = np.asarray(calls)
     n_snps, n = calls.shape
     if len(variants) != n_snps:
         raise ValueError("one variant record per SNP row required")
     if len(sample_ids) != n:
         raise ValueError("one sample ID per column required")
-    payload = encode_packed(calls, [v[0] for v in variants])
+    ids = [_snp_id(str(v[0]), variants_path(path), i) for i, v in enumerate(variants, 1)]
+    payload = encode_packed(calls, ids)
     with open(path, "wb") as fh:
         fh.write(PACKED_MAGIC + PACKED_MODE_SNP_MAJOR)
         fh.write(payload.tobytes())
@@ -129,10 +130,10 @@ def _variant_rows(fh, path: str, crc: list) -> Iterator[list]:
     """The [snp_id, chrom, pos] of each line of the variant sidecar ``fh``,
     opened in binary, that is not blank, read forward ``DEFAULT_BLOCK_SIZE``
     lines at a time.  ``crc[0]`` holds the running CRC-32 of the lines read
-    so far, which runs ahead of the rows yielded.  A line that is not a
-    nonempty snp_id and chrom and an integer position, tab-separated and
-    ending in LF or CRLF, is an error naming ``<path>:<line>``; a position
-    with digit groups or padding is no integer."""
+    so far, which runs ahead of the rows yielded.  A line that is not an
+    :func:`_snp_id`, a nonempty chrom and an integer position, tab-separated
+    and ending in LF or CRLF, is an error naming ``<path>:<line>``; a
+    position with digit groups or padding is no integer."""
     first = 1
     while lines := list(islice(fh, DEFAULT_BLOCK_SIZE)):
         raw = b"".join(lines)
@@ -147,8 +148,9 @@ def _variant_rows(fh, path: str, crc: list) -> Iterator[list]:
             if not line:
                 continue
             fields = line.split("\t")
-            if len(fields) != 3 or not fields[0] or not fields[1]:
+            if len(fields) != 3 or not fields[1]:
                 raise ValueError(f"{path}:{lineno}: expected snp_id<TAB>chrom<TAB>pos")
+            _snp_id(fields[0], path, lineno)
             pos = fields[2]
             try:
                 # int() also reads digit groups such as 1_0 and strips padding
@@ -278,14 +280,14 @@ class PackedSource(_BlockSource):
 
 
 def write_dosage_tsv(path: str, dosages: np.ndarray, snp_ids, sample_ids) -> None:
-    """Write a sample-major dosage table (rows = samples).  Dosages are
-    checked as :class:`DosageSource` reads them, before the file is
-    opened, so a matrix it would refuse writes no file."""
+    """Write a sample-major dosage table (rows = samples).  Dosages and
+    SNP IDs are checked as :class:`DosageSource` reads them, before the
+    file is opened, so a table it would refuse writes no file."""
     dosages = np.asarray(dosages, dtype=np.float64)
     n, n_snps = dosages.shape
     if len(sample_ids) != n or len(snp_ids) != n_snps:
         raise ValueError("dosage matrix must be (n_samples, n_snps)")
-    check_genotypes(dosages.T, "dosage", snp_ids)
+    check_genotypes(dosages.T, "dosage", [_snp_id(s, path, 1) for s in snp_ids])
     with open(path, "w") as fh:
         fh.write("sample_id\t" + "\t".join(snp_ids) + "\n")
         for i, sid in enumerate(sample_ids):
@@ -311,7 +313,7 @@ class DosageSource(_BlockSource):
             header = fh.readline().rstrip("\n").split("\t")
             if not header or header[0] != "sample_id":
                 raise ValueError(f"{path}: first header field must be 'sample_id'")
-            self.snp_ids = header[1:]
+            self.snp_ids = [_snp_id(s, path, 1) for s in header[1:]]
             sample_ids, rows = [], []
             for sample_id, values in _table_rows(fh, header, 0, path):
                 sample_ids.append(sample_id)
@@ -404,6 +406,14 @@ def _sample_id(field: str, path: str, lineno: int) -> str:
     naming ``<path>:<line>``, since it would match one side's IDs only."""
     if not field or field != field.strip():
         raise ValueError(f"{path}:{lineno}: sample ID {field!r} is empty or padded")
+    return field
+
+
+def _snp_id(field: str, path: str, lineno: int) -> str:
+    """``field`` as a SNP ID, one rule for the sidecar, the dosage header and both
+    writers: an ID empty, padded or not printable is an error at ``<path>:<line>``."""
+    if not field or field != field.strip() or not field.isprintable():
+        raise ValueError(f"{path}:{lineno}: SNP ID {field!r} is empty, padded or not printable")
     return field
 
 

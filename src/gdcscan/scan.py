@@ -50,9 +50,10 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -205,7 +206,8 @@ class ScanContext:
 
     ``weights`` is ``[r | Q]``, the residuals and the orthonormal covariate
     basis (``r`` alone without covariates), the columns of every block's
-    sweep, hard calls and dosages alike.  ``basis`` is Q (the column
+    sweep, hard calls and dosages alike; :meth:`grid` is their hard-call
+    form.  ``basis`` is Q (the column
     ``1/sqrt(n)`` without covariates) and ``yc``, with covariates, the
     centred phenotype (None without them).  ``totals`` holds the sums over
     all n samples of the complete-case projection's terms: ``[r'r, Q'r,
@@ -226,6 +228,18 @@ class ScanContext:
     yc: np.ndarray | None
     totals: np.ndarray
     gram_floor: float
+    _grid: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _grid_lock: threading.Lock = field(default_factory=threading.Lock, init=False,
+                                       repr=False, compare=False)
+
+    def grid(self) -> tuple:
+        """``kernels.hardcall_grid(weights)``, made when the first hard-call
+        block is swept, so a scan that sweeps none makes none, and then
+        only read by every block and worker thread."""
+        with self._grid_lock:
+            if self._grid is None:
+                self._grid = self.kernels.hardcall_grid(self.weights)
+        return self._grid
 
 
 def prepare_context(phenotype, covariates: CovariateMatrix | None = None,
@@ -403,7 +417,7 @@ def _projected_terms(ctx: ScanContext, n_used: np.ndarray, utu: np.ndarray,
 
 
 # calls per row chunk of the sums over missing samples
-_MISS_CHUNK_CALLS = 1 << 18
+_MISS_CHUNK_CALLS = 1 << 17
 
 
 def _missing_sums(ctx: ScanContext, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -576,7 +590,7 @@ def process_block(cfg: ScanConfig, ctx: ScanContext, block: Block) -> BlockResul
         refused.extend((rows[j], values[j], kind) for j in np.setdiff1d(idx, idx[done]))
 
     if hard.size:
-        counts, csums = ctx.kernels.hardcall_stats(g, ctx.weights)
+        counts, csums = ctx.kernels.hardcall_stats(g, ctx.grid())
         n_used = counts.sum(axis=1)
         dose = counts[:, 1] + 2.0 * counts[:, 2]
         mono = (counts == n_used[:, None]).any(axis=1)

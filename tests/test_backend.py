@@ -4,9 +4,14 @@ The C kernels are compiled from the package's ``_ckernels.c`` with the
 system C compiler into a temporary directory, next to a copy of the
 binding module, which loads the library from its own directory just as it
 does inside the package after ``python setup.py build_ext --inplace``.
+``$CFLAGS`` and ``$LDFLAGS`` from the environment go on the compile line
+before the module's own flags, as ``setup.py`` orders them, so a sanitized
+build can be checked here too and no flag from the environment undoes
+``-ffp-contract=off``.
 """
 
 import importlib.util
+import os
 import shutil
 import subprocess
 import tracemalloc
@@ -50,8 +55,10 @@ def ckernels(tmp_path_factory):
     if CC is None:
         pytest.skip("no C compiler on PATH")
     directory = tmp_path_factory.mktemp("ckernels")
+    extra = os.environ.get("CFLAGS", "").split() + os.environ.get("LDFLAGS", "").split()
     subprocess.run(
-        [CC, *CFLAGS, str(PACKAGE / "_ckernels.c"), "-o", str(directory / "_ckernels.so")],
+        [CC, *extra, *CFLAGS, str(PACKAGE / "_ckernels.c"), "-o",
+         str(directory / "_ckernels.so")],
         check=True,
     )
     return _load_binding(directory)
@@ -62,6 +69,12 @@ def _rows(results) -> list:
     from gdcscan.scan import record_row
 
     return "\n".join(map(record_row, results)).split("\n")
+
+
+def _hardcall(kernels, g, w):
+    """The hard-call sweep of ``kernels`` over the weights ``w`` on the
+    grid it makes of them, as a scan makes it once."""
+    return kernels.hardcall_stats(g, kernels.hardcall_grid(w))
 
 
 def _random_block(rng, n_snps=64, n=257, missing=True):
@@ -85,7 +98,7 @@ def test_hardcall_stats_agreement(ckernels):
     rng = np.random.default_rng(1)
     g = _random_block(rng)
     w = rng.standard_normal((g.shape[1], 4))
-    a, b = ckernels.hardcall_stats(g, w), _kernels_py.hardcall_stats(g, w)
+    a, b = _hardcall(ckernels, g, w), _hardcall(_kernels_py, g, w)
     assert len(a) == len(b) == 2
     assert a[1].shape == (g.shape[0], 3, 4)
     # both backends sum the weights exactly on one grid: same bits
@@ -124,17 +137,17 @@ def test_c_kernels_stay_in_bounds_on_invalid_calls(ckernels):
     g[-1, -1] = 3  # the last call of the block's last row
     w = rng.standard_normal((50, 2))
     y = w[:, 0]
-    counts, sums = ckernels.hardcall_stats(g, w)
+    counts, sums = _hardcall(ckernels, g, w)
     assert ((counts >= 0) & (counts <= 50)).all()
     for i in range(6):
         valid = (g[i] >= 0) & (g[i] <= 2)
         assert counts[i].sum() == valid.sum()
         for j in range(3):
             assert sums[i, j, 0] == pytest.approx(y[g[i] == j].sum(), abs=1e-12)
-    twin_counts, twin_sums = _kernels_py.hardcall_stats(g, w)
+    twin_counts, twin_sums = _hardcall(_kernels_py, g, w)
     np.testing.assert_array_equal(counts, twin_counts)
     np.testing.assert_array_equal(sums, twin_sums)
-    np.testing.assert_array_equal(sums[:, :, 1], ckernels.hardcall_stats(g, w[:, 1:])[1][:, :, 0])
+    np.testing.assert_array_equal(sums[:, :, 1], _hardcall(ckernels, g, w[:, 1:])[1][:, :, 0])
 
 
 def test_twin_skips_invalid_calls():
@@ -143,7 +156,7 @@ def test_twin_skips_invalid_calls():
     invalid call made missing."""
     g = np.array([[4, 0, -2, 1, 5, 127, 3, -1]], dtype=np.int8)
     w = 10.0 ** np.arange(8)[:, None]
-    counts, sums = _kernels_py.hardcall_stats(g, w)
+    counts, sums = _hardcall(_kernels_py, g, w)
     np.testing.assert_array_equal(counts, [[1, 1, 0]])
     np.testing.assert_array_equal(sums[:, :, 0], [[10.0, 1000.0, 0.0]])
     rng = np.random.default_rng(9)
@@ -152,9 +165,9 @@ def test_twin_skips_invalid_calls():
     g[bad] = rng.choice(np.array([3, 4, 5, 6, -2, -3, -4, 127, -128], dtype=np.int8),
                         size=int(bad.sum()))
     w = rng.standard_normal((300, 3))
-    counts, sums = _kernels_py.hardcall_stats(g, w)
+    counts, sums = _hardcall(_kernels_py, g, w)
     clean = np.where((g >= 0) & (g <= 2), g, np.int8(-1))
-    ref_counts, ref_sums = _kernels_py.hardcall_stats(clean, w)
+    ref_counts, ref_sums = _hardcall(_kernels_py, clean, w)
     np.testing.assert_array_equal(counts, ref_counts)
     np.testing.assert_array_equal(sums, ref_sums)
     for i in range(len(g)):
@@ -164,20 +177,25 @@ def test_twin_skips_invalid_calls():
 
 
 def test_c_binding_rejects_wrong_shapes(ckernels):
+    """Each module refuses weights that are not (n, k) when it makes the
+    grid, and a block whose width is not the grid's sample count, or that
+    is not 2-D, when it sweeps; a grid of the right width sweeps."""
     g = np.zeros((3, 10), dtype=np.int8)
     with pytest.raises(ValueError):
         ckernels.decode_packed(np.zeros((2, 3), dtype=np.uint8), 13)
     with pytest.raises(ValueError):
         ckernels.decode_packed(np.zeros(3, dtype=np.uint8), 12)
     for kernels in (ckernels, _kernels_py):
+        with pytest.raises(ValueError, match="grid"):
+            kernels.hardcall_stats(g, kernels.hardcall_grid(np.zeros((9, 1))))
         with pytest.raises(ValueError):
-            kernels.hardcall_stats(g, np.zeros((9, 1)))
-        with pytest.raises(ValueError):
-            kernels.hardcall_stats(g[0], np.zeros((10, 1)))
-        with pytest.raises(ValueError):
-            kernels.hardcall_stats(g, np.zeros((11, 2)))
-        with pytest.raises(ValueError):
-            kernels.hardcall_stats(g, np.zeros(10))
+            kernels.hardcall_stats(g[0], kernels.hardcall_grid(np.zeros((10, 1))))
+        with pytest.raises(ValueError, match="grid"):
+            kernels.hardcall_stats(g, kernels.hardcall_grid(np.zeros((11, 2))))
+        for bad in (np.zeros(10), np.zeros((10, 1, 1))):
+            with pytest.raises(ValueError, match=r"weights must be \(n, k\)"):
+                kernels.hardcall_grid(bad)
+        assert _hardcall(kernels, g, np.ones((10, 2)))[1].shape == (3, 3, 2)
         x = np.zeros((3, 10))
         with pytest.raises(ValueError):
             kernels.dosage_stats(x, np.zeros(10))
@@ -187,6 +205,12 @@ def test_c_binding_rejects_wrong_shapes(ckernels):
             kernels.dosage_stats(x, np.zeros((11, 2)))
         with pytest.raises(ValueError):
             kernels.dosage_stats(x[0], np.zeros((10, 1)))
+    # the C loop indexes k columns of words: a grid whose words and shifts
+    # disagree is refused before it runs
+    words, shift = ckernels.hardcall_grid(np.ones((10, 2)))
+    for grid in ((words, shift[:1]), (words[:, :1], shift), (words[..., :1], shift)):
+        with pytest.raises(ValueError, match="grid must be"):
+            ckernels.hardcall_stats(g, grid)
 
 
 def test_c_binding_without_library_raises_import_error(tmp_path):
@@ -240,13 +264,35 @@ def test_hardcall_stats_reference(request, monkeypatch, segment):
             w = rng.standard_normal((n, k)) * 10.0 ** rng.integers(-3, 4, size=k)
             want_counts, want_sums = _exact_hardcall_stats(g, w)
             for kernels in modules:
-                counts, sums = kernels.hardcall_stats(g, w)
+                counts, sums = _hardcall(kernels, g, w)
                 _assert_same_bits(counts, want_counts)
                 _assert_same_bits(sums, want_sums)
             if k == 1:  # the twin's chunks that need no class-0 indicators
                 clean = np.where((g >= 0) & (g <= 2), g, np.int8(0))
-                _assert_same_bits(_kernels_py.hardcall_stats(clean, w)[1],
+                _assert_same_bits(_hardcall(_kernels_py, clean, w)[1],
                                   _exact_hardcall_stats(clean, w)[1])
+
+
+@pytest.mark.parametrize("n", [1, 3, 2048, 2049])
+def test_hardcall_sweep_at_extreme_weights(request, n):
+    """Columns of weights near 1e-200 and 1e200, and columns of one
+    weight repeated, whose hi words sum to the largest magnitudes the grid
+    allows when every call is in one class: both modules (the C one when
+    a compiler is on PATH) give the exact sums of the grid's words, bit
+    for bit.  A C build with ``-fsanitize=undefined`` would abort on a
+    signed overflow of those sums."""
+    modules = [_kernels_py] + ([request.getfixturevalue("ckernels")] if CC else [])
+    rng = np.random.default_rng(n)
+    w = np.column_stack([rng.standard_t(3, size=(n, 2)) * [1e-200, 1e200],
+                         np.full(n, -1e200), np.full(n, 3e-200)])
+    g = _random_block(rng, n_snps=5, n=n)
+    g[0], g[1], g[2] = 0, 1, 2
+    want_counts, want_sums = _exact_hardcall_stats(g, w)
+    for kernels in modules:
+        counts, sums = _hardcall(kernels, g, w)
+        _assert_same_bits(counts, want_counts)
+        _assert_same_bits(sums, want_sums)
+    np.testing.assert_allclose(want_sums[0, 0, 2:], [-1e200 * n, 3e-200 * n], rtol=1e-15)
 
 
 def test_fixed_point_grid_words():
@@ -281,7 +327,7 @@ def test_fixed_point_grid_words():
         for kernels in (_kernels_py, _installed):
             if kernels is not None:
                 with pytest.raises(ValueError, match="finite"):
-                    kernels.hardcall_stats(np.zeros((2, 4), dtype=np.int8), w)
+                    kernels.hardcall_grid(w)
 
 
 @pytest.mark.parametrize("n", [300, 2000, 20_000])
@@ -297,7 +343,7 @@ def test_hardcall_sums_at_least_as_close_to_fsum_as_a_sequential_loop(n):
         for k in (1, 3):
             g = _random_block(rng, n_snps=6, n=n)
             w = rng.standard_normal((n, k)) if law == "normal" else rng.standard_t(3, (n, k))
-            sums = _kernels_py.hardcall_stats(g, w)[1]
+            sums = _hardcall(_kernels_py, g, w)[1]
             new, old = [], []
             for i in range(len(g)):
                 for v in range(3):
@@ -335,7 +381,8 @@ def test_twin_sums_do_not_depend_on_the_blas(tmp_path):
         "for rows, n, cols in ((256, 2000, 4), (24, 17000, 3), (40, 301, 1)):\n"
         "    g = rng.integers(0, 3, size=(rows, n)).astype(np.int8)\n"
         "    g[::3, ::97] = -1\n"
-        "    for part in k.hardcall_stats(g, rng.standard_t(3, size=(n, cols))):\n"
+        "    grid = k.hardcall_grid(rng.standard_t(3, size=(n, cols)))\n"
+        "    for part in k.hardcall_stats(g, grid):\n"
         "        h.update(part.tobytes())\n"
         "print(h.hexdigest())\n"
     )
@@ -396,15 +443,16 @@ def test_numpy_dosage_stats_memory_is_bounded_per_chunk():
 
 def test_numpy_hardcall_stats_memory_is_bounded_per_chunk():
     """The twin's hard-call sweep allocates per row chunk, not per block:
-    on a 1024 x 4000 block (4 MB of calls) with ten weight columns its
-    traced allocations peak below 8 MB, which one block-sized bool (4 MB)
-    or intp (33 MB) temporary would exceed."""
+    on a 1024 x 4000 block (4 MB of calls) with ten weight columns, the
+    grid and the sweep together peak below 8 MB of traced allocations,
+    which one block-sized bool (4 MB) or intp (33 MB) temporary would
+    exceed."""
     rng = np.random.default_rng(9)
     g = _random_block(rng, n_snps=1024, n=4000)
     w = rng.standard_normal((4000, 10))
     tracemalloc.start()
     try:
-        _kernels_py.hardcall_stats(g, w)
+        _hardcall(_kernels_py, g, w)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -440,17 +488,18 @@ def test_numpy_kernels_independent_of_block_height(height, monkeypatch):
     x = rng.uniform(0, 2, size=(64, n))
     x[rng.random(x.shape) < 0.02] = np.nan
     w = rng.standard_normal((n, 3))
-    hard_rows = [_kernels_py.hardcall_stats(g[i : i + 1], w) for i in range(64)]
+    grid = _kernels_py.hardcall_grid(w)
+    hard_rows = [_kernels_py.hardcall_stats(g[i : i + 1], grid) for i in range(64)]
     dosage_rows = [_kernels_py.dosage_stats(x[i : i + 1], w) for i in range(64)]
     for chunk_rows in (1, 5, 7, 64):
         monkeypatch.setattr(_kernels_py, "_CHUNK_CALLS", chunk_rows * n)
         for start in range(0, 64, height):
             stop = start + height
-            for rows, kernel, block in (
-                (hard_rows, _kernels_py.hardcall_stats, g),
-                (dosage_rows, _kernels_py.dosage_stats, x),
+            for rows, kernel, block, weights in (
+                (hard_rows, _kernels_py.hardcall_stats, g, grid),
+                (dosage_rows, _kernels_py.dosage_stats, x, w),
             ):
-                for k, part in enumerate(kernel(block[start:stop], w)):
+                for k, part in enumerate(kernel(block[start:stop], weights)):
                     _assert_same_bits(part, np.concatenate([r[k] for r in rows[start:stop]]))
 
 
@@ -463,14 +512,14 @@ def test_hardcall_stats_columns_match_one_column_sweeps(request):
     for n in (256, 257, 258, 259):
         g = _random_block(rng, n=n)
         w = rng.standard_normal((n, 3))
-        counts, sums = _kernels_py.hardcall_stats(g, w)
+        counts, sums = _hardcall(_kernels_py, g, w)
         assert sums.shape == (g.shape[0], 3, 3)
         for kernels in modules:
-            got = kernels.hardcall_stats(g, w)
+            got = _hardcall(kernels, g, w)
             np.testing.assert_array_equal(got[0], counts)
             np.testing.assert_array_equal(got[1], sums)
             for j in range(3):
-                one = kernels.hardcall_stats(g, w[:, j : j + 1])
+                one = _hardcall(kernels, g, w[:, j : j + 1])
                 np.testing.assert_array_equal(one[0], counts)
                 np.testing.assert_array_equal(sums[:, :, j], one[1][:, :, 0])
 
@@ -489,19 +538,25 @@ def test_get_backend_selection():
 
 
 class _CountingKernels:
-    """The NumPy kernels, recording the height of every hard-call block
-    and the number of packed decodes."""
+    """The NumPy kernels, recording the height of every hard-call block,
+    every hard-call grid made and swept, and the number of packed
+    decodes."""
 
     def __init__(self):
-        self.heights = []
+        self.heights, self.made, self.swept = [], [], []
         self.decodes = 0
 
     def __getattr__(self, name):
         return getattr(_kernels_py, name)
 
-    def hardcall_stats(self, g, w):
+    def hardcall_grid(self, w):
+        self.made.append(_kernels_py.hardcall_grid(w))
+        return self.made[-1]
+
+    def hardcall_stats(self, g, grid):
         self.heights.append(g.shape[0])
-        return _kernels_py.hardcall_stats(g, w)
+        self.swept.append(grid)
+        return _kernels_py.hardcall_stats(g, grid)
 
     def decode_packed(self, raw, n):
         self.decodes += 1
@@ -538,6 +593,69 @@ def test_scans_with_different_kernels_run_side_by_side():
     assert plain == counted
     assert counting.heights == [16] * 5 + [10]
     assert backend.kernels is default
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_scan_makes_one_grid_that_every_block_sweeps(threads, monkeypatch):
+    """A scan of six blocks, with covariates and missing calls, on one,
+    two or four worker threads under a short switch interval, makes its
+    hard-call grid once and passes that same object to every block's
+    sweep, which leaves it as it was.  The twin's grid puts the weights
+    on the fixed-point grid and cuts them into limbs once; its sweeps do
+    neither.  The rows are the same bytes as those of a scan on the plain
+    module."""
+    import sys
+
+    from gdcscan.io import ArraySource
+    from gdcscan.scan import ScanConfig, prepare_context, run_scan
+
+    g, y, cov = _missing_call_panel(n_snps=90)
+    cfg = ScanConfig(b=3.0, block_size=16, threads=threads)
+    plain = _rows(run_scan(cfg, ArraySource(g), y, cov, kernels=_kernels_py))
+    made = []
+    for name in ("fixed_point_grid", "_limb_matrix"):
+        real = getattr(_kernels_py, name)
+        monkeypatch.setattr(_kernels_py, name,
+                            lambda *args, real=real, name=name: made.append(name) or real(*args))
+    counting = _CountingKernels()
+    results = run_scan(cfg, ArraySource(g), y, cov, kernels=counting)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert _rows(results) == plain
+    finally:
+        sys.setswitchinterval(interval)
+    assert made == ["fixed_point_grid", "_limb_matrix"]
+    assert sorted(counting.heights) == [10] + [16] * 5
+    (grid,) = counting.made
+    assert all(swept is grid for swept in counting.swept)
+    fresh = _kernels_py.hardcall_grid(prepare_context(y, cov, _kernels_py).weights)
+    for part, was in zip(grid, fresh):
+        _assert_same_bits(np.asarray(part), np.asarray(was))
+
+
+def test_scans_that_sweep_no_hard_calls_make_no_grid(monkeypatch):
+    """A scan of non-integer dosages, whose rows all take the dosage sweep,
+    and a column of three alleles, which takes the per-SNP path, never ask
+    the kernels for a hard-call grid; a column of two alleles, whose
+    integer counts take the hard-call sweep, asks once."""
+    from gdcscan.io import ArraySource
+    from gdcscan.premetric import GenotypeColumn
+    from gdcscan.scan import ScanConfig, run_multiallelic, run_scan
+
+    g, y, cov = _missing_call_panel(n_snps=40)
+    x = np.where(g < 0, np.nan, 0.9 * g + 0.05)
+    counting = _CountingKernels()
+    cfg = ScanConfig(b=3.0, block_size=16)
+    assert len(_rows(run_scan(cfg, ArraySource(x, kind="dosage"), y, cov,
+                              kernels=counting))) == 40
+    monkeypatch.setattr(backend, "kernels", counting)
+    alleles = np.random.default_rng(4).choice(3, size=(len(y), 2), p=[0.6, 0.3, 0.1])
+    for m in (3, 2):
+        counts = np.stack([(alleles % m == a).sum(axis=1) for a in range(m)], axis=1)
+        run_multiallelic(cfg, GenotypeColumn("rs1", "1", 1, counts, m=m,
+                                             kind="allele_counts"), y, cov)
+        assert len(counting.made) == (m == 2)
 
 
 def test_scan_results_match_across_backends(ckernels):

@@ -138,10 +138,10 @@ def _unparsable_field(path, lineno, column, value):
     return str(copy)
 
 
-def _dosage_file(tmp_path):
+def _dosage_file(tmp_path, header="sample_id\trs0\trs1"):
     path = str(tmp_path / "dosage.tsv")
     with open(path, "w") as fh:
-        fh.write("sample_id\trs0\trs1\n" + "".join(
+        fh.write(header + "\n" + "".join(
             f"ind{j}\t{j % 3}\t{(j + 1) % 3}\n" for j in range(150)))
     return path
 
@@ -225,7 +225,14 @@ _INPUT_ERRORS = {
         r"panel\.geno\.variants\.tsv:3: position ' 20 ' is not an integer"),
     "empty SNP ID in the sidecar": (lambda t, geno, pheno: _SCAN + [
         "--geno", _empty_snp_id(geno), "--pheno", pheno],
-        r"panel\.geno\.variants\.tsv:3: expected snp_id<TAB>chrom<TAB>pos$"),
+        r"panel\.geno\.variants\.tsv:3: SNP ID '' is empty, padded or not printable$"),
+    "empty and padded SNP IDs in the dosage header": (lambda t, geno, pheno: _SCAN + [
+        "--geno", _dosage_file(t, header="sample_id\t\t rs1"), "--geno-format", "dosage-tsv",
+        "--pheno", pheno], r"dosage\.tsv:1: SNP ID '' is empty, padded or not printable$"),
+    "padded SNP ID in the dosage header": (lambda t, geno, pheno: _SCAN + [
+        "--geno", _dosage_file(t, header="sample_id\trs0\t rs1"), "--geno-format",
+        "dosage-tsv", "--pheno", pheno],
+        r"dosage\.tsv:1: SNP ID ' rs1' is empty, padded or not printable$"),
     "padded ID in the samples file": (lambda t, geno, pheno: _SCAN + [
         "--geno", _padded_sample_id(geno), "--pheno", pheno],
         r"panel\.geno\.samples\.txt:2: sample ID ' ind1' is empty or padded$"),

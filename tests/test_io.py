@@ -137,16 +137,50 @@ def test_sidecar_bad_position_names_file_and_line(tmp_path):
         PackedSource(path)
 
 
-@pytest.mark.parametrize("row", [("", "", 5), ("", "1", 5), ("rs0", "", 5)],
-                         ids=["both", "snp_id", "chrom"])
-def test_sidecar_refuses_an_empty_snp_id_or_chrom(tmp_path, row):
+@pytest.mark.parametrize("row, refusal", [
+    ("\t\t5", "expected"), ("\t1\t5", "SNP ID '' is empty, padded or not printable$"),
+    ("rs0\t\t5", "expected")], ids=["both", "snp_id", "chrom"])
+def test_sidecar_refuses_an_empty_snp_id_or_chrom(tmp_path, row, refusal):
     """A sidecar row with no SNP ID or no chromosome would give a results
     row that nothing can join back: it is refused at open, naming its
     line, as every pass would refuse it."""
     path = str(tmp_path / "p.geno")
-    write_packed(path, np.zeros((2, 4), dtype=np.int8), [row, ("rs1", "1", 6)], list("abcd"))
-    with pytest.raises(ValueError, match=rf"^{re.escape(path)}\.variants\.tsv:1: expected"):
+    write_packed(path, np.zeros((2, 4), dtype=np.int8), [("rs0", "1", 5), ("rs1", "1", 6)],
+                 list("abcd"))
+    _rewrite_sidecar(path, lambda text: text.replace(b"rs0\t1\t5", row.encode()))
+    with pytest.raises(ValueError, match=rf"^{re.escape(path)}\.variants\.tsv:1: {refusal}"):
         list(PackedSource(path).iter_blocks())
+
+
+@pytest.mark.parametrize("snp_id", ["", " rs1", "rs1 ", "rs\t1", "rs\r1", "rs1\n", "rs\x001"])
+def test_readers_and_writers_share_one_snp_id_rule(tmp_path, snp_id):
+    """An empty or padded SNP ID, or one holding a tab, a line break or
+    another character that does not print, is refused by one rule: by
+    ``write_packed`` and ``write_dosage_tsv`` before they make any file,
+    naming the line it would take, and, where it fits in a field, by the
+    variant sidecar and the dosage header, naming its line."""
+    ids = ["rs0", snp_id]
+    refusal = rf":{{}}: SNP ID {re.escape(repr(snp_id))} is empty, padded or not printable$"
+    geno, dosage = str(tmp_path / "p.geno"), str(tmp_path / "d.tsv")
+    with pytest.raises(ValueError, match=rf"^{re.escape(geno)}\.variants\.tsv" +
+                       refusal.format(2)):
+        write_packed(geno, np.zeros((2, 3), dtype=np.int8), [(i, "1", 5) for i in ids],
+                     list("abc"))
+    with pytest.raises(ValueError, match=rf"^{re.escape(dosage)}" + refusal.format(1)):
+        write_dosage_tsv(dosage, np.zeros((3, 2)), ids, list("abc"))
+    assert os.listdir(tmp_path) == []
+    if "\t" in snp_id or "\n" in snp_id:
+        return  # a reader would split it into two fields or two lines
+    write_packed(geno, np.zeros((2, 3), dtype=np.int8), [("rs0", "1", 5), ("rs1", "1", 6)],
+                 list("abc"))
+    sidecar = _rewrite_sidecar(geno, lambda text: text.replace(b"rs1\t", f"{snp_id}\t".encode()))
+    with pytest.raises(ValueError, match=rf"^{re.escape(sidecar)}" + refusal.format(2)):
+        PackedSource(geno)
+    if "\r" in snp_id:
+        return  # the dosage table is read as text, where a CR ends a line
+    pathlib.Path(dosage).write_text(f"sample_id\trs0\t{snp_id}\na\t0\t1\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(dosage)}" + refusal.format(1)):
+        DosageSource(dosage)
 
 
 @pytest.mark.parametrize("sample_id, field", [(" a", " a"), ("a ", "a "), ("\ta", ""),
