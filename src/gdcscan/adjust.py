@@ -15,7 +15,6 @@ scales of ``b``.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,8 +78,9 @@ class CovariateMatrix:
 
     @classmethod
     def build(cls, columns: dict, n: int | None = None) -> "CovariateMatrix":
-        """Assemble from named columns, prepending an intercept if no
-        constant column is present (with a warning)."""
+        """Assemble from named columns.  A nonzero constant column becomes
+        the leading intercept, rescaled to ones; with none, an
+        ``intercept`` column is prepended, as ``names`` shows."""
         names = list(columns.keys())
         cols = [np.asarray(columns[k], dtype=np.float64) for k in names]
         if n is None:
@@ -88,7 +88,6 @@ class CovariateMatrix:
         idx = next((i for i, c in enumerate(cols)
                     if c.size and np.all(c == c[0]) and c[0] != 0.0), None)
         if idx is None:
-            warnings.warn("no constant covariate column found; prepending an intercept")
             names = ["intercept"] + names
             cols = [np.ones(n)] + cols
         else:

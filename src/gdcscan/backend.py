@@ -15,8 +15,8 @@ side.
 
 from __future__ import annotations
 
+import logging
 import os
-import warnings
 
 from . import _kernels_py
 
@@ -43,7 +43,8 @@ def get_backend(name: str = "auto"):
 
 _requested = os.environ.get("GDCSCAN_BACKEND", "auto")
 if _requested not in ("auto", "compiled", "python"):
-    warnings.warn(f"ignoring unknown GDCSCAN_BACKEND={_requested!r}; using auto")
+    logging.getLogger("gdcscan").warning(
+        "ignoring unknown GDCSCAN_BACKEND=%r; using auto", _requested)
     _requested = "auto"
 
 kernels = get_backend(_requested)

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
-import warnings
 
 import numpy as np
 
@@ -81,26 +81,15 @@ def _scan_inputs(args) -> tuple:
     for col in covar_cols.values():
         finite &= np.isfinite(col)
     if not finite.all():
-        dropped = int((~finite).sum())
-        print(
-            f"dropping {dropped} samples with missing phenotype/covariates",
-            file=sys.stderr,
-        )
+        logging.getLogger("gdcscan").warning(
+            "dropping %d samples with missing phenotype/covariates", (~finite).sum())
         geno_idx = geno_idx[finite]
         y = y[finite]
         covar_cols = {c: v[finite] for c, v in covar_cols.items()}
     covariates = None
     if covar_cols:
-        # --covar always adds the intercept, so the library's notice that it
-        # prepended one reports the normal case
-        with warnings.catch_warnings():
-            warnings.filterwarnings(
-                "ignore", message="no constant covariate column", category=UserWarning
-            )
-            covariates = CovariateMatrix.build(covar_cols, n=y.shape[0])
-    if geno_idx.size != source.n_samples or not np.array_equal(
-        geno_idx, np.arange(source.n_samples)
-    ):
+        covariates = CovariateMatrix.build(covar_cols, n=y.shape[0])
+    if not np.array_equal(geno_idx, np.arange(source.n_samples)):
         source = SubsetSource(source, geno_idx)
     cfg = ScanConfig(
         b=args.b,

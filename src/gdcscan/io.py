@@ -18,6 +18,10 @@ Two genotype formats are supported:
 
 Phenotype/covariate tables are TSV with a ``sample_id`` column plus named
 numeric columns, joined to the genotype samples by ID.
+
+Every reader and both writers hold sample and SNP IDs to one rule,
+:func:`_check_id`; the writers apply it before they open any file, so
+they write no panel that reads back with its samples or SNPs shifted.
 """
 
 from __future__ import annotations
@@ -97,7 +101,9 @@ def write_packed(path: str, calls: np.ndarray, variants, sample_ids) -> None:
         raise ValueError("one variant record per SNP row required")
     if len(sample_ids) != n:
         raise ValueError("one sample ID per column required")
-    ids = [_snp_id(str(v[0]), variants_path(path), i) for i, v in enumerate(variants, 1)]
+    ids = [_check_id("SNP", str(v[0]), variants_path(path), i) for i, v in enumerate(variants, 1)]
+    sample_ids = [_check_id("sample", str(sid), samples_path(path), i)
+                  for i, sid in enumerate(sample_ids, 1)]
     payload = encode_packed(calls, ids)
     with open(path, "wb") as fh:
         fh.write(PACKED_MAGIC + PACKED_MODE_SNP_MAJOR)
@@ -131,7 +137,7 @@ def _variant_rows(fh, path: str, crc: list) -> Iterator[list]:
     opened in binary, that is not blank, read forward ``DEFAULT_BLOCK_SIZE``
     lines at a time.  ``crc[0]`` holds the running CRC-32 of the lines read
     so far, which runs ahead of the rows yielded.  A line that is not an
-    :func:`_snp_id`, a nonempty chrom and an integer position, tab-separated
+    :func:`_check_id` SNP ID, a nonempty chrom and an integer position, tab-separated
     and ending in LF or CRLF, is an error naming ``<path>:<line>``; a
     position with digit groups or padding is no integer."""
     first = 1
@@ -150,7 +156,7 @@ def _variant_rows(fh, path: str, crc: list) -> Iterator[list]:
             fields = line.split("\t")
             if len(fields) != 3 or not fields[1]:
                 raise ValueError(f"{path}:{lineno}: expected snp_id<TAB>chrom<TAB>pos")
-            _snp_id(fields[0], path, lineno)
+            _check_id("SNP", fields[0], path, lineno)
             pos = fields[2]
             try:
                 # int() also reads digit groups such as 1_0 and strips padding
@@ -213,7 +219,7 @@ class PackedSource(_BlockSource):
         self.path = path
         ids = samples_path(path)
         with open(ids) as fh:
-            self.sample_ids = [_sample_id(line.rstrip("\n"), ids, lineno)
+            self.sample_ids = [_check_id("sample", line.rstrip("\n"), ids, lineno)
                                for lineno, line in enumerate(fh, 1) if line != "\n"]
         self.n_samples = len(self.sample_ids)
         self._bytes_per_snp = (self.n_samples + 3) // 4
@@ -281,13 +287,16 @@ class PackedSource(_BlockSource):
 
 def write_dosage_tsv(path: str, dosages: np.ndarray, snp_ids, sample_ids) -> None:
     """Write a sample-major dosage table (rows = samples).  Dosages and
-    SNP IDs are checked as :class:`DosageSource` reads them, before the
-    file is opened, so a table it would refuse writes no file."""
+    IDs are checked as :class:`DosageSource` reads them, before the file
+    is opened, so a table it would refuse writes no file."""
     dosages = np.asarray(dosages, dtype=np.float64)
     n, n_snps = dosages.shape
     if len(sample_ids) != n or len(snp_ids) != n_snps:
         raise ValueError("dosage matrix must be (n_samples, n_snps)")
-    check_genotypes(dosages.T, "dosage", [_snp_id(s, path, 1) for s in snp_ids])
+    snp_ids = [_check_id("SNP", s, path, 1) for s in snp_ids]
+    sample_ids = [_check_id("sample", str(sid), path, i)
+                  for i, sid in enumerate(sample_ids, 2)]
+    check_genotypes(dosages.T, "dosage", snp_ids)
     with open(path, "w") as fh:
         fh.write("sample_id\t" + "\t".join(snp_ids) + "\n")
         for i, sid in enumerate(sample_ids):
@@ -313,7 +322,7 @@ class DosageSource(_BlockSource):
             header = fh.readline().rstrip("\n").split("\t")
             if not header or header[0] != "sample_id":
                 raise ValueError(f"{path}: first header field must be 'sample_id'")
-            self.snp_ids = [_snp_id(s, path, 1) for s in header[1:]]
+            self.snp_ids = [_check_id("SNP", s, path, 1) for s in header[1:]]
             sample_ids, rows = [], []
             for sample_id, values in _table_rows(fh, header, 0, path):
                 sample_ids.append(sample_id)
@@ -400,27 +409,22 @@ def read_phenotype_table(path: str):
     return ids, {k: np.asarray(v, dtype=np.float64) for k, v in cols.items()}
 
 
-def _sample_id(field: str, path: str, lineno: int) -> str:
-    """``field`` as a sample ID, the one rule of the samples file and the
-    tables: an ID that is empty or padded with whitespace is an error
-    naming ``<path>:<line>``, since it would match one side's IDs only."""
-    if not field or field != field.strip():
-        raise ValueError(f"{path}:{lineno}: sample ID {field!r} is empty or padded")
-    return field
-
-
-def _snp_id(field: str, path: str, lineno: int) -> str:
-    """``field`` as a SNP ID, one rule for the sidecar, the dosage header and both
-    writers: an ID empty, padded or not printable is an error at ``<path>:<line>``."""
+def _check_id(kind: str, field: str, path: str, lineno: int) -> str:
+    """``field`` as a ``kind`` ("sample" or "SNP") ID, one rule for every
+    reader and both writers: an ID that is empty, padded with whitespace or
+    not printable (a tab or a line break among them) is an error naming
+    ``<path>:<line>``, since it would match one side's IDs only or split
+    into other fields or lines."""
     if not field or field != field.strip() or not field.isprintable():
-        raise ValueError(f"{path}:{lineno}: SNP ID {field!r} is empty, padded or not printable")
+        raise ValueError(
+            f"{path}:{lineno}: {kind} ID {field!r} is empty, padded or not printable")
     return field
 
 
 def _table_rows(fh, header: list, id_col: int, path: str) -> Iterator[tuple]:
     """The sample ID and the other fields as floats, NA as NaN, of each
     line after the header of a TSV table that is not blank.  A line whose
-    field count is not the header's, a sample ID :func:`_sample_id`
+    field count is not the header's, a sample ID :func:`_check_id`
     refuses, or a field other than NA that is no finite number, holds
     ``_`` or is padded with whitespace, is an error naming
     ``<path>:<line>``, and for a field its column."""
@@ -433,7 +437,7 @@ def _table_rows(fh, header: list, id_col: int, path: str) -> Iterator[tuple]:
         if len(fields) != len(header):
             raise ValueError(
                 f"{path}:{lineno}: expected {len(header)} fields, got {len(fields)}")
-        sample_id, values = _sample_id(fields.pop(id_col), path, lineno), []
+        sample_id, values = _check_id("sample", fields.pop(id_col), path, lineno), []
         for name, field in zip(names, fields):
             try:
                 value = np.nan if field == "NA" else float(field)

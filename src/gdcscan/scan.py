@@ -690,13 +690,9 @@ def run_multiallelic(config: ScanConfig, genotype: GenotypeColumn, phenotype,
     ctx = prepare_context(phenotype, covariates)
     if genotype.m > 2:
         return _test_single_column(config, ctx, genotype).records()[0]
-    col = GenotypeColumn(
-        snp_id=genotype.snp_id, chrom=genotype.chrom, pos=genotype.pos,
-        values=genotype.values[:, 1], kind="dosage",
-    )
     block = Block(
-        variants=[[col.snp_id, col.chrom, col.pos]],
-        values=col.values[None, :], kind="dosage",
+        variants=[[genotype.snp_id, genotype.chrom, genotype.pos]],
+        values=genotype.values[None, :, 1], kind="dosage",
     )
     return process_block(config, ctx, block).records()[0]
 

@@ -47,8 +47,7 @@ def test_covariate_matrix_requires_intercept_first():
 
 def test_covariate_matrix_build_prepends_intercept():
     rng = np.random.default_rng(1)
-    with pytest.warns(UserWarning, match="prepending an intercept"):
-        z = CovariateMatrix.build({"age": rng.normal(size=20)})
+    z = CovariateMatrix.build({"age": rng.normal(size=20)})
     assert z.names[0] == "intercept"
     assert np.all(z.matrix[:, 0] == 1.0)
     assert z.q == 1

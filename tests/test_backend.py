@@ -14,6 +14,7 @@ import importlib.util
 import os
 import shutil
 import subprocess
+import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -535,6 +536,18 @@ def test_get_backend_selection():
             get_backend("compiled")
     with pytest.raises(ValueError):
         get_backend("gpu")
+
+
+def test_unknown_backend_variable_logs_one_line_and_falls_back_to_auto():
+    env = dict(os.environ, GDCSCAN_BACKEND="bogus")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "from gdcscan import backend; print(backend.BACKEND_NAME)"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == "ignoring unknown GDCSCAN_BACKEND='bogus'; using auto\n"
+    assert proc.stdout == ("compiled" if get_backend("auto").IS_COMPILED else "python") + "\n"
 
 
 class _CountingKernels:

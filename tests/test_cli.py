@@ -13,8 +13,11 @@ import pytest
 
 import gdcscan
 from gdcscan import cli
+from gdcscan.adjust import CovariateMatrix
 from gdcscan.cli import main
-from gdcscan.io import write_packed, write_dosage_tsv
+from gdcscan.io import (PackedSource, SubsetSource, read_phenotype_table, write_dosage_tsv,
+                        write_packed)
+from gdcscan.scan import ScanConfig, run_scan, write_results
 from gdcscan.simbench import draw_genotypes
 from tsv_oracle import read_results
 
@@ -106,6 +109,43 @@ def test_scan_command_allow_missing_samples(panel, capsys):
     ])
     assert rc == 0
     assert read_results(out)[0].n_used == 149
+
+
+def _fresh_process_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(pathlib.Path(gdcscan.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    return env
+
+
+def test_scan_drops_samples_with_missing_values_and_says_so(panel):
+    """Samples with NA in the phenotype (3) or a covariate (2) are left
+    out: a fresh process logs one line saying how many, and nothing else,
+    and writes the bytes of a library scan of the kept samples."""
+    geno, pheno, g, y, tmp_path = panel
+    ids, table = read_phenotype_table(pheno)
+    table["trait"][[5, 17, 40]] = np.nan
+    table["age"][[8, 90]] = np.nan
+    with_na = tmp_path / "pheno_na.tsv"
+    with open(with_na, "w") as fh:
+        fh.write("sample_id\ttrait\tage\tsex\n")
+        for j, sid in enumerate(ids):
+            fields = ("NA" if np.isnan(table[c][j]) else format(table[c][j], ".17g")
+                      for c in ("trait", "age", "sex"))
+            fh.write("\t".join([sid, *fields]) + "\n")
+    out, ref = tmp_path / "out.tsv", str(tmp_path / "ref.tsv")
+    proc = subprocess.run(
+        [sys.executable, "-m", "gdcscan.cli", "scan", "--geno", geno, "--pheno", str(with_na),
+         "--pheno-col", "trait", "--covar", "age", "--out", str(out)],
+        capture_output=True, text=True, env=_fresh_process_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "dropping 5 samples with missing phenotype/covariates\n"
+    keep = np.isfinite(table["trait"]) & np.isfinite(table["age"])
+    source = SubsetSource(PackedSource(geno), np.flatnonzero(keep))
+    covariates = CovariateMatrix.build({"age": table["age"][keep]})
+    write_results(run_scan(ScanConfig(), source, table["trait"][keep], covariates), ref)
+    assert out.read_bytes() == pathlib.Path(ref).read_bytes()
 
 
 def test_scan_command_unknown_column(panel):
@@ -235,7 +275,7 @@ _INPUT_ERRORS = {
         r"dosage\.tsv:1: SNP ID ' rs1' is empty, padded or not printable$"),
     "padded ID in the samples file": (lambda t, geno, pheno: _SCAN + [
         "--geno", _padded_sample_id(geno), "--pheno", pheno],
-        r"panel\.geno\.samples\.txt:2: sample ID ' ind1' is empty or padded$"),
+        r"panel\.geno\.samples\.txt:2: sample ID ' ind1' is empty, padded or not printable$"),
     "constant phenotype": (lambda t, geno, pheno: _SCAN + [
         "--geno", geno, "--pheno", _trait_of_age(pheno, lambda age: 0.1)],
         "degenerate response"),
@@ -313,14 +353,11 @@ def test_panel_changed_during_scan_exits_2_with_one_line(panel, capsys, monkeypa
 
 
 def test_input_error_in_a_fresh_process_prints_no_traceback(tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(pathlib.Path(gdcscan.__file__).parents[1]), env.get("PYTHONPATH", "")])
     out = tmp_path / "x.tsv"
     proc = subprocess.run(
         [sys.executable, "-m", "gdcscan.cli", "simulate", "--mode", "null",
          "--noise-sd", "0", "--out", str(out)],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=_fresh_process_env(), timeout=120,
     )
     assert proc.returncode == 2
     assert proc.stdout == ""

@@ -194,12 +194,12 @@ def test_samples_file_and_tables_share_one_sample_id_rule(tmp_path, sample_id, f
     path = _write_panel(tmp_path, np.zeros((2, 3), dtype=np.int8))
     samples = pathlib.Path(path + ".samples.txt")
     samples.write_text(f"\nind0\n{sample_id}\nind2\n")
-    message = rf":3: sample ID {re.escape(repr(sample_id))} is empty or padded$"
+    message = rf":3: sample ID {re.escape(repr(sample_id))} is empty, padded or not printable$"
     with pytest.raises(ValueError, match=rf"^{re.escape(str(samples))}{message}"):
         PackedSource(path)
     samples.write_text("\nind0\nind1\n\nind2\n")
     assert PackedSource(path).sample_ids == ["ind0", "ind1", "ind2"]
-    message = rf":4: sample ID {re.escape(repr(field))} is empty or padded$"
+    message = rf":4: sample ID {re.escape(repr(field))} is empty, padded or not printable$"
     pheno = tmp_path / "pheno.tsv"
     for text in (f"sample_id\ty\nind0\t1.5\n\n{field}\t2.5\n",
                  f"y\tsample_id\n1.5\tind0\n\n2.5\t{field}\n"):
@@ -210,6 +210,25 @@ def test_samples_file_and_tables_share_one_sample_id_rule(tmp_path, sample_id, f
     dosage.write_text(f"sample_id\tsnp1\nind0\t1.0\n\n{field}\t0.5\n")
     with pytest.raises(ValueError, match=rf"^{re.escape(str(dosage))}{message}"):
         DosageSource(str(dosage))
+
+
+@pytest.mark.parametrize("sample_id", ["", " b", "b ", "b\nc", "b\tc", "b\r", "b\x00"])
+def test_writers_refuse_a_sample_id_the_readers_would_misread(tmp_path, sample_id):
+    """A sample ID that is empty, padded or not printable would read back
+    skipped, split over two lines or fields, or refused, and an ID skipped
+    or split moves later samples' calls onto other IDs.  Both writers
+    refuse it by the readers' rule, naming the line it would take, before
+    they make any file."""
+    ids = ["a", sample_id, "c"]
+    refusal = rf":{{}}: sample ID {re.escape(repr(sample_id))} is empty, padded or not printable$"
+    geno, dosage = str(tmp_path / "p.geno"), str(tmp_path / "d.tsv")
+    with pytest.raises(ValueError, match=rf"^{re.escape(geno)}\.samples\.txt" +
+                       refusal.format(2)):
+        write_packed(geno, np.zeros((2, 3), dtype=np.int8), [("rs0", "1", 5), ("rs1", "1", 6)],
+                     ids)
+    with pytest.raises(ValueError, match=rf"^{re.escape(dosage)}" + refusal.format(3)):
+        write_dosage_tsv(dosage, np.zeros((3, 2)), ["rs0", "rs1"], ids)
+    assert os.listdir(tmp_path) == []
 
 
 def test_sidecar_blank_lines_and_crlf_give_the_same_blocks(tmp_path):

@@ -499,6 +499,21 @@ def test_exact_pvalue_hard_regime_routes_to_inversion():
     assert p == pytest.approx(mc, abs=4 * se + 1e-9)
 
 
+@pytest.mark.parametrize("lambdas, n, df_sub, k", [
+    ((0.6, 0.01), 300, 1, 0.5), ((0.5, 0.3), 100, 1, 3.0), ((0.4, 0.02), 60, 3, 0.3),
+    ((0.6, 0.01), 300, 1, 7.0)], ids=["appell", "appell_small_p", "covariates", "holdout"])
+def test_failed_angular_integral_falls_back_to_inversion(monkeypatch, lambdas, n, df_sub, k):
+    """A two-eigenvalue entry whose angular integral fails (NaN) is
+    evaluated by characteristic-function inversion instead, and reports
+    that route, with the same p-value up to the inversion's accuracy."""
+    spec = NullSpectrum(lambdas=lambdas, n=n, df_sub=df_sub)
+    p, _ = exact_pvalue_with_method(spec, k)
+    monkeypatch.setattr(nd, "_tail", lambda w1, *rest: np.full(w1.shape, np.nan))
+    p_inv, method = exact_pvalue_with_method(spec, k)
+    assert method == "weighted_chisq_inversion"
+    assert p_inv == pytest.approx(p, abs=1e-10)
+
+
 def test_exact_pvalue_multi_eigenvalue_route():
     spec = NullSpectrum(lambdas=(0.5, 0.3, 0.2, 0.1), n=100)
     p, method = exact_pvalue_with_method(spec, 2.0)
